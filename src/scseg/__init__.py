@@ -10,10 +10,7 @@ from .admm import (
     Decomposition,
     DivergenceError,
     SolverParams,
-    SolverState,
-    admm_step,
     group_norm,
-    init_state,
     objective,
     solve,
 )
@@ -65,11 +62,9 @@ __all__ = [
     "PnmError",
     "SegmentationConfig",
     "SolverParams",
-    "SolverState",
     "SynthSpec",
     "TruncatedDataError",
     "UnsupportedFormatError",
-    "admm_step",
     "block_soft",
     "build_basis",
     "confusion",
@@ -79,7 +74,6 @@ __all__ = [
     "gen_block",
     "group_norm",
     "group_soft",
-    "init_state",
     "kmeans2_block",
     "kmeans2_image",
     "load_gray",

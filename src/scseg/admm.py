@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .dct import BasisMatrix
 from .prox import group_soft, soft
@@ -139,19 +138,7 @@ def init_state(f, basis: BasisMatrix) -> SolverState:
     )
 
 
-def coefficient_system(basis: BasisMatrix, params: SolverParams):
-    """Cholesky factor of rho1 B'B + rho2 I, reused across iterations and blocks."""
-    a = params.rho1 * (basis.atoms.T @ basis.atoms) + params.rho2 * np.eye(basis.k)
-    return cho_factor(a)
-
-
-def admm_step(
-    state: SolverState,
-    f,
-    basis: BasisMatrix,
-    params: SolverParams,
-    system=None,
-) -> SolverState:
+def admm_step(state: SolverState, f, basis: BasisMatrix, params: SolverParams) -> SolverState:
     """One full update sweep; returns the next state without mutating the input.
 
     Order: coefficients, their l1 copy, the sparse layer, the row and column
@@ -162,14 +149,12 @@ def admm_step(
     f = _flatten_block(f, n)
     if state.alpha.shape != (k,) or state.s.shape != (n * n,):
         raise ValueError("solver state does not match basis dimensions")
-    if system is None:
-        system = coefficient_system(basis, params)
     b = basis.atoms
     r1, r2, r3, r4 = params.rho1, params.rho2, params.rho3, params.rho4
 
-    alpha = cho_solve(
-        system, b.T @ state.w1 - state.w2 + r2 * state.beta + r1 * (b.T @ (f - state.s))
-    )
+    # B has orthonormal columns, so rho1 B'B + rho2 I is (rho1 + rho2) I.
+    rhs = b.T @ state.w1 - state.w2 + r2 * state.beta + r1 * (b.T @ (f - state.s))
+    alpha = rhs / (r1 + r2)
     beta = soft(alpha + state.w2 / r2, 1.0 / r2)
 
     smooth = b @ alpha
@@ -210,20 +195,20 @@ def solve(f, basis: BasisMatrix, params: SolverParams | None = None) -> Decompos
     if not np.isfinite(f).all():
         raise DivergenceError("input block contains non-finite values")
     state = init_state(f, basis)
-    system = coefficient_system(basis, params)
     history = [] if params.record_residuals else None
     iters_run = 0
-    residuals = _residuals(state, f, basis.atoms)
     for _ in range(params.max_iters):
-        state = admm_step(state, f, basis, params, system=system)
+        state = admm_step(state, f, basis, params)
         iters_run += 1
         if not (np.isfinite(state.alpha).all() and np.isfinite(state.s).all()):
             raise DivergenceError(f"non-finite iterate at iteration {iters_run}")
-        residuals = _residuals(state, f, basis.atoms)
-        if history is not None:
-            history.append(residuals)
-        if params.early_stop and max(residuals) < EARLY_STOP_TOL:
-            break
+        if params.record_residuals or params.early_stop:
+            residuals = _residuals(state, f, basis.atoms)
+            if history is not None:
+                history.append(residuals)
+            if params.early_stop and max(residuals) < EARLY_STOP_TOL:
+                break
+    residuals = _residuals(state, f, basis.atoms)
     f_norm = float(np.linalg.norm(f))
     return Decomposition(
         alpha=state.alpha,

@@ -15,13 +15,12 @@ from .image_io import stitch, tile
 _MAX_SWEEPS = 100
 
 
-def kmeans2_block(f, seed: int = 0) -> np.ndarray:
+def kmeans2_block(f) -> np.ndarray:
     """Cluster one block's intensities into two groups; minority = foreground.
 
-    Centers start at the block's min and max, which makes the result
-    independent of `seed` whenever the block has two distinct values (the
-    argument is kept for interface stability). Equal-size clusters resolve
-    to the brighter one; constant blocks yield an empty mask.
+    Centers start at the block's min and max, so the result is deterministic.
+    Equal-size clusters resolve to the brighter one; constant blocks yield an
+    empty mask.
     """
     f = np.asarray(f, dtype=np.float64)
     shape = f.shape if f.ndim == 2 else (int(np.sqrt(f.size)),) * 2
@@ -47,7 +46,7 @@ def kmeans2_block(f, seed: int = 0) -> np.ndarray:
     return (assign == fg_label).reshape(shape)
 
 
-def kmeans2_image(img, block_size: int = 64, seed: int = 0) -> np.ndarray:
+def kmeans2_image(img, block_size: int = 64) -> np.ndarray:
     """Apply the two-cluster baseline block-wise over a full image."""
     grid = tile(np.asarray(img, dtype=np.float64), block_size)
-    return stitch(grid, [kmeans2_block(b, seed=seed) for b in grid.blocks])
+    return stitch(grid, [kmeans2_block(b) for b in grid.blocks])

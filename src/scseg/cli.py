@@ -45,7 +45,8 @@ def _add_segmentation_flags(p):
     p.add_argument("--k", type=int, default=10, help="number of smooth basis atoms")
     p.add_argument("--fg-threshold", type=float, default=1.0,
                    help="gray-level magnitude above which a pixel is foreground")
-    p.add_argument("--workers", type=int, default=1, help="threads for per-block work")
+    p.add_argument("--workers", type=int, default=1,
+                   help="deprecated; ignored, blocks run in one thread")
 
 
 def _config(args, verbose: bool = False) -> SegmentationConfig:
@@ -71,7 +72,7 @@ def _config(args, verbose: bool = False) -> SegmentationConfig:
 def cmd_segment(args) -> int:
     img = load_gray(args.input)
     cfg = _config(args, verbose=args.verbose)
-    grid, basis, results = segment_blocks(img, cfg, workers=args.workers)
+    grid, basis, results = segment_blocks(img, cfg)
     if args.verbose:
         for i, ((r0, c0), (_, dec)) in enumerate(zip(grid.origins, results)):
             print(f"# block {i} origin {r0},{c0}")
@@ -91,7 +92,7 @@ def cmd_segment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     entries = load_manifest(args.manifest)
-    report = evaluate_dataset(entries, args.method, _config(args), workers=args.workers)
+    report = evaluate_dataset(entries, args.method, _config(args))
     atomic_write_bytes(args.report, (json.dumps(report, indent=2) + "\n").encode("utf-8"))
     micro = report["micro"]
     print(

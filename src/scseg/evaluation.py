@@ -110,7 +110,6 @@ def evaluate_dataset(
     entries,
     segmenter: str = "proposed",
     cfg: SegmentationConfig | None = None,
-    workers: int = 1,
 ) -> dict:
     """Segment every dataset entry and score it against its ground truth.
 
@@ -135,7 +134,7 @@ def evaluate_dataset(
             if truth.shape != img.shape:
                 raise ValueError(f"mask shape {truth.shape} != image shape {img.shape}")
             if segmenter == "proposed":
-                pred = segment_image(img, cfg, workers=workers)
+                pred = segment_image(img, cfg)
             else:
                 pred = kmeans2_image(img, block_size=cfg.block_size)
             m = metrics(*confusion(pred, truth))

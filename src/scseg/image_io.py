@@ -39,8 +39,9 @@ class TruncatedDataError(PnmError):
     """Pixel payload shorter than the header promises."""
 
 
-def _strip_comments(text: bytes) -> bytes:
-    return re.sub(rb"#[^\n\r]*", b" ", text)
+# Token grammar shared by headers and ASCII payloads: whitespace and '#'
+# comments (running to the end of the line) separate tokens.
+_SEPARATORS = re.compile(rb"(?:\s|#[^\n\r]*)+")
 
 
 class _Header:
@@ -51,19 +52,11 @@ class _Header:
         self.pos = pos
 
     def next_int(self, what: str) -> int:
-        buf, i, n = self.buf, self.pos, len(self.buf)
-        while i < n:
-            c = buf[i : i + 1]
-            if c == b"#":
-                while i < n and buf[i : i + 1] not in (b"\n", b"\r"):
-                    i += 1
-            elif c.isspace():
-                i += 1
-            else:
-                break
-        j = i
-        while j < n and not buf[j : j + 1].isspace() and buf[j : j + 1] != b"#":
-            j += 1
+        buf = self.buf
+        sep = _SEPARATORS.match(buf, self.pos)
+        i = sep.end() if sep else self.pos
+        sep = _SEPARATORS.search(buf, i)
+        j = sep.start() if sep else len(buf)
         if j == i:
             raise MalformedHeaderError(f"missing {what} in header")
         self.pos = j
@@ -83,7 +76,7 @@ class _Header:
 
 
 def _ascii_samples(buf: bytes, count: int, maxval: int, what: str) -> np.ndarray:
-    tokens = _strip_comments(buf).split()
+    tokens = [t for t in _SEPARATORS.split(buf) if t]
     if len(tokens) < count:
         raise TruncatedDataError(f"expected {count} {what} samples, found {len(tokens)}")
     try:
@@ -147,17 +140,14 @@ def load_mask(path) -> np.ndarray:
     height = header.next_int("height")
 
     if magic == b"P1":
-        text = _strip_comments(buf[header.pos :])
-        bits = []
-        for ch in text:
-            c = chr(ch)
-            if c in "01":
-                bits.append(c == "1")
-            elif not c.isspace():
-                raise PnmError(f"unexpected character {c!r} in P1 payload")
-        if len(bits) < width * height:
-            raise TruncatedDataError(f"expected {width * height} bits, found {len(bits)}")
-        return np.array(bits[: width * height], dtype=bool).reshape(height, width)
+        # Digits need no separators between them, so drop the separators.
+        chars = np.frombuffer(_SEPARATORS.sub(b"", buf[header.pos :]), dtype=np.uint8)
+        bad = np.flatnonzero((chars != ord("0")) & (chars != ord("1")))
+        if bad.size:
+            raise PnmError(f"unexpected character {chr(chars[bad[0]])!r} in P1 payload")
+        if chars.size < width * height:
+            raise TruncatedDataError(f"expected {width * height} bits, found {chars.size}")
+        return (chars[: width * height] == ord("1")).reshape(height, width)
 
     start = header.start_payload()
     row_bytes = (width + 7) // 8

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .admm import Decomposition, SolverParams, solve
 from .dct import BasisMatrix, build_basis
@@ -50,30 +48,24 @@ def segment_block(f, basis: BasisMatrix, cfg: SegmentationConfig):
     return mask, dec
 
 
-def segment_blocks(img, cfg: SegmentationConfig | None = None, workers: int = 1):
+def segment_blocks(img, cfg: SegmentationConfig | None = None):
     """Tile an image and segment every block.
 
     Returns (grid, basis, results) where results is a list of
-    (mask, decomposition) pairs in grid order. Blocks are independent, so
-    workers > 1 dispatches them to a thread pool; results are identical
-    regardless of scheduling.
+    (mask, decomposition) pairs in grid order.
     """
     if cfg is None:
         cfg = SegmentationConfig()
     img = np.asarray(img, dtype=np.float64)
     grid = tile(img, cfg.block_size)
     basis = build_basis(cfg.block_size, cfg.k_bases)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda b: segment_block(b, basis, cfg), grid.blocks))
-    else:
-        results = [segment_block(b, basis, cfg) for b in grid.blocks]
+    results = [segment_block(b, basis, cfg) for b in grid.blocks]
     return grid, basis, results
 
 
-def segment_image(img, cfg: SegmentationConfig | None = None, workers: int = 1) -> np.ndarray:
+def segment_image(img, cfg: SegmentationConfig | None = None) -> np.ndarray:
     """Segment a full image; returns an (h, w) boolean foreground mask."""
-    grid, _, results = segment_blocks(img, cfg, workers=workers)
+    grid, _, results = segment_blocks(img, cfg)
     return stitch(grid, [mask for mask, _ in results])
 
 
@@ -95,8 +87,7 @@ def fill_background(f, mask, basis: BasisMatrix) -> np.ndarray:
     sub = basis.atoms[background]
     if np.linalg.matrix_rank(sub) < k:
         raise BackgroundFitError("background pixels are rank-deficient; mask covers too much")
-    gram = cho_factor(sub.T @ sub)
-    coef = cho_solve(gram, sub.T @ f.ravel()[background])
+    coef = np.linalg.solve(sub.T @ sub, sub.T @ f.ravel()[background])
     out = f.copy()
     out[mask] = (basis.atoms @ coef).reshape(n, n)[mask]
     return out
@@ -113,7 +104,7 @@ def assemble_layers(img, grid: BlockGrid, basis: BasisMatrix, results):
     return background, foreground, mask
 
 
-def reconstruct_layers(img, cfg: SegmentationConfig | None = None, workers: int = 1):
+def reconstruct_layers(img, cfg: SegmentationConfig | None = None):
     """Segment an image and split it into smooth background and foreground layers.
 
     Returns (background, foreground, mask): the background keeps original
@@ -121,5 +112,5 @@ def reconstruct_layers(img, cfg: SegmentationConfig | None = None, workers: int 
     fit; the foreground keeps original values inside the mask and is zero
     elsewhere.
     """
-    grid, basis, results = segment_blocks(img, cfg, workers=workers)
+    grid, basis, results = segment_blocks(img, cfg)
     return assemble_layers(img, grid, basis, results)

@@ -22,8 +22,8 @@ from scseg import (
     load_manifest,
     load_mask,
     metrics,
+    save_gray,
     segment_block,
-    segment_image,
     soft,
     solve,
     objective,
@@ -172,9 +172,13 @@ def test_criterion_8_determinism(tmp_path, capsys):
     assert main(args + ["--mask-out", str(tmp_path / "b.pbm")]) == 0
     reruns_identical = (tmp_path / "a.pbm").read_bytes() == (tmp_path / "b.pbm").read_bytes()
 
-    img = np.hstack([gen_block(SynthSpec(seed=s))[0] for s in (1, 2)])
-    serial = segment_image(img, SegmentationConfig(), workers=1)
-    threaded = segment_image(img, SegmentationConfig(), workers=4)
+    page = tmp_path / "page.pgm"
+    save_gray(np.hstack([gen_block(SynthSpec(seed=s))[0] for s in (1, 2)]), page)
+    page_args = ["segment", "--input", str(page)]
+    assert main(page_args + ["--mask-out", str(tmp_path / "serial.pbm"), "--workers", "1"]) == 0
+    assert main(page_args + ["--mask-out", str(tmp_path / "threaded.pbm"), "--workers", "4"]) == 0
+    serial = load_mask(tmp_path / "serial.pbm")
+    threaded = load_mask(tmp_path / "threaded.pbm")
     scheduling_identical = bool((serial == threaded).all())
     capsys.readouterr()
     with capsys.disabled():

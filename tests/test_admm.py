@@ -5,14 +5,14 @@ from oracles import group_norm_reference
 from scseg import (
     DivergenceError,
     SolverParams,
-    admm_step,
+    SynthSpec,
     build_basis,
+    gen_block,
     group_norm,
-    init_state,
     objective,
     solve,
 )
-from scseg.admm import coefficient_system
+from scseg.admm import admm_step, init_state
 
 
 @pytest.fixture(scope="module")
@@ -95,16 +95,6 @@ class TestStep:
         shortcut = rhs / (params.rho1 + params.rho2)
         stepped = admm_step(state, f, basis64, params)
         np.testing.assert_allclose(stepped.alpha, shortcut, atol=1e-10)
-
-    def test_precomputed_system_equivalent(self, basis8):
-        rng = np.random.default_rng(3)
-        f = rng.uniform(0, 255, 64)
-        params = SolverParams(lambda1=5.0, lambda2=1.0)
-        system = coefficient_system(basis8, params)
-        a = admm_step(init_state(f, basis8), f, basis8, params)
-        b = admm_step(init_state(f, basis8), f, basis8, params, system=system)
-        np.testing.assert_array_equal(a.s, b.s)
-        np.testing.assert_array_equal(a.alpha, b.alpha)
 
 
 class TestObjective:
@@ -200,6 +190,17 @@ class TestSolve:
     def test_no_history_by_default(self, basis8):
         dec = solve(np.zeros(64), basis8)
         assert dec.residual_history is None
+
+    def test_recording_residuals_changes_nothing_else(self, basis64):
+        f, _, _ = gen_block(SynthSpec(seed=5))
+        plain = solve(f, basis64)
+        recorded = solve(f, basis64, SolverParams(record_residuals=True))
+        np.testing.assert_array_equal(recorded.alpha, plain.alpha)
+        np.testing.assert_array_equal(recorded.s, plain.s)
+        assert recorded.primal_residual == plain.primal_residual
+        assert recorded.split_residuals == plain.split_residuals
+        assert recorded.iters_run == plain.iters_run == 50
+        assert recorded.residual_history[-1][1:] == plain.split_residuals
 
     def test_early_stop(self, basis64):
         # exactly representable block converges to machine precision quickly

@@ -28,12 +28,6 @@ def test_tie_goes_to_brighter_cluster():
     np.testing.assert_array_equal(mask, [[False, False], [True, True]])
 
 
-def test_seed_independent():
-    rng = np.random.default_rng(2)
-    f = rng.uniform(0, 255, (32, 32))
-    np.testing.assert_array_equal(kmeans2_block(f, seed=0), kmeans2_block(f, seed=99))
-
-
 def test_mask_at_most_half_except_ties():
     rng = np.random.default_rng(6)
     for _ in range(10):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import scseg
 from scseg import SynthSpec, load_mask, write_dataset
 from scseg.cli import main
 
@@ -27,6 +31,21 @@ def test_segment_bit_identical_reruns(dataset, tmp_path):
     assert main(args + ["--mask-out", str(tmp_path / "a.pbm")]) == 0
     assert main(args + ["--mask-out", str(tmp_path / "b.pbm")]) == 0
     assert (tmp_path / "a.pbm").read_bytes() == (tmp_path / "b.pbm").read_bytes()
+
+
+def test_segment_imports_no_scipy(dataset, tmp_path):
+    script = (
+        "import sys\n"
+        "from scseg.cli import main\n"
+        f"assert main(['segment', '--input', {str(dataset / 'block_0000.pgm')!r},"
+        f" '--mask-out', {str(tmp_path / 'm.pbm')!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    # run the package under test, wherever it was imported from
+    package_root = os.path.dirname(os.path.dirname(scseg.__file__))
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
 
 def test_segment_workers_identical(dataset, tmp_path):

@@ -138,7 +138,7 @@ class TestEvaluateDataset:
         preds = {str(tmp_path / "img0.pgm"): truth1, str(tmp_path / "img1.pgm"): truth1}
         calls = []
 
-        def fake_segment(img, cfg, workers=1):
+        def fake_segment(img, cfg):
             path = calls.pop(0)
             return preds[path]
 

@@ -133,12 +133,34 @@ class TestMasks:
 
     def test_p1_truncated(self, tmp_path):
         p = write(tmp_path / "m.pbm", b"P1\n3 2\n1 0 1\n")
-        with pytest.raises(TruncatedDataError):
+        with pytest.raises(TruncatedDataError, match="expected 6 bits, found 3"):
             load_mask(p)
+
+    def test_p1_random_layout(self, tmp_path):
+        rng = np.random.default_rng(6)
+        separators = [b"", b" ", b"\n", b"\t", b" # note 1 0\n", b"#\r"]
+        for i, shape in enumerate([(1, 1), (4, 9), (13, 5)]):
+            mask = rng.random(shape) < 0.5
+            payload = b"".join(
+                (b"1" if bit else b"0") + separators[rng.integers(len(separators))]
+                for bit in mask.ravel()
+            )
+            header = f"P1\n{shape[1]} {shape[0]}\n".encode()
+            p = write(tmp_path / f"m{i}.pbm", header + payload)
+            np.testing.assert_array_equal(load_mask(p), mask)
+
+    def test_p1_comment_between_digits(self, tmp_path):
+        p = write(tmp_path / "m.pbm", b"P1\n4 1\n1 0# two more\n11\n")
+        np.testing.assert_array_equal(load_mask(p), [[True, False, True, True]])
 
     def test_p1_bad_character(self, tmp_path):
         p = write(tmp_path / "m.pbm", b"P1\n3 1\n1 2 1\n")
-        with pytest.raises(PnmError):
+        with pytest.raises(PnmError, match=r"unexpected character '2' in P1 payload"):
+            load_mask(p)
+
+    def test_p1_bad_character_after_comment(self, tmp_path):
+        p = write(tmp_path / "m.pbm", b"P1\n3 1\n1 0 # 2 is fine here\nx\n")
+        with pytest.raises(PnmError, match=r"unexpected character 'x' in P1 payload"):
             load_mask(p)
 
     def test_gray_magic_rejected(self, tmp_path):

@@ -75,16 +75,6 @@ class TestSegmentImage:
         block_mask, _ = segment_block(f, basis64, cfg)
         np.testing.assert_array_equal(segment_image(f, cfg), block_mask)
 
-    def test_workers_do_not_change_result(self, cfg):
-        rng = np.random.default_rng(13)
-        img = np.vstack(
-            [np.hstack([gen_block(SynthSpec(seed=int(s)))[0] for s in rng.integers(0, 999, 2)])
-             for _ in range(2)]
-        )
-        serial = segment_image(img, cfg, workers=1)
-        threaded = segment_image(img, cfg, workers=4)
-        np.testing.assert_array_equal(serial, threaded)
-
     def test_synthetic_recovery(self, cfg):
         f, truth, _ = gen_block(SynthSpec(seed=19))
         mask = segment_image(f, cfg)
