@@ -13,6 +13,7 @@ from .admm import (
     group_norm,
     objective,
     solve,
+    solve_blocks,
 )
 from .baseline import kmeans2_block, kmeans2_image
 from .dct import BasisMatrix, build_basis, dct_atom, zigzag_order
@@ -88,6 +89,7 @@ __all__ = [
     "segment_image",
     "soft",
     "solve",
+    "solve_blocks",
     "stitch",
     "tile",
     "write_dataset",

@@ -6,11 +6,16 @@ import numpy as np
 
 
 def soft(x, lam: float) -> np.ndarray:
-    """Element-wise soft threshold: sign(x) * max(|x| - lam, 0)."""
+    """Element-wise soft threshold: sign(x) * max(|x| - lam, 0).
+
+    Computed as x - clip(x, -lam, lam), two passes instead of four. Every
+    nonzero result has the same bits as the sign form; zeros are +0.0.
+    """
     if lam < 0:
         raise ValueError(f"threshold must be nonnegative, got {lam}")
     x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    clipped = np.clip(x, -lam, lam)
+    return np.subtract(x, clipped, out=clipped)
 
 
 def block_soft(x, lam: float) -> np.ndarray:

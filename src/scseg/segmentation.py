@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm import Decomposition, SolverParams, solve
+from .admm import Decomposition, SolverParams, solve, solve_blocks
 from .dct import BasisMatrix, build_basis
 from .image_io import BlockGrid, stitch, tile
 
@@ -44,22 +44,27 @@ def segment_block(f, basis: BasisMatrix, cfg: SegmentationConfig):
     where the sparse layer exceeds cfg.fg_threshold in magnitude.
     """
     dec = solve(f, basis, cfg.solver)
-    mask = np.abs(dec.s).reshape(basis.n, basis.n) > cfg.fg_threshold
-    return mask, dec
+    return _binarize(dec, basis, cfg), dec
+
+
+def _binarize(dec: Decomposition, basis: BasisMatrix, cfg: SegmentationConfig) -> np.ndarray:
+    return np.abs(dec.s).reshape(basis.n, basis.n) > cfg.fg_threshold
 
 
 def segment_blocks(img, cfg: SegmentationConfig | None = None):
-    """Tile an image and segment every block.
+    """Tile an image and segment every block in one batched solve.
 
     Returns (grid, basis, results) where results is a list of
-    (mask, decomposition) pairs in grid order.
+    (mask, decomposition) pairs in grid order. Each block's result is the
+    one segment_block gives it alone.
     """
     if cfg is None:
         cfg = SegmentationConfig()
     img = np.asarray(img, dtype=np.float64)
     grid = tile(img, cfg.block_size)
     basis = build_basis(cfg.block_size, cfg.k_bases)
-    results = [segment_block(b, basis, cfg) for b in grid.blocks]
+    decs = solve_blocks(grid.blocks, basis, cfg.solver)
+    results = [(_binarize(dec, basis, cfg), dec) for dec in decs]
     return grid, basis, results
 
 

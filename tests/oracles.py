@@ -5,11 +5,20 @@ explicit list of overlapping groups, and the block objective is minimized by
 a batched normalized-subgradient method on the coefficient vector alone (the
 sparse layer eliminated through the exact-decomposition constraint). Both
 exist so solver results can be checked against an unrelated code path.
+
+`reference_solve` is a frozen copy of the one-block-at-a-time ADMM loop the
+batched solver replaced, with its own shrinkage operators. The batched solver
+must reproduce its `alpha`, `s` and iteration counts bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+# Same threshold as scseg.admm.EARLY_STOP_TOL, frozen with the loop.
+EARLY_STOP_TOL = 1e-6
 
 
 def overlapping_groups(n: int) -> list:
@@ -81,3 +90,120 @@ def subgradient_best_objective(
         if t % check_every == 0 or t == steps - 1:
             best = np.minimum(best, exact(coef))
     return best
+
+
+def reference_soft(x, lam: float) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+
+
+def reference_group_soft(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    norms = np.linalg.norm(a, axis=axis, keepdims=True)
+    scale = np.where(norms > lam, 1.0 - lam / np.where(norms > 0, norms, 1.0), 0.0)
+    return a * scale
+
+
+@dataclass
+class SolverState:
+    """Primal and dual iterates of one block's splitting.
+
+    alpha/beta are coefficient vectors (length k); s is the sparse layer and
+    y, z its row- and column-group copies (length n*n); w1, w2, v1, v2 are
+    the duals of the decomposition, coefficient-copy, and group-copy
+    constraints.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    s: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    v1: np.ndarray
+    v2: np.ndarray
+
+
+def init_state(n: int, k: int) -> SolverState:
+    """All-zero starting point (primal and dual)."""
+    n2 = n * n
+    return SolverState(
+        alpha=np.zeros(k),
+        beta=np.zeros(k),
+        s=np.zeros(n2),
+        y=np.zeros(n2),
+        z=np.zeros(n2),
+        w1=np.zeros(n2),
+        w2=np.zeros(k),
+        v1=np.zeros(n2),
+        v2=np.zeros(n2),
+    )
+
+
+def admm_step(state: SolverState, f: np.ndarray, b: np.ndarray, params) -> SolverState:
+    """One full update sweep of one block; returns the next state.
+
+    Order: coefficients, their l1 copy, the sparse layer, the row and column
+    group copies, then dual ascent on all four constraints using the fresh
+    primal values.
+    """
+    n = int(round(np.sqrt(b.shape[0])))
+    r1, r2, r3, r4 = params.rho1, params.rho2, params.rho3, params.rho4
+
+    rhs = b.T @ state.w1 - state.w2 + r2 * state.beta + r1 * (b.T @ (f - state.s))
+    alpha = rhs / (r1 + r2)
+    beta = reference_soft(alpha + state.w2 / r2, 1.0 / r2)
+
+    smooth = b @ alpha
+    c = state.w1 - state.v1 - state.v2 + r1 * (f - smooth) + r3 * state.y + r4 * state.z
+    s = reference_soft(c, params.lambda1) / (r1 + r3 + r4)
+
+    s_mat = s.reshape(n, n)
+    y = reference_group_soft(s_mat + state.v1.reshape(n, n) / r3, params.lambda2 / r3, axis=1).ravel()
+    z = reference_group_soft(s_mat + state.v2.reshape(n, n) / r4, params.lambda2 / r4, axis=0).ravel()
+
+    w1 = state.w1 + r1 * (f - smooth - s)
+    w2 = state.w2 + r2 * (alpha - beta)
+    v1 = state.v1 + r3 * (s - y)
+    v2 = state.v2 + r4 * (s - z)
+    return SolverState(alpha=alpha, beta=beta, s=s, y=y, z=z, w1=w1, w2=w2, v1=v1, v2=v2)
+
+
+def _residuals(state: SolverState, f: np.ndarray, b: np.ndarray) -> tuple:
+    return (
+        float(np.linalg.norm(f - b @ state.alpha - state.s)),
+        float(np.linalg.norm(state.alpha - state.beta)),
+        float(np.linalg.norm(state.s - state.y)),
+        float(np.linalg.norm(state.s - state.z)),
+    )
+
+
+def reference_solve(f, atoms: np.ndarray, params, steps: int | None = None) -> dict:
+    """Run admm_step from the zero state as the per-block solver did.
+
+    Returns {"alpha", "s", "iters_run", "history", "state"}; raises
+    FloatingPointError naming the iteration when an iterate goes non-finite.
+    `steps`, when given, replaces params.max_iters.
+    """
+    f = np.asarray(f, dtype=np.float64).reshape(-1)
+    n = int(round(np.sqrt(f.size)))
+    state = init_state(n, atoms.shape[1])
+    history = []
+    iters_run = 0
+    for _ in range(params.max_iters if steps is None else steps):
+        state = admm_step(state, f, atoms, params)
+        iters_run += 1
+        if not (np.isfinite(state.alpha).all() and np.isfinite(state.s).all()):
+            raise FloatingPointError(f"non-finite iterate at iteration {iters_run}")
+        residuals = _residuals(state, f, atoms)
+        history.append(residuals)
+        if params.early_stop and max(residuals) < EARLY_STOP_TOL:
+            break
+    return {
+        "alpha": state.alpha,
+        "s": state.s,
+        "iters_run": iters_run,
+        "history": history,
+        "state": state,
+    }

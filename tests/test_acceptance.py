@@ -24,6 +24,7 @@ from scseg import (
     metrics,
     save_gray,
     segment_block,
+    segment_image,
     soft,
     solve,
     objective,
@@ -180,13 +181,32 @@ def test_criterion_8_determinism(tmp_path, capsys):
     serial = load_mask(tmp_path / "serial.pbm")
     threaded = load_mask(tmp_path / "threaded.pbm")
     scheduling_identical = bool((serial == threaded).all())
+
+    # A block's mask must not depend on which blocks share its solver batch:
+    # a 3x3-block page, the same page with its blocks permuted, and each
+    # block segmented alone.
+    def page_of(tiles):
+        return np.block([tiles[r * 3 : r * 3 + 3] for r in range(3)])
+
+    blocks = [gen_block(SynthSpec(seed=880 + i))[0] for i in range(9)]
+    order = np.random.default_rng(8).permutation(9)
+    cfg = SegmentationConfig()
+    basis = build_basis(64, 10)
+    alone = [segment_block(b, basis, cfg)[0] for b in blocks]
+    page = segment_image(page_of(blocks), cfg)
+    permuted = segment_image(page_of([blocks[i] for i in order]), cfg)
+    batch_invariant = bool(
+        (page == page_of(alone)).all()
+        and (permuted == page_of([alone[i] for i in order])).all()
+    )
     capsys.readouterr()
     with capsys.disabled():
         report(
             "8 determinism",
-            reruns_identical and scheduling_identical,
+            reruns_identical and scheduling_identical and batch_invariant,
             f"reruns identical: {reruns_identical}, "
-            f"thread scheduling identical: {scheduling_identical}",
+            f"thread scheduling identical: {scheduling_identical}, "
+            f"batch composition invariant: {batch_invariant}",
         )
 
 

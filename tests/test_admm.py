@@ -1,7 +1,10 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import group_norm_reference
+from oracles import group_norm_reference, reference_solve
 from scseg import (
     DivergenceError,
     SolverParams,
@@ -11,8 +14,18 @@ from scseg import (
     group_norm,
     objective,
     solve,
+    solve_blocks,
 )
-from scseg.admm import admm_step, init_state
+from scseg.admm import BATCH_BLOCKS
+
+# The four block regimes of the benchmark's pages.
+REGIMES = (
+    SynthSpec(),
+    SynthSpec(stroke_amplitude=10.0),
+    SynthSpec(k_true=15),
+    SynthSpec(diagonal_strokes=True),
+)
+NON_DEFAULT = SolverParams(lambda1=5.0, lambda2=1.0, rho1=1.7, rho2=0.6, rho3=1.3, rho4=0.9)
 
 
 @pytest.fixture(scope="module")
@@ -40,51 +53,29 @@ class TestParams:
             SolverParams(**bad)
 
 
-class TestInitState:
-    def test_all_zero_and_sized(self, basis64):
-        state = init_state(np.ones(4096), basis64)
-        assert state.alpha.shape == (10,)
-        assert state.s.shape == (4096,)
-        for name in ("alpha", "beta", "s", "y", "z", "w1", "w2", "v1", "v2"):
-            assert not getattr(state, name).any()
-
-    def test_independent_of_values(self, basis64):
-        rng = np.random.default_rng(0)
-        a = init_state(rng.uniform(0, 255, 4096), basis64)
-        b = init_state(np.zeros(4096), basis64)
-        np.testing.assert_array_equal(a.s, b.s)
-        np.testing.assert_array_equal(a.alpha, b.alpha)
-
-    def test_dimension_mismatch(self, basis64):
-        with pytest.raises(ValueError):
-            init_state(np.zeros(100), basis64)
-
-
 class TestStep:
     def test_zero_block_is_fixed_point(self, basis8):
-        f = np.zeros(64)
-        state = init_state(f, basis8)
-        params = SolverParams(lambda1=5.0, lambda2=1.0)
-        for _ in range(3):
-            state = admm_step(state, f, basis8, params)
-        for name in ("alpha", "beta", "s", "y", "z", "w1", "w2", "v1", "v2"):
-            assert not getattr(state, name).any()
+        params = SolverParams(lambda1=5.0, lambda2=1.0, max_iters=3, record_residuals=True)
+        dec = solve(np.zeros(64), basis8, params)
+        assert not dec.alpha.any()
+        assert not dec.s.any()
+        assert dec.residual_history == [(0.0, 0.0, 0.0, 0.0)] * 3
 
     def test_single_step_coefficients(self, basis64):
         # from the zero state the first coefficient update is a scaled projection
         f = basis64.atoms[:, 0] * 100.0
-        state = admm_step(init_state(f, basis64), f, basis64, SolverParams())
+        dec = solve(f, basis64, SolverParams(max_iters=1))
         expected = np.zeros(10)
         expected[0] = 50.0
-        np.testing.assert_allclose(state.alpha, expected, atol=1e-10)
+        np.testing.assert_allclose(dec.alpha, expected, atol=1e-10)
 
     def test_orthonormal_shortcut_matches_factorized_path(self, basis64):
+        # the fourth coefficient update solves (rho1 B'B + rho2 I) alpha = rhs
+        # on the state after three sweeps
         rng = np.random.default_rng(14)
         f = rng.uniform(0, 255, 4096)
         params = SolverParams(rho1=1.7, rho2=0.6)
-        state = init_state(f, basis64)
-        for _ in range(3):
-            state = admm_step(state, f, basis64, params)
+        state = reference_solve(f, basis64.atoms, params, steps=3)["state"]
         b = basis64.atoms
         rhs = (
             b.T @ state.w1
@@ -92,9 +83,9 @@ class TestStep:
             + params.rho2 * state.beta
             + params.rho1 * (b.T @ (f - state.s))
         )
-        shortcut = rhs / (params.rho1 + params.rho2)
-        stepped = admm_step(state, f, basis64, params)
-        np.testing.assert_allclose(stepped.alpha, shortcut, atol=1e-10)
+        factorized = np.linalg.solve(params.rho1 * b.T @ b + params.rho2 * np.eye(10), rhs)
+        stepped = solve(f, basis64, dataclasses.replace(params, max_iters=4))
+        np.testing.assert_allclose(stepped.alpha, factorized, atol=1e-10)
 
 
 class TestObjective:
@@ -210,6 +201,12 @@ class TestSolve:
         assert dec.iters_run < 500
         assert max(dec.split_residuals) < 1e-6
 
+    def test_dimension_mismatch(self, basis64):
+        with pytest.raises(ValueError):
+            solve(np.zeros(100), basis64)
+        with pytest.raises(ValueError):
+            solve_blocks([np.zeros(4096), np.zeros(100)], basis64)
+
     def test_non_finite_input_raises(self, basis8):
         f = np.zeros(64)
         f[0] = np.nan
@@ -228,3 +225,97 @@ class TestSolve:
         o_short = objective(short.alpha, f - basis8.atoms @ short.alpha, params_short)
         o_long = objective(long.alpha, f - basis8.atoms @ long.alpha, params_long)
         assert abs(o_short - o_long) / o_long < 1e-2
+
+
+def _assert_matches_reference(decs, refs):
+    assert len(decs) == len(refs)
+    for i, (dec, ref) in enumerate(zip(decs, refs)):
+        assert np.array_equal(dec.alpha, ref["alpha"]), f"block {i}: alpha differs"
+        assert np.array_equal(dec.s, ref["s"]), f"block {i}: s differs"
+        assert dec.iters_run == ref["iters_run"], f"block {i}: iters_run differs"
+
+
+@pytest.fixture(scope="module")
+def regime_blocks():
+    """17 blocks cycling the four regimes: two full slices and one more."""
+    return [gen_block(dataclasses.replace(REGIMES[i % 4], seed=300 + i))[0] for i in range(17)]
+
+
+@pytest.fixture(scope="module")
+def regime_refs(basis64, regime_blocks):
+    return [reference_solve(f, basis64.atoms, SolverParams()) for f in regime_blocks]
+
+
+class TestSolveBlocks:
+    """The batched sweep against the frozen one-block-at-a-time reference."""
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 17])
+    def test_bit_identical_to_reference_at_every_batch_size(
+        self, basis64, regime_blocks, regime_refs, count
+    ):
+        assert BATCH_BLOCKS == 8  # the sizes above straddle the slice boundary
+        decs = solve_blocks(regime_blocks[:count], basis64)
+        _assert_matches_reference(decs, regime_refs[:count])
+
+    def test_bit_identical_with_non_default_penalties(self, basis64, regime_blocks):
+        blocks = regime_blocks[:9]
+        refs = [reference_solve(f, basis64.atoms, NON_DEFAULT) for f in blocks]
+        _assert_matches_reference(solve_blocks(blocks, basis64, NON_DEFAULT), refs)
+
+    @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
+    def test_bit_identical_on_random_small_blocks(self, basis8, params):
+        blocks = np.random.default_rng(61).uniform(0, 255, (17, 64))
+        refs = [reference_solve(f, basis8.atoms, params) for f in blocks]
+        _assert_matches_reference(solve_blocks(blocks, basis8, params), refs)
+
+    def test_empty_batch(self, basis8):
+        assert solve_blocks([], basis8) == []
+
+    @pytest.mark.parametrize("where", [0, 8])
+    def test_non_finite_pixel_anywhere_raises(self, basis8, where):
+        blocks = np.random.default_rng(67).uniform(0, 255, (9, 64))
+        blocks[where, 5] = np.inf
+        with pytest.raises(DivergenceError, match="non-finite values"):
+            solve_blocks(blocks, basis8)
+
+    def test_non_finite_iterate_raises(self, basis64):
+        # finite pixels whose products overflow in the first sweep
+        huge = np.full(4096, 1e308)
+        huge[::7] = -1e308
+        blocks = [gen_block(SynthSpec(seed=3))[0].ravel(), huge]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="iteration 1$"):
+                reference_solve(huge, basis64.atoms, SolverParams())
+            with pytest.raises(DivergenceError, match="non-finite iterate at iteration 1$"):
+                solve_blocks(blocks, basis64)
+
+    def test_early_stop_per_block(self, basis64):
+        exact = basis64.atoms[:, 0] * 8192.0  # converges long before max_iters
+        synthetic = gen_block(SynthSpec(seed=9))[0]
+        params = SolverParams(max_iters=500, early_stop=True, record_residuals=True)
+        batched = solve_blocks([exact, synthetic], basis64, params)
+        alone = [solve(f, basis64, params) for f in (exact, synthetic)]
+        refs = [reference_solve(f, basis64.atoms, params) for f in (exact, synthetic)]
+        assert batched[0].iters_run < batched[1].iters_run
+        for dec, solo, ref in zip(batched, alone, refs):
+            assert dec.iters_run == solo.iters_run == ref["iters_run"]
+            np.testing.assert_array_equal(dec.alpha, solo.alpha)
+            np.testing.assert_array_equal(dec.s, solo.s)
+            np.testing.assert_array_equal(dec.s, ref["s"])
+            assert len(dec.residual_history) == dec.iters_run
+            assert dec.residual_history == solo.residual_history == ref["history"]
+
+    def test_working_memory_does_not_grow_with_block_count(self, basis64):
+        blocks = [gen_block(SynthSpec(seed=i))[0] for i in range(64)]
+        params = SolverParams(max_iters=2)
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                solve_blocks(batch, basis64, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        outputs = 64 * (4096 + 10) * 8  # every block's s and alpha
+        assert peak(blocks) - outputs <= 1.5 * peak(blocks[:8])

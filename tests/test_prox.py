@@ -80,3 +80,14 @@ def test_group_soft_matches_per_row_block_soft():
     cols = group_soft(a, lam, axis=0)
     for j in range(6):
         np.testing.assert_allclose(cols[:, j], block_soft(a[:, j], lam), atol=1e-12)
+
+
+def test_soft_matches_sign_form_bit_for_bit():
+    rng = np.random.default_rng(13)
+    x = np.concatenate([rng.normal(0, 50, 1000), [0.0, -0.0, 2.0, -2.0, np.inf, -np.inf]])
+    for lam in (0.0, 2.0, 17.5):
+        sign_form = np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+        got = soft(x, lam)
+        nonzero = sign_form != 0
+        assert np.array_equal(got[nonzero].view(np.int64), sign_form[nonzero].view(np.int64))
+        assert not got[~nonzero].any()

@@ -13,6 +13,12 @@ from scseg import (
     segment_image,
     SynthSpec,
 )
+from scseg.segmentation import segment_blocks
+
+
+def page_of(blocks):
+    """Row-major 3x3 page of nine same-sized blocks."""
+    return np.block([blocks[r * 3 : r * 3 + 3] for r in range(3)])
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +89,23 @@ class TestSegmentImage:
         fn = (~mask & truth).sum()
         f1 = 2 * tp / (2 * tp + fp + fn)
         assert f1 >= 0.9
+
+
+class TestSegmentBlocks:
+    def test_block_results_independent_of_batch(self, basis64, cfg):
+        # nine blocks span two solver slices; every block must get the bits
+        # it gets alone, wherever it sits in the page
+        blocks = [gen_block(SynthSpec(seed=60 + i))[0] for i in range(9)]
+        order = np.random.default_rng(3).permutation(9)
+        _, _, page = segment_blocks(page_of(blocks), cfg)
+        _, _, permuted = segment_blocks(page_of([blocks[i] for i in order]), cfg)
+        moved = {int(src): dst for dst, src in enumerate(order)}
+        for i, block in enumerate(blocks):
+            mask, dec = segment_block(block, basis64, cfg)
+            for other_mask, other_dec in (page[i], permuted[moved[i]]):
+                np.testing.assert_array_equal(other_dec.s, dec.s)
+                np.testing.assert_array_equal(other_dec.alpha, dec.alpha)
+                np.testing.assert_array_equal(other_mask, mask)
 
 
 class TestFillBackground:
