@@ -46,6 +46,7 @@ from .segmentation import (
     reconstruct_layers,
     segment_block,
     segment_image,
+    segment_images,
 )
 from .synth import SynthSpec, gen_block, write_dataset
 
@@ -87,6 +88,7 @@ __all__ = [
     "save_mask",
     "segment_block",
     "segment_image",
+    "segment_images",
     "soft",
     "solve",
     "solve_blocks",

@@ -47,9 +47,10 @@ def _add_segmentation_flags(p):
                    help="gray-level magnitude above which a pixel is foreground")
     p.add_argument("--workers", type=int, default=1,
                    help="deprecated; ignored, blocks run in one thread")
+    p.set_defaults(usage_error=p.error)
 
 
-def _config(args, verbose: bool = False) -> SegmentationConfig:
+def _config(args) -> SegmentationConfig:
     r1, r2, r3, r4 = args.rho
     solver = SolverParams(
         lambda1=args.lambda1,
@@ -59,7 +60,7 @@ def _config(args, verbose: bool = False) -> SegmentationConfig:
         rho3=r3,
         rho4=r4,
         max_iters=args.iters,
-        record_residuals=verbose,
+        record_residuals=getattr(args, "verbose", False),
     )
     return SegmentationConfig(
         block_size=args.block,
@@ -71,8 +72,7 @@ def _config(args, verbose: bool = False) -> SegmentationConfig:
 
 def cmd_segment(args) -> int:
     img = load_gray(args.input)
-    cfg = _config(args, verbose=args.verbose)
-    grid, basis, results = segment_blocks(img, cfg)
+    grid, basis, results = segment_blocks(img, args.config)
     if args.verbose:
         for i, ((r0, c0), (_, dec)) in enumerate(zip(grid.origins, results)):
             print(f"# block {i} origin {r0},{c0}")
@@ -92,7 +92,7 @@ def cmd_segment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     entries = load_manifest(args.manifest)
-    report = evaluate_dataset(entries, args.method, _config(args))
+    report = evaluate_dataset(entries, args.method, args.config)
     atomic_write_bytes(args.report, (json.dumps(report, indent=2) + "\n").encode("utf-8"))
     micro = report["micro"]
     print(
@@ -163,6 +163,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "usage_error"):
+            # an invalid value (--iters 0, --block 1) is a usage error, found before any file is read
+            try:
+                args.config = _config(args)
+            except ValueError as exc:
+                args.usage_error(str(exc))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

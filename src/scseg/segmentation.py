@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm import Decomposition, SolverParams, solve, solve_blocks
+from .admm import BATCH_BLOCKS, Decomposition, SolverParams, solve, solve_blocks
 from .dct import BasisMatrix, build_basis
 from .image_io import BlockGrid, stitch, tile
 
@@ -31,6 +31,8 @@ class SegmentationConfig:
     fg_threshold: float = 1.0
 
     def __post_init__(self):
+        if self.block_size < 2:
+            raise ValueError(f"block_size must be >= 2, got {self.block_size}")
         if self.fg_threshold < 0:
             raise ValueError(f"fg_threshold must be >= 0, got {self.fg_threshold}")
         if not 1 <= self.k_bases <= self.block_size**2:
@@ -68,10 +70,39 @@ def segment_blocks(img, cfg: SegmentationConfig | None = None):
     return grid, basis, results
 
 
+def segment_images(images, cfg: SegmentationConfig | None = None):
+    """Segment a stream of images; yields one (h, w) boolean mask per image, in order.
+
+    Consecutive images are grouped until the group holds at least
+    BATCH_BLOCKS blocks, and each group's blocks go through one solve_blocks
+    call, so images smaller than a batch still fill its sweeps. Only one
+    group is held at a time: at most one image plus fewer than BATCH_BLOCKS
+    blocks. Each mask is bit-identical to segmenting its image alone.
+    """
+    if cfg is None:
+        cfg = SegmentationConfig()
+    basis = build_basis(cfg.block_size, cfg.k_bases)
+    grids = []
+    blocks = []
+    for img in images:
+        grids.append(tile(img, cfg.block_size))
+        blocks.extend(grids[-1].blocks)
+        if len(blocks) >= BATCH_BLOCKS:
+            yield from _group_masks(grids, blocks, basis, cfg)
+            grids, blocks = [], []
+    if grids:
+        yield from _group_masks(grids, blocks, basis, cfg)
+
+
+def _group_masks(grids: list, blocks: list, basis: BasisMatrix, cfg: SegmentationConfig):
+    decs = iter(solve_blocks(blocks, basis, cfg.solver))
+    for grid in grids:
+        yield stitch(grid, [_binarize(next(decs), basis, cfg) for _ in grid.blocks])
+
+
 def segment_image(img, cfg: SegmentationConfig | None = None) -> np.ndarray:
     """Segment a full image; returns an (h, w) boolean foreground mask."""
-    grid, _, results = segment_blocks(img, cfg)
-    return stitch(grid, [mask for mask, _ in results])
+    return next(segment_images([img], cfg))
 
 
 def fill_background(f, mask, basis: BasisMatrix) -> np.ndarray:

@@ -191,3 +191,28 @@ def test_bad_rho_is_usage_error(dataset, tmp_path, capsys):
     )
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (["--iters", "0"], "max_iters"),
+        (["--rho", "0,1,1,1"], "rho1"),
+        (["--lambda1", "-1"], "lambda1"),
+        (["--block", "1", "--k", "1"], "block_size"),
+        (["--k", "0"], "k_bases"),
+        (["--fg-threshold", "-1"], "fg_threshold"),
+    ],
+)
+@pytest.mark.parametrize("command", ["segment", "evaluate"])
+def test_invalid_config_is_usage_error(command, bad, message, tmp_path, capsys):
+    # the input does not exist: the config must be rejected before any file is read
+    if command == "segment":
+        args = ["segment", "--input", str(tmp_path / "nope.pgm"), "--mask-out", str(tmp_path / "m.pbm")]
+    else:
+        args = ["evaluate", "--manifest", str(tmp_path / "nope.tsv"), "--report", str(tmp_path / "r.json")]
+    assert main(args + bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: scseg {command}")
+    assert f"scseg {command}: error: {message}" in err
+    assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,16 @@ from scseg import (
     SynthSpec,
     confusion,
     evaluate_dataset,
+    gen_block,
     load_manifest,
     metrics,
     save_gray,
     save_mask,
+    segment_image,
+    segment_images,
     write_dataset,
 )
+from scseg.admm import BATCH_BLOCKS
 
 
 def fast_cfg():
@@ -138,11 +144,11 @@ class TestEvaluateDataset:
         preds = {str(tmp_path / "img0.pgm"): truth1, str(tmp_path / "img1.pgm"): truth1}
         calls = []
 
-        def fake_segment(img, cfg):
-            path = calls.pop(0)
-            return preds[path]
+        def fake_segment_images(images, cfg):
+            for _ in images:
+                yield preds[calls.pop(0)]
 
-        monkeypatch.setattr(evaluation, "segment_image", fake_segment)
+        monkeypatch.setattr(evaluation, "segment_images", fake_segment_images)
         entries = load_manifest(mf)
         calls.extend(sorted(e.image_path for e in entries))
         report = evaluate_dataset(entries, "proposed", fast_cfg())
@@ -184,3 +190,83 @@ class TestEvaluateDataset:
         report = evaluate_dataset(load_manifest(manifest), "kmeans2", fast_cfg())
         paths = [e["path"] for e in report["entries"]]
         assert paths == sorted(paths)
+
+
+def synthetic_page(shape, seed):
+    """Synthetic 64-pixel blocks tiled row-major, cropped to shape; returns (image, truth)."""
+    rows, cols = -(-shape[0] // 64), -(-shape[1] // 64)
+    pairs = [gen_block(SynthSpec(seed=seed + i))[:2] for i in range(rows * cols)]
+    img = np.block([[pairs[r * cols + c][0] for c in range(cols)] for r in range(rows)])
+    truth = np.block([[pairs[r * cols + c][1] for c in range(cols)] for r in range(rows)])
+    return img[: shape[0], : shape[1]], truth[: shape[0], : shape[1]]
+
+
+class TestGroupedEvaluation:
+    def test_report_equals_per_image_segmentation(self, tmp_path, monkeypatch):
+        # Sorted order, blocks per image, and the solver groups of 8+ blocks:
+        #   e00-e02 (1 each), e03 missing, e04 mask-shape mismatch, e05 (1),
+        #   e06 100x70 (4, padded edges)  -> group of 8
+        #   e07, e08 (1 each), e09 256x256 (16)  -> group of 18
+        #   e10-e12 (1 each)  -> last group of 3
+        import scseg.evaluation as evaluation
+        import scseg.segmentation as segmentation
+
+        shapes = {"e06": (100, 70), "e09": (256, 256)}
+        lines = []
+        for i in range(13):
+            name = f"e{i:02d}"
+            lines.append(f"{name}.pgm\t{name}.pbm\n")
+            if name == "e03":
+                continue
+            img, truth = synthetic_page(shapes.get(name, (64, 64)), seed=300 + 20 * i)
+            save_gray(img, tmp_path / f"{name}.pgm")
+            save_mask(truth[:32, :32] if name == "e04" else truth, tmp_path / f"{name}.pbm")
+        mf = tmp_path / "m.tsv"
+        mf.write_text("".join(reversed(lines)), encoding="utf-8")
+        entries = load_manifest(mf)
+        cfg = SegmentationConfig()
+
+        solves = []
+        solve_blocks = segmentation.solve_blocks
+
+        def counting_solve_blocks(blocks, basis, params):
+            solves.append(len(blocks))
+            return solve_blocks(blocks, basis, params)
+
+        monkeypatch.setattr(segmentation, "solve_blocks", counting_solve_blocks)
+        grouped = evaluate_dataset(entries, "proposed", cfg)
+        assert solves == [8, 18, 3]
+
+        def per_image(images, cfg):
+            return (segment_image(img, cfg) for img in images)
+
+        monkeypatch.setattr(evaluation, "segment_images", per_image)
+        solves.clear()
+        alone = evaluate_dataset(entries, "proposed", cfg)
+        assert solves == [1, 1, 1, 1, 4, 1, 1, 16, 1, 1, 1]
+
+        assert json.dumps(grouped, indent=2) == json.dumps(alone, indent=2)
+        assert [e["path"] for e in grouped["errors"]] == [
+            str(tmp_path / "e03.pgm"), str(tmp_path / "e04.pgm")
+        ]
+        assert len(grouped["entries"]) == 11
+
+    def test_segment_images_pulls_one_group_at_a_time(self):
+        cfg = SegmentationConfig(block_size=8, k_bases=3, solver=SolverParams(max_iters=2))
+        rng = np.random.default_rng(5)
+        pulled = 0
+
+        def images():
+            nonlocal pulled
+            for _ in range(3 * BATCH_BLOCKS + 2):
+                pulled += 1
+                yield rng.uniform(0, 255, (8, 8))
+
+        masks = segment_images(images(), cfg)
+        next(masks)
+        assert pulled <= BATCH_BLOCKS
+        yielded = 1
+        for _ in masks:
+            yielded += 1
+            assert pulled - yielded < BATCH_BLOCKS
+        assert yielded == pulled == 3 * BATCH_BLOCKS + 2

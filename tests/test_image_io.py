@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scseg import (
     MalformedHeaderError,
@@ -235,12 +237,17 @@ class TestTiling:
         with pytest.raises(ValueError):
             stitch(grid, [np.zeros((4, 4))])
 
-    def test_tile_stitch_round_trip_random_sizes(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            h = int(rng.integers(2, 40))
-            w = int(rng.integers(2, 40))
-            n = int(rng.integers(2, 12))
-            img = rng.uniform(0, 255, (h, w))
-            grid = tile(img, n)
-            np.testing.assert_array_equal(stitch(grid, grid.blocks), img)
+    @settings(deadline=None)
+    @given(
+        h=st.integers(1, 70),
+        w=st.integers(1, 70),
+        n=st.integers(2, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tile_stitch_round_trip_random_sizes(self, h, w, n, seed):
+        img = np.random.default_rng(seed).uniform(0, 255, (h, w))
+        grid = tile(img, n)
+        assert len(grid.blocks) == -(-h // n) * -(-w // n)
+        assert all(block.shape == (n, n) for block in grid.blocks)
+        np.testing.assert_array_equal(stitch(grid, grid.blocks), img)
+        np.testing.assert_array_equal(stitch(grid, [b > 127.5 for b in grid.blocks]), img > 127.5)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scseg import (
     BackgroundFitError,
@@ -11,6 +13,7 @@ from scseg import (
     reconstruct_layers,
     segment_block,
     segment_image,
+    segment_images,
     SynthSpec,
 )
 from scseg.segmentation import segment_blocks
@@ -69,6 +72,10 @@ class TestSegmentBlock:
         with pytest.raises(ValueError):
             SegmentationConfig(fg_threshold=-1.0)
 
+    def test_block_size_below_two_rejected(self):
+        with pytest.raises(ValueError, match="block_size"):
+            SegmentationConfig(block_size=1, k_bases=1)
+
 
 class TestSegmentImage:
     def test_uniform_image_all_background(self, cfg):
@@ -106,6 +113,22 @@ class TestSegmentBlocks:
                 np.testing.assert_array_equal(other_dec.s, dec.s)
                 np.testing.assert_array_equal(other_dec.alpha, dec.alpha)
                 np.testing.assert_array_equal(other_mask, mask)
+
+
+class TestSegmentImages:
+    @settings(deadline=None, max_examples=25)
+    @given(
+        shapes=st.lists(st.tuples(st.integers(1, 20), st.integers(1, 20)), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_one_image_at_a_time(self, shapes, seed):
+        cfg = SegmentationConfig(block_size=8, k_bases=3, solver=SolverParams(max_iters=4))
+        rng = np.random.default_rng(seed)
+        imgs = [rng.uniform(0, 255, shape) for shape in shapes]
+        grouped = list(segment_images(imgs, cfg))
+        assert len(grouped) == len(imgs)
+        for mask, img in zip(grouped, imgs):
+            np.testing.assert_array_equal(mask, segment_image(img, cfg))
 
 
 class TestFillBackground:
