@@ -6,11 +6,14 @@ minimizes ||a||_1 + lambda1 ||s||_1 + lambda2 * (sum of row norms of s +
 sum of column norms of s) subject to the exact decomposition, using one
 splitting variable per penalty term and dual ascent on the constraints.
 Every step acts per pixel, per row or per column of one block, so blocks are
-solved several at a time as rows of shared arrays.
+solved several at a time as rows of shared arrays, and runs of whole slices
+of them can go to forked processes.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +34,8 @@ class SolverParams:
     """Weights, penalty parameters, and iteration budget for the block solver.
 
     Defaults are the reference operating point: lambda1=100, lambda2=2,
-    unit penalties, 50 iterations.
+    unit penalties, 50 iterations. workers caps the processes solve_blocks
+    may use; it changes no result.
     """
 
     lambda1: float = 100.0
@@ -43,6 +47,7 @@ class SolverParams:
     max_iters: int = 50
     record_residuals: bool = False
     early_stop: bool = False
+    workers: int = 1
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "rho1", "rho2", "rho3", "rho4"):
@@ -50,6 +55,8 @@ class SolverParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -271,27 +278,125 @@ def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> 
     return results
 
 
+def _solve_run(flat: list, basis: BasisMatrix, params: SolverParams) -> list:
+    """Solve blocks one BATCH_BLOCKS slice after another on one work array."""
+    work = np.empty((len(_WORK_ROWS), min(len(flat), BATCH_BLOCKS), basis.n * basis.n))
+    results = []
+    for start in range(0, len(flat), BATCH_BLOCKS):
+        results.extend(_solve_slice(flat[start : start + BATCH_BLOCKS], basis, params, work))
+    return results
+
+
+def _process_count(workers: int, slices: int) -> int:
+    """Processes for `slices` slices: at most one per worker, usable CPU and slice.
+
+    One process off Linux: forking after numpy's libraries have loaded is
+    tested only there (macOS's system libraries are not fork-safe, and
+    Windows has no os.fork).
+    """
+    if not sys.platform.startswith("linux") or slices < 2:
+        return 1
+    return min(workers, len(os.sched_getaffinity(0)), slices)
+
+
+def _fork_run(flat: list, basis: BasisMatrix, params: SolverParams) -> tuple:
+    """Solve a run of slices in a forked child; returns (pid, read end of its pipe).
+
+    The child pickles (True, decompositions) or (False, exception) into the
+    pipe and leaves through os._exit, so it runs none of the caller's
+    cleanup or buffered output.
+    """
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = (True, _solve_run(flat, basis, params))
+            except Exception as exc:  # sent to the caller, which raises it
+                payload = (False, exc)
+            data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(write_fd, "wb") as out:
+                out.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _receive(pid: int, read_fd: int) -> list:
+    """Read and reap one child; returns its decompositions or raises its exception."""
+    import pickle
+
+    try:
+        with os.fdopen(read_fd, "rb") as src:
+            data = src.read()
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not data:
+        raise RuntimeError(f"solver process {pid} exited with status {status} without a result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
+def _solve_forked(runs: list, basis: BasisMatrix, params: SolverParams) -> list:
+    """Solve runs[0] here and every other run in its own child, in order.
+
+    Raises the error of the earliest failing run, which is the one a single
+    process would raise; every child is reaped on every path.
+    """
+    children = []
+    try:
+        for run in runs[1:]:
+            children.append(_fork_run(run, basis, params))
+        results = _solve_run(runs[0], basis, params)
+        while children:
+            results.extend(_receive(*children.pop(0)))
+        return results
+    finally:
+        if children:
+            import signal
+
+            for pid, read_fd in children:
+                os.close(read_fd)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams | None = None) -> list:
     """Decompose every block; returns one Decomposition per block, in order.
 
     Each block runs from the zero state for params.max_iters sweeps. Blocks
     advance BATCH_BLOCKS at a time as rows of shared arrays; every product,
     shrinkage and norm acts on one row, so a block's result is bit-identical
-    whichever blocks share its sweep. Raises DivergenceError if any block or
-    iterate is non-finite. With params.early_stop, a block stops as soon as
-    all four of its constraint residuals drop below EARLY_STOP_TOL (off by
-    default to keep the fixed iteration count).
+    whichever blocks share its sweep. With params.workers > 1 the slices are
+    cut into up to that many contiguous runs (no more than the usable CPUs
+    or the slices), each solved in its own forked process on Linux, with
+    the same results. Raises DivergenceError if any block or iterate is non-finite.
+    With params.early_stop, a block stops as soon as all four of its
+    constraint residuals drop below EARLY_STOP_TOL (off by default to keep
+    the fixed iteration count).
     """
     if params is None:
         params = SolverParams()
     flat = [_flatten_block(f, basis.n) for f in blocks]
     if not all(np.isfinite(f).all() for f in flat):
         raise DivergenceError("input block contains non-finite values")
-    work = np.empty((len(_WORK_ROWS), min(len(flat), BATCH_BLOCKS), basis.n * basis.n))
-    results = []
-    for start in range(0, len(flat), BATCH_BLOCKS):
-        results.extend(_solve_slice(flat[start : start + BATCH_BLOCKS], basis, params, work))
-    return results
+    slices = -(-len(flat) // BATCH_BLOCKS)
+    processes = _process_count(params.workers, slices)
+    cuts = [BATCH_BLOCKS * (slices * r // processes) for r in range(processes + 1)]
+    return _solve_forked([flat[a:b] for a, b in zip(cuts, cuts[1:])], basis, params)
 
 
 def solve(f, basis: BasisMatrix, params: SolverParams | None = None) -> Decomposition:

@@ -46,8 +46,26 @@ def _add_segmentation_flags(p):
     p.add_argument("--fg-threshold", type=float, default=1.0,
                    help="gray-level magnitude above which a pixel is foreground")
     p.add_argument("--workers", type=int, default=1,
-                   help="deprecated; ignored, blocks run in one thread")
+                   help="processes that solve the 8-block slices (default 1, capped at the usable "
+                        "CPUs); outputs are the same for any value")
     p.set_defaults(usage_error=p.error)
+
+
+# The flag that sets each config field. A config ValueError message starts
+# with the field's name; a usage error names the flag instead.
+_FLAGS = {
+    "lambda1": "--lambda1",
+    "lambda2": "--lambda2",
+    "rho1": "--rho R1",
+    "rho2": "--rho R2",
+    "rho3": "--rho R3",
+    "rho4": "--rho R4",
+    "max_iters": "--iters",
+    "workers": "--workers",
+    "block_size": "--block",
+    "k_bases": "--k",
+    "fg_threshold": "--fg-threshold",
+}
 
 
 def _config(args) -> SegmentationConfig:
@@ -61,6 +79,7 @@ def _config(args) -> SegmentationConfig:
         rho4=r4,
         max_iters=args.iters,
         record_residuals=getattr(args, "verbose", False),
+        workers=args.workers,
     )
     return SegmentationConfig(
         block_size=args.block,
@@ -168,7 +187,8 @@ def main(argv=None) -> int:
             try:
                 args.config = _config(args)
             except ValueError as exc:
-                args.usage_error(str(exc))
+                name, _, rest = str(exc).partition(" ")
+                args.usage_error(f"{_FLAGS.get(name, name)} {rest}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

@@ -224,6 +224,8 @@ def tile(img: np.ndarray, n: int) -> BlockGrid:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {img.shape}")
+    if 0 in img.shape:
+        raise ValueError(f"image has a zero-length side, got shape {img.shape}")
     height, width = img.shape
     grid_rows = math.ceil(height / n)
     grid_cols = math.ceil(width / n)

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import signal
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +20,7 @@ from scseg import (
     solve,
     solve_blocks,
 )
+from scseg import admm
 from scseg.admm import BATCH_BLOCKS
 
 # The four block regimes of the benchmark's pages.
@@ -46,7 +51,7 @@ class TestParams:
         assert p.max_iters == 50
 
     @pytest.mark.parametrize(
-        "bad", [{"lambda1": 0}, {"lambda2": -1}, {"rho3": 0.0}, {"max_iters": 0}]
+        "bad", [{"lambda1": 0}, {"lambda2": -1}, {"rho3": 0.0}, {"max_iters": 0}, {"workers": 0}]
     )
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -227,6 +232,24 @@ class TestSolve:
         assert abs(o_short - o_long) / o_long < 1e-2
 
 
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same(decs, serial):
+    """Every field of every decomposition equal, bit for bit."""
+    assert len(decs) == len(serial)
+    for i, (dec, ref) in enumerate(zip(decs, serial)):
+        assert np.array_equal(dec.alpha, ref.alpha), f"block {i}: alpha differs"
+        assert np.array_equal(dec.s, ref.s), f"block {i}: s differs"
+        assert dec.iters_run == ref.iters_run, f"block {i}: iters_run differs"
+        assert dec.primal_residual == ref.primal_residual
+        assert dec.split_residuals == ref.split_residuals
+        assert dec.objective == ref.objective
+        assert dec.residual_history == ref.residual_history
+
+
 def _assert_matches_reference(decs, refs):
     assert len(decs) == len(refs)
     for i, (dec, ref) in enumerate(zip(decs, refs)):
@@ -237,8 +260,8 @@ def _assert_matches_reference(decs, refs):
 
 @pytest.fixture(scope="module")
 def regime_blocks():
-    """17 blocks cycling the four regimes: two full slices and one more."""
-    return [gen_block(dataclasses.replace(REGIMES[i % 4], seed=300 + i))[0] for i in range(17)]
+    """24 blocks cycling the four regimes: three full slices."""
+    return [gen_block(dataclasses.replace(REGIMES[i % 4], seed=300 + i))[0] for i in range(24)]
 
 
 @pytest.fixture(scope="module")
@@ -319,3 +342,155 @@ class TestSolveBlocks:
 
         outputs = 64 * (4096 + 10) * 8  # every block's s and alpha
         assert peak(blocks) - outputs <= 1.5 * peak(blocks[:8])
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Set the usable CPU count solve_blocks sees; returns the setter."""
+
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    set_cpus(8)  # on any host, `workers` sets the process count
+    return set_cpus
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Count the processes solve_blocks forks."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def _index_slices(monkeypatch, fail=(), exit_status=None):
+    """Replace the slice solver by one that returns each block's first pixel.
+
+    Blocks are filled with their index. A slice whose first block is in
+    `fail` raises; with `exit_status`, a slice solved in a child ends the
+    child without a result.
+    """
+    parent = os.getpid()
+
+    def fake(flat, basis, params, work):
+        first = int(flat[0][0])
+        if exit_status is not None and os.getpid() != parent:
+            if exit_status < 0:
+                os.kill(os.getpid(), -exit_status)
+            os._exit(exit_status)
+        if first in fail:
+            raise ValueError(f"slice at block {first}")
+        return [int(f[0]) for f in flat]
+
+    monkeypatch.setattr(admm, "_solve_slice", fake)
+    return [np.full(64, float(i)) for i in range(3 * BATCH_BLOCKS)]
+
+
+class TestWorkers:
+    """solve_blocks with params.workers > 1: runs of slices in forked processes."""
+
+    @pytest.fixture(scope="class")
+    def serial(self, basis64, regime_blocks):
+        return solve_blocks(regime_blocks, basis64)
+
+    @pytest.mark.parametrize("count", [0, 1, 9, 17, 24])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_bit_identical_to_one_process(
+        self, basis64, regime_blocks, regime_refs, serial, cpus, forks, workers, count
+    ):
+        decs = solve_blocks(regime_blocks[:count], basis64, SolverParams(workers=workers))
+        _assert_same(decs, serial[:count])
+        _assert_matches_reference(decs, regime_refs[:count])
+        slices = -(-count // BATCH_BLOCKS)
+        assert len(forks) == max(min(workers, slices) - 1, 0)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_early_stop_and_residuals(self, basis8, cpus, forks, workers):
+        blocks = list(np.random.default_rng(71).uniform(0, 255, (24, 64)))
+        for at, scale in ((3, 512.0), (11, 2000.0), (19, 512.0)):  # one converging block per slice
+            blocks[at] = basis8.atoms[:, 0] * scale
+        params = SolverParams(max_iters=200, early_stop=True, record_residuals=True)
+        decs = solve_blocks(blocks, basis8, dataclasses.replace(params, workers=workers))
+        _assert_same(decs, solve_blocks(blocks, basis8, params))
+        refs = [reference_solve(f, basis8.atoms, params) for f in blocks]
+        _assert_matches_reference(decs, refs)
+        assert [dec.residual_history for dec in decs] == [ref["history"] for ref in refs]
+        assert [decs[at].iters_run for at in (3, 11, 19)] == [42, 58, 42]
+        assert len(forks) == workers - 1
+        _assert_no_children()
+
+    def test_divergence_in_a_child_slice(self, basis64, regime_blocks, cpus, forks):
+        huge = np.full(4096, 1e308)
+        huge[::7] = -1e308
+        blocks = list(regime_blocks[:BATCH_BLOCKS]) + [huge]  # only the child's slice overflows
+        messages = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for workers in (1, 2):
+                with pytest.raises(DivergenceError) as err:
+                    solve_blocks(blocks, basis64, SolverParams(workers=workers))
+                messages.append(str(err.value))
+        assert messages == ["non-finite iterate at iteration 1"] * 2
+        assert len(forks) == 1
+        _assert_no_children()
+
+    # 100000 workers on 2 usable CPUs start one child, never more
+    @pytest.mark.parametrize("usable, workers, children", [(8, 3, 2), (2, 100000, 1)])
+    def test_results_in_input_order(self, monkeypatch, cpus, forks, usable, workers, children):
+        cpus(usable)
+        blocks = _index_slices(monkeypatch)
+        assert solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=workers)) == list(range(24))
+        assert len(forks) == children
+        _assert_no_children()
+
+    @pytest.mark.parametrize("fail", [{0}, {8}, {16}, {8, 16}, {0, 16}])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_raises_error_of_earliest_failing_slice(self, monkeypatch, cpus, workers, fail):
+        blocks = _index_slices(monkeypatch, fail=fail)
+        with pytest.raises(ValueError, match=f"^slice at block {min(fail)}$"):
+            solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=workers))
+        _assert_no_children()
+
+    @pytest.mark.parametrize("status", [3, -signal.SIGKILL])
+    def test_child_without_result_names_its_exit_status(self, monkeypatch, cpus, status):
+        blocks = _index_slices(monkeypatch, exit_status=status)
+        with pytest.raises(RuntimeError, match=f"exited with status {status} without a result"):
+            solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
+        _assert_no_children()
+
+    def test_child_killed_while_sending_names_its_exit_status(self, monkeypatch, cpus):
+        # the child's 1 MB result overfills the pipe while the caller is still
+        # busy, and the child is killed with part of it sent
+        parent = os.getpid()
+
+        def fake(flat, basis, params, work):
+            if os.getpid() == parent:
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # until the child dies, unreaped
+                return [None] * len(flat)
+            threading.Timer(0.1, os.kill, (os.getpid(), signal.SIGKILL)).start()
+            return [np.zeros(2**17)] * len(flat)
+
+        monkeypatch.setattr(admm, "_solve_slice", fake)
+        blocks = [np.zeros(64)] * (2 * BATCH_BLOCKS)
+        with pytest.raises(RuntimeError, match=f"exited with status {-signal.SIGKILL} without a result"):
+            solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
+        _assert_no_children()
+
+    def test_process_count_clamp(self, monkeypatch, cpus):
+        cpus(2)
+        assert admm._process_count(100000, 50) == 2
+        assert admm._process_count(3, 1) == 1
+        assert admm._process_count(3, 0) == 1
+        assert admm._process_count(1, 50) == 1
+        cpus(8)
+        assert admm._process_count(3, 2) == 2
+        assert admm._process_count(3, 24) == 3
+        for platform in ("darwin", "win32"):  # fork only where it is tested
+            monkeypatch.setattr(sys, "platform", platform)
+            assert admm._process_count(3, 24) == 1

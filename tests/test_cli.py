@@ -48,11 +48,42 @@ def test_segment_imports_no_scipy(dataset, tmp_path):
     subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
 
-def test_segment_workers_identical(dataset, tmp_path):
-    base = ["segment", "--input", str(dataset / "block_0002.pgm")]
-    assert main(base + ["--mask-out", str(tmp_path / "a.pbm"), "--workers", "1"]) == 0
-    assert main(base + ["--mask-out", str(tmp_path / "b.pbm"), "--workers", "4"]) == 0
-    assert (tmp_path / "a.pbm").read_bytes() == (tmp_path / "b.pbm").read_bytes()
+@pytest.fixture()
+def eight_cpus(monkeypatch):
+    # on any host, --workers sets the process count (up to one per 8-block slice)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+
+
+def test_segment_workers_identical(dataset, tmp_path, eight_cpus):
+    # 16-pixel blocks: 16 blocks, two slices, so a second process runs
+    base = ["segment", "--input", str(dataset / "block_0002.pgm"), "--block", "16"]
+    outputs = {}
+    for w in ("1", "2", "4"):
+        names = {flag: tmp_path / f"{w}{flag}" for flag in ("--mask-out", "--fg-out", "--bg-out")}
+        assert main(base + [x for flag, path in names.items() for x in (flag, str(path))] + ["--workers", w]) == 0
+        outputs[w] = [path.read_bytes() for path in names.values()]
+    assert outputs["1"] == outputs["2"] == outputs["4"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_solver_process_dying_is_runtime_error(dataset, tmp_path, eight_cpus, monkeypatch, capsys):
+    from scseg import admm
+
+    parent = os.getpid()
+    solve_slice = admm._solve_slice
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(5)
+        return solve_slice(*args)
+
+    monkeypatch.setattr(admm, "_solve_slice", dying)
+    rc = main(["segment", "--input", str(dataset / "block_0002.pgm"), "--block", "16",
+               "--mask-out", str(tmp_path / "m.pbm"), "--workers", "2"])
+    assert rc == 2
+    assert "exited with status 5 without a result" in capsys.readouterr().err
+    assert not (tmp_path / "m.pbm").exists()
 
 
 def test_segment_huge_threshold_empty_mask(dataset, tmp_path):
@@ -196,12 +227,16 @@ def test_bad_rho_is_usage_error(dataset, tmp_path, capsys):
 @pytest.mark.parametrize(
     "bad, message",
     [
-        (["--iters", "0"], "max_iters"),
-        (["--rho", "0,1,1,1"], "rho1"),
-        (["--lambda1", "-1"], "lambda1"),
-        (["--block", "1", "--k", "1"], "block_size"),
-        (["--k", "0"], "k_bases"),
-        (["--fg-threshold", "-1"], "fg_threshold"),
+        # each case id names the config field the bad flag sets
+        pytest.param(["--iters", "0"], "--iters must be >= 1", id="bad0-max_iters"),
+        pytest.param(["--rho", "0,1,1,1"], "--rho R1 must be positive", id="bad1-rho1"),
+        pytest.param(["--lambda1", "-1"], "--lambda1 must be positive", id="bad2-lambda1"),
+        pytest.param(["--block", "1", "--k", "1"], "--block must be >= 2", id="bad3-block_size"),
+        pytest.param(["--k", "0"], "--k 0 out of range", id="bad4-k_bases"),
+        pytest.param(["--fg-threshold", "-1"], "--fg-threshold must be >= 0", id="bad5-fg_threshold"),
+        pytest.param(["--rho", "1,1,1,-2"], "--rho R4 must be positive", id="bad6-rho4"),
+        pytest.param(["--workers", "0"], "--workers must be >= 1", id="bad7-workers"),
+        pytest.param(["--workers", "-1"], "--workers must be >= 1", id="bad8-workers"),
     ],
 )
 @pytest.mark.parametrize("command", ["segment", "evaluate"])
@@ -215,4 +250,7 @@ def test_invalid_config_is_usage_error(command, bad, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: scseg {command}")
     assert f"scseg {command}: error: {message}" in err
+    # the flag the user typed, not the library field behind it
+    for field in ("max_iters", "rho1", "rho4", "block_size", "k_bases", "fg_threshold"):
+        assert field not in err
     assert list(tmp_path.iterdir()) == []

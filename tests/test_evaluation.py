@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -270,3 +271,22 @@ class TestGroupedEvaluation:
             yielded += 1
             assert pulled - yielded < BATCH_BLOCKS
         assert yielded == pulled == 3 * BATCH_BLOCKS + 2
+
+    def test_segment_images_grouping_ignores_workers(self, monkeypatch):
+        # a worker count far above the usable CPUs does not grow the groups
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        solver = SolverParams(max_iters=2, workers=100000)
+        cfg = SegmentationConfig(block_size=8, k_bases=3, solver=solver)
+        rng = np.random.default_rng(6)
+        pulled = 0
+
+        def images():
+            nonlocal pulled
+            for _ in range(2 * BATCH_BLOCKS):
+                pulled += 1
+                yield rng.uniform(0, 255, (8, 8))
+
+        masks = segment_images(images(), cfg)
+        next(masks)
+        assert pulled == BATCH_BLOCKS
+        assert len(list(masks)) == 2 * BATCH_BLOCKS - 1

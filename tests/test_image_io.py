@@ -12,6 +12,7 @@ from scseg import (
     load_mask,
     save_gray,
     save_mask,
+    segment_image,
     stitch,
     tile,
 )
@@ -212,6 +213,13 @@ class TestTiling:
     def test_block_size_too_small(self):
         with pytest.raises(ValueError):
             tile(np.zeros((4, 4)), 1)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_zero_length_side_rejected(self, shape):
+        with pytest.raises(ValueError, match="zero-length side"):
+            tile(np.zeros(shape), 4)
+        with pytest.raises(ValueError, match="zero-length side"):
+            segment_image(np.zeros(shape))
 
     def test_stitch_identity(self):
         img = np.arange(36, dtype=float).reshape(6, 6)
