@@ -12,7 +12,6 @@ from .admm import (
     SolverParams,
     group_norm,
     objective,
-    solve,
     solve_blocks,
 )
 from .baseline import kmeans2_block, kmeans2_image
@@ -38,13 +37,11 @@ from .image_io import (
     stitch,
     tile,
 )
-from .prox import block_soft, group_soft, soft
 from .segmentation import (
     BackgroundFitError,
     SegmentationConfig,
     fill_background,
     reconstruct_layers,
-    segment_block,
     segment_image,
     segment_images,
 )
@@ -67,7 +64,6 @@ __all__ = [
     "SynthSpec",
     "TruncatedDataError",
     "UnsupportedFormatError",
-    "block_soft",
     "build_basis",
     "confusion",
     "dct_atom",
@@ -75,7 +71,6 @@ __all__ = [
     "fill_background",
     "gen_block",
     "group_norm",
-    "group_soft",
     "kmeans2_block",
     "kmeans2_image",
     "load_gray",
@@ -86,11 +81,8 @@ __all__ = [
     "reconstruct_layers",
     "save_gray",
     "save_mask",
-    "segment_block",
     "segment_image",
     "segment_images",
-    "soft",
-    "solve",
     "solve_blocks",
     "stitch",
     "tile",

@@ -51,8 +51,8 @@ class SolverParams:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "rho1", "rho2", "rho3", "rho4"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.workers < 1:
@@ -397,8 +397,3 @@ def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams | None = None)
     processes = _process_count(params.workers, slices)
     cuts = [BATCH_BLOCKS * (slices * r // processes) for r in range(processes + 1)]
     return _solve_forked([flat[a:b] for a, b in zip(cuts, cuts[1:])], basis, params)
-
-
-def solve(f, basis: BasisMatrix, params: SolverParams | None = None) -> Decomposition:
-    """Decompose one block: solve_blocks on a batch of one."""
-    return solve_blocks([f], basis, params)[0]

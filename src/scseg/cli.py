@@ -48,11 +48,11 @@ def _add_segmentation_flags(p):
     p.add_argument("--workers", type=int, default=1,
                    help="processes that solve the 8-block slices (default 1, capped at the usable "
                         "CPUs); outputs are the same for any value")
-    p.set_defaults(usage_error=p.error)
+    p.set_defaults(build=_config, usage_error=p.error)
 
 
-# The flag that sets each config field. A config ValueError message starts
-# with the field's name; a usage error names the flag instead.
+# The flag that sets each config or synth spec field. A ValueError message
+# from either starts with the field's name; a usage error names the flag instead.
 _FLAGS = {
     "lambda1": "--lambda1",
     "lambda2": "--lambda2",
@@ -65,6 +65,14 @@ _FLAGS = {
     "block_size": "--block",
     "k_bases": "--k",
     "fg_threshold": "--fg-threshold",
+    "count": "--count",
+    "seed": "--seed",
+    "n": "--n",
+    "k_true": "--k-true",
+    "alpha_range": "--alpha-range",
+    "stroke_count": "--strokes",
+    "stroke_amplitude": "--amplitude",
+    "max_fg_fraction": "--max-fg-fraction",
 }
 
 
@@ -126,8 +134,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_synth(args) -> int:
-    spec = SynthSpec(
+def _synth_spec(args) -> SynthSpec:
+    if args.count < 0:
+        raise ValueError(f"count must be >= 0, got {args.count}")
+    return SynthSpec(
         n=args.n,
         k_true=args.k_true,
         alpha_range=args.alpha_range,
@@ -137,7 +147,10 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         diagonal_strokes=args.diagonal,
     )
-    manifest = write_dataset(args.out_dir, args.count, spec)
+
+
+def cmd_synth(args) -> int:
+    manifest = write_dataset(args.out_dir, args.count, args.config)
     print(manifest)
     return 0
 
@@ -174,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=100.0, help="stroke gray-level offset")
     p.add_argument("--max-fg-fraction", type=float, default=0.10)
     p.add_argument("--diagonal", action="store_true", help="diagonal instead of axis-aligned strokes")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, build=_synth_spec, usage_error=p.error)
     return parser
 
 
@@ -182,13 +195,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if hasattr(args, "usage_error"):
-            # an invalid value (--iters 0, --block 1) is a usage error, found before any file is read
-            try:
-                args.config = _config(args)
-            except ValueError as exc:
-                name, _, rest = str(exc).partition(" ")
-                args.usage_error(f"{_FLAGS.get(name, name)} {rest}")
+        # an invalid value (--iters 0, --count -1) is a usage error, found before any file is read
+        try:
+            args.config = args.build(args)
+        except ValueError as exc:
+            name, _, rest = str(exc).partition(" ")
+            args.usage_error(f"{_FLAGS.get(name, name)} {rest}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

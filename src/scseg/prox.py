@@ -18,23 +18,12 @@ def soft(x, lam: float) -> np.ndarray:
     return np.subtract(x, clipped, out=clipped)
 
 
-def block_soft(x, lam: float) -> np.ndarray:
-    """Shrink a whole vector's magnitude by lam; zero at or below lam.
-
-    Returns (1 - lam/||x||) x when ||x|| > lam, else the zero vector.
-    On length-1 input this reduces to the scalar soft threshold.
-    """
-    if lam < 0:
-        raise ValueError(f"threshold must be nonnegative, got {lam}")
-    x = np.asarray(x, dtype=np.float64)
-    norm = np.linalg.norm(x)
-    if norm <= lam:
-        return np.zeros_like(x)
-    return (1.0 - lam / norm) * x
-
-
 def group_soft(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
-    """block_soft applied independently to every 1-D slice along `axis`."""
+    """Block soft threshold of every 1-D slice x along `axis`: (1 - lam/||x||)+ x.
+
+    A slice whose norm is at or below lam becomes zero. Along a length-1
+    axis this is the element-wise soft threshold.
+    """
     if lam < 0:
         raise ValueError(f"threshold must be nonnegative, got {lam}")
     a = np.asarray(a, dtype=np.float64)

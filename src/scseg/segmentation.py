@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm import BATCH_BLOCKS, Decomposition, SolverParams, solve, solve_blocks
+from .admm import BATCH_BLOCKS, Decomposition, SolverParams, solve_blocks
 from .dct import BasisMatrix, build_basis
 from .image_io import BlockGrid, stitch, tile
 
@@ -33,20 +33,10 @@ class SegmentationConfig:
     def __post_init__(self):
         if self.block_size < 2:
             raise ValueError(f"block_size must be >= 2, got {self.block_size}")
-        if self.fg_threshold < 0:
-            raise ValueError(f"fg_threshold must be >= 0, got {self.fg_threshold}")
+        if not 0 <= self.fg_threshold < np.inf:
+            raise ValueError(f"fg_threshold must be >= 0 and finite, got {self.fg_threshold}")
         if not 1 <= self.k_bases <= self.block_size**2:
             raise ValueError(f"k_bases {self.k_bases} out of range for block {self.block_size}")
-
-
-def segment_block(f, basis: BasisMatrix, cfg: SegmentationConfig):
-    """Decompose one block and binarize its sparse layer.
-
-    Returns (mask, decomposition); the mask is an (n, n) boolean array, True
-    where the sparse layer exceeds cfg.fg_threshold in magnitude.
-    """
-    dec = solve(f, basis, cfg.solver)
-    return _binarize(dec, basis, cfg), dec
 
 
 def _binarize(dec: Decomposition, basis: BasisMatrix, cfg: SegmentationConfig) -> np.ndarray:
@@ -57,8 +47,9 @@ def segment_blocks(img, cfg: SegmentationConfig | None = None):
     """Tile an image and segment every block in one batched solve.
 
     Returns (grid, basis, results) where results is a list of
-    (mask, decomposition) pairs in grid order. Each block's result is the
-    one segment_block gives it alone.
+    (mask, decomposition) pairs in grid order; a mask is an (n, n) boolean
+    array, True where the sparse layer exceeds cfg.fg_threshold in
+    magnitude. Each block's result is the one it gets when solved alone.
     """
     if cfg is None:
         cfg = SegmentationConfig()

@@ -32,15 +32,24 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.n < 4:
-            raise ValueError(f"block side must be >= 4, got {self.n}")
+            raise ValueError(f"n must be >= 4, got {self.n}")
         if not 1 <= self.k_true <= self.n**2:
-            raise ValueError(f"k_true {self.k_true} out of range for n={self.n}")
-        if self.alpha_range < 0 or self.stroke_amplitude < 0:
-            raise ValueError("amplitudes must be nonnegative")
+            raise ValueError(f"k_true must be in [1, {self.n**2}], got {self.k_true}")
+        for name in ("alpha_range", "stroke_amplitude"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         if self.stroke_count < 0:
             raise ValueError(f"stroke_count must be >= 0, got {self.stroke_count}")
         if not 0 <= self.max_fg_fraction <= 1:
             raise ValueError(f"max_fg_fraction must be in [0, 1], got {self.max_fg_fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _, hi = _stroke_bounds(self.n)
+        if self.stroke_count * hi * 2 > self.max_fg_fraction * self.n**2:
+            raise ValueError(
+                f"stroke_count {self.stroke_count} is too many: strokes of up to {hi}x2 "
+                f"pixels could cover more than {self.max_fg_fraction} of the block"
+            )
 
 
 def _stroke_bounds(n: int) -> tuple:
@@ -54,15 +63,9 @@ def gen_block(spec: SynthSpec):
 
     The smooth layer is an exact combination of the first k_true zig-zag
     atoms; the block adds stroke_amplitude on the stroke support and clips to
-    [0, 255]. Raises ValueError when the stroke budget could exceed
-    max_fg_fraction in the worst case.
+    [0, 255]. The spec's stroke budget keeps the truth within max_fg_fraction.
     """
     lo, hi = _stroke_bounds(spec.n)
-    if spec.stroke_count * hi * 2 > spec.max_fg_fraction * spec.n**2:
-        raise ValueError(
-            f"{spec.stroke_count} strokes of up to {hi}x2 pixels exceed "
-            f"max_fg_fraction={spec.max_fg_fraction}"
-        )
     rng = np.random.default_rng(spec.seed)
     basis = build_basis(spec.n, spec.k_true)
     coef = np.zeros(spec.k_true)

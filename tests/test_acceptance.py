@@ -13,7 +13,6 @@ from scseg import (
     SegmentationConfig,
     SolverParams,
     SynthSpec,
-    block_soft,
     build_basis,
     confusion,
     evaluate_dataset,
@@ -23,15 +22,14 @@ from scseg import (
     load_mask,
     metrics,
     save_gray,
-    segment_block,
     segment_image,
-    soft,
-    solve,
+    solve_blocks,
     objective,
     write_dataset,
     zigzag_order,
 )
 from scseg.cli import main
+from scseg.prox import group_soft, soft
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -52,12 +50,12 @@ def test_criterion_1_operator_exactness():
         worst = max(worst, np.abs(soft(x, lam) - closed).max())
         norm = np.linalg.norm(x)
         closed_block = (1 - lam / norm) * x if norm > lam else np.zeros_like(x)
-        worst = max(worst, np.abs(block_soft(x, lam) - closed_block).max())
+        worst = max(worst, np.abs(group_soft(x[None], lam, axis=1)[0] - closed_block).max())
     scalar_gap = 0.0
     for _ in range(1000):
         x = rng.normal(0, 50)
         lam = rng.uniform(0, 40)
-        scalar_gap = max(scalar_gap, abs(block_soft([x], lam)[0] - soft([x], lam)[0]))
+        scalar_gap = max(scalar_gap, abs(group_soft([[x]], lam, axis=1)[0, 0] - soft([x], lam)[0]))
     report(
         "1 operator exactness",
         worst <= 1e-12 and scalar_gap <= 1e-12,
@@ -87,7 +85,7 @@ def test_criterion_3_solver_feasibility():
     worst_500 = 0.0
     for _ in range(50):
         f = rng.uniform(0, 255, 4096)
-        dec = solve(f, basis, params)
+        dec = solve_blocks([f], basis, params)[0]
         scale = np.linalg.norm(f)
         worst_50 = max(worst_50, dec.residual_history[49][0] / scale)
         worst_500 = max(worst_500, dec.primal_residual)
@@ -109,7 +107,7 @@ def test_criterion_4_oracle_equivalence():
     params = SolverParams(lambda1=lambda1, lambda2=lambda2, max_iters=2000)
     worst = 0.0
     for i in range(10):
-        dec = solve(blocks[i], basis, params)
+        dec = solve_blocks([blocks[i]], basis, params)[0]
         feasible = objective(dec.alpha, blocks[i] - basis.atoms @ dec.alpha, params)
         worst = max(worst, abs(feasible - oracle[i]) / oracle[i])
     report("4 oracle equivalence", worst <= 0.01, f"max relative objective gap {worst:.2e}")
@@ -117,11 +115,10 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_synthetic_recovery():
     cfg = SegmentationConfig()
-    basis = build_basis(64, 10)
     tp = fp = fn = 0
     for i in range(50):
         f, truth, _ = gen_block(SynthSpec(k_true=6, stroke_amplitude=100.0, seed=5000 + i))
-        mask, _ = segment_block(f, basis, cfg)
+        mask = segment_image(f, cfg)
         a, b, c = confusion(mask, truth)
         tp, fp, fn = tp + a, fp + b, fn + c
     m = metrics(tp, fp, fn)
@@ -191,8 +188,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
     blocks = [gen_block(SynthSpec(seed=880 + i))[0] for i in range(9)]
     order = np.random.default_rng(8).permutation(9)
     cfg = SegmentationConfig()
-    basis = build_basis(64, 10)
-    alone = [segment_block(b, basis, cfg)[0] for b in blocks]
+    alone = [segment_image(b, cfg) for b in blocks]
     page = segment_image(page_of(blocks), cfg)
     permuted = segment_image(page_of([blocks[i] for i in order]), cfg)
     batch_invariant = bool(

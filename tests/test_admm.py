@@ -17,7 +17,6 @@ from scseg import (
     gen_block,
     group_norm,
     objective,
-    solve,
     solve_blocks,
 )
 from scseg import admm
@@ -51,7 +50,11 @@ class TestParams:
         assert p.max_iters == 50
 
     @pytest.mark.parametrize(
-        "bad", [{"lambda1": 0}, {"lambda2": -1}, {"rho3": 0.0}, {"max_iters": 0}, {"workers": 0}]
+        "bad",
+        [
+            {"lambda1": 0}, {"lambda2": -1}, {"rho3": 0.0}, {"max_iters": 0}, {"workers": 0},
+            {"lambda1": np.nan}, {"lambda2": np.inf}, {"rho4": np.inf}, {"rho2": -np.inf},
+        ],
     )
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -61,7 +64,7 @@ class TestParams:
 class TestStep:
     def test_zero_block_is_fixed_point(self, basis8):
         params = SolverParams(lambda1=5.0, lambda2=1.0, max_iters=3, record_residuals=True)
-        dec = solve(np.zeros(64), basis8, params)
+        dec = solve_blocks([np.zeros(64)], basis8, params)[0]
         assert not dec.alpha.any()
         assert not dec.s.any()
         assert dec.residual_history == [(0.0, 0.0, 0.0, 0.0)] * 3
@@ -69,7 +72,7 @@ class TestStep:
     def test_single_step_coefficients(self, basis64):
         # from the zero state the first coefficient update is a scaled projection
         f = basis64.atoms[:, 0] * 100.0
-        dec = solve(f, basis64, SolverParams(max_iters=1))
+        dec = solve_blocks([f], basis64, SolverParams(max_iters=1))[0]
         expected = np.zeros(10)
         expected[0] = 50.0
         np.testing.assert_allclose(dec.alpha, expected, atol=1e-10)
@@ -89,7 +92,7 @@ class TestStep:
             + params.rho1 * (b.T @ (f - state.s))
         )
         factorized = np.linalg.solve(params.rho1 * b.T @ b + params.rho2 * np.eye(10), rhs)
-        stepped = solve(f, basis64, dataclasses.replace(params, max_iters=4))
+        stepped = solve_blocks([f], basis64, dataclasses.replace(params, max_iters=4))[0]
         np.testing.assert_allclose(stepped.alpha, factorized, atol=1e-10)
 
 
@@ -126,7 +129,7 @@ class TestObjective:
 
 class TestSolve:
     def test_zero_block(self, basis8):
-        dec = solve(np.zeros(64), basis8, SolverParams(lambda1=5.0, lambda2=1.0))
+        dec = solve_blocks([np.zeros(64)], basis8, SolverParams(lambda1=5.0, lambda2=1.0))[0]
         assert not dec.alpha.any()
         assert not dec.s.any()
         assert dec.objective == 0.0
@@ -138,7 +141,7 @@ class TestSolve:
         coef = rng.uniform(-100, 100, 10)
         coef[0] = 128.0 * 64
         f = basis64.atoms @ coef
-        dec = solve(f, basis64, SolverParams(max_iters=500))
+        dec = solve_blocks([f], basis64, SolverParams(max_iters=500))[0]
         assert dec.primal_residual <= 1e-3
         assert np.abs(dec.s).max() <= 1.0
 
@@ -146,7 +149,7 @@ class TestSolve:
         rng = np.random.default_rng(29)
         for _ in range(3):
             f = rng.uniform(0, 255, 4096)
-            dec = solve(f, basis64, SolverParams(max_iters=500))
+            dec = solve_blocks([f], basis64, SolverParams(max_iters=500))[0]
             assert dec.primal_residual <= 1e-3
 
     def test_beats_trivial_feasible_points(self, basis64):
@@ -154,7 +157,7 @@ class TestSolve:
         params = SolverParams()
         for _ in range(3):
             f = rng.uniform(0, 255, 4096)
-            dec = solve(f, basis64, params)
+            dec = solve_blocks([f], basis64, params)[0]
             proj = basis64.atoms.T @ f
             assert dec.objective <= objective(proj, f - basis64.atoms @ proj, params)
             assert dec.objective <= objective(np.zeros(10), f, params)
@@ -163,8 +166,8 @@ class TestSolve:
         rng = np.random.default_rng(41)
         f = rng.uniform(0, 255, 64)
         params = SolverParams(lambda1=5.0, lambda2=1.0)
-        a = solve(f, basis8, params)
-        b = solve(f, basis8, params)
+        a = solve_blocks([f], basis8, params)[0]
+        b = solve_blocks([f], basis8, params)[0]
         np.testing.assert_array_equal(a.s, b.s)
         np.testing.assert_array_equal(a.alpha, b.alpha)
         assert a.objective == b.objective
@@ -172,25 +175,25 @@ class TestSolve:
     def test_accepts_2d_block(self, basis8):
         rng = np.random.default_rng(43)
         f = rng.uniform(0, 255, (8, 8))
-        a = solve(f, basis8)
-        b = solve(f.ravel(), basis8)
+        a = solve_blocks([f], basis8)[0]
+        b = solve_blocks([f.ravel()], basis8)[0]
         np.testing.assert_array_equal(a.s, b.s)
 
     def test_residual_history_recorded(self, basis8):
         rng = np.random.default_rng(47)
         f = rng.uniform(0, 255, 64)
-        dec = solve(f, basis8, SolverParams(max_iters=60, record_residuals=True))
+        dec = solve_blocks([f], basis8, SolverParams(max_iters=60, record_residuals=True))[0]
         assert len(dec.residual_history) == 60
         assert dec.residual_history[-1][0] < dec.residual_history[0][0]
 
     def test_no_history_by_default(self, basis8):
-        dec = solve(np.zeros(64), basis8)
+        dec = solve_blocks([np.zeros(64)], basis8)[0]
         assert dec.residual_history is None
 
     def test_recording_residuals_changes_nothing_else(self, basis64):
         f, _, _ = gen_block(SynthSpec(seed=5))
-        plain = solve(f, basis64)
-        recorded = solve(f, basis64, SolverParams(record_residuals=True))
+        plain = solve_blocks([f], basis64)[0]
+        recorded = solve_blocks([f], basis64, SolverParams(record_residuals=True))[0]
         np.testing.assert_array_equal(recorded.alpha, plain.alpha)
         np.testing.assert_array_equal(recorded.s, plain.s)
         assert recorded.primal_residual == plain.primal_residual
@@ -202,13 +205,13 @@ class TestSolve:
         # exactly representable block converges to machine precision quickly
         f = basis64.atoms[:, 0] * (128.0 * 64)
         params = SolverParams(max_iters=500, early_stop=True)
-        dec = solve(f, basis64, params)
+        dec = solve_blocks([f], basis64, params)[0]
         assert dec.iters_run < 500
         assert max(dec.split_residuals) < 1e-6
 
     def test_dimension_mismatch(self, basis64):
         with pytest.raises(ValueError):
-            solve(np.zeros(100), basis64)
+            solve_blocks([np.zeros(100)], basis64)
         with pytest.raises(ValueError):
             solve_blocks([np.zeros(4096), np.zeros(100)], basis64)
 
@@ -216,7 +219,7 @@ class TestSolve:
         f = np.zeros(64)
         f[0] = np.nan
         with pytest.raises(DivergenceError):
-            solve(f, basis8)
+            solve_blocks([f], basis8)
 
     def test_small_instance_near_optimal(self, basis8):
         # quick version of the oracle comparison: longer runs should not
@@ -225,8 +228,8 @@ class TestSolve:
         f = rng.uniform(0, 255, 64)
         params_short = SolverParams(lambda1=5.0, lambda2=1.0, max_iters=400)
         params_long = SolverParams(lambda1=5.0, lambda2=1.0, max_iters=4000)
-        short = solve(f, basis8, params_short)
-        long = solve(f, basis8, params_long)
+        short = solve_blocks([f], basis8, params_short)[0]
+        long = solve_blocks([f], basis8, params_long)[0]
         o_short = objective(short.alpha, f - basis8.atoms @ short.alpha, params_short)
         o_long = objective(long.alpha, f - basis8.atoms @ long.alpha, params_long)
         assert abs(o_short - o_long) / o_long < 1e-2
@@ -317,7 +320,7 @@ class TestSolveBlocks:
         synthetic = gen_block(SynthSpec(seed=9))[0]
         params = SolverParams(max_iters=500, early_stop=True, record_residuals=True)
         batched = solve_blocks([exact, synthetic], basis64, params)
-        alone = [solve(f, basis64, params) for f in (exact, synthetic)]
+        alone = [solve_blocks([f], basis64, params)[0] for f in (exact, synthetic)]
         refs = [reference_solve(f, basis64.atoms, params) for f in (exact, synthetic)]
         assert batched[0].iters_run < batched[1].iters_run
         for dec, solo, ref in zip(batched, alone, refs):

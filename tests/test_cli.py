@@ -237,6 +237,12 @@ def test_bad_rho_is_usage_error(dataset, tmp_path, capsys):
         pytest.param(["--rho", "1,1,1,-2"], "--rho R4 must be positive", id="bad6-rho4"),
         pytest.param(["--workers", "0"], "--workers must be >= 1", id="bad7-workers"),
         pytest.param(["--workers", "-1"], "--workers must be >= 1", id="bad8-workers"),
+        pytest.param(["--fg-threshold", "nan"], "--fg-threshold must be >= 0 and finite", id="bad9-fg_threshold"),
+        pytest.param(["--fg-threshold", "inf"], "--fg-threshold must be >= 0 and finite", id="bad10-fg_threshold"),
+        pytest.param(["--lambda2", "inf"], "--lambda2 must be positive and finite", id="bad11-lambda2"),
+        pytest.param(["--lambda1", "nan"], "--lambda1 must be positive and finite", id="bad12-lambda1"),
+        pytest.param(["--rho", "inf,1,1,1"], "--rho R1 must be positive and finite", id="bad13-rho1"),
+        pytest.param(["--rho", "1,nan,1,1"], "--rho R2 must be positive and finite", id="bad14-rho2"),
     ],
 )
 @pytest.mark.parametrize("command", ["segment", "evaluate"])
@@ -252,5 +258,26 @@ def test_invalid_config_is_usage_error(command, bad, message, tmp_path, capsys):
     assert f"scseg {command}: error: {message}" in err
     # the flag the user typed, not the library field behind it
     for field in ("max_iters", "rho1", "rho4", "block_size", "k_bases", "fg_threshold"):
+        assert field not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        pytest.param(["--n", "3"], "--n must be >= 4, got 3", id="n"),
+        pytest.param(["--strokes", "50", "--max-fg-fraction", "0.05"], "--strokes 50 is too many",
+                     id="stroke_count"),
+        pytest.param(["--count", "-3"], "--count must be >= 0, got -3", id="count"),
+        pytest.param(["--seed", "-1"], "--seed must be >= 0, got -1", id="seed"),
+        pytest.param(["--amplitude", "nan"], "--amplitude must be >= 0 and finite", id="stroke_amplitude"),
+    ],
+)
+def test_invalid_synth_value_is_usage_error(bad, message, tmp_path, capsys):
+    assert main(["synth", "--out-dir", str(tmp_path / "d")] + bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: scseg synth")
+    assert f"scseg synth: error: {message}" in err
+    for field in ("stroke_count", "stroke_amplitude", "max_fg_fraction"):
         assert field not in err
     assert list(tmp_path.iterdir()) == []

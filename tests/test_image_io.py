@@ -18,6 +18,12 @@ from scseg import (
 )
 
 
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    # one directory for every hypothesis example of a test; each overwrites its file
+    return tmp_path_factory.mktemp("pnm")
+
+
 def write(path, payload: bytes):
     path.write_bytes(payload)
     return path
@@ -115,6 +121,17 @@ class TestMasks:
             save_mask(mask, p)
             np.testing.assert_array_equal(load_mask(p), mask)
 
+    @settings(deadline=None)
+    @given(
+        h=st.integers(1, 70),
+        w=st.integers(1, 70).filter(lambda w: w % 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_widths_not_multiple_of_8(self, scratch_dir, h, w, seed):
+        mask = np.random.default_rng(seed).random((h, w)) < 0.5
+        save_mask(mask, scratch_dir / "m.pbm")
+        np.testing.assert_array_equal(load_mask(scratch_dir / "m.pbm"), mask)
+
     def test_p1_with_spaces(self, tmp_path):
         p = write(tmp_path / "m.pbm", b"P1\n3 1\n1 0 1\n")
         np.testing.assert_array_equal(load_mask(p), [[True, False, True]])
@@ -179,6 +196,13 @@ class TestGrayWriter:
         p = tmp_path / "g.pgm"
         save_gray(img, p)
         np.testing.assert_array_equal(load_gray(p), img)
+
+    @settings(deadline=None)
+    @given(h=st.integers(1, 70), w=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_integers_random_shapes(self, scratch_dir, h, w, seed):
+        img = np.random.default_rng(seed).integers(0, 256, (h, w)).astype(np.float64)
+        save_gray(img, scratch_dir / "g.pgm")
+        np.testing.assert_array_equal(load_gray(scratch_dir / "g.pgm"), img)
 
     def test_rounds_and_clips(self, tmp_path):
         p = tmp_path / "g.pgm"

@@ -1,7 +1,16 @@
+"""Shrinkage operators. The block_soft cases are block soft thresholding of a
+whole vector (Boyd et al. 2011, section 6.4.2): group_soft along its only axis.
+"""
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from scseg import block_soft, group_soft, soft
+from scseg.prox import group_soft, soft
+
+BLOCK_SOFT = pytest.param(lambda x, lam: group_soft(x, lam, axis=0), id="block_soft")
 
 
 def test_soft_basic():
@@ -22,13 +31,13 @@ def test_soft_scaling_identity():
 
 
 def test_block_soft_shrinks_norm():
-    np.testing.assert_allclose(block_soft([3.0, 4.0], 2.5), [1.5, 2.0])
+    np.testing.assert_allclose(group_soft([3.0, 4.0], 2.5, axis=0), [1.5, 2.0])
 
 
 def test_block_soft_below_threshold_is_zero():
-    np.testing.assert_array_equal(block_soft([1.0, 1.0], 10.0), [0.0, 0.0])
+    np.testing.assert_array_equal(group_soft([1.0, 1.0], 10.0, axis=0), [0.0, 0.0])
     # norm exactly equal to the threshold also maps to zero
-    np.testing.assert_array_equal(block_soft([3.0, 4.0], 5.0), [0.0, 0.0])
+    np.testing.assert_array_equal(group_soft([3.0, 4.0], 5.0, axis=0), [0.0, 0.0])
 
 
 def test_block_soft_scalar_reduces_to_soft():
@@ -36,7 +45,7 @@ def test_block_soft_scalar_reduces_to_soft():
     for _ in range(50):
         x = rng.normal(0, 50)
         lam = rng.uniform(0, 30)
-        np.testing.assert_allclose(block_soft([x], lam), soft([x], lam), atol=1e-12)
+        np.testing.assert_allclose(group_soft([x], lam, axis=0), soft([x], lam), atol=1e-12)
 
 
 def test_block_soft_norm_identity():
@@ -44,12 +53,12 @@ def test_block_soft_norm_identity():
     for _ in range(30):
         x = rng.normal(0, 5, 16)
         lam = rng.uniform(0, 15)
-        got = np.linalg.norm(block_soft(x, lam))
+        got = np.linalg.norm(group_soft(x, lam, axis=0))
         want = max(np.linalg.norm(x) - lam, 0.0)
         assert got == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("op", [soft, block_soft])
+@pytest.mark.parametrize("op", [soft, BLOCK_SOFT])
 def test_nonexpansive(op):
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -59,12 +68,12 @@ def test_nonexpansive(op):
         assert np.linalg.norm(op(a, lam) - op(b, lam)) <= np.linalg.norm(a - b) + 1e-12
 
 
-@pytest.mark.parametrize("op", [soft, block_soft])
+@pytest.mark.parametrize("op", [soft, BLOCK_SOFT])
 def test_zero_preserved(op):
     np.testing.assert_array_equal(op(np.zeros(9), 3.0), np.zeros(9))
 
 
-@pytest.mark.parametrize("op", [soft, block_soft])
+@pytest.mark.parametrize("op", [soft, BLOCK_SOFT])
 def test_negative_threshold_rejected(op):
     with pytest.raises(ValueError):
         op([1.0, 2.0], -0.1)
@@ -74,12 +83,45 @@ def test_group_soft_matches_per_row_block_soft():
     rng = np.random.default_rng(3)
     a = rng.normal(0, 4, (6, 6))
     lam = 2.2
+
+    def closed_form(x):
+        norm = np.linalg.norm(x)
+        return (1 - lam / norm) * x if norm > lam else np.zeros_like(x)
+
     rows = group_soft(a, lam, axis=1)
     for i in range(6):
-        np.testing.assert_allclose(rows[i], block_soft(a[i], lam), atol=1e-12)
+        np.testing.assert_allclose(rows[i], closed_form(a[i]), atol=1e-12)
     cols = group_soft(a, lam, axis=0)
     for j in range(6):
-        np.testing.assert_allclose(cols[:, j], block_soft(a[:, j], lam), atol=1e-12)
+        np.testing.assert_allclose(cols[:, j], closed_form(a[:, j]), atol=1e-12)
+
+
+slices = st.tuples(st.integers(1, 6), st.integers(1, 12)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))
+)
+thresholds = st.floats(0, 2e3)
+
+
+class TestGroupSoftProperties:
+    @settings(deadline=None)
+    @given(a=slices, lam=thresholds)
+    def test_slice_norms_shrink_by_threshold(self, a, lam):
+        got = np.linalg.norm(group_soft(a, lam, axis=1), axis=1)
+        want = np.maximum(np.linalg.norm(a, axis=1) - lam, 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-9)
+
+    @settings(deadline=None)
+    @given(a=slices, b=slices, lam=thresholds)
+    def test_nonexpansive(self, a, b, lam):
+        b = np.resize(b, a.shape)
+        for axis in (0, 1):
+            moved = np.linalg.norm(group_soft(a, lam, axis) - group_soft(b, lam, axis))
+            assert moved <= np.linalg.norm(a - b) * (1 + 1e-12) + 1e-9
+
+    @settings(deadline=None)
+    @given(x=arrays(np.float64, st.integers(1, 30), elements=st.floats(-1e3, 1e3)), lam=thresholds)
+    def test_length_one_axis_is_soft(self, x, lam):
+        np.testing.assert_allclose(group_soft(x[:, None], lam, axis=1)[:, 0], soft(x, lam), atol=1e-12)
 
 
 def test_soft_matches_sign_form_bit_for_bit():

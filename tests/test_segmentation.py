@@ -11,7 +11,6 @@ from scseg import (
     fill_background,
     gen_block,
     reconstruct_layers,
-    segment_block,
     segment_image,
     segment_images,
     SynthSpec,
@@ -22,6 +21,12 @@ from scseg.segmentation import segment_blocks
 def page_of(blocks):
     """Row-major 3x3 page of nine same-sized blocks."""
     return np.block([blocks[r * 3 : r * 3 + 3] for r in range(3)])
+
+
+def segment_alone(f, cfg):
+    """(mask, decomposition) of an image that is exactly one block."""
+    _, _, [result] = segment_blocks(f, cfg)
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -35,37 +40,37 @@ def cfg():
 
 
 class TestSegmentBlock:
-    def test_constant_block_empty_mask(self, basis64, cfg):
-        mask, _ = segment_block(np.full((64, 64), 128.0), basis64, cfg)
+    def test_constant_block_empty_mask(self, cfg):
+        mask, _ = segment_alone(np.full((64, 64), 128.0), cfg)
         assert not mask.any()
 
-    def test_stroke_detected_exactly(self, basis64, cfg):
+    def test_stroke_detected_exactly(self, cfg):
         f = np.full((64, 64), 128.0)
         f[10, 20:28] = 255.0
-        mask, _ = segment_block(f, basis64, cfg)
+        mask, _ = segment_alone(f, cfg)
         expected = np.zeros((64, 64), dtype=bool)
         expected[10, 20:28] = True
         np.testing.assert_array_equal(mask, expected)
 
-    def test_zero_block_empty_mask(self, basis64, cfg):
-        mask, dec = segment_block(np.zeros((64, 64)), basis64, cfg)
+    def test_zero_block_empty_mask(self, cfg):
+        mask, dec = segment_alone(np.zeros((64, 64)), cfg)
         assert not mask.any()
         assert dec.objective == 0.0
 
-    def test_mask_invariant_to_constant_shift(self, basis64, cfg):
+    def test_mask_invariant_to_constant_shift(self, cfg):
         f, _, _ = gen_block(SynthSpec(alpha_range=80.0, seed=7))
-        base_mask, _ = segment_block(f, basis64, cfg)
+        base_mask, _ = segment_alone(f, cfg)
         for c in (-50.0, -17.5, 25.0, 50.0):
-            shifted_mask, _ = segment_block(f + c, basis64, cfg)
+            shifted_mask, _ = segment_alone(f + c, cfg)
             np.testing.assert_array_equal(shifted_mask, base_mask)
 
-    def test_threshold_extremes(self, basis64):
+    def test_threshold_extremes(self):
         f, _, _ = gen_block(SynthSpec(seed=5))
         huge = SegmentationConfig(fg_threshold=1e9)
-        mask, _ = segment_block(f, basis64, huge)
+        mask, _ = segment_alone(f, huge)
         assert not mask.any()
         zero = SegmentationConfig(fg_threshold=0.0)
-        mask, dec = segment_block(f, basis64, zero)
+        mask, dec = segment_alone(f, zero)
         np.testing.assert_array_equal(mask.ravel(), dec.s != 0)
 
     def test_negative_threshold_rejected(self):
@@ -83,9 +88,9 @@ class TestSegmentImage:
         assert mask.shape == (128, 128)
         assert not mask.any()
 
-    def test_single_tile_matches_block_path(self, basis64, cfg):
+    def test_single_tile_matches_block_path(self, cfg):
         f, _, _ = gen_block(SynthSpec(seed=11))
-        block_mask, _ = segment_block(f, basis64, cfg)
+        block_mask, _ = segment_alone(f, cfg)
         np.testing.assert_array_equal(segment_image(f, cfg), block_mask)
 
     def test_synthetic_recovery(self, cfg):
@@ -99,7 +104,7 @@ class TestSegmentImage:
 
 
 class TestSegmentBlocks:
-    def test_block_results_independent_of_batch(self, basis64, cfg):
+    def test_block_results_independent_of_batch(self, cfg):
         # nine blocks span two solver slices; every block must get the bits
         # it gets alone, wherever it sits in the page
         blocks = [gen_block(SynthSpec(seed=60 + i))[0] for i in range(9)]
@@ -108,7 +113,7 @@ class TestSegmentBlocks:
         _, _, permuted = segment_blocks(page_of([blocks[i] for i in order]), cfg)
         moved = {int(src): dst for dst, src in enumerate(order)}
         for i, block in enumerate(blocks):
-            mask, dec = segment_block(block, basis64, cfg)
+            mask, dec = segment_alone(block, cfg)
             for other_mask, other_dec in (page[i], permuted[moved[i]]):
                 np.testing.assert_array_equal(other_dec.s, dec.s)
                 np.testing.assert_array_equal(other_dec.alpha, dec.alpha)
@@ -193,7 +198,7 @@ class TestReconstructLayers:
 
     def test_single_block_matches_direct_path(self, basis64, cfg):
         f, _, _ = gen_block(SynthSpec(seed=41))
-        mask_direct, _ = segment_block(f, basis64, cfg)
+        mask_direct, _ = segment_alone(f, cfg)
         filled_direct = fill_background(f, mask_direct, basis64)
         background, _, mask = reconstruct_layers(f, cfg)
         np.testing.assert_array_equal(mask, mask_direct)
