@@ -21,9 +21,6 @@ import numpy as np
 from .dct import BasisMatrix
 from .prox import group_soft, soft
 
-# Absolute threshold on all four constraint residuals for optional early stop.
-EARLY_STOP_TOL = 1e-6
-
 
 class DivergenceError(RuntimeError):
     """Raised when iterates go non-finite (bad penalties or input)."""
@@ -46,7 +43,6 @@ class SolverParams:
     rho4: float = 1.0
     max_iters: int = 50
     record_residuals: bool = False
-    early_stop: bool = False
     workers: int = 1
 
     def __post_init__(self):
@@ -114,9 +110,9 @@ def _flatten_block(f, n: int) -> np.ndarray:
 # (2.5 MB for 64-pixel blocks) whatever the image size.
 BATCH_BLOCKS = 8
 
-# Rows of the preallocated work array: the blocks, the sparse layer, the
-# decomposition and group-copy duals, f - B alpha, and scratch.
-_WORK_ROWS = ("f", "s", "w1", "v1", "v2", "resid", "tmp")
+# Rows of the preallocated work array: the blocks f, the sparse layer s, the
+# decomposition and group-copy duals w1, v1, v2, f - B alpha, and scratch.
+_WORK_ROWS = 7
 
 
 def _rows_times(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -149,21 +145,15 @@ class _Batch:
 
     def __init__(self, flat: list, basis: BasisMatrix, work: np.ndarray):
         self.basis = basis
-        self.work = work
-        self._view(len(flat))
-        for i, block in enumerate(flat):
-            self.f[i] = block
-        for name in ("s", "w1", "v1", "v2"):
-            getattr(self, name).fill(0.0)
+        self.rows = work[:, : len(flat)]
+        self.rows[0] = flat
+        self.rows[1:5] = 0.0  # s, w1, v1 and v2 start at zero
+        self.s, self.resid = self.rows[1], self.rows[5]
         self.y = np.zeros_like(self.s)
         self.z = np.zeros_like(self.s)
         self.alpha = np.zeros((len(flat), basis.k))
         self.beta = np.zeros_like(self.alpha)
         self.w2 = np.zeros_like(self.alpha)
-
-    def _view(self, m: int) -> None:
-        for name, rows in zip(_WORK_ROWS, self.work[:, :m]):
-            setattr(self, name, rows)
 
     def step(self, params: SolverParams) -> None:
         """One full update sweep of every row, in place.
@@ -174,7 +164,7 @@ class _Batch:
         formulas in the comments, so each row gets the bits it would alone.
         """
         b = self.basis.atoms
-        f, s, w1, v1, v2, resid, tmp = (getattr(self, name) for name in _WORK_ROWS)
+        f, s, w1, v1, v2, resid, tmp = self.rows
         r1, r2, r3, r4 = params.rho1, params.rho2, params.rho3, params.rho4
 
         # B has orthonormal columns, so rho1 B'B + rho2 I is (rho1 + rho2) I.
@@ -221,14 +211,6 @@ class _Batch:
             float(np.linalg.norm(s - self.z[i])),
         )
 
-    def keep(self, rows: list) -> None:
-        """Drop every row not listed; rows are independent, so no bits move."""
-        m = len(rows)
-        self.work[:, :m] = self.work[:, rows]
-        self._view(m)
-        for name in ("alpha", "beta", "w2", "y", "z"):
-            setattr(self, name, getattr(self, name)[rows])
-
 
 def _decomposition(f, alpha, s, residuals, iters_run, history, params) -> Decomposition:
     f_norm = float(np.linalg.norm(f))
@@ -246,41 +228,25 @@ def _decomposition(f, alpha, s, residuals, iters_run, history, params) -> Decomp
 def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> list:
     batch = _Batch(flat, basis, work)
     histories = [[] if params.record_residuals else None for _ in flat]
-    results = [None] * len(flat)
-    active = list(range(len(flat)))  # block index of each row
     for it in range(1, params.max_iters + 1):
         batch.step(params)
         if not batch.finite():
             raise DivergenceError(f"non-finite iterate at iteration {it}")
-        if not (params.record_residuals or params.early_stop):
-            continue
-        keep = []
-        for row, idx in enumerate(active):
-            residuals = batch.residuals(row)
-            if histories[idx] is not None:
-                histories[idx].append(residuals)
-            if params.early_stop and max(residuals) < EARLY_STOP_TOL:
-                results[idx] = _decomposition(
-                    flat[idx], batch.alpha[row], batch.s[row], residuals, it, histories[idx], params
-                )
-            else:
-                keep.append(row)
-        if len(keep) < len(active):
-            active = [active[row] for row in keep]
-            if not active:
-                return results
-            batch.keep(keep)
-    for row, idx in enumerate(active):
-        results[idx] = _decomposition(
-            flat[idx], batch.alpha[row], batch.s[row], batch.residuals(row),
-            params.max_iters, histories[idx], params,
+        if params.record_residuals:
+            for row, history in enumerate(histories):
+                history.append(batch.residuals(row))
+    return [
+        _decomposition(
+            f, batch.alpha[row], batch.s[row], batch.residuals(row),
+            params.max_iters, histories[row], params,
         )
-    return results
+        for row, f in enumerate(flat)
+    ]
 
 
 def _solve_run(flat: list, basis: BasisMatrix, params: SolverParams) -> list:
     """Solve blocks one BATCH_BLOCKS slice after another on one work array."""
-    work = np.empty((len(_WORK_ROWS), min(len(flat), BATCH_BLOCKS), basis.n * basis.n))
+    work = np.empty((_WORK_ROWS, min(len(flat), BATCH_BLOCKS), basis.n * basis.n))
     results = []
     for start in range(0, len(flat), BATCH_BLOCKS):
         results.extend(_solve_slice(flat[start : start + BATCH_BLOCKS], basis, params, work))
@@ -384,9 +350,6 @@ def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams | None = None)
     cut into up to that many contiguous runs (no more than the usable CPUs
     or the slices), each solved in its own forked process on Linux, with
     the same results. Raises DivergenceError if any block or iterate is non-finite.
-    With params.early_stop, a block stops as soon as all four of its
-    constraint residuals drop below EARLY_STOP_TOL (off by default to keep
-    the fixed iteration count).
     """
     if params is None:
         params = SolverParams()

@@ -160,11 +160,15 @@ def load_mask(path) -> np.ndarray:
 
 
 def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write a file atomically (temp file + rename in the target directory)."""
+    """Write a file atomically (temp file + rename in the target directory).
+
+    An OSError names `path`, not the temp file, and keeps its errno.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         # mkstemp creates 0600 files; give the final file normal umask perms
@@ -172,9 +176,12 @@ def atomic_write_bytes(path, payload: bytes) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            with suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

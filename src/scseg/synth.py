@@ -107,6 +107,8 @@ def write_dataset(out_dir, count: int, spec: SynthSpec):
     Block i uses seed spec.seed + i, so a (directory, count, spec) triple
     always produces identical files.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     os.makedirs(out_dir, exist_ok=True)
     lines = ["# image\tmask\tlabel"]
     for i in range(count):

@@ -17,9 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Same threshold as scseg.admm.EARLY_STOP_TOL, frozen with the loop.
-EARLY_STOP_TOL = 1e-6
-
 
 def overlapping_groups(n: int) -> list:
     """Index lists for every row group and every column group of an n-by-n block."""
@@ -198,8 +195,6 @@ def reference_solve(f, atoms: np.ndarray, params, steps: int | None = None) -> d
             raise FloatingPointError(f"non-finite iterate at iteration {iters_run}")
         residuals = _residuals(state, f, atoms)
         history.append(residuals)
-        if params.early_stop and max(residuals) < EARLY_STOP_TOL:
-            break
     return {
         "alpha": state.alpha,
         "s": state.s,

@@ -54,14 +54,16 @@ def eight_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
 
 
-def test_segment_workers_identical(dataset, tmp_path, eight_cpus):
-    # 16-pixel blocks: 16 blocks, two slices, so a second process runs
-    base = ["segment", "--input", str(dataset / "block_0002.pgm"), "--block", "16"]
+def test_segment_workers_identical(dataset, tmp_path, eight_cpus, capsys):
+    # 16-pixel blocks: 16 blocks, two slices, so a second process runs;
+    # --verbose brings every block's residual history back through the pipe
+    base = ["segment", "--input", str(dataset / "block_0002.pgm"), "--block", "16", "--verbose"]
     outputs = {}
     for w in ("1", "2", "4"):
         names = {flag: tmp_path / f"{w}{flag}" for flag in ("--mask-out", "--fg-out", "--bg-out")}
         assert main(base + [x for flag, path in names.items() for x in (flag, str(path))] + ["--workers", w]) == 0
-        outputs[w] = [path.read_bytes() for path in names.values()]
+        outputs[w] = [path.read_bytes() for path in names.values()] + [capsys.readouterr().out]
+    assert len(outputs["1"][-1].splitlines()) > 16 * 50
     assert outputs["1"] == outputs["2"] == outputs["4"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -134,6 +136,20 @@ def test_segment_missing_input_runtime_error(tmp_path, capsys):
     rc = main(["segment", "--input", str(tmp_path / "nope.pgm"), "--mask-out", str(tmp_path / "m.pbm")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["segment", "evaluate"])
+def test_write_error_names_the_typed_path(command, dataset, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if command == "segment":
+        argv = ["segment", "--input", str(dataset / "block_0000.pgm"), "--mask-out", "nodir/m.pbm"]
+    else:
+        argv = ["evaluate", "--manifest", str(dataset / "manifest.tsv"), "--report", "nodir/r.json"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory: ")
+    assert f"'nodir/{os.path.basename(argv[-1])}'" in err
+    assert ".tmp-" not in err
 
 
 def test_usage_error_exit_code(capsys):

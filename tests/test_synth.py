@@ -104,3 +104,8 @@ class TestWriteDataset:
     def test_count_zero_gives_empty_manifest(self, tmp_path):
         manifest = write_dataset(tmp_path / "d", 0, SynthSpec())
         assert load_manifest(manifest) == []
+
+    def test_negative_count_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^count must be >= 0, got -3$"):
+            write_dataset(tmp_path / "wd", -3, SynthSpec())
+        assert not (tmp_path / "wd").exists()
