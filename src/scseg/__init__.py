@@ -10,12 +10,11 @@ from .admm import (
     Decomposition,
     DivergenceError,
     SolverParams,
-    group_norm,
     objective,
     solve_blocks,
 )
 from .baseline import kmeans2_block, kmeans2_image
-from .dct import BasisMatrix, build_basis, dct_atom, zigzag_order
+from .dct import BasisMatrix, build_basis
 from .evaluation import (
     ManifestEntry,
     MaskMetrics,
@@ -66,11 +65,9 @@ __all__ = [
     "UnsupportedFormatError",
     "build_basis",
     "confusion",
-    "dct_atom",
     "evaluate_dataset",
     "fill_background",
     "gen_block",
-    "group_norm",
     "kmeans2_block",
     "kmeans2_image",
     "load_gray",
@@ -87,5 +84,4 @@ __all__ = [
     "stitch",
     "tile",
     "write_dataset",
-    "zigzag_order",
 ]

@@ -16,17 +16,18 @@ _MAX_SWEEPS = 100
 
 
 def kmeans2_block(f) -> np.ndarray:
-    """Cluster one block's intensities into two groups; minority = foreground.
+    """Cluster one 2-D block's intensities into two groups; minority = foreground.
 
     Centers start at the block's min and max, so the result is deterministic.
     Equal-size clusters resolve to the brighter one; constant blocks yield an
-    empty mask.
+    empty mask. Any other number of dimensions raises ValueError.
     """
     f = np.asarray(f, dtype=np.float64)
-    shape = f.shape if f.ndim == 2 else (int(np.sqrt(f.size)),) * 2
+    if f.ndim != 2:
+        raise ValueError(f"block must be 2-D, got shape {f.shape}")
     values = f.ravel()
     if values.min() == values.max():
-        return np.zeros(shape, dtype=bool)
+        return np.zeros(f.shape, dtype=bool)
     centers = np.array([values.min(), values.max()])
     assign = np.abs(values[:, None] - centers[None, :]).argmin(axis=1)
     for _ in range(_MAX_SWEEPS):
@@ -43,7 +44,7 @@ def kmeans2_block(f) -> np.ndarray:
         fg_label = int(centers.argmax())
     else:
         fg_label = int(sizes.argmin())
-    return (assign == fg_label).reshape(shape)
+    return (assign == fg_label).reshape(f.shape)
 
 
 def kmeans2_image(img, block_size: int = 64) -> np.ndarray:

@@ -13,8 +13,8 @@ import sys
 
 from .admm import SolverParams
 from .evaluation import SEGMENTERS, evaluate_dataset, load_manifest
-from .image_io import PnmError, atomic_write_bytes, load_gray, save_gray, save_mask, stitch
-from .segmentation import SegmentationConfig, assemble_layers, segment_blocks
+from .image_io import PnmError, atomic_write_bytes, load_gray, save_gray, save_mask
+from .segmentation import SegmentationConfig, assemble_layers, segment_images
 from .synth import SynthSpec, write_dataset
 
 
@@ -99,20 +99,19 @@ def _config(args) -> SegmentationConfig:
 
 def cmd_segment(args) -> int:
     img = load_gray(args.input)
-    grid, basis, results = segment_blocks(img, args.config)
+    record = next(segment_images([img], args.config))
+    mask, grid, _, pairs = record
     if args.verbose:
-        for i, ((r0, c0), (_, dec)) in enumerate(zip(grid.origins, results)):
+        for i, ((r0, c0), (_, dec)) in enumerate(zip(grid.origins, pairs)):
             print(f"# block {i} origin {r0},{c0}")
             for it, (rp, rb, ry, rz) in enumerate(dec.residual_history, start=1):
                 print(f"{it}\t{rp:.6e}\t{rb:.6e}\t{ry:.6e}\t{rz:.6e}")
     if args.fg_out or args.bg_out:
-        background, foreground, mask = assemble_layers(img, grid, basis, results)
+        background, foreground, _ = assemble_layers(img, record)
         if args.bg_out:
             save_gray(background, args.bg_out)
         if args.fg_out:
             save_gray(foreground, args.fg_out)
-    else:
-        mask = stitch(grid, [m for m, _ in results])
     save_mask(mask, args.mask_out)
     return 0
 

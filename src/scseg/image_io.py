@@ -60,10 +60,10 @@ class _Header:
         if j == i:
             raise MalformedHeaderError(f"missing {what} in header")
         self.pos = j
-        try:
-            value = int(buf[i:j])
-        except ValueError:
-            raise MalformedHeaderError(f"bad {what}: {buf[i:j]!r}") from None
+        # ASCII digits only: int() would also take a sign or underscores
+        if not buf[i:j].isdigit():
+            raise MalformedHeaderError(f"bad {what}: {buf[i:j]!r}")
+        value = int(buf[i:j])
         if value <= 0:
             raise MalformedHeaderError(f"{what} must be positive, got {value}")
         return value
@@ -79,11 +79,11 @@ def _ascii_samples(buf: bytes, count: int, maxval: int, what: str) -> np.ndarray
     tokens = [t for t in _SEPARATORS.split(buf) if t]
     if len(tokens) < count:
         raise TruncatedDataError(f"expected {count} {what} samples, found {len(tokens)}")
-    try:
-        values = np.array([int(t) for t in tokens[:count]], dtype=np.int64)
-    except ValueError:
-        raise PnmError(f"non-integer {what} sample") from None
-    if values.min() < 0 or values.max() > maxval:
+    # tokens are never empty, so the join is all digits only if every token is
+    if not b"".join(tokens[:count]).isdigit():
+        raise PnmError(f"non-integer {what} sample")
+    values = np.array([int(t) for t in tokens[:count]], dtype=np.int64)
+    if values.max() > maxval:
         raise PnmError(f"{what} sample outside [0, {maxval}]")
     return values
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .admm import BATCH_BLOCKS, Decomposition, SolverParams, solve_blocks
 from .dct import BasisMatrix, build_basis
-from .image_io import BlockGrid, stitch, tile
+from .image_io import stitch, tile
 
 
 class BackgroundFitError(ValueError):
@@ -43,32 +43,20 @@ def _binarize(dec: Decomposition, basis: BasisMatrix, cfg: SegmentationConfig) -
     return np.abs(dec.s).reshape(basis.n, basis.n) > cfg.fg_threshold
 
 
-def segment_blocks(img, cfg: SegmentationConfig | None = None):
-    """Tile an image and segment every block in one batched solve.
-
-    Returns (grid, basis, results) where results is a list of
-    (mask, decomposition) pairs in grid order; a mask is an (n, n) boolean
-    array, True where the sparse layer exceeds cfg.fg_threshold in
-    magnitude. Each block's result is the one it gets when solved alone.
-    """
-    if cfg is None:
-        cfg = SegmentationConfig()
-    img = np.asarray(img, dtype=np.float64)
-    grid = tile(img, cfg.block_size)
-    basis = build_basis(cfg.block_size, cfg.k_bases)
-    decs = solve_blocks(grid.blocks, basis, cfg.solver)
-    results = [(_binarize(dec, basis, cfg), dec) for dec in decs]
-    return grid, basis, results
-
-
 def segment_images(images, cfg: SegmentationConfig | None = None):
-    """Segment a stream of images; yields one (h, w) boolean mask per image, in order.
+    """Segment a stream of images; yields one record per image, in order.
+
+    A record is (mask, grid, basis, pairs): the image's (h, w) boolean
+    mask, its BlockGrid, the basis its blocks were solved on, and one
+    (block mask, Decomposition) pair per block in grid order. A block mask
+    is (n, n), True where the sparse layer exceeds cfg.fg_threshold in
+    magnitude.
 
     Consecutive images are grouped until the group holds at least
     BATCH_BLOCKS blocks, and each group's blocks go through one solve_blocks
     call, so images smaller than a batch still fill its sweeps. Only one
     group is held at a time: at most one image plus fewer than BATCH_BLOCKS
-    blocks. Each mask is bit-identical to segmenting its image alone.
+    blocks. Each record is bit-identical to segmenting its image alone.
     """
     if cfg is None:
         cfg = SegmentationConfig()
@@ -79,21 +67,23 @@ def segment_images(images, cfg: SegmentationConfig | None = None):
         grids.append(tile(img, cfg.block_size))
         blocks.extend(grids[-1].blocks)
         if len(blocks) >= BATCH_BLOCKS:
-            yield from _group_masks(grids, blocks, basis, cfg)
+            yield from _group_records(grids, blocks, basis, cfg)
             grids, blocks = [], []
     if grids:
-        yield from _group_masks(grids, blocks, basis, cfg)
+        yield from _group_records(grids, blocks, basis, cfg)
 
 
-def _group_masks(grids: list, blocks: list, basis: BasisMatrix, cfg: SegmentationConfig):
+def _group_records(grids: list, blocks: list, basis: BasisMatrix, cfg: SegmentationConfig):
     decs = iter(solve_blocks(blocks, basis, cfg.solver))
     for grid in grids:
-        yield stitch(grid, [_binarize(next(decs), basis, cfg) for _ in grid.blocks])
+        # zip pulls from grid.blocks first, so it stops without taking the next image's block
+        pairs = [(_binarize(dec, basis, cfg), dec) for _, dec in zip(grid.blocks, decs)]
+        yield stitch(grid, [mask for mask, _ in pairs]), grid, basis, pairs
 
 
 def segment_image(img, cfg: SegmentationConfig | None = None) -> np.ndarray:
     """Segment a full image; returns an (h, w) boolean foreground mask."""
-    return next(segment_images([img], cfg))
+    return next(segment_images([img], cfg))[0]
 
 
 def fill_background(f, mask, basis: BasisMatrix) -> np.ndarray:
@@ -120,14 +110,12 @@ def fill_background(f, mask, basis: BasisMatrix) -> np.ndarray:
     return out
 
 
-def assemble_layers(img, grid: BlockGrid, basis: BasisMatrix, results):
-    """Build (background, foreground, mask) images from per-block results."""
-    img = np.asarray(img, dtype=np.float64)
-    masks = [mask for mask, _ in results]
-    filled = [fill_background(block, mask, basis) for block, mask in zip(grid.blocks, masks)]
-    mask = stitch(grid, masks)
+def assemble_layers(img, record):
+    """Build (background, foreground, mask) images from one segment_images record."""
+    mask, grid, basis, pairs = record
+    filled = [fill_background(block, m, basis) for block, (m, _) in zip(grid.blocks, pairs)]
     background = stitch(grid, filled)
-    foreground = np.where(mask, img, 0.0)
+    foreground = np.where(mask, np.asarray(img, dtype=np.float64), 0.0)
     return background, foreground, mask
 
 
@@ -139,5 +127,4 @@ def reconstruct_layers(img, cfg: SegmentationConfig | None = None):
     fit; the foreground keeps original values inside the mask and is zero
     elsewhere.
     """
-    grid, basis, results = segment_blocks(img, cfg)
-    return assemble_layers(img, grid, basis, results)
+    return assemble_layers(img, next(segment_images([img], cfg)))

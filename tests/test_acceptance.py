@@ -26,9 +26,9 @@ from scseg import (
     solve_blocks,
     objective,
     write_dataset,
-    zigzag_order,
 )
 from scseg.cli import main
+from scseg.dct import zigzag_order
 from scseg.prox import group_soft, soft
 
 

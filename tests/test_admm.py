@@ -18,12 +18,11 @@ from scseg import (
     SynthSpec,
     build_basis,
     gen_block,
-    group_norm,
     objective,
     solve_blocks,
 )
 from scseg import admm
-from scseg.admm import BATCH_BLOCKS
+from scseg.admm import BATCH_BLOCKS, group_norm
 
 # The four block regimes of the benchmark's pages.
 REGIMES = (

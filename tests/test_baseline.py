@@ -1,4 +1,7 @@
+import re
+
 import numpy as np
+import pytest
 
 from scseg import kmeans2_block, kmeans2_image
 
@@ -8,6 +11,12 @@ def test_minority_cluster_is_foreground():
     f.ravel()[:31] = 255.0  # 31 bright vs 33 dark pixels
     mask = kmeans2_block(f)
     np.testing.assert_array_equal(mask, f == 255.0)
+
+
+@pytest.mark.parametrize("shape", [(10,), (4, 4, 4), (), (4, 4, 1)], ids=["1d", "3d", "0d", "trailing-1"])
+def test_block_must_be_2d(shape):
+    with pytest.raises(ValueError, match=re.escape(f"block must be 2-D, got shape {shape}")):
+        kmeans2_block(np.arange(float(np.prod(shape))).reshape(shape))
 
 
 def test_constant_block_empty():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import scseg
-from scseg import SynthSpec, load_mask, write_dataset
+from scseg import SynthSpec, confusion, load_mask, write_dataset
 from scseg.cli import main
 
 
@@ -172,6 +172,24 @@ def test_evaluate_prints_micro_percentages(dataset, tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert set(report) == {"entries", "micro", "macro", "errors"}
     assert len(report["entries"]) == 3
+
+
+def test_segment_and_evaluate_compute_the_same_masks(tmp_path, eight_cpus, capsys):
+    # 16-pixel blocks: 16 per 64x64 image, two slices, so each command forks;
+    # out-of-model backgrounds (k_true > k) leave errors, so the counts are not all the truth's
+    manifest = write_dataset(tmp_path / "data", 3, SynthSpec(seed=1, k_true=15))
+    flags = ["--block", "16", "--workers", "2"]
+    report_path = tmp_path / "r.json"
+    assert main(["evaluate", "--manifest", manifest, "--report", str(report_path)] + flags) == 0
+    entries = json.loads(report_path.read_text())["entries"]
+    assert len(entries) == 3
+    for entry in entries:
+        mask_path = tmp_path / "m.pbm"
+        assert main(["segment", "--input", entry["path"], "--mask-out", str(mask_path)] + flags) == 0
+        truth = load_mask(entry["path"].replace(".pgm", "_mask.pbm"))
+        tp, fp, fn = confusion(load_mask(mask_path), truth)
+        assert (entry["tp"], entry["fp"], entry["fn"]) == (tp, fp, fn)
+    assert any(entry["fp"] + entry["fn"] > 0 for entry in entries)
 
 
 def test_evaluate_kmeans_method(dataset, tmp_path):

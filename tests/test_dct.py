@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from scseg import build_basis, dct_atom, zigzag_order
+from scseg import build_basis
+from scseg.dct import dct_atom, zigzag_order
 
 # First ten pairs of the zig-zag walk, enumerated by hand.
 FIRST_TEN = [(0, 0), (0, 1), (1, 0), (2, 0), (1, 1), (0, 2), (0, 3), (1, 2), (2, 1), (3, 0)]

@@ -15,7 +15,6 @@ from scseg import (
     metrics,
     save_gray,
     save_mask,
-    segment_image,
     segment_images,
     write_dataset,
 )
@@ -147,7 +146,7 @@ class TestEvaluateDataset:
 
         def fake_segment_images(images, cfg):
             for _ in images:
-                yield preds[calls.pop(0)]
+                yield preds[calls.pop(0)], None, None, None
 
         monkeypatch.setattr(evaluation, "segment_images", fake_segment_images)
         entries = load_manifest(mf)
@@ -239,7 +238,7 @@ class TestGroupedEvaluation:
         assert solves == [8, 18, 3]
 
         def per_image(images, cfg):
-            return (segment_image(img, cfg) for img in images)
+            return (next(segment_images([img], cfg)) for img in images)
 
         monkeypatch.setattr(evaluation, "segment_images", per_image)
         solves.clear()

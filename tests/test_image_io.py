@@ -77,6 +77,26 @@ class TestLoadGray:
         with pytest.raises(MalformedHeaderError):
             load_gray(p)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [b"P5\n+2 1\n255\n\x00\x00", b"P2\n2 1\n-255\n0 0\n", b"P2\n2 1_0\n255\n0 0\n"],
+        ids=["plus-width", "minus-maxval", "underscore-height"],
+    )
+    def test_header_integer_must_be_digits(self, tmp_path, payload):
+        p = write(tmp_path / "a.pgm", payload)
+        with pytest.raises(MalformedHeaderError, match="bad"):
+            load_gray(p)
+
+    @pytest.mark.parametrize("samples", [b"+7 10", b"7 1_0", b"7 -0"], ids=["plus", "underscore", "minus"])
+    def test_ascii_sample_must_be_digits(self, tmp_path, samples):
+        p = write(tmp_path / "a.pgm", b"P2\n2 1\n255\n" + samples + b"\n")
+        with pytest.raises(PnmError, match="non-integer pixel sample"):
+            load_gray(p)
+
+    def test_ascii_leading_zeros_accepted(self, tmp_path):
+        p = write(tmp_path / "a.pgm", b"P2\n02 1\n0255\n007 010\n")
+        np.testing.assert_array_equal(load_gray(p), [[7.0, 10.0]])
+
     def test_missing_dims(self, tmp_path):
         p = write(tmp_path / "a.pgm", b"P5\n2")
         with pytest.raises(MalformedHeaderError):
@@ -181,6 +201,16 @@ class TestMasks:
     def test_p1_bad_character_after_comment(self, tmp_path):
         p = write(tmp_path / "m.pbm", b"P1\n3 1\n1 0 # 2 is fine here\nx\n")
         with pytest.raises(PnmError, match=r"unexpected character 'x' in P1 payload"):
+            load_mask(p)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"P4\n1_6 1\n", b"P1\n+1 1\n", b"P4\n8 \xd9\xa1\n"],
+        ids=["underscore-width", "plus-width", "arabic-indic-height"],
+    )
+    def test_header_integer_must_be_digits(self, tmp_path, header):
+        p = write(tmp_path / "m.pbm", header + b"\x00\x00")
+        with pytest.raises(MalformedHeaderError, match="bad (width|height)"):
             load_mask(p)
 
     def test_gray_magic_rejected(self, tmp_path):

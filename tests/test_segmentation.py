@@ -15,7 +15,6 @@ from scseg import (
     segment_images,
     SynthSpec,
 )
-from scseg.segmentation import segment_blocks
 
 
 def page_of(blocks):
@@ -25,7 +24,7 @@ def page_of(blocks):
 
 def segment_alone(f, cfg):
     """(mask, decomposition) of an image that is exactly one block."""
-    _, _, [result] = segment_blocks(f, cfg)
+    _, _, _, [result] = next(segment_images([f], cfg))
     return result
 
 
@@ -109,8 +108,8 @@ class TestSegmentBlocks:
         # it gets alone, wherever it sits in the page
         blocks = [gen_block(SynthSpec(seed=60 + i))[0] for i in range(9)]
         order = np.random.default_rng(3).permutation(9)
-        _, _, page = segment_blocks(page_of(blocks), cfg)
-        _, _, permuted = segment_blocks(page_of([blocks[i] for i in order]), cfg)
+        _, _, _, page = next(segment_images([page_of(blocks)], cfg))
+        _, _, _, permuted = next(segment_images([page_of([blocks[i] for i in order])], cfg))
         moved = {int(src): dst for dst, src in enumerate(order)}
         for i, block in enumerate(blocks):
             mask, dec = segment_alone(block, cfg)
@@ -132,8 +131,15 @@ class TestSegmentImages:
         imgs = [rng.uniform(0, 255, shape) for shape in shapes]
         grouped = list(segment_images(imgs, cfg))
         assert len(grouped) == len(imgs)
-        for mask, img in zip(grouped, imgs):
+        for (mask, grid, _, pairs), img in zip(grouped, imgs):
             np.testing.assert_array_equal(mask, segment_image(img, cfg))
+            _, alone_grid, _, alone_pairs = next(segment_images([img], cfg))
+            assert grid.origins == alone_grid.origins
+            assert len(pairs) == len(alone_pairs) == len(grid.blocks)
+            for (block_mask, dec), (alone_mask, alone_dec) in zip(pairs, alone_pairs):
+                np.testing.assert_array_equal(block_mask, alone_mask)
+                np.testing.assert_array_equal(dec.s, alone_dec.s)
+                np.testing.assert_array_equal(dec.alpha, alone_dec.alpha)
 
 
 class TestFillBackground:
