@@ -12,9 +12,10 @@ of them can go to forked processes.
 
 from __future__ import annotations
 
+import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +27,28 @@ class DivergenceError(RuntimeError):
     """Raised when iterates go non-finite (bad penalties or input)."""
 
 
+def require_counts(obj, **minimums) -> None:
+    """Raise ValueError naming the first field that is not an integer or is below its minimum.
+
+    Python and numpy integers pass, bool does not; a minimum of None checks the type only.
+    """
+    for name, low in minimums.items():
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass
 class SolverParams:
     """Weights, penalty parameters, and iteration budget for the block solver.
 
     Defaults are the reference operating point: lambda1=100, lambda2=2,
-    unit penalties, 50 iterations. workers caps the processes solve_blocks
-    may use; it changes no result.
+    unit penalties, 50 iterations. Every block runs exactly max_iters
+    sweeps from the zero state. workers caps the processes solve_blocks may
+    use; it changes no result. Both counts must be integers (Python or
+    numpy, not bool).
     """
 
     lambda1: float = 100.0
@@ -42,36 +58,31 @@ class SolverParams:
     rho3: float = 1.0
     rho4: float = 1.0
     max_iters: int = 50
-    record_residuals: bool = False
     workers: int = 1
 
     def __post_init__(self):
+        require_counts(self, max_iters=1, workers=1)
         for name in ("lambda1", "lambda2", "rho1", "rho2", "rho3", "rho4"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
 class Decomposition:
-    """Converged smooth coefficients and sparse layer, with diagnostics.
+    """Smooth coefficients and sparse layer after max_iters sweeps, with diagnostics.
 
     primal_residual is ||f - B a - s|| / ||f|| (0 for an all-zero block);
-    split_residuals are the absolute norms of the coefficient-copy and the
-    two group-copy gaps. residual_history, when recorded, holds per-iteration
-    tuples (primal, coefficient, row-copy, column-copy) of absolute norms.
+    split_residuals are the absolute norms of the coefficient-copy, row-copy
+    and column-copy gaps ||a - beta||, ||s - y||, ||s - z||. Every block
+    runs from the zero state, so the residuals after k sweeps are the ones
+    a solve with max_iters=k returns.
     """
 
     alpha: np.ndarray
     s: np.ndarray
     primal_residual: float
     split_residuals: tuple
-    iters_run: int
     objective: float
-    residual_history: list | None = field(default=None)
 
 
 def group_norm(s) -> float:
@@ -198,50 +209,31 @@ class _Batch:
         v2 += _times(np.subtract(s, z, out=tmp), r4, tmp)
         self.alpha, self.beta, self.y, self.z = alpha, beta, y, z
 
-    def finite(self) -> bool:
-        return bool(np.isfinite(self.alpha).all() and np.isfinite(self.s).all())
-
-    def residuals(self, i: int) -> tuple:
-        """Row i's (primal, coefficient, row-copy, column-copy) gap norms."""
-        s = self.s[i]
-        return (
-            float(np.linalg.norm(self.resid[i] - s)),
-            float(np.linalg.norm(self.alpha[i] - self.beta[i])),
-            float(np.linalg.norm(s - self.y[i])),
-            float(np.linalg.norm(s - self.z[i])),
+    def decomposition(self, i: int, params: SolverParams) -> Decomposition:
+        """Row i's iterates, constraint gaps and objective."""
+        alpha, s = self.alpha[i].copy(), self.s[i].copy()
+        f_norm = float(np.linalg.norm(self.rows[0, i]))
+        primal = float(np.linalg.norm(self.resid[i] - s))
+        return Decomposition(
+            alpha=alpha,
+            s=s,
+            primal_residual=primal / f_norm if f_norm > 0 else 0.0,
+            split_residuals=(
+                float(np.linalg.norm(alpha - self.beta[i])),
+                float(np.linalg.norm(s - self.y[i])),
+                float(np.linalg.norm(s - self.z[i])),
+            ),
+            objective=objective(alpha, s, params),
         )
-
-
-def _decomposition(f, alpha, s, residuals, iters_run, history, params) -> Decomposition:
-    f_norm = float(np.linalg.norm(f))
-    return Decomposition(
-        alpha=alpha.copy(),
-        s=s.copy(),
-        primal_residual=residuals[0] / f_norm if f_norm > 0 else 0.0,
-        split_residuals=residuals[1:],
-        iters_run=iters_run,
-        objective=objective(alpha, s, params),
-        residual_history=history,
-    )
 
 
 def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> list:
     batch = _Batch(flat, basis, work)
-    histories = [[] if params.record_residuals else None for _ in flat]
     for it in range(1, params.max_iters + 1):
         batch.step(params)
-        if not batch.finite():
+        if not (np.isfinite(batch.alpha).all() and np.isfinite(batch.s).all()):
             raise DivergenceError(f"non-finite iterate at iteration {it}")
-        if params.record_residuals:
-            for row, history in enumerate(histories):
-                history.append(batch.residuals(row))
-    return [
-        _decomposition(
-            f, batch.alpha[row], batch.s[row], batch.residuals(row),
-            params.max_iters, histories[row], params,
-        )
-        for row, f in enumerate(flat)
-    ]
+    return [batch.decomposition(row, params) for row in range(len(flat))]
 
 
 def _solve_run(flat: list, basis: BasisMatrix, params: SolverParams) -> list:

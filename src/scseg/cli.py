@@ -86,7 +86,6 @@ def _config(args) -> SegmentationConfig:
         rho3=r3,
         rho4=r4,
         max_iters=args.iters,
-        record_residuals=getattr(args, "verbose", False),
         workers=args.workers,
     )
     return SegmentationConfig(
@@ -102,10 +101,18 @@ def cmd_segment(args) -> int:
     record = next(segment_images([img], args.config))
     mask, grid, _, pairs = record
     if args.verbose:
-        for i, ((r0, c0), (_, dec)) in enumerate(zip(grid.origins, pairs)):
-            print(f"# block {i} origin {r0},{c0}")
-            for it, (rp, rb, ry, rz) in enumerate(dec.residual_history, start=1):
-                print(f"{it}\t{rp:.6e}\t{rb:.6e}\t{ry:.6e}\t{rz:.6e}")
+        for i, (origin, (block_mask, dec)) in enumerate(zip(grid.origins, pairs)):
+            coefficient, row, column = dec.split_residuals
+            print(json.dumps({
+                "block": i,
+                "origin": origin,
+                "primal_residual": dec.primal_residual,
+                "coefficient_residual": coefficient,
+                "row_residual": row,
+                "column_residual": column,
+                "objective": dec.objective,
+                "fg_fraction": float(block_mask.mean()),
+            }))
     if args.fg_out or args.bg_out:
         background, foreground, _ = assemble_layers(img, record)
         if args.bg_out:
@@ -165,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bg-out", help="optional filled-background layer PGM")
     _add_segmentation_flags(p)
     p.add_argument("--verbose", action="store_true",
-                   help="print per-iteration residuals (iter, primal, coeff, row, col)")
+                   help="print one JSON object per block, in grid order: its final residuals, "
+                        "objective and foreground fraction")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("evaluate", help="score a segmenter against a ground-truth manifest")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -96,17 +96,6 @@ def load_manifest(path) -> list:
     return entries
 
 
-def _metrics_dict(m: MaskMetrics) -> dict:
-    return {
-        "tp": m.tp,
-        "fp": m.fp,
-        "fn": m.fn,
-        "precision": m.precision,
-        "recall": m.recall,
-        "f1": m.f1,
-    }
-
-
 def evaluate_dataset(
     entries,
     segmenter: str = "proposed",
@@ -152,7 +141,7 @@ def evaluate_dataset(
     for pred in preds:
         path, truth = pending.popleft()
         m = metrics(*confusion(pred, truth))
-        rows.append({"path": path, **_metrics_dict(m)})
+        rows.append({"path": path, **asdict(m)})
     if not rows:
         raise ValueError("no readable entries in manifest")
 
@@ -166,4 +155,4 @@ def evaluate_dataset(
         "recall": float(np.mean([r["recall"] for r in rows])),
         "f1": float(np.mean([r["f1"] for r in rows])),
     }
-    return {"entries": rows, "micro": _metrics_dict(micro), "macro": macro, "errors": errors}
+    return {"entries": rows, "micro": asdict(micro), "macro": macro, "errors": errors}

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm import BATCH_BLOCKS, Decomposition, SolverParams, solve_blocks
+from .admm import BATCH_BLOCKS, Decomposition, SolverParams, require_counts, solve_blocks
 from .dct import BasisMatrix, build_basis
 from .image_io import stitch, tile
 
@@ -31,8 +31,7 @@ class SegmentationConfig:
     fg_threshold: float = 1.0
 
     def __post_init__(self):
-        if self.block_size < 2:
-            raise ValueError(f"block_size must be >= 2, got {self.block_size}")
+        require_counts(self, block_size=2, k_bases=None)
         if not 0 <= self.fg_threshold < np.inf:
             raise ValueError(f"fg_threshold must be >= 0 and finite, got {self.fg_threshold}")
         if not 1 <= self.k_bases <= self.block_size**2:
@@ -111,9 +110,18 @@ def fill_background(f, mask, basis: BasisMatrix) -> np.ndarray:
 
 
 def assemble_layers(img, record):
-    """Build (background, foreground, mask) images from one segment_images record."""
+    """Build (background, foreground, mask) images from one segment_images record.
+
+    A block whose background pixels cannot determine fill_background's fit
+    gets its solver layer B alpha under its mask instead of stopping the image.
+    """
     mask, grid, basis, pairs = record
-    filled = [fill_background(block, m, basis) for block, (m, _) in zip(grid.blocks, pairs)]
+    filled = []
+    for block, (m, dec) in zip(grid.blocks, pairs):
+        try:
+            filled.append(fill_background(block, m, basis))
+        except BackgroundFitError:
+            filled.append(np.where(m, (basis.atoms @ dec.alpha).reshape(m.shape), block))
     background = stitch(grid, filled)
     foreground = np.where(mask, np.asarray(img, dtype=np.float64), 0.0)
     return background, foreground, mask
@@ -124,7 +132,7 @@ def reconstruct_layers(img, cfg: SegmentationConfig | None = None):
 
     Returns (background, foreground, mask): the background keeps original
     values outside the mask and fills masked pixels with the per-block smooth
-    fit; the foreground keeps original values inside the mask and is zero
-    elsewhere.
+    fit (the solver's B alpha for a block fill_background cannot fit); the
+    foreground keeps original values inside the mask and is zero elsewhere.
     """
     return assemble_layers(img, next(segment_images([img], cfg)))

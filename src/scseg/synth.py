@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .admm import require_counts
 from .dct import build_basis
 from .image_io import atomic_write_bytes, save_gray, save_mask
 
@@ -31,19 +32,14 @@ class SynthSpec:
     diagonal_strokes: bool = False
 
     def __post_init__(self):
-        if self.n < 4:
-            raise ValueError(f"n must be >= 4, got {self.n}")
+        require_counts(self, n=4, k_true=None, stroke_count=0, seed=0)
         if not 1 <= self.k_true <= self.n**2:
             raise ValueError(f"k_true must be in [1, {self.n**2}], got {self.k_true}")
         for name in ("alpha_range", "stroke_amplitude"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        if self.stroke_count < 0:
-            raise ValueError(f"stroke_count must be >= 0, got {self.stroke_count}")
         if not 0 <= self.max_fg_fraction <= 1:
             raise ValueError(f"max_fg_fraction must be in [0, 1], got {self.max_fg_fraction}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         _, hi = _stroke_bounds(self.n)
         if self.stroke_count * hi * 2 > self.max_fg_fraction * self.n**2:
             raise ValueError(

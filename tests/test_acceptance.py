@@ -79,16 +79,13 @@ def test_criterion_2_basis_orthonormality():
 
 def test_criterion_3_solver_feasibility():
     basis = build_basis(64, 10)
-    params = SolverParams(max_iters=500, record_residuals=True)
     rng = np.random.default_rng(303)
-    worst_50 = 0.0
-    worst_500 = 0.0
-    for _ in range(50):
-        f = rng.uniform(0, 255, 4096)
-        dec = solve_blocks([f], basis, params)[0]
-        scale = np.linalg.norm(f)
-        worst_50 = max(worst_50, dec.residual_history[49][0] / scale)
-        worst_500 = max(worst_500, dec.primal_residual)
+    blocks = [rng.uniform(0, 255, 4096) for _ in range(50)]
+    # every solve starts from the zero state, so a 50-sweep run gives the residual at sweep 50
+    worst_50, worst_500 = (
+        max(dec.primal_residual for dec in solve_blocks(blocks, basis, SolverParams(max_iters=k)))
+        for k in (50, 500)
+    )
     report(
         "3 solver feasibility",
         worst_500 <= 1e-3 and worst_50 <= 5e-2,

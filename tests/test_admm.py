@@ -62,14 +62,29 @@ class TestParams:
         with pytest.raises(ValueError):
             SolverParams(**bad)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("max_iters", 2.5), ("max_iters", 50.0), ("max_iters", True), ("workers", 1.5),
+         ("workers", np.float64(2.0)), ("workers", np.True_), ("max_iters", "50")],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SolverParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [7, np.int64(7), np.int32(7), np.uint8(7)])
+    def test_counts_accept_python_and_numpy_integers(self, basis8, value):
+        params = SolverParams(max_iters=value, workers=value)
+        assert solve_blocks([np.zeros(64)], basis8, params)[0].primal_residual == 0.0
+
 
 class TestStep:
     def test_zero_block_is_fixed_point(self, basis8):
-        params = SolverParams(lambda1=5.0, lambda2=1.0, max_iters=3, record_residuals=True)
-        dec = solve_blocks([np.zeros(64)], basis8, params)[0]
-        assert not dec.alpha.any()
-        assert not dec.s.any()
-        assert dec.residual_history == [(0.0, 0.0, 0.0, 0.0)] * 3
+        for max_iters in (1, 2, 3):
+            params = SolverParams(lambda1=5.0, lambda2=1.0, max_iters=max_iters)
+            dec = solve_blocks([np.zeros(64)], basis8, params)[0]
+            assert not dec.alpha.any()
+            assert not dec.s.any()
+            assert (dec.primal_residual, dec.split_residuals) == (0.0, (0.0, 0.0, 0.0))
 
     def test_single_step_coefficients(self, basis64):
         # from the zero state the first coefficient update is a scaled projection
@@ -136,7 +151,6 @@ class TestSolve:
         assert not dec.s.any()
         assert dec.objective == 0.0
         assert dec.primal_residual == 0.0
-        assert dec.iters_run == 50
 
     def test_smooth_block_stays_in_smooth_layer(self, basis64):
         rng = np.random.default_rng(17)
@@ -181,27 +195,11 @@ class TestSolve:
         b = solve_blocks([f.ravel()], basis8)[0]
         np.testing.assert_array_equal(a.s, b.s)
 
-    def test_residual_history_recorded(self, basis8):
+    def test_primal_residual_falls_with_sweeps(self, basis8):
         rng = np.random.default_rng(47)
         f = rng.uniform(0, 255, 64)
-        dec = solve_blocks([f], basis8, SolverParams(max_iters=60, record_residuals=True))[0]
-        assert len(dec.residual_history) == 60
-        assert dec.residual_history[-1][0] < dec.residual_history[0][0]
-
-    def test_no_history_by_default(self, basis8):
-        dec = solve_blocks([np.zeros(64)], basis8)[0]
-        assert dec.residual_history is None
-
-    def test_recording_residuals_changes_nothing_else(self, basis64):
-        f, _, _ = gen_block(SynthSpec(seed=5))
-        plain = solve_blocks([f], basis64)[0]
-        recorded = solve_blocks([f], basis64, SolverParams(record_residuals=True))[0]
-        np.testing.assert_array_equal(recorded.alpha, plain.alpha)
-        np.testing.assert_array_equal(recorded.s, plain.s)
-        assert recorded.primal_residual == plain.primal_residual
-        assert recorded.split_residuals == plain.split_residuals
-        assert recorded.iters_run == plain.iters_run == 50
-        assert recorded.residual_history[-1][1:] == plain.split_residuals
+        first, last = (solve_blocks([f], basis8, SolverParams(max_iters=k))[0] for k in (1, 60))
+        assert last.primal_residual < first.primal_residual
 
     def test_dimension_mismatch(self, basis64):
         with pytest.raises(ValueError):
@@ -240,11 +238,9 @@ def _assert_same(decs, serial):
     for i, (dec, ref) in enumerate(zip(decs, serial)):
         assert np.array_equal(dec.alpha, ref.alpha), f"block {i}: alpha differs"
         assert np.array_equal(dec.s, ref.s), f"block {i}: s differs"
-        assert dec.iters_run == ref.iters_run, f"block {i}: iters_run differs"
         assert dec.primal_residual == ref.primal_residual
         assert dec.split_residuals == ref.split_residuals
         assert dec.objective == ref.objective
-        assert dec.residual_history == ref.residual_history
 
 
 def _assert_matches_reference(decs, refs):
@@ -252,7 +248,23 @@ def _assert_matches_reference(decs, refs):
     for i, (dec, ref) in enumerate(zip(decs, refs)):
         assert np.array_equal(dec.alpha, ref["alpha"]), f"block {i}: alpha differs"
         assert np.array_equal(dec.s, ref["s"]), f"block {i}: s differs"
-        assert dec.iters_run == ref["iters_run"], f"block {i}: iters_run differs"
+
+
+def _assert_residuals_match_history(blocks, basis, params, sweeps):
+    """Each block's final residuals after k sweeps equal the reference's k-th history entry.
+
+    The reference runs max(sweeps) sweeps once and records every one; every
+    solve starts from the zero state, so its run of k sweeps is the first k
+    of those.
+    """
+    refs = [reference_solve(f, basis.atoms, params, steps=max(sweeps)) for f in blocks]
+    for k in sweeps:
+        decs = solve_blocks(blocks, basis, dataclasses.replace(params, max_iters=k))
+        for i, (dec, f, ref) in enumerate(zip(decs, blocks, refs)):
+            primal, *split = ref["history"][k - 1]
+            norm = np.linalg.norm(f)
+            assert dec.primal_residual == (primal / norm if norm > 0 else 0.0), f"block {i}, {k} sweeps"
+            assert dec.split_residuals == tuple(split), f"block {i}, {k} sweeps"
 
 
 @pytest.fixture(scope="module")
@@ -292,10 +304,9 @@ class TestSolveBlocks:
     @given(
         blocks=arrays(np.float64, st.tuples(st.integers(0, 20), st.just(64)), elements=st.floats(0, 255)),
         max_iters=st.integers(1, 4),
-        record_residuals=st.booleans(),
     )
-    def test_batched_equals_one_block_at_a_time(self, basis8, blocks, max_iters, record_residuals):
-        params = SolverParams(max_iters=max_iters, record_residuals=record_residuals)
+    def test_batched_equals_one_block_at_a_time(self, basis8, blocks, max_iters):
+        params = SolverParams(max_iters=max_iters)
         alone = [solve_blocks([f], basis8, params)[0] for f in blocks]
         _assert_same(solve_blocks(blocks, basis8, params), alone)
 
@@ -321,20 +332,16 @@ class TestSolveBlocks:
                 solve_blocks(blocks, basis64)
 
     def test_residual_histories_per_block(self, basis64):
+        # the residuals after k sweeps, read from runs of k sweeps
         exact = basis64.atoms[:, 0] * 8192.0  # settles long before max_iters
         synthetic = gen_block(SynthSpec(seed=9))[0]
-        params = SolverParams(max_iters=60, record_residuals=True)
+        params = SolverParams(max_iters=60)
         batched = solve_blocks([exact, synthetic], basis64, params)
         alone = [solve_blocks([f], basis64, params)[0] for f in (exact, synthetic)]
         refs = [reference_solve(f, basis64.atoms, params) for f in (exact, synthetic)]
-        for dec, solo, ref in zip(batched, alone, refs):
-            assert dec.iters_run == solo.iters_run == ref["iters_run"] == 60
-            np.testing.assert_array_equal(dec.alpha, solo.alpha)
-            np.testing.assert_array_equal(dec.alpha, ref["alpha"])
-            np.testing.assert_array_equal(dec.s, solo.s)
-            np.testing.assert_array_equal(dec.s, ref["s"])
-            assert len(dec.residual_history) == 60
-            assert dec.residual_history == solo.residual_history == ref["history"]
+        _assert_same(batched, alone)
+        _assert_matches_reference(batched, refs)
+        _assert_residuals_match_history([exact, synthetic], basis64, params, (1, 2, 17, 60))
 
     def test_working_memory_does_not_grow_with_block_count(self, basis64):
         blocks = [gen_block(SynthSpec(seed=i))[0] for i in range(64)]
@@ -421,16 +428,18 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_residual_histories(self, basis8, cpus, forks, workers):
+        # the residuals after k sweeps, read from runs of k sweeps in `workers` processes
         blocks = list(np.random.default_rng(71).uniform(0, 255, (24, 64)))
         for at, scale in ((3, 512.0), (11, 2000.0), (19, 512.0)):  # one smooth block per slice
             blocks[at] = basis8.atoms[:, 0] * scale
-        params = SolverParams(max_iters=200, record_residuals=True)
+        params = SolverParams(max_iters=200)
         decs = solve_blocks(blocks, basis8, dataclasses.replace(params, workers=workers))
         _assert_same(decs, solve_blocks(blocks, basis8, params))
         refs = [reference_solve(f, basis8.atoms, params) for f in blocks]
         _assert_matches_reference(decs, refs)
-        assert [dec.residual_history for dec in decs] == [ref["history"] for ref in refs]
-        assert len(forks) == workers - 1
+        sweeps = (1, 5, 50, 200)
+        _assert_residuals_match_history(blocks, basis8, dataclasses.replace(params, workers=workers), sweeps)
+        assert len(forks) == (workers - 1) * (1 + len(sweeps))
         _assert_no_children()
 
     def test_divergence_in_a_child_slice(self, basis64, regime_blocks, cpus, forks):

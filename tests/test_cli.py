@@ -54,16 +54,25 @@ def eight_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
 
 
+VERBOSE_FIELDS = {
+    "block", "origin", "primal_residual", "coefficient_residual", "row_residual",
+    "column_residual", "objective", "fg_fraction",
+}
+
+
 def test_segment_workers_identical(dataset, tmp_path, eight_cpus, capsys):
     # 16-pixel blocks: 16 blocks, two slices, so a second process runs;
-    # --verbose brings every block's residual history back through the pipe
+    # --verbose prints every block's diagnostics, half of them sent back through the pipe
     base = ["segment", "--input", str(dataset / "block_0002.pgm"), "--block", "16", "--verbose"]
     outputs = {}
     for w in ("1", "2", "4"):
         names = {flag: tmp_path / f"{w}{flag}" for flag in ("--mask-out", "--fg-out", "--bg-out")}
         assert main(base + [x for flag, path in names.items() for x in (flag, str(path))] + ["--workers", w]) == 0
         outputs[w] = [path.read_bytes() for path in names.values()] + [capsys.readouterr().out]
-    assert len(outputs["1"][-1].splitlines()) > 16 * 50
+    records = [json.loads(line) for line in outputs["1"][-1].splitlines()]
+    assert [r["block"] for r in records] == list(range(16))
+    assert [r["origin"] for r in records] == [[r, c] for r in (0, 16, 32, 48) for c in (0, 16, 32, 48)]
+    assert all(set(r) == VERBOSE_FIELDS for r in records)
     assert outputs["1"] == outputs["2"] == outputs["4"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -115,21 +124,51 @@ def test_segment_layer_outputs(dataset, tmp_path):
     assert not fg[~mask].any()
 
 
-def _final_primal_residuals(captured: str):
-    values = []
-    for line in captured.splitlines():
-        if line and line[0].isdigit():
-            values.append(float(line.split("\t")[1]))
-    return values
+def test_segment_bg_out_on_stripe_block(tmp_path):
+    from scseg import load_gray, save_gray
+
+    # every other row is foreground, too little background to fit the smooth model
+    img = np.repeat(np.where(np.arange(64) % 2 == 0, 20.0, 200.0)[:, None], 64, axis=1)
+    save_gray(img, tmp_path / "stripes.pgm")
+    rc = main(["segment", "--input", str(tmp_path / "stripes.pgm"), "--mask-out", str(tmp_path / "m.pbm"),
+               "--bg-out", str(tmp_path / "bg.pgm"), "--fg-out", str(tmp_path / "fg.pgm")])
+    assert rc == 0
+    mask = load_mask(tmp_path / "m.pbm")
+    assert mask.any()
+    np.testing.assert_array_equal(load_gray(tmp_path / "bg.pgm")[~mask], img[~mask])
+    np.testing.assert_array_equal(load_gray(tmp_path / "fg.pgm"), np.where(mask, img, 0.0))
 
 
 def test_verbose_more_iterations_lower_residual(dataset, tmp_path, capsys):
     base = ["segment", "--input", str(dataset / "block_0000.pgm"), "--verbose"]
     assert main(base + ["--mask-out", str(tmp_path / "a.pbm"), "--iters", "50"]) == 0
-    short = _final_primal_residuals(capsys.readouterr().out)[-1]
+    (short,) = map(json.loads, capsys.readouterr().out.splitlines())
     assert main(base + ["--mask-out", str(tmp_path / "b.pbm"), "--iters", "500"]) == 0
-    long = _final_primal_residuals(capsys.readouterr().out)[-1]
-    assert long < short
+    (long,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert long["primal_residual"] < short["primal_residual"]
+
+
+def test_verbose_record_is_the_solver_state(dataset, tmp_path, capsys):
+    from scseg import SegmentationConfig, load_gray, segment_images
+
+    img = load_gray(dataset / "block_0001.pgm")
+    assert main(["segment", "--input", str(dataset / "block_0001.pgm"), "--block", "32",
+                 "--mask-out", str(tmp_path / "m.pbm"), "--verbose"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    _, grid, _, pairs = next(segment_images([img], SegmentationConfig(block_size=32)))
+    assert len(records) == len(pairs) == 4
+    for i, (record, origin, (block_mask, dec)) in enumerate(zip(records, grid.origins, pairs)):
+        assert record == {
+            "block": i,
+            "origin": list(origin),
+            "primal_residual": dec.primal_residual,
+            "coefficient_residual": dec.split_residuals[0],
+            "row_residual": dec.split_residuals[1],
+            "column_residual": dec.split_residuals[2],
+            "objective": dec.objective,
+            "fg_fraction": block_mask.mean(),
+        }
+    assert any(0 < r["fg_fraction"] < 1 for r in records)
 
 
 def test_segment_missing_input_runtime_error(tmp_path, capsys):

@@ -17,6 +17,12 @@ from scseg import (
 )
 
 
+def stripe_block(n=64):
+    """Alternating dark and light rows: the mask covers every other row, so
+    the remaining background rows cannot determine the column frequencies."""
+    return np.repeat(np.where(np.arange(n) % 2 == 0, 20.0, 200.0)[:, None], n, axis=1)
+
+
 def page_of(blocks):
     """Row-major 3x3 page of nine same-sized blocks."""
     return np.block([blocks[r * 3 : r * 3 + 3] for r in range(3)])
@@ -79,6 +85,20 @@ class TestSegmentBlock:
     def test_block_size_below_two_rejected(self):
         with pytest.raises(ValueError, match="block_size"):
             SegmentationConfig(block_size=1, k_bases=1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("block_size", 8.0), ("block_size", True), ("k_bases", 3.0), ("k_bases", np.float32(3)),
+         ("k_bases", np.True_)],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SegmentationConfig(**{"block_size": 8, "k_bases": 3, name: value})
+
+    def test_counts_accept_numpy_integers(self):
+        img = np.full((16, 16), 90.0)
+        cfg = SegmentationConfig(block_size=np.int64(8), k_bases=np.int32(3))
+        assert not segment_image(img, cfg).any()
 
 
 class TestSegmentImage:
@@ -209,6 +229,21 @@ class TestReconstructLayers:
         background, _, mask = reconstruct_layers(f, cfg)
         np.testing.assert_array_equal(mask, mask_direct)
         np.testing.assert_allclose(background, filled_direct, atol=1e-12)
+
+    def test_stripe_block_falls_back_to_solver_layer(self, basis64, cfg):
+        smooth, _, _ = gen_block(SynthSpec(seed=43))
+        img = np.hstack([stripe_block(), smooth])
+        mask_stripe, dec = segment_alone(stripe_block(), cfg)
+        with pytest.raises(BackgroundFitError):
+            fill_background(stripe_block(), mask_stripe, basis64)
+        background, foreground, mask = reconstruct_layers(img, cfg)
+        np.testing.assert_array_equal(background[~mask], img[~mask])
+        np.testing.assert_array_equal(foreground, np.where(mask, img, 0.0))
+        solver_layer = (basis64.atoms @ dec.alpha).reshape(64, 64)
+        assert mask_stripe.any()
+        np.testing.assert_array_equal(background[:, :64][mask_stripe], solver_layer[mask_stripe])
+        # the fitted block beside it is filled as it would be alone
+        np.testing.assert_array_equal(background[:, 64:], reconstruct_layers(smooth, cfg)[0])
 
     def test_multiblock_shapes(self):
         img = np.full((65, 130), 128.0)

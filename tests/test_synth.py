@@ -77,6 +77,22 @@ def test_spec_validation():
         SynthSpec(max_fg_fraction=1.5)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("n", 16.0), ("k_true", 3.0), ("stroke_count", 2.0), ("seed", 1.5), ("seed", True),
+     ("n", np.float64(16)), ("stroke_count", np.False_)],
+)
+def test_counts_must_be_integers(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        SynthSpec(**{name: value})
+
+
+def test_counts_accept_numpy_integers():
+    spec = SynthSpec(n=np.int64(16), k_true=np.int32(3), stroke_count=np.int16(1), seed=np.uint8(4))
+    for got, want in zip(gen_block(spec), gen_block(SynthSpec(n=16, k_true=3, stroke_count=1, seed=4))):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestWriteDataset:
     def test_files_and_manifest(self, tmp_path):
         manifest = write_dataset(tmp_path / "d", 4, SynthSpec(seed=1))
