@@ -7,7 +7,10 @@ sum of column norms of s) subject to the exact decomposition, using one
 splitting variable per penalty term and dual ascent on the constraints.
 Every step acts per pixel, per row or per column of one block, so blocks are
 solved several at a time as rows of shared arrays, and runs of whole slices
-of them can go to forked processes.
+of them can go to forked processes. The three products with the basis run
+as one GEMM of BATCH_BLOCKS rows each, zero-padded when a slice is short:
+the shape never changes, so a block's bits do not depend on its row or on
+the blocks beside it.
 """
 
 from __future__ import annotations
@@ -27,17 +30,21 @@ class DivergenceError(RuntimeError):
     """Raised when iterates go non-finite (bad penalties or input)."""
 
 
-def require_counts(obj, **minimums) -> None:
-    """Raise ValueError naming the first field that is not an integer or is below its minimum.
+def require_count(name: str, value, low: int | None) -> None:
+    """Raise ValueError naming `name` if value is not an integer or is below low.
 
-    Python and numpy integers pass, bool does not; a minimum of None checks the type only.
+    Python and numpy integers pass, bool does not; a low of None checks the type only.
     """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def require_counts(obj, **minimums) -> None:
+    """require_count on each named field of obj, in order; the first bad one raises."""
     for name, low in minimums.items():
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if low is not None and value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+        require_count(name, getattr(obj, name), low)
 
 
 @dataclass
@@ -116,23 +123,17 @@ def _flatten_block(f, n: int) -> np.ndarray:
     return f
 
 
-# Blocks advanced together in one sweep. A constant, not an option: it caps
-# the solver's working arrays at about a dozen BATCH_BLOCKS x n*n arrays
-# (2.5 MB for 64-pixel blocks) whatever the image size.
+# Blocks advanced together in one sweep, and the row count of every basis
+# product: a slice with fewer blocks is zero-padded to it, because a GEMM's
+# row bits depend on its row count (one row even runs as a GEMV) but not on
+# the other rows. A constant, not an option: it caps the solver's working
+# arrays at about a dozen BATCH_BLOCKS x n*n arrays (2.5 MB for 64-pixel
+# blocks) whatever the image size.
 BATCH_BLOCKS = 8
 
 # Rows of the preallocated work array: the blocks f, the sparse layer s, the
 # decomposition and group-copy duals w1, v1, v2, f - B alpha, and scratch.
 _WORK_ROWS = 7
-
-
-def _rows_times(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Row-by-row product x[i] @ mat as a stacked matmul.
-
-    Each row runs the same BLAS GEMV as a lone block's product; one
-    (m, .) @ mat GEMM would make a row's bits depend on m.
-    """
-    return np.matmul(x[:, None, :], mat)[:, 0, :]
 
 
 def _times(x: np.ndarray, r: float, out: np.ndarray) -> np.ndarray:
@@ -148,21 +149,26 @@ def _over(x: np.ndarray, r: float, out: np.ndarray) -> np.ndarray:
 class _Batch:
     """Iterates of up to BATCH_BLOCKS blocks, one row per block.
 
-    Most large iterates are views into a preallocated work array. The group
-    copies y and z are the fresh arrays group shrinkage returns, and the
-    length-k ones (alpha, beta and the coefficient-copy dual w2) are small;
-    these are rebuilt each sweep.
+    Most large iterates are views into a preallocated work array of
+    BATCH_BLOCKS rows; rows past the slice's blocks stay zero, and only the
+    basis products read them. The group copies y and z are the fresh arrays
+    group shrinkage returns, and the length-k ones (alpha, beta and the
+    coefficient-copy dual w2) are small, carry the padded rows (zero is a
+    fixed point of the sweep) and are rebuilt each sweep.
     """
 
     def __init__(self, flat: list, basis: BasisMatrix, work: np.ndarray):
         self.basis = basis
+        self.atoms_t = np.ascontiguousarray(basis.atoms.T)  # alpha @ B' runs 2x faster on C order
+        self.work = work
+        work[:, len(flat) :] = 0.0
         self.rows = work[:, : len(flat)]
         self.rows[0] = flat
         self.rows[1:5] = 0.0  # s, w1, v1 and v2 start at zero
         self.s, self.resid = self.rows[1], self.rows[5]
         self.y = np.zeros_like(self.s)
         self.z = np.zeros_like(self.s)
-        self.alpha = np.zeros((len(flat), basis.k))
+        self.alpha = np.zeros((BATCH_BLOCKS, basis.k))
         self.beta = np.zeros_like(self.alpha)
         self.w2 = np.zeros_like(self.alpha)
 
@@ -172,19 +178,22 @@ class _Batch:
         Order: coefficients, their l1 copy, the sparse layer, the row and
         column group copies, then dual ascent on all four constraints using
         the fresh primal values. Every sum associates as in the single-block
-        formulas in the comments, so each row gets the bits it would alone.
+        formulas in the comments, and the basis products are GEMMs over all
+        BATCH_BLOCKS work rows, so each row gets the bits it would alone.
         """
         b = self.basis.atoms
         f, s, w1, v1, v2, resid, tmp = self.rows
+        # the same rows with the zero padding, as the basis products' operands
+        w1_pad, resid_pad, tmp_pad = self.work[2], self.work[5], self.work[6]
         r1, r2, r3, r4 = params.rho1, params.rho2, params.rho3, params.rho4
 
         # B has orthonormal columns, so rho1 B'B + rho2 I is (rho1 + rho2) I.
         # alpha = (B'w1 - w2 + r2 beta + r1 B'(f - s)) / (r1 + r2)
         np.subtract(f, s, out=tmp)
-        rhs = _rows_times(w1, b) - self.w2 + r2 * self.beta + r1 * _rows_times(tmp, b)
+        rhs = w1_pad @ b - self.w2 + r2 * self.beta + r1 * (tmp_pad @ b)
         alpha = rhs / (r1 + r2)
         beta = soft(alpha + self.w2 / r2, 1.0 / r2)
-        np.matmul(alpha[:, None, :], b.T, out=resid[:, None, :])
+        np.matmul(alpha, self.atoms_t, out=resid_pad)
         np.subtract(f, resid, out=resid)
 
         # s = soft(w1 - v1 - v2 + r1 (f - B alpha) + r3 y + r4 z, lambda1) / (r1 + r3 + r4)
@@ -238,7 +247,7 @@ def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> 
 
 def _solve_run(flat: list, basis: BasisMatrix, params: SolverParams) -> list:
     """Solve blocks one BATCH_BLOCKS slice after another on one work array."""
-    work = np.empty((_WORK_ROWS, min(len(flat), BATCH_BLOCKS), basis.n * basis.n))
+    work = np.empty((_WORK_ROWS, BATCH_BLOCKS, basis.n * basis.n))
     results = []
     for start in range(0, len(flat), BATCH_BLOCKS):
         results.extend(_solve_slice(flat[start : start + BATCH_BLOCKS], basis, params, work))
@@ -336,12 +345,15 @@ def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams | None = None)
     """Decompose every block; returns one Decomposition per block, in order.
 
     Each block runs from the zero state for params.max_iters sweeps. Blocks
-    advance BATCH_BLOCKS at a time as rows of shared arrays; every product,
-    shrinkage and norm acts on one row, so a block's result is bit-identical
-    whichever blocks share its sweep. With params.workers > 1 the slices are
-    cut into up to that many contiguous runs (no more than the usable CPUs
-    or the slices), each solved in its own forked process on Linux, with
-    the same results. Raises DivergenceError if any block or iterate is non-finite.
+    advance BATCH_BLOCKS at a time as rows of shared arrays. Every shrinkage
+    and norm acts on one row, and each basis product is one GEMM of exactly
+    BATCH_BLOCKS rows (a short slice is zero-padded), whose row bits do not
+    depend on the other rows; so a block's result is bit-identical whichever
+    blocks share its sweep, and one block alone pays for a full 8-row
+    product. With params.workers > 1 the slices are cut into up to that
+    many contiguous runs (no more than the usable CPUs or the slices), each
+    solved in its own forked process on Linux, with the same results.
+    Raises DivergenceError if any block or iterate is non-finite.
     """
     if params is None:
         params = SolverParams()

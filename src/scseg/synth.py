@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import require_counts
+from .admm import require_count, require_counts
 from .dct import build_basis
 from .image_io import atomic_write_bytes, save_gray, save_mask
 
@@ -101,10 +101,10 @@ def write_dataset(out_dir, count: int, spec: SynthSpec):
     """Write `count` blocks (PGM + PBM truth) plus a manifest; returns its path.
 
     Block i uses seed spec.seed + i, so a (directory, count, spec) triple
-    always produces identical files.
+    always produces identical files. A count that is not an integer (Python or
+    numpy, not bool) or is negative raises ValueError before anything is written.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    require_count("count", count, 0)
     os.makedirs(out_dir, exist_ok=True)
     lines = ["# image\tmask\tlabel"]
     for i in range(count):

@@ -8,7 +8,10 @@ exist so solver results can be checked against an unrelated code path.
 
 `reference_solve` is a frozen copy of the one-block-at-a-time ADMM loop the
 batched solver replaced, with its own shrinkage operators. The batched solver
-must reproduce its `alpha`, `s` and iteration counts bit for bit.
+must reproduce its `alpha`, `s` and iteration counts bit for bit. Its basis
+products follow the solver's product contract: each is row 0 of one GEMM
+with 8 rows (the solver's BATCH_BLOCKS), the other rows zero, because a
+GEMM's row bits depend on its row count but not on the other rows.
 """
 
 from __future__ import annotations
@@ -138,6 +141,13 @@ def init_state(n: int, k: int) -> SolverState:
     )
 
 
+def padded_product(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """x @ mat as row 0 of a GEMM whose other 7 rows are zero."""
+    rows = np.zeros((8, x.size))
+    rows[0] = x
+    return (rows @ mat)[0]
+
+
 def admm_step(state: SolverState, f: np.ndarray, b: np.ndarray, params) -> SolverState:
     """One full update sweep of one block; returns the next state.
 
@@ -147,12 +157,13 @@ def admm_step(state: SolverState, f: np.ndarray, b: np.ndarray, params) -> Solve
     """
     n = int(round(np.sqrt(b.shape[0])))
     r1, r2, r3, r4 = params.rho1, params.rho2, params.rho3, params.rho4
+    bt = np.ascontiguousarray(b.T)
 
-    rhs = b.T @ state.w1 - state.w2 + r2 * state.beta + r1 * (b.T @ (f - state.s))
+    rhs = padded_product(state.w1, b) - state.w2 + r2 * state.beta + r1 * padded_product(f - state.s, b)
     alpha = rhs / (r1 + r2)
     beta = reference_soft(alpha + state.w2 / r2, 1.0 / r2)
 
-    smooth = b @ alpha
+    smooth = padded_product(alpha, bt)
     c = state.w1 - state.v1 - state.v2 + r1 * (f - smooth) + r3 * state.y + r4 * state.z
     s = reference_soft(c, params.lambda1) / (r1 + r3 + r4)
 
@@ -169,7 +180,7 @@ def admm_step(state: SolverState, f: np.ndarray, b: np.ndarray, params) -> Solve
 
 def _residuals(state: SolverState, f: np.ndarray, b: np.ndarray) -> tuple:
     return (
-        float(np.linalg.norm(f - b @ state.alpha - state.s)),
+        float(np.linalg.norm(f - padded_product(state.alpha, np.ascontiguousarray(b.T)) - state.s)),
         float(np.linalg.norm(state.alpha - state.beta)),
         float(np.linalg.norm(state.s - state.y)),
         float(np.linalg.norm(state.s - state.z)),

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -510,3 +511,69 @@ class TestWorkers:
         for platform in ("darwin", "win32"):  # fork only where it is tested
             monkeypatch.setattr(sys, "platform", platform)
             assert admm._process_count(3, 24) == 1
+
+
+class TestFixedShapeProducts:
+    """A block's bits depend neither on its row in the slice nor on the blocks beside it.
+
+    Each basis product is one GEMM of exactly BATCH_BLOCKS rows, the rows past
+    a short slice zero. These fail on a BLAS whose GEMM row results depend on
+    the row's position or on the other rows.
+    """
+
+    PARAMS = SolverParams(max_iters=20)
+
+    @pytest.fixture(scope="class")
+    def alone(self, basis64):
+        f = gen_block(SynthSpec(k_true=15, seed=77))[0].ravel()
+        return f, solve_blocks([f], basis64, self.PARAMS)[0]
+
+    @pytest.mark.parametrize("m", range(1, BATCH_BLOCKS + 1))
+    def test_every_row_of_a_partial_slice(self, basis64, regime_blocks, alone, m):
+        f, ref = alone
+        for row in range(m):
+            blocks = list(regime_blocks[:m])
+            blocks[row] = f
+            _assert_same([solve_blocks(blocks, basis64, self.PARAMS)[row]], [ref])
+
+    @pytest.mark.parametrize("others", ["random", "zero", "huge"])
+    def test_every_row_of_a_full_slice(self, basis64, alone, others):
+        f, ref = alone
+        rng = np.random.default_rng(83)
+        shape = (BATCH_BLOCKS, f.size)
+        fill = {
+            "random": rng.uniform(0, 255, shape),
+            "zero": np.zeros(shape),
+            "huge": rng.uniform(-1e100, 1e100, shape),
+        }[others]
+        for row in range(BATCH_BLOCKS):
+            blocks = list(fill)
+            blocks[row] = f
+            _assert_same([solve_blocks(blocks, basis64, self.PARAMS)[row]], [ref])
+
+
+def test_same_bits_for_one_and_two_blas_threads(tmp_path, basis64, regime_blocks):
+    # two processes whose OpenBLAS may split each GEMM over 1 and 2 threads
+    blocks = np.array(regime_blocks[:16])
+    np.save(tmp_path / "blocks.npy", blocks)
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from scseg import build_basis, solve_blocks\n"
+        "decs = solve_blocks(np.load(sys.argv[1]), build_basis(64, 10))\n"
+        "np.save(sys.argv[2], np.array([np.concatenate([d.alpha, d.s]) for d in decs]))\n"
+    )
+    # run the package under test, wherever it was imported from
+    package_root = os.path.dirname(os.path.dirname(admm.__file__))
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    results = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.npy"
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "blocks.npy"), str(out)],
+                       check=True, env=env, timeout=300)
+        results[threads] = np.load(out)
+    assert results["1"].shape == (16, 10 + 4096)
+    assert results["1"].tobytes() == results["2"].tobytes()
+    here = np.array([np.concatenate([d.alpha, d.s]) for d in solve_blocks(blocks, basis64)])
+    assert here.tobytes() == results["1"].tobytes()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,12 @@ class TestWriteDataset:
         with pytest.raises(ValueError, match=r"^count must be >= 0, got -3$"):
             write_dataset(tmp_path / "wd", -3, SynthSpec())
         assert not (tmp_path / "wd").exists()
+
+    @pytest.mark.parametrize("count", [2.0, 2.5, "2", True, np.float64(2.0), np.True_], ids=repr)
+    def test_non_integer_count_rejected_before_writing(self, tmp_path, count):
+        with pytest.raises(ValueError, match=rf"^count must be an integer, got {re.escape(repr(count))}$"):
+            write_dataset(tmp_path / "wd", count, SynthSpec())
+        assert not (tmp_path / "wd").exists()
+
+    def test_numpy_integer_count(self, tmp_path):
+        assert len(load_manifest(write_dataset(tmp_path / "d", np.int64(2), SynthSpec()))) == 2
