@@ -7,10 +7,11 @@ sum of column norms of s) subject to the exact decomposition, using one
 splitting variable per penalty term and dual ascent on the constraints.
 Every step acts per pixel, per row or per column of one block, so blocks are
 solved several at a time as rows of shared arrays, and runs of whole slices
-of them can go to forked processes. The three products with the basis run
-as one GEMM of BATCH_BLOCKS rows each, zero-padded when a slice is short:
-the shape never changes, so a block's bits do not depend on its row or on
-the blocks beside it.
+of them can go to forked processes. The sweep runs in the scaled form of
+ADMM (Boyd et al. 2011, section 3.1.1), so it needs two products with the
+basis, B'w1 and B alpha. Each runs as one GEMM of BATCH_BLOCKS rows,
+zero-padded when a slice is short: the shape never changes, so a block's
+bits do not depend on its row or on the blocks beside it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dct import BasisMatrix
-from .prox import group_soft, soft
+from .prox import group_factor, soft
 
 
 class DivergenceError(RuntimeError):
@@ -80,9 +81,10 @@ class Decomposition:
 
     primal_residual is ||f - B a - s|| / ||f|| (0 for an all-zero block);
     split_residuals are the absolute norms of the coefficient-copy, row-copy
-    and column-copy gaps ||a - beta||, ||s - y||, ||s - z||. Every block
-    runs from the zero state, so the residuals after k sweeps are the ones
-    a solve with max_iters=k returns.
+    and column-copy gaps ||a - beta||, ||s - y||, ||s - z||. The sweep never
+    stores the group copies: the last one forms y and z from its shrinkage
+    inputs and factors. Every block runs from the zero state, so the
+    residuals after k sweeps are the ones a solve with max_iters=k returns.
     """
 
     alpha: np.ndarray
@@ -127,12 +129,15 @@ def _flatten_block(f, n: int) -> np.ndarray:
 # product: a slice with fewer blocks is zero-padded to it, because a GEMM's
 # row bits depend on its row count (one row even runs as a GEMV) but not on
 # the other rows. A constant, not an option: it caps the solver's working
-# arrays at about a dozen BATCH_BLOCKS x n*n arrays (2.5 MB for 64-pixel
+# arrays at about nine BATCH_BLOCKS x n*n arrays (2.3 MB for 64-pixel
 # blocks) whatever the image size.
 BATCH_BLOCKS = 8
 
 # Rows of the preallocated work array: the blocks f, the sparse layer s, the
-# decomposition and group-copy duals w1, v1, v2, f - B alpha, and scratch.
+# decomposition dual w1, the scaled group-copy duals V1 = v1/rho3 and
+# V2 = v2/rho4, U = rho3 y - v1 + rho4 z - v2, and scratch. No other
+# pixel-sized array is made in a sweep but the last one's y and z, so for
+# 64-pixel blocks the sweep works in 1.75 MB, within a 2 MB L2 cache.
 _WORK_ROWS = 7
 
 
@@ -141,108 +146,112 @@ def _times(x: np.ndarray, r: float, out: np.ndarray) -> np.ndarray:
     return x if r == 1.0 else np.multiply(x, r, out=out)
 
 
-def _over(x: np.ndarray, r: float, out: np.ndarray) -> np.ndarray:
-    """x / r, skipping the pass when r is 1 (x / 1.0 is x, bit for bit)."""
-    return x if r == 1.0 else np.divide(x, r, out=out)
-
-
 class _Batch:
     """Iterates of up to BATCH_BLOCKS blocks, one row per block.
 
-    Most large iterates are views into a preallocated work array of
+    The pixel-sized iterates are views into a preallocated work array of
     BATCH_BLOCKS rows; rows past the slice's blocks stay zero, and only the
-    basis products read them. The group copies y and z are the fresh arrays
-    group shrinkage returns, and the length-k ones (alpha, beta and the
-    coefficient-copy dual w2) are small, carry the padded rows (zero is a
-    fixed point of the sweep) and are rebuilt each sweep.
+    basis products read them. The length-k ones (alpha, beta, the
+    coefficient-copy dual w2 and g = B'w1) are small, carry the padded rows
+    (zero is a fixed point of the sweep) and are rebuilt each sweep. The
+    group copies y and z exist only after a sweep run with last=True.
     """
 
-    def __init__(self, flat: list, basis: BasisMatrix, work: np.ndarray):
+    def __init__(self, flat: list, basis: BasisMatrix, params: SolverParams, work: np.ndarray):
         self.basis = basis
         self.atoms_t = np.ascontiguousarray(basis.atoms.T)  # alpha @ B' runs 2x faster on C order
         self.work = work
         work[:, len(flat) :] = 0.0
         self.rows = work[:, : len(flat)]
         self.rows[0] = flat
-        self.rows[1:5] = 0.0  # s, w1, v1 and v2 start at zero
-        self.s, self.resid = self.rows[1], self.rows[5]
-        self.y = np.zeros_like(self.s)
-        self.z = np.zeros_like(self.s)
+        self.rows[1:6] = 0.0  # s, w1, V1, V2 and U start at zero
+        self.s = self.rows[1]
+        self.cube = (len(flat), basis.n, basis.n)
         self.alpha = np.zeros((BATCH_BLOCKS, basis.k))
         self.beta = np.zeros_like(self.alpha)
         self.w2 = np.zeros_like(self.alpha)
+        # B'w1 of the previous sweep; from zero w1 this start gives sweep 1 its r1 B'f
+        self.g = -(params.rho1 * (work[0] @ basis.atoms))
 
-    def step(self, params: SolverParams) -> None:
-        """One full update sweep of every row, in place.
+    def step(self, params: SolverParams, last: bool = False) -> None:
+        """One full update sweep of every row, in place, in scaled form.
 
-        Order: coefficients, their l1 copy, the sparse layer, the row and
-        column group copies, then dual ascent on all four constraints using
-        the fresh primal values. Every sum associates as in the single-block
-        formulas in the comments, and the basis products are GEMMs over all
-        BATCH_BLOCKS work rows, so each row gets the bits it would alone.
+        The textbook sweep (coefficients, their l1 copy, the sparse layer,
+        the row and column group copies, then dual ascent on the fresh gaps)
+        with each dual update folded into the step that produces its gap.
+        The basis products are GEMMs over all BATCH_BLOCKS work rows, so
+        each row gets the bits it would alone. The last sweep also keeps the
+        group copies y and z for the split residuals.
         """
-        b = self.basis.atoms
-        f, s, w1, v1, v2, resid, tmp = self.rows
-        # the same rows with the zero padding, as the basis products' operands
-        w1_pad, resid_pad, tmp_pad = self.work[2], self.work[5], self.work[6]
+        f, s, w1, v1, v2, u, tmp = self.rows
         r1, r2, r3, r4 = params.rho1, params.rho2, params.rho3, params.rho4
 
-        # B has orthonormal columns, so rho1 B'B + rho2 I is (rho1 + rho2) I.
-        # alpha = (B'w1 - w2 + r2 beta + r1 B'(f - s)) / (r1 + r2)
-        np.subtract(f, s, out=tmp)
-        rhs = w1_pad @ b - self.w2 + r2 * self.beta + r1 * (tmp_pad @ b)
+        # B has orthonormal columns, so rho1 B'B + rho2 I is (rho1 + rho2) I:
+        # alpha = (B'w1 - w2 + r2 beta + r1 B'(f - s)) / (r1 + r2). The last w1
+        # update added r1 (f - B alpha - s), so r1 B'(f - s) is g - g_prev + r1 alpha_prev.
+        g = self.work[2] @ self.basis.atoms
+        rhs = g - self.w2 + r2 * self.beta + (g - self.g + r1 * self.alpha)
         alpha = rhs / (r1 + r2)
         beta = soft(alpha + self.w2 / r2, 1.0 / r2)
-        np.matmul(alpha, self.atoms_t, out=resid_pad)
-        np.subtract(f, resid, out=resid)
-
-        # s = soft(w1 - v1 - v2 + r1 (f - B alpha) + r3 y + r4 z, lambda1) / (r1 + r3 + r4)
-        np.subtract(w1, v1, out=s)
-        s -= v2
-        s += _times(resid, r1, tmp)
-        s += _times(self.y, r3, tmp)
-        s += _times(self.z, r4, tmp)
-        np.divide(soft(s, params.lambda1), r1 + r3 + r4, out=s)
-
-        # y, z = group shrinkage of s + v1 / r3 over rows, s + v2 / r4 over columns
-        cube = (len(s), self.basis.n, self.basis.n)
-        np.add(s, _over(v1, r3, tmp), out=tmp)
-        y = group_soft(tmp.reshape(cube), params.lambda2 / r3, axis=2).reshape(s.shape)
-        np.add(s, _over(v2, r4, tmp), out=tmp)
-        z = group_soft(tmp.reshape(cube), params.lambda2 / r4, axis=1).reshape(s.shape)
-
-        # w1 += r1 (f - B alpha - s); w2 += r2 (alpha - beta); v1 += r3 (s - y); v2 += r4 (s - z)
-        w1 += _times(np.subtract(resid, s, out=tmp), r1, tmp)
         self.w2 = self.w2 + r2 * (alpha - beta)
-        v1 += _times(np.subtract(s, y, out=tmp), r3, tmp)
-        v2 += _times(np.subtract(s, z, out=tmp), r4, tmp)
-        self.alpha, self.beta, self.y, self.z = alpha, beta, y, z
+        self.alpha, self.beta, self.g = alpha, beta, g
 
-    def decomposition(self, i: int, params: SolverParams) -> Decomposition:
-        """Row i's iterates, constraint gaps and objective."""
-        alpha, s = self.alpha[i].copy(), self.s[i].copy()
-        f_norm = float(np.linalg.norm(self.rows[0, i]))
-        primal = float(np.linalg.norm(self.resid[i] - s))
-        return Decomposition(
-            alpha=alpha,
-            s=s,
-            primal_residual=primal / f_norm if f_norm > 0 else 0.0,
-            split_residuals=(
-                float(np.linalg.norm(alpha - self.beta[i])),
-                float(np.linalg.norm(s - self.y[i])),
-                float(np.linalg.norm(s - self.z[i])),
-            ),
-            objective=objective(alpha, s, params),
-        )
+        # q = w1 + r1 (f - B alpha), in w1; s = soft(q + U, lambda1) / (r1 + r3 + r4);
+        # the dual ascent w1 += r1 (f - B alpha - s) is then w1 = q - r1 s
+        np.matmul(alpha, self.atoms_t, out=self.work[6])
+        w1 += _times(np.subtract(f, tmp, out=tmp), r1, tmp)
+        np.add(w1, u, out=s)
+        np.divide(soft(s, params.lambda1, out=tmp), r1 + r3 + r4, out=s)
+        w1 -= _times(s, r1, tmp)
+
+        # rows: T = s + V1 and y = c T, c the row factor; then V1 += s - y is
+        # (1 - c) T and r3 y - v1 is r3 (2c - 1) T. Columns: the same into U.
+        # Once T is formed, the old V1 (V2) is dead and takes T's squares.
+        t = np.add(s, v1, out=tmp).reshape(self.cube)
+        c = group_factor(t, params.lambda2 / r3, axis=2, scratch=v1.reshape(self.cube))
+        if last:
+            self.y = (t * c).reshape(s.shape)
+        np.multiply(t, 1.0 - c, out=v1.reshape(self.cube))
+        np.multiply(t, r3 * (2.0 * c - 1.0), out=u.reshape(self.cube))
+        t = np.add(s, v2, out=tmp).reshape(self.cube)
+        c = group_factor(t, params.lambda2 / r4, axis=1, scratch=v2.reshape(self.cube))
+        if last:
+            self.z = (t * c).reshape(s.shape)
+        np.multiply(t, 1.0 - c, out=v2.reshape(self.cube))
+        u += np.multiply(t, r4 * (2.0 * c - 1.0), out=t).reshape(u.shape)
+
+    def decompositions(self, params: SolverParams) -> list:
+        """Every row's iterates, constraint gaps and objective after the last sweep."""
+        f, s, smooth = self.rows[0], self.s, self.rows[6]
+        np.matmul(self.alpha, self.atoms_t, out=self.work[6])
+        results = []
+        for i in range(len(s)):
+            alpha, s_i = self.alpha[i].copy(), s[i].copy()
+            f_norm = float(np.linalg.norm(f[i]))
+            primal = float(np.linalg.norm(f[i] - smooth[i] - s_i))
+            results.append(
+                Decomposition(
+                    alpha=alpha,
+                    s=s_i,
+                    primal_residual=primal / f_norm if f_norm > 0 else 0.0,
+                    split_residuals=(
+                        float(np.linalg.norm(alpha - self.beta[i])),
+                        float(np.linalg.norm(s_i - self.y[i])),
+                        float(np.linalg.norm(s_i - self.z[i])),
+                    ),
+                    objective=objective(alpha, s_i, params),
+                )
+            )
+        return results
 
 
 def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> list:
-    batch = _Batch(flat, basis, work)
+    batch = _Batch(flat, basis, params, work)
     for it in range(1, params.max_iters + 1):
-        batch.step(params)
+        batch.step(params, last=it == params.max_iters)
         if not (np.isfinite(batch.alpha).all() and np.isfinite(batch.s).all()):
             raise DivergenceError(f"non-finite iterate at iteration {it}")
-    return [batch.decomposition(row, params) for row in range(len(flat))]
+    return batch.decompositions(params)
 
 
 def _solve_run(flat: list, basis: BasisMatrix, params: SolverParams) -> list:

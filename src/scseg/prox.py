@@ -5,28 +5,34 @@ from __future__ import annotations
 import numpy as np
 
 
-def soft(x, lam: float) -> np.ndarray:
+def soft(x, lam: float, out: np.ndarray | None = None) -> np.ndarray:
     """Element-wise soft threshold: sign(x) * max(|x| - lam, 0).
 
-    Computed as x - clip(x, -lam, lam), two passes instead of four. Every
-    nonzero result has the same bits as the sign form; zeros are +0.0.
+    Computed as x - clip(x, -lam, lam), two passes instead of four, into
+    `out` when given (it must not overlap x). Every nonzero result has the
+    same bits as the sign form; zeros are +0.0.
     """
     if lam < 0:
         raise ValueError(f"threshold must be nonnegative, got {lam}")
     x = np.asarray(x, dtype=np.float64)
-    clipped = np.clip(x, -lam, lam)
+    clipped = np.clip(x, -lam, lam, out=out)
     return np.subtract(x, clipped, out=clipped)
 
 
-def group_soft(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
-    """Block soft threshold of every 1-D slice x along `axis`: (1 - lam/||x||)+ x.
+def group_factor(a: np.ndarray, lam: float, axis: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Block soft-threshold factor (1 - lam/||x||)+ of every 1-D slice x along `axis`.
 
-    A slice whose norm is at or below lam becomes zero. Along a length-1
-    axis this is the element-wise soft threshold.
+    The result keeps `axis` with length 1, so `a * group_factor(a, lam, axis)`
+    is the block soft threshold of every slice; a slice whose norm is at or
+    below lam gets factor zero. Along a length-1 axis the shrunk values are
+    the element-wise soft threshold. `scratch`, an array of a's shape, takes
+    the squares of a if given.
     """
     if lam < 0:
         raise ValueError(f"threshold must be nonnegative, got {lam}")
     a = np.asarray(a, dtype=np.float64)
-    norms = np.linalg.norm(a, axis=axis, keepdims=True)
-    scale = np.where(norms > lam, 1.0 - lam / np.where(norms > 0, norms, 1.0), 0.0)
-    return a * scale
+    norms = np.sqrt(np.add.reduce(np.multiply(a, a, out=scratch), axis=axis, keepdims=True))
+    if lam == 0:
+        return (norms > 0).astype(np.float64)
+    # lam / lam is exactly 1, so a slice at or below lam gets exactly 0
+    return 1.0 - lam / np.maximum(norms, lam)

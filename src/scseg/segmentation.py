@@ -85,25 +85,42 @@ def segment_image(img, cfg: SegmentationConfig | None = None) -> np.ndarray:
     return next(segment_images([img], cfg))[0]
 
 
+# Largest condition number of the fit's normal matrix sub'sub that
+# fill_background accepts. The solve then keeps about 4 of float64's 16
+# digits: near this bound, the fill of an exactly smooth 8-bit block is off
+# by under 0.1 gray levels. The check reads only the k x k matrix the fit
+# forms anyway.
+MAX_FIT_CONDITION = 1e12
+
+
 def fill_background(f, mask, basis: BasisMatrix) -> np.ndarray:
     """Replace masked pixels with a smooth least-squares prediction.
 
     Fits the basis coefficients to the unmasked (background) pixels only and
     evaluates the fit inside the mask; background pixels pass through
-    unchanged. Raises BackgroundFitError when fewer than k background pixels
-    remain or they do not determine the coefficients.
+    unchanged, and an empty mask returns the block as it is. Raises
+    BackgroundFitError when fewer than k background pixels remain or they do
+    not determine the coefficients: the fit's normal matrix is not positive
+    definite or its condition number exceeds MAX_FIT_CONDITION.
     """
     n, k = basis.n, basis.k
     f = np.asarray(f, dtype=np.float64).reshape(n, n)
     mask = np.asarray(mask, dtype=bool).reshape(n, n)
+    if not mask.any():
+        return f.copy()
     background = ~mask.ravel()
     count = int(background.sum())
     if count < k:
         raise BackgroundFitError(f"{count} background pixels cannot determine {k} coefficients")
     sub = basis.atoms[background]
-    if np.linalg.matrix_rank(sub) < k:
-        raise BackgroundFitError("background pixels are rank-deficient; mask covers too much")
-    coef = np.linalg.solve(sub.T @ sub, sub.T @ f.ravel()[background])
+    gram = sub.T @ sub
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise BackgroundFitError("background pixels are rank-deficient; mask covers too much") from None
+    if not np.linalg.cond(gram) <= MAX_FIT_CONDITION:
+        raise BackgroundFitError("background pixels are too poorly spread to determine the fit")
+    coef = np.linalg.solve(gram, sub.T @ f.ravel()[background])
     out = f.copy()
     out[mask] = (basis.atoms @ coef).reshape(n, n)[mask]
     return out

@@ -6,12 +6,16 @@ a batched normalized-subgradient method on the coefficient vector alone (the
 sparse layer eliminated through the exact-decomposition constraint). Both
 exist so solver results can be checked against an unrelated code path.
 
-`reference_solve` is a frozen copy of the one-block-at-a-time ADMM loop the
-batched solver replaced, with its own shrinkage operators. The batched solver
-must reproduce its `alpha`, `s` and iteration counts bit for bit. Its basis
-products follow the solver's product contract: each is row 0 of one GEMM
-with 8 rows (the solver's BATCH_BLOCKS), the other rows zero, because a
-GEMM's row bits depend on its row count but not on the other rows.
+`reference_solve` is a frozen copy of the one-block-at-a-time ADMM loop in
+its textbook form, with its own shrinkage operators; the batched solver must
+agree with it within rounding and give the same masks. `scaled_solve` is a
+frozen one-block copy of the solver's scaled-form sweep (the same iteration
+in exact arithmetic, with the group duals folded into the shrinkage steps),
+which the batched solver must reproduce bit for bit: `alpha`, `s` and every
+residual. The basis products of both follow the solver's product contract:
+each is row 0 of one GEMM with 8 rows (the solver's BATCH_BLOCKS), the other
+rows zero, because a GEMM's row bits depend on its row count but not on the
+other rows.
 """
 
 from __future__ import annotations
@@ -97,11 +101,15 @@ def reference_soft(x, lam: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
+def reference_group_factor(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
+    """(1 - lam/||x||)+ for every slice x along `axis`, keeping the axis."""
+    norms = np.linalg.norm(np.asarray(a, dtype=np.float64), axis=axis, keepdims=True)
+    return np.where(norms > lam, 1.0 - lam / np.where(norms > 0, norms, 1.0), 0.0)
+
+
 def reference_group_soft(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
-    norms = np.linalg.norm(a, axis=axis, keepdims=True)
-    scale = np.where(norms > lam, 1.0 - lam / np.where(norms > 0, norms, 1.0), 0.0)
-    return a * scale
+    return a * reference_group_factor(a, lam, axis)
 
 
 @dataclass
@@ -213,3 +221,102 @@ def reference_solve(f, atoms: np.ndarray, params, steps: int | None = None) -> d
         "history": history,
         "state": state,
     }
+
+
+@dataclass
+class ScaledState:
+    """Iterates of one block's scaled-form sweep.
+
+    alpha, beta, w2 and g = B'w1 are length k; s, w1, the scaled group duals
+    V1 = v1/rho3 and V2 = v2/rho4, U = rho3 y - v1 + rho4 z - v2 and the
+    shrinkage inputs t_row = s + V1 and t_col = s + V2 of the last sweep are
+    n-by-n; row_factor (n, 1) and col_factor (1, n) are its shrinkage factors,
+    so y = row_factor * t_row and z = col_factor * t_col.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    w2: np.ndarray
+    g: np.ndarray
+    s: np.ndarray
+    w1: np.ndarray
+    v1: np.ndarray
+    v2: np.ndarray
+    u: np.ndarray
+    t_row: np.ndarray
+    t_col: np.ndarray
+    row_factor: np.ndarray
+    col_factor: np.ndarray
+
+
+def scaled_step(state: ScaledState, f: np.ndarray, b: np.ndarray, params) -> ScaledState:
+    """One scaled-form sweep of one block (f flat); returns the next state.
+
+    The last w1 update added r1 (f - B alpha - s), so r1 B'(f - s) is
+    g - g_prev + r1 alpha_prev; y, z and the unscaled group duals are never
+    formed.
+    """
+    n = int(round(np.sqrt(b.shape[0])))
+    r1, r2, r3, r4 = params.rho1, params.rho2, params.rho3, params.rho4
+
+    g = padded_product(state.w1.ravel(), b)
+    rhs = g - state.w2 + r2 * state.beta + (g - state.g + r1 * state.alpha)
+    alpha = rhs / (r1 + r2)
+    beta = reference_soft(alpha + state.w2 / r2, 1.0 / r2)
+    w2 = state.w2 + r2 * (alpha - beta)
+
+    q = state.w1 + r1 * (f.reshape(n, n) - padded_product(alpha, np.ascontiguousarray(b.T)).reshape(n, n))
+    s = reference_soft(q + state.u, params.lambda1) / (r1 + r3 + r4)
+    w1 = q - r1 * s
+
+    t_row = s + state.v1
+    row_factor = reference_group_factor(t_row, params.lambda2 / r3, axis=1)
+    t_col = s + state.v2
+    col_factor = reference_group_factor(t_col, params.lambda2 / r4, axis=0)
+    return ScaledState(
+        alpha=alpha,
+        beta=beta,
+        w2=w2,
+        g=g,
+        s=s,
+        w1=w1,
+        v1=t_row * (1.0 - row_factor),
+        v2=t_col * (1.0 - col_factor),
+        u=t_row * (r3 * (2.0 * row_factor - 1.0)) + t_col * (r4 * (2.0 * col_factor - 1.0)),
+        t_row=t_row,
+        t_col=t_col,
+        row_factor=row_factor,
+        col_factor=col_factor,
+    )
+
+
+def scaled_solve(f, atoms: np.ndarray, params, steps: int | None = None) -> dict:
+    """Run scaled_step from the zero state; returns what reference_solve returns.
+
+    history holds, per sweep, ||f - B alpha - s|| and the split gaps
+    ||alpha - beta||, ||s - y||, ||s - z||.
+    """
+    f = np.asarray(f, dtype=np.float64).reshape(-1)
+    n = int(round(np.sqrt(f.size)))
+    k = atoms.shape[1]
+    zero = np.zeros((n, n))
+    state = ScaledState(
+        alpha=np.zeros(k), beta=np.zeros(k), w2=np.zeros(k), g=-(params.rho1 * padded_product(f, atoms)),
+        s=zero, w1=zero, v1=zero, v2=zero, u=zero, t_row=zero, t_col=zero,
+        row_factor=np.zeros((n, 1)), col_factor=np.zeros((1, n)),
+    )
+    history = []
+    iters_run = 0
+    for _ in range(params.max_iters if steps is None else steps):
+        state = scaled_step(state, f, atoms, params)
+        iters_run += 1
+        if not (np.isfinite(state.alpha).all() and np.isfinite(state.s).all()):
+            raise FloatingPointError(f"non-finite iterate at iteration {iters_run}")
+        s = state.s.ravel()
+        history.append((
+            float(np.linalg.norm(f - padded_product(state.alpha, np.ascontiguousarray(atoms.T)) - s)),
+            float(np.linalg.norm(state.alpha - state.beta)),
+            float(np.linalg.norm(s - (state.t_row * state.row_factor).ravel())),
+            float(np.linalg.norm(s - (state.t_col * state.col_factor).ravel())),
+        ))
+    return {"alpha": state.alpha, "s": s, "iters_run": iters_run, "history": history, "state": state}

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import group_norm_reference, reference_solve
+from oracles import group_norm_reference, reference_solve, scaled_solve
 from scseg import (
     DivergenceError,
     SolverParams,
@@ -258,7 +258,7 @@ def _assert_residuals_match_history(blocks, basis, params, sweeps):
     solve starts from the zero state, so its run of k sweeps is the first k
     of those.
     """
-    refs = [reference_solve(f, basis.atoms, params, steps=max(sweeps)) for f in blocks]
+    refs = [scaled_solve(f, basis.atoms, params, steps=max(sweeps)) for f in blocks]
     for k in sweeps:
         decs = solve_blocks(blocks, basis, dataclasses.replace(params, max_iters=k))
         for i, (dec, f, ref) in enumerate(zip(decs, blocks, refs)):
@@ -276,11 +276,11 @@ def regime_blocks():
 
 @pytest.fixture(scope="module")
 def regime_refs(basis64, regime_blocks):
-    return [reference_solve(f, basis64.atoms, SolverParams()) for f in regime_blocks]
+    return [scaled_solve(f, basis64.atoms, SolverParams()) for f in regime_blocks]
 
 
 class TestSolveBlocks:
-    """The batched sweep against the frozen one-block-at-a-time reference."""
+    """The batched sweep against the frozen one-block copy of the scaled sweep."""
 
     @pytest.mark.parametrize("count", [1, 7, 8, 9, 17])
     def test_bit_identical_to_reference_at_every_batch_size(
@@ -292,13 +292,13 @@ class TestSolveBlocks:
 
     def test_bit_identical_with_non_default_penalties(self, basis64, regime_blocks):
         blocks = regime_blocks[:9]
-        refs = [reference_solve(f, basis64.atoms, NON_DEFAULT) for f in blocks]
+        refs = [scaled_solve(f, basis64.atoms, NON_DEFAULT) for f in blocks]
         _assert_matches_reference(solve_blocks(blocks, basis64, NON_DEFAULT), refs)
 
     @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
     def test_bit_identical_on_random_small_blocks(self, basis8, params):
         blocks = np.random.default_rng(61).uniform(0, 255, (17, 64))
-        refs = [reference_solve(f, basis8.atoms, params) for f in blocks]
+        refs = [scaled_solve(f, basis8.atoms, params) for f in blocks]
         _assert_matches_reference(solve_blocks(blocks, basis8, params), refs)
 
     @settings(deadline=None, max_examples=30)
@@ -327,8 +327,9 @@ class TestSolveBlocks:
         huge[::7] = -1e308
         blocks = [gen_block(SynthSpec(seed=3))[0].ravel(), huge]
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="iteration 1$"):
-                reference_solve(huge, basis64.atoms, SolverParams())
+            for oracle in (reference_solve, scaled_solve):
+                with pytest.raises(FloatingPointError, match="iteration 1$"):
+                    oracle(huge, basis64.atoms, SolverParams())
             with pytest.raises(DivergenceError, match="non-finite iterate at iteration 1$"):
                 solve_blocks(blocks, basis64)
 
@@ -339,7 +340,7 @@ class TestSolveBlocks:
         params = SolverParams(max_iters=60)
         batched = solve_blocks([exact, synthetic], basis64, params)
         alone = [solve_blocks([f], basis64, params)[0] for f in (exact, synthetic)]
-        refs = [reference_solve(f, basis64.atoms, params) for f in (exact, synthetic)]
+        refs = [scaled_solve(f, basis64.atoms, params) for f in (exact, synthetic)]
         _assert_same(batched, alone)
         _assert_matches_reference(batched, refs)
         _assert_residuals_match_history([exact, synthetic], basis64, params, (1, 2, 17, 60))
@@ -358,6 +359,45 @@ class TestSolveBlocks:
 
         outputs = 64 * (4096 + 10) * 8  # every block's s and alpha
         assert peak(blocks) - outputs <= 1.5 * peak(blocks[:8])
+
+
+class TestTextbookAgreement:
+    """The scaled-form sweep against the textbook one (reference_solve).
+
+    The two are the same iteration in exact arithmetic; rounding differs,
+    because the scaled form takes B'(f - s) from the last dual update and
+    sums the group terms in another order. On these blocks the differences
+    measured at most 5e-15 in relative alpha, 3e-12 in s, 1e-16 in the
+    primal residual and 7e-14 in the group gaps.
+    """
+
+    ALPHA_REL = 1e-13  # max |d alpha| over max |alpha|
+    S_ABS = 1e-10  # max |d s|, in gray levels, as are the group gaps
+    PRIMAL_ABS = 1e-14  # the primal residual is relative to ||f|| already
+
+    @pytest.fixture(scope="class", params=[64, 32], ids=["n64", "n32"])
+    def case(self, request, regime_blocks):
+        """(basis, blocks): the regime blocks whole, or the first four's 32-pixel quadrants."""
+        n = request.param
+        if n == 64:
+            return build_basis(64, 10), regime_blocks[:8]
+        quads = [b[r : r + 32, c : c + 32] for b in regime_blocks[:4] for r in (0, 32) for c in (0, 32)]
+        return build_basis(32, 10), quads
+
+    @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
+    def test_agrees_with_textbook_sweep(self, case, params):
+        basis, blocks = case
+        for i, (f, dec) in enumerate(zip(blocks, solve_blocks(blocks, basis, params))):
+            ref = reference_solve(f, basis.atoms, params)
+            # masks at the default fg_threshold of one gray level
+            np.testing.assert_array_equal(np.abs(dec.s) > 1.0, np.abs(ref["s"]) > 1.0, err_msg=f"block {i} mask")
+            assert np.abs(dec.alpha - ref["alpha"]).max() <= self.ALPHA_REL * np.abs(ref["alpha"]).max(), i
+            assert np.abs(dec.s - ref["s"]).max() <= self.S_ABS, i
+            primal, coef_gap, row_gap, col_gap = ref["history"][-1]
+            assert abs(dec.primal_residual - primal / np.linalg.norm(f)) <= self.PRIMAL_ABS, i
+            assert abs(dec.split_residuals[0] - coef_gap) <= self.ALPHA_REL * np.abs(ref["alpha"]).max(), i
+            assert abs(dec.split_residuals[1] - row_gap) <= self.S_ABS, i
+            assert abs(dec.split_residuals[2] - col_gap) <= self.S_ABS, i
 
 
 @pytest.fixture()
@@ -436,7 +476,7 @@ class TestWorkers:
         params = SolverParams(max_iters=200)
         decs = solve_blocks(blocks, basis8, dataclasses.replace(params, workers=workers))
         _assert_same(decs, solve_blocks(blocks, basis8, params))
-        refs = [reference_solve(f, basis8.atoms, params) for f in blocks]
+        refs = [scaled_solve(f, basis8.atoms, params) for f in blocks]
         _assert_matches_reference(decs, refs)
         sweeps = (1, 5, 50, 200)
         _assert_residuals_match_history(blocks, basis8, dataclasses.replace(params, workers=workers), sweeps)

@@ -1,5 +1,7 @@
-"""Shrinkage operators. The block_soft cases are block soft thresholding of a
-whole vector (Boyd et al. 2011, section 6.4.2): group_soft along its only axis.
+"""Shrinkage operators. group_soft below is the block soft threshold of every
+slice along an axis, built from the solver's per-slice factor; the block_soft
+cases are block soft thresholding of a whole vector (Boyd et al. 2011, section
+6.4.2): group_soft along its only axis.
 """
 
 import numpy as np
@@ -8,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scseg.prox import group_soft, soft
+from oracles import reference_group_soft
+from scseg.prox import group_factor, soft
+
+
+def group_soft(a, lam, axis):
+    a = np.asarray(a, dtype=np.float64)
+    return a * group_factor(a, lam, axis)
+
 
 BLOCK_SOFT = pytest.param(lambda x, lam: group_soft(x, lam, axis=0), id="block_soft")
 
@@ -94,6 +103,31 @@ def test_group_soft_matches_per_row_block_soft():
     cols = group_soft(a, lam, axis=0)
     for j in range(6):
         np.testing.assert_allclose(cols[:, j], closed_form(a[:, j]), atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_group_factor_matches_reference_bit_for_bit(axis):
+    rng = np.random.default_rng(19)
+    a = rng.normal(0, 4, (8, 16, 16))
+    a[:, 3, :] = 0.0  # all-zero rows and columns
+    a[:, :, 5] = 0.0
+    for lam in (0.0, 2.0, 9.5, 1e3):
+        factor = group_factor(a, lam, axis)
+        assert factor.shape == tuple(1 if d == axis else size for d, size in enumerate(a.shape))
+        assert np.array_equal(a * factor, reference_group_soft(a, lam, axis))
+        assert ((factor >= 0) & (factor < 1) | (lam == 0)).all()
+
+
+def test_buffers_change_no_bits():
+    # soft into `out`, and group_factor squaring into `scratch`, as the solver calls them
+    rng = np.random.default_rng(37)
+    a = rng.normal(0, 50, (8, 16, 16))
+    out = np.full_like(a, np.nan)
+    assert soft(a, 17.5, out=out) is out
+    assert np.array_equal(out, soft(a, 17.5))
+    for axis in (1, 2):
+        scratch = np.empty_like(a)
+        assert np.array_equal(group_factor(a, 40.0, axis, scratch=scratch), group_factor(a, 40.0, axis))
 
 
 slices = st.tuples(st.integers(1, 6), st.integers(1, 12)).flatmap(

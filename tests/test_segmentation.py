@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from scseg import (
     segment_images,
     SynthSpec,
 )
+from scseg.segmentation import MAX_FIT_CONDITION
 
 
 def stripe_block(n=64):
@@ -204,6 +207,60 @@ class TestFillBackground:
         mask[:, 0] = False
         with pytest.raises(BackgroundFitError):
             fill_background(np.zeros((64, 64)), mask, basis64)
+
+    def test_fit_decision_matches_matrix_rank(self, basis64, cfg):
+        # the decision on the k x k normal matrix against the SVD rank of the
+        # masked basis, on the masks of regime, noise and stripe blocks and on
+        # masks at the limit: k to k + 5 background pixels, 1 to 3 background
+        # rows or columns (rank-deficient), 4 to 6 scattered columns (full rank)
+        rng = np.random.default_rng(89)
+        specs = (SynthSpec(), SynthSpec(stroke_amplitude=10.0), SynthSpec(k_true=15), SynthSpec(diagonal_strokes=True))
+        blocks = [gen_block(dataclasses.replace(s, seed=seed))[0] for s in specs for seed in (5, 6)]
+        blocks += [rng.uniform(0, 255, (64, 64)), stripe_block()]
+        masks = [segment_alone(f, cfg)[0] for f in blocks]
+        for count in range(10, 16):
+            background = rng.choice(4096, count, replace=False)
+            masks.append(~np.isin(np.arange(4096), background).reshape(64, 64))
+        for width in (1, 2, 3):
+            for background in ((slice(0, width), slice(None)), (slice(None), slice(0, width))):
+                mask = np.ones((64, 64), dtype=bool)
+                mask[background] = False
+                masks.append(mask)
+        for width in (4, 5, 6):
+            mask = np.ones((64, 64), dtype=bool)
+            mask[:, rng.choice(64, width, replace=False)] = False
+            masks.append(mask)
+        refused = []
+        for i, mask in enumerate(masks):
+            assert mask.any()
+            sub = basis64.atoms[~mask.ravel()]
+            try:
+                fill_background(blocks[0], mask, basis64)
+                refused.append(False)
+            except BackgroundFitError:
+                refused.append(True)
+            assert refused[-1] == (np.linalg.matrix_rank(sub) < 10), f"mask {i}"
+        stripe = len(blocks) - 1
+        assert refused[stripe] and not all(refused)
+
+    @pytest.mark.parametrize("rows, cols", [(4, 64), (64, 4), (4, 4), (64, 5)])
+    def test_ill_conditioned_fit_refused(self, basis64, rows, cols):
+        # matrix_rank calls these backgrounds full rank, but their normal
+        # matrix is so ill-conditioned that its solve misses an exactly
+        # smooth block by more than a gray level
+        mask = np.ones((64, 64), dtype=bool)
+        mask[:rows, :cols] = False
+        sub = basis64.atoms[~mask.ravel()]
+        assert np.linalg.matrix_rank(sub) == 10
+        gram = sub.T @ sub
+        assert np.linalg.cond(gram) > MAX_FIT_CONDITION
+        coef = np.random.default_rng(29).uniform(-100, 100, 10)
+        coef[0] = 128.0 * 64
+        f = basis64.atoms @ coef
+        fit = basis64.atoms @ np.linalg.solve(gram, sub.T @ f[~mask.ravel()])
+        assert np.abs(fit - f).max() > 1.0
+        with pytest.raises(BackgroundFitError):
+            fill_background(f, mask, basis64)
 
 
 class TestReconstructLayers:
