@@ -3,7 +3,8 @@
 Gray images are float arrays of shape (height, width) with values nominally
 in [0, 255]; binary masks are boolean arrays of the same shape, True marking
 foreground pixels. Supported file formats are PGM (P2/P5) and PPM (P3/P6)
-for gray input, both restricted to maxval 255, and PBM (P1/P4) for masks.
+for gray input, with any maxval from 1 to 255 (samples are rescaled to
+[0, 255]), and PBM (P1/P4) for masks.
 PBM payloads are packed MSB-first with byte-aligned rows; color input is
 reduced to a single luma plane with BT.601 weights.
 """
@@ -95,8 +96,9 @@ def _to_luma(rgb: np.ndarray) -> np.ndarray:
 def load_gray(path) -> np.ndarray:
     """Load a PGM (P2/P5) or PPM (P3/P6) file as a gray image.
 
-    PPM input is converted to one luma plane. Returns a float array of
-    shape (height, width) with values in [0, 255].
+    Samples are rescaled by 255/maxval (maxval 1 to 255; above 255 is
+    UnsupportedFormatError), and PPM input is converted to one luma plane.
+    Returns a float array of shape (height, width) with values in [0, 255].
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -109,8 +111,8 @@ def load_gray(path) -> np.ndarray:
     width = header.next_int("width")
     height = header.next_int("height")
     maxval = header.next_int("maxval")
-    if maxval != 255:
-        raise UnsupportedFormatError(f"only maxval 255 is supported, got {maxval}")
+    if maxval > 255:
+        raise UnsupportedFormatError(f"only maxval up to 255 is supported, got {maxval}")
     channels = 3 if magic in (b"P3", b"P6") else 1
     count = width * height * channels
 
@@ -122,10 +124,17 @@ def load_gray(path) -> np.ndarray:
         if len(payload) < count:
             raise TruncatedDataError(f"payload has {len(payload)} bytes, expected {count}")
         values = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        if values.max() > maxval:
+            raise PnmError(f"pixel sample outside [0, {maxval}]")
 
+    # in place, no extra copy; v * 255 is exact, so each sample is rounded once
+    # (and maxval 255 keeps every bit)
+    values = values.astype(np.float64)
+    values *= 255
+    values /= maxval
     if channels == 3:
-        return _to_luma(values.reshape(height, width, 3).astype(np.float64))
-    return values.reshape(height, width).astype(np.float64)
+        return _to_luma(values.reshape(height, width, 3))
+    return values.reshape(height, width)
 
 
 def load_mask(path) -> np.ndarray:

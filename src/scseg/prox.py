@@ -19,19 +19,21 @@ def soft(x, lam: float, out: np.ndarray | None = None) -> np.ndarray:
     return np.subtract(x, clipped, out=clipped)
 
 
-def group_factor(a: np.ndarray, lam: float, axis: int, scratch: np.ndarray | None = None) -> np.ndarray:
+def group_factor(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
     """Block soft-threshold factor (1 - lam/||x||)+ of every 1-D slice x along `axis`.
 
     The result keeps `axis` with length 1, so `a * group_factor(a, lam, axis)`
     is the block soft threshold of every slice; a slice whose norm is at or
     below lam gets factor zero. Along a length-1 axis the shrunk values are
-    the element-wise soft threshold. `scratch`, an array of a's shape, takes
-    the squares of a if given.
+    the element-wise soft threshold. Each squared norm is one fused
+    sum-of-squares (einsum), with no array of squares in between.
     """
     if lam < 0:
         raise ValueError(f"threshold must be nonnegative, got {lam}")
     a = np.asarray(a, dtype=np.float64)
-    norms = np.sqrt(np.add.reduce(np.multiply(a, a, out=scratch), axis=axis, keepdims=True))
+    dims = "abcdefghijklmnopqrstuvwxyz"[: a.ndim]
+    squares = np.einsum(f"{dims},{dims}->{dims.replace(dims[axis], '')}", a, a)
+    norms = np.sqrt(np.expand_dims(squares, axis))
     if lam == 0:
         return (norms > 0).astype(np.float64)
     # lam / lam is exactly 1, so a slice at or below lam gets exactly 0

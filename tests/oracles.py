@@ -15,7 +15,8 @@ which the batched solver must reproduce bit for bit: `alpha`, `s` and every
 residual. The basis products of both follow the solver's product contract:
 each is row 0 of one GEMM with 8 rows (the solver's BATCH_BLOCKS), the other
 rows zero, because a GEMM's row bits depend on its row count but not on the
-other rows.
+other rows; the scaled sweep takes B'x as column 0 of B' X', X the 8 rows,
+as the solver does.
 """
 
 from __future__ import annotations
@@ -101,10 +102,25 @@ def reference_soft(x, lam: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
+def _shrink_factor(norms: np.ndarray, lam: float) -> np.ndarray:
+    return np.where(norms > lam, 1.0 - lam / np.where(norms > 0, norms, 1.0), 0.0)
+
+
 def reference_group_factor(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
     """(1 - lam/||x||)+ for every slice x along `axis`, keeping the axis."""
-    norms = np.linalg.norm(np.asarray(a, dtype=np.float64), axis=axis, keepdims=True)
-    return np.where(norms > lam, 1.0 - lam / np.where(norms > 0, norms, 1.0), 0.0)
+    return _shrink_factor(np.linalg.norm(np.asarray(a, dtype=np.float64), axis=axis, keepdims=True), lam)
+
+
+def fused_group_factor(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
+    """reference_group_factor with each squared norm summed by one einsum, as the solver sums it.
+
+    For arrays of up to three dimensions; the einsum's summation order, not
+    np.linalg.norm's, sets the last bits.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    dims = "ijk"[: a.ndim]
+    squares = np.einsum(dims + "," + dims + "->" + dims.replace(dims[axis], ""), a, a)
+    return _shrink_factor(np.sqrt(np.expand_dims(squares, axis)), lam)
 
 
 def reference_group_soft(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
@@ -154,6 +170,13 @@ def padded_product(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     rows = np.zeros((8, x.size))
     rows[0] = x
     return (rows @ mat)[0]
+
+
+def padded_transposed_product(mat_t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mat_t @ x as column 0 of a GEMM whose other 7 columns are zero."""
+    rows = np.zeros((8, x.size))
+    rows[0] = x
+    return (mat_t @ rows.T)[:, 0]
 
 
 def admm_step(state: SolverState, f: np.ndarray, b: np.ndarray, params) -> SolverState:
@@ -253,26 +276,32 @@ def scaled_step(state: ScaledState, f: np.ndarray, b: np.ndarray, params) -> Sca
     """One scaled-form sweep of one block (f flat); returns the next state.
 
     The last w1 update added r1 (f - B alpha - s), so r1 B'(f - s) is
-    g - g_prev + r1 alpha_prev; y, z and the unscaled group duals are never
-    formed.
+    g - g_prev + r1 alpha_prev. Each group step forms its copy y = c T once,
+    the scaled dual as T - y and its share of U as rho (y - V); the unscaled
+    group duals are never formed.
     """
     n = int(round(np.sqrt(b.shape[0])))
     r1, r2, r3, r4 = params.rho1, params.rho2, params.rho3, params.rho4
+    bt = np.ascontiguousarray(b.T)
 
-    g = padded_product(state.w1.ravel(), b)
+    g = padded_transposed_product(bt, state.w1.ravel())
     rhs = g - state.w2 + r2 * state.beta + (g - state.g + r1 * state.alpha)
     alpha = rhs / (r1 + r2)
     beta = reference_soft(alpha + state.w2 / r2, 1.0 / r2)
     w2 = state.w2 + r2 * (alpha - beta)
 
-    q = state.w1 + r1 * (f.reshape(n, n) - padded_product(alpha, np.ascontiguousarray(b.T)).reshape(n, n))
-    s = reference_soft(q + state.u, params.lambda1) / (r1 + r3 + r4)
+    q = state.w1 + r1 * (f.reshape(n, n) - padded_product(alpha, bt).reshape(n, n))
+    s = reference_soft(q + state.u, params.lambda1) * (1.0 / (r1 + r3 + r4))
     w1 = q - r1 * s
 
     t_row = s + state.v1
-    row_factor = reference_group_factor(t_row, params.lambda2 / r3, axis=1)
+    row_factor = fused_group_factor(t_row, params.lambda2 / r3, axis=1)
+    y = t_row * row_factor
+    v1 = t_row - y
     t_col = s + state.v2
-    col_factor = reference_group_factor(t_col, params.lambda2 / r4, axis=0)
+    col_factor = fused_group_factor(t_col, params.lambda2 / r4, axis=0)
+    z = t_col * col_factor
+    v2 = t_col - z
     return ScaledState(
         alpha=alpha,
         beta=beta,
@@ -280,9 +309,9 @@ def scaled_step(state: ScaledState, f: np.ndarray, b: np.ndarray, params) -> Sca
         g=g,
         s=s,
         w1=w1,
-        v1=t_row * (1.0 - row_factor),
-        v2=t_col * (1.0 - col_factor),
-        u=t_row * (r3 * (2.0 * row_factor - 1.0)) + t_col * (r4 * (2.0 * col_factor - 1.0)),
+        v1=v1,
+        v2=v2,
+        u=r3 * (y - v1) + r4 * (z - v2),
         t_row=t_row,
         t_col=t_col,
         row_factor=row_factor,
@@ -300,8 +329,9 @@ def scaled_solve(f, atoms: np.ndarray, params, steps: int | None = None) -> dict
     n = int(round(np.sqrt(f.size)))
     k = atoms.shape[1]
     zero = np.zeros((n, n))
+    g = -(params.rho1 * padded_transposed_product(np.ascontiguousarray(atoms.T), f))
     state = ScaledState(
-        alpha=np.zeros(k), beta=np.zeros(k), w2=np.zeros(k), g=-(params.rho1 * padded_product(f, atoms)),
+        alpha=np.zeros(k), beta=np.zeros(k), w2=np.zeros(k), g=g,
         s=zero, w1=zero, v1=zero, v2=zero, u=zero, t_row=zero, t_col=zero,
         row_factor=np.zeros((n, 1)), col_factor=np.zeros((1, n)),
     )

@@ -33,6 +33,16 @@ REGIMES = (
     SynthSpec(diagonal_strokes=True),
 )
 NON_DEFAULT = SolverParams(lambda1=5.0, lambda2=1.0, rho1=1.7, rho2=0.6, rho3=1.3, rho4=0.9)
+# The defaults, every weight and penalty changed at once, and one non-unit
+# penalty alone, so that a scaling the unit-penalty skip leaves out, or one
+# applied to the wrong term, cannot hide behind the others.
+PENALTY_CASES = {
+    "default": SolverParams(),
+    "penalties": NON_DEFAULT,
+    "rho1": SolverParams(rho1=1.7),
+    "rho3": SolverParams(rho3=1.3),
+    "rho4": SolverParams(rho4=0.9),
+}
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +305,7 @@ class TestSolveBlocks:
         refs = [scaled_solve(f, basis64.atoms, NON_DEFAULT) for f in blocks]
         _assert_matches_reference(solve_blocks(blocks, basis64, NON_DEFAULT), refs)
 
-    @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
+    @pytest.mark.parametrize("params", PENALTY_CASES.values(), ids=PENALTY_CASES)
     def test_bit_identical_on_random_small_blocks(self, basis8, params):
         blocks = np.random.default_rng(61).uniform(0, 255, (17, 64))
         refs = [scaled_solve(f, basis8.atoms, params) for f in blocks]
@@ -361,14 +371,45 @@ class TestSolveBlocks:
         assert peak(blocks) - outputs <= 1.5 * peak(blocks[:8])
 
 
+class TestSweep:
+    """Invariants of one _Batch sweep on its preallocated work array."""
+
+    @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
+    def test_sweep_allocates_no_pixel_sized_array(self, basis64, regime_blocks, params):
+        work = np.empty((admm._WORK_ROWS, BATCH_BLOCKS, basis64.n**2))
+        batch = admm._Batch([f.ravel() for f in regime_blocks[:8]], basis64, params, work)
+        batch.step(params)
+        tracemalloc.start()
+        try:
+            batch.step(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < work[0].nbytes, peak  # below one BATCH_BLOCKS x n*n row
+
+    @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
+    def test_work_array_alignment_changes_no_bits(self, basis64, regime_blocks, params):
+        # the einsum and GEMM kernels may take other SIMD paths on unaligned rows
+        flat = [f.ravel() for f in regime_blocks[:5]]
+        shape = (admm._WORK_ROWS, BATCH_BLOCKS, basis64.n**2)
+        params = dataclasses.replace(params, max_iters=10)
+        results = []
+        for offset in (0, 1, 3, 5):
+            work = np.empty(np.prod(shape) + offset)[offset:].reshape(shape)
+            results.append(admm._solve_slice(flat, basis64, params, work))
+        for decs in results[1:]:
+            _assert_same(decs, results[0])
+
+
 class TestTextbookAgreement:
     """The scaled-form sweep against the textbook one (reference_solve).
 
     The two are the same iteration in exact arithmetic; rounding differs,
     because the scaled form takes B'(f - s) from the last dual update and
-    sums the group terms in another order. On these blocks the differences
-    measured at most 5e-15 in relative alpha, 3e-12 in s, 1e-16 in the
-    primal residual and 7e-14 in the group gaps.
+    sums the group terms in another order. On these blocks, over every
+    penalty case below, the differences measured at most 5e-15 in relative
+    alpha, 3.3e-12 in s, 2e-16 in the primal residual and 7.2e-14 in the
+    group gaps.
     """
 
     ALPHA_REL = 1e-13  # max |d alpha| over max |alpha|
@@ -384,7 +425,7 @@ class TestTextbookAgreement:
         quads = [b[r : r + 32, c : c + 32] for b in regime_blocks[:4] for r in (0, 32) for c in (0, 32)]
         return build_basis(32, 10), quads
 
-    @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
+    @pytest.mark.parametrize("params", PENALTY_CASES.values(), ids=PENALTY_CASES)
     def test_agrees_with_textbook_sweep(self, case, params):
         basis, blocks = case
         for i, (f, dec) in enumerate(zip(blocks, solve_blocks(blocks, basis, params))):

@@ -68,8 +68,38 @@ class TestLoadGray:
             load_gray(p)
 
     def test_wrong_maxval(self, tmp_path):
-        p = write(tmp_path / "a.pgm", b"P2\n1 1\n15\n3\n")
-        with pytest.raises(UnsupportedFormatError):
+        # one-byte samples only: maxval 256 would need two bytes a sample in P5
+        for magic in (b"P2", b"P5"):
+            p = write(tmp_path / "a.pgm", magic + b"\n1 1\n256\n3\n")
+            with pytest.raises(UnsupportedFormatError, match="256"):
+                load_gray(p)
+
+    @pytest.mark.parametrize("maxval", [1, 15, 254])
+    def test_low_maxval_rescaled(self, tmp_path, maxval):
+        samples = [0, maxval // 2, maxval]
+        want = [[v * 255 / maxval for v in samples]]
+        header = f"3 1\n{maxval}\n".encode()
+        p5 = write(tmp_path / "a.pgm", b"P5\n" + header + bytes(samples))
+        p2 = write(tmp_path / "b.pgm", b"P2\n" + header + " ".join(map(str, samples)).encode())
+        for p in (p5, p2):
+            img = load_gray(p)
+            np.testing.assert_array_equal(img, want)
+            assert img[0, 0] == 0.0 and img[0, 2] == 255.0
+
+    @pytest.mark.parametrize("maxval", [1, 15, 254])
+    def test_low_maxval_color_rescaled(self, tmp_path, maxval):
+        # each channel rescaled before the luma weights
+        header = f"1 1\n{maxval}\n".encode()
+        p6 = write(tmp_path / "a.ppm", b"P6\n" + header + bytes([maxval, 0, maxval]))
+        p3 = write(tmp_path / "b.ppm", b"P3\n" + header + f"{maxval} 0 {maxval}".encode())
+        for p in (p6, p3):
+            assert load_gray(p)[0, 0] == pytest.approx((0.299 + 0.114) * 255, rel=1e-12)
+
+    @pytest.mark.parametrize("magic", [b"P2", b"P5"])
+    def test_sample_above_low_maxval(self, tmp_path, magic):
+        payload = b"16" if magic == b"P2" else b"\x10"
+        p = write(tmp_path / "a.pgm", magic + b"\n1 1\n15\n" + payload)
+        with pytest.raises(PnmError, match=r"outside \[0, 15\]"):
             load_gray(p)
 
     def test_malformed_header(self, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import reference_group_soft
+from oracles import fused_group_factor, reference_group_soft
 from scseg.prox import group_factor, soft
 
 
@@ -114,20 +114,28 @@ def test_group_factor_matches_reference_bit_for_bit(axis):
     for lam in (0.0, 2.0, 9.5, 1e3):
         factor = group_factor(a, lam, axis)
         assert factor.shape == tuple(1 if d == axis else size for d, size in enumerate(a.shape))
-        assert np.array_equal(a * factor, reference_group_soft(a, lam, axis))
+        assert np.array_equal(factor, fused_group_factor(a, lam, axis))
         assert ((factor >= 0) & (factor < 1) | (lam == 0)).all()
+        # the fused sum of squares and np.linalg.norm differ in rounding only
+        np.testing.assert_allclose(a * factor, reference_group_soft(a, lam, axis), rtol=0, atol=1e-13 * np.abs(a).max())
 
 
 def test_buffers_change_no_bits():
-    # soft into `out`, and group_factor squaring into `scratch`, as the solver calls them
+    # soft into `out` as the solver calls it; group_factor on the batch as on
+    # each block alone, and on a copy that starts 1, 3 or 5 doubles off alignment
     rng = np.random.default_rng(37)
     a = rng.normal(0, 50, (8, 16, 16))
     out = np.full_like(a, np.nan)
     assert soft(a, 17.5, out=out) is out
     assert np.array_equal(out, soft(a, 17.5))
     for axis in (1, 2):
-        scratch = np.empty_like(a)
-        assert np.array_equal(group_factor(a, 40.0, axis, scratch=scratch), group_factor(a, 40.0, axis))
+        batch = group_factor(a, 40.0, axis)
+        for i in range(len(a)):
+            assert np.array_equal(group_factor(a[i], 40.0, axis - 1), batch[i])
+        for offset in (1, 3, 5):
+            moved = np.empty(a.size + offset)[offset:].reshape(a.shape)
+            moved[...] = a
+            assert np.array_equal(group_factor(moved, 40.0, axis), batch)
 
 
 slices = st.tuples(st.integers(1, 6), st.integers(1, 12)).flatmap(
