@@ -39,6 +39,7 @@ from .image_io import (
 from .segmentation import (
     BackgroundFitError,
     SegmentationConfig,
+    SegmentedImage,
     fill_background,
     reconstruct_layers,
     segment_image,
@@ -59,6 +60,7 @@ __all__ = [
     "MaskMetrics",
     "PnmError",
     "SegmentationConfig",
+    "SegmentedImage",
     "SolverParams",
     "SynthSpec",
     "TruncatedDataError",

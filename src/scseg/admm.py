@@ -166,7 +166,6 @@ class _Batch:
     """
 
     def __init__(self, flat: list, basis: BasisMatrix, params: SolverParams, work: np.ndarray):
-        self.basis = basis
         self.atoms_t = np.ascontiguousarray(basis.atoms.T)  # alpha @ B' runs 2x faster on C order
         self.work = work
         work[:, len(flat) :] = 0.0

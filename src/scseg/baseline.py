@@ -20,11 +20,13 @@ def kmeans2_block(f) -> np.ndarray:
 
     Centers start at the block's min and max, so the result is deterministic.
     Equal-size clusters resolve to the brighter one; constant blocks yield an
-    empty mask. Any other number of dimensions raises ValueError.
+    empty mask. A block that is not 2-D, or holds a NaN or inf, raises ValueError.
     """
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2:
         raise ValueError(f"block must be 2-D, got shape {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValueError("block contains non-finite values")
     values = f.ravel()
     if values.min() == values.max():
         return np.zeros(f.shape, dtype=bool)

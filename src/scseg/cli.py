@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .admm import SolverParams
+from .admm import SolverParams, require_count
 from .evaluation import SEGMENTERS, evaluate_dataset, load_manifest
 from .image_io import PnmError, atomic_write_bytes, load_gray, save_gray, save_mask
 from .segmentation import SegmentationConfig, assemble_layers, segment_images
@@ -98,10 +98,10 @@ def _config(args) -> SegmentationConfig:
 
 def cmd_segment(args) -> int:
     img = load_gray(args.input)
-    record = next(segment_images([img], args.config))
-    mask, grid, _, pairs = record
+    seg = next(segment_images([img], args.config))
     if args.verbose:
-        for i, (origin, (block_mask, dec)) in enumerate(zip(grid.origins, pairs)):
+        blocks = zip(seg.grid.origins, seg.block_masks, seg.decompositions)
+        for i, (origin, block_mask, dec) in enumerate(blocks):
             coefficient, row, column = dec.split_residuals
             print(json.dumps({
                 "block": i,
@@ -114,12 +114,12 @@ def cmd_segment(args) -> int:
                 "fg_fraction": float(block_mask.mean()),
             }))
     if args.fg_out or args.bg_out:
-        background, foreground, _ = assemble_layers(img, record)
+        background, foreground, _ = assemble_layers(seg)
         if args.bg_out:
             save_gray(background, args.bg_out)
         if args.fg_out:
             save_gray(foreground, args.fg_out)
-    save_mask(mask, args.mask_out)
+    save_mask(seg.mask, args.mask_out)
     return 0
 
 
@@ -141,8 +141,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _synth_spec(args) -> SynthSpec:
-    if args.count < 0:
-        raise ValueError(f"count must be >= 0, got {args.count}")
+    require_count("count", args.count, 0)
     return SynthSpec(
         n=args.n,
         k_true=args.k_true,

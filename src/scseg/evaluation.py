@@ -135,7 +135,7 @@ def evaluate_dataset(
             yield img
 
     if segmenter == "proposed":
-        preds = (mask for mask, _, _, _ in segment_images(images(), cfg))
+        preds = (seg.mask for seg in segment_images(images(), cfg))
     else:
         preds = (kmeans2_image(img, block_size=cfg.block_size) for img in images())
     for pred in preds:

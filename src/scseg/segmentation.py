@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admm import BATCH_BLOCKS, Decomposition, SolverParams, require_counts, solve_blocks
+from .admm import BATCH_BLOCKS, SolverParams, require_counts, solve_blocks
 from .dct import BasisMatrix, build_basis
-from .image_io import stitch, tile
+from .image_io import BlockGrid, stitch, tile
 
 
 class BackgroundFitError(ValueError):
@@ -38,18 +38,27 @@ class SegmentationConfig:
             raise ValueError(f"k_bases {self.k_bases} out of range for block {self.block_size}")
 
 
-def _binarize(dec: Decomposition, basis: BasisMatrix, cfg: SegmentationConfig) -> np.ndarray:
-    return np.abs(dec.s).reshape(basis.n, basis.n) > cfg.fg_threshold
+@dataclass(frozen=True, eq=False)
+class SegmentedImage:
+    """One image's segmentation, as segment_images yields it.
+
+    image is the image as it was passed in, mask its (h, w) boolean
+    foreground mask, grid its BlockGrid and basis the basis its blocks were
+    solved on. block_masks and decompositions are parallel tuples in grid
+    order: each block's (n, n) mask, True where the sparse layer exceeds
+    cfg.fg_threshold in magnitude, and its Decomposition.
+    """
+
+    image: np.ndarray
+    mask: np.ndarray
+    grid: BlockGrid
+    basis: BasisMatrix
+    block_masks: tuple
+    decompositions: tuple
 
 
 def segment_images(images, cfg: SegmentationConfig | None = None):
-    """Segment a stream of images; yields one record per image, in order.
-
-    A record is (mask, grid, basis, pairs): the image's (h, w) boolean
-    mask, its BlockGrid, the basis its blocks were solved on, and one
-    (block mask, Decomposition) pair per block in grid order. A block mask
-    is (n, n), True where the sparse layer exceeds cfg.fg_threshold in
-    magnitude.
+    """Segment a stream of images; yields one SegmentedImage per image, in order.
 
     Consecutive images are grouped until the group holds at least
     BATCH_BLOCKS blocks, and each group's blocks go through one solve_blocks
@@ -60,36 +69,37 @@ def segment_images(images, cfg: SegmentationConfig | None = None):
     if cfg is None:
         cfg = SegmentationConfig()
     basis = build_basis(cfg.block_size, cfg.k_bases)
-    grids = []
+    group = []
     blocks = []
     for img in images:
-        grids.append(tile(img, cfg.block_size))
-        blocks.extend(grids[-1].blocks)
+        grid = tile(img, cfg.block_size)
+        group.append((img, grid))
+        blocks.extend(grid.blocks)
         if len(blocks) >= BATCH_BLOCKS:
-            yield from _group_records(grids, blocks, basis, cfg)
-            grids, blocks = [], []
-    if grids:
-        yield from _group_records(grids, blocks, basis, cfg)
+            yield from _group_records(group, blocks, basis, cfg)
+            group, blocks = [], []
+    if group:
+        yield from _group_records(group, blocks, basis, cfg)
 
 
-def _group_records(grids: list, blocks: list, basis: BasisMatrix, cfg: SegmentationConfig):
+def _group_records(group: list, blocks: list, basis: BasisMatrix, cfg: SegmentationConfig):
     decs = iter(solve_blocks(blocks, basis, cfg.solver))
-    for grid in grids:
-        # zip pulls from grid.blocks first, so it stops without taking the next image's block
-        pairs = [(_binarize(dec, basis, cfg), dec) for _, dec in zip(grid.blocks, decs)]
-        yield stitch(grid, [mask for mask, _ in pairs]), grid, basis, pairs
+    for img, grid in group:
+        decompositions = tuple(next(decs) for _ in grid.blocks)
+        block_masks = tuple(np.abs(d.s).reshape(basis.n, basis.n) > cfg.fg_threshold for d in decompositions)
+        yield SegmentedImage(img, stitch(grid, block_masks), grid, basis, block_masks, decompositions)
 
 
 def segment_image(img, cfg: SegmentationConfig | None = None) -> np.ndarray:
     """Segment a full image; returns an (h, w) boolean foreground mask."""
-    return next(segment_images([img], cfg))[0]
+    return next(segment_images([img], cfg)).mask
 
 
 # Largest condition number of the fit's normal matrix sub'sub that
 # fill_background accepts. The solve then keeps about 4 of float64's 16
 # digits: near this bound, the fill of an exactly smooth 8-bit block is off
-# by under 0.1 gray levels. The check reads only the k x k matrix the fit
-# forms anyway.
+# by under 0.1 gray levels. The check reads the eigenvalues of the k x k
+# symmetric matrix the fit forms anyway: their ratio is its condition number.
 MAX_FIT_CONDITION = 1e12
 
 
@@ -114,11 +124,8 @@ def fill_background(f, mask, basis: BasisMatrix) -> np.ndarray:
         raise BackgroundFitError(f"{count} background pixels cannot determine {k} coefficients")
     sub = basis.atoms[background]
     gram = sub.T @ sub
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise BackgroundFitError("background pixels are rank-deficient; mask covers too much") from None
-    if not np.linalg.cond(gram) <= MAX_FIT_CONDITION:
+    w = np.linalg.eigvalsh(gram)
+    if not (w[0] > 0 and w[-1] <= MAX_FIT_CONDITION * w[0]):
         raise BackgroundFitError("background pixels are too poorly spread to determine the fit")
     coef = np.linalg.solve(gram, sub.T @ f.ravel()[background])
     out = f.copy()
@@ -126,22 +133,22 @@ def fill_background(f, mask, basis: BasisMatrix) -> np.ndarray:
     return out
 
 
-def assemble_layers(img, record):
-    """Build (background, foreground, mask) images from one segment_images record.
+def assemble_layers(seg: SegmentedImage):
+    """Build (background, foreground, mask) images from one SegmentedImage.
 
     A block whose background pixels cannot determine fill_background's fit
     gets its solver layer B alpha under its mask instead of stopping the image.
     """
-    mask, grid, basis, pairs = record
+    basis = seg.basis
     filled = []
-    for block, (m, dec) in zip(grid.blocks, pairs):
+    for block, m, dec in zip(seg.grid.blocks, seg.block_masks, seg.decompositions):
         try:
             filled.append(fill_background(block, m, basis))
         except BackgroundFitError:
             filled.append(np.where(m, (basis.atoms @ dec.alpha).reshape(m.shape), block))
-    background = stitch(grid, filled)
-    foreground = np.where(mask, np.asarray(img, dtype=np.float64), 0.0)
-    return background, foreground, mask
+    background = stitch(seg.grid, filled)
+    foreground = np.where(seg.mask, np.asarray(seg.image, dtype=np.float64), 0.0)
+    return background, foreground, seg.mask
 
 
 def reconstruct_layers(img, cfg: SegmentationConfig | None = None):
@@ -152,4 +159,4 @@ def reconstruct_layers(img, cfg: SegmentationConfig | None = None):
     fit (the solver's B alpha for a block fill_background cannot fit); the
     foreground keeps original values inside the mask and is zero elsewhere.
     """
-    return assemble_layers(img, next(segment_images([img], cfg)))
+    return assemble_layers(next(segment_images([img], cfg)))

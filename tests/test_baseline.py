@@ -19,6 +19,16 @@ def test_block_must_be_2d(shape):
         kmeans2_block(np.arange(float(np.prod(shape))).reshape(shape))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_block_rejected(value):
+    # the solver refuses the same block; a mask made from it would be garbage
+    f = np.zeros((8, 8))
+    f[2:4, 2:6] = 200.0
+    f[5, 5] = value
+    with pytest.raises(ValueError, match="block contains non-finite values"):
+        kmeans2_block(f)
+
+
 def test_constant_block_empty():
     assert not kmeans2_block(np.full((16, 16), 42.0)).any()
 

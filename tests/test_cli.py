@@ -155,9 +155,10 @@ def test_verbose_record_is_the_solver_state(dataset, tmp_path, capsys):
     assert main(["segment", "--input", str(dataset / "block_0001.pgm"), "--block", "32",
                  "--mask-out", str(tmp_path / "m.pbm"), "--verbose"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    _, grid, _, pairs = next(segment_images([img], SegmentationConfig(block_size=32)))
-    assert len(records) == len(pairs) == 4
-    for i, (record, origin, (block_mask, dec)) in enumerate(zip(records, grid.origins, pairs)):
+    seg = next(segment_images([img], SegmentationConfig(block_size=32)))
+    assert len(records) == len(seg.decompositions) == 4
+    blocks = zip(records, seg.grid.origins, seg.block_masks, seg.decompositions)
+    for i, (record, origin, block_mask, dec) in enumerate(blocks):
         assert record == {
             "block": i,
             "origin": list(origin),

@@ -6,6 +6,7 @@ import pytest
 
 from scseg import (
     SegmentationConfig,
+    SegmentedImage,
     SolverParams,
     SynthSpec,
     confusion,
@@ -145,8 +146,8 @@ class TestEvaluateDataset:
         calls = []
 
         def fake_segment_images(images, cfg):
-            for _ in images:
-                yield preds[calls.pop(0)], None, None, None
+            for img in images:
+                yield SegmentedImage(img, preds[calls.pop(0)], None, None, (), ())
 
         monkeypatch.setattr(evaluation, "segment_images", fake_segment_images)
         entries = load_manifest(mf)

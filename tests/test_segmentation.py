@@ -17,7 +17,7 @@ from scseg import (
     segment_images,
     SynthSpec,
 )
-from scseg.segmentation import MAX_FIT_CONDITION
+from scseg.segmentation import MAX_FIT_CONDITION, assemble_layers
 
 
 def stripe_block(n=64):
@@ -33,8 +33,9 @@ def page_of(blocks):
 
 def segment_alone(f, cfg):
     """(mask, decomposition) of an image that is exactly one block."""
-    _, _, _, [result] = next(segment_images([f], cfg))
-    return result
+    seg = next(segment_images([f], cfg))
+    (mask,), (dec,) = seg.block_masks, seg.decompositions
+    return mask, dec
 
 
 @pytest.fixture(scope="module")
@@ -131,12 +132,13 @@ class TestSegmentBlocks:
         # it gets alone, wherever it sits in the page
         blocks = [gen_block(SynthSpec(seed=60 + i))[0] for i in range(9)]
         order = np.random.default_rng(3).permutation(9)
-        _, _, _, page = next(segment_images([page_of(blocks)], cfg))
-        _, _, _, permuted = next(segment_images([page_of([blocks[i] for i in order])], cfg))
+        page = next(segment_images([page_of(blocks)], cfg))
+        permuted = next(segment_images([page_of([blocks[i] for i in order])], cfg))
         moved = {int(src): dst for dst, src in enumerate(order)}
         for i, block in enumerate(blocks):
             mask, dec = segment_alone(block, cfg)
-            for other_mask, other_dec in (page[i], permuted[moved[i]]):
+            for seg, j in ((page, i), (permuted, moved[i])):
+                other_mask, other_dec = seg.block_masks[j], seg.decompositions[j]
                 np.testing.assert_array_equal(other_dec.s, dec.s)
                 np.testing.assert_array_equal(other_dec.alpha, dec.alpha)
                 np.testing.assert_array_equal(other_mask, mask)
@@ -154,12 +156,13 @@ class TestSegmentImages:
         imgs = [rng.uniform(0, 255, shape) for shape in shapes]
         grouped = list(segment_images(imgs, cfg))
         assert len(grouped) == len(imgs)
-        for (mask, grid, _, pairs), img in zip(grouped, imgs):
-            np.testing.assert_array_equal(mask, segment_image(img, cfg))
-            _, alone_grid, _, alone_pairs = next(segment_images([img], cfg))
-            assert grid.origins == alone_grid.origins
-            assert len(pairs) == len(alone_pairs) == len(grid.blocks)
-            for (block_mask, dec), (alone_mask, alone_dec) in zip(pairs, alone_pairs):
+        for seg, img in zip(grouped, imgs):
+            np.testing.assert_array_equal(seg.mask, segment_image(img, cfg))
+            alone = next(segment_images([img], cfg))
+            assert seg.grid.origins == alone.grid.origins
+            assert len(seg.block_masks) == len(seg.decompositions) == len(alone.decompositions) == len(seg.grid.blocks)
+            blocks = zip(seg.block_masks, seg.decompositions, alone.block_masks, alone.decompositions)
+            for block_mask, dec, alone_mask, alone_dec in blocks:
                 np.testing.assert_array_equal(block_mask, alone_mask)
                 np.testing.assert_array_equal(dec.s, alone_dec.s)
                 np.testing.assert_array_equal(dec.alpha, alone_dec.alpha)
@@ -301,6 +304,15 @@ class TestReconstructLayers:
         np.testing.assert_array_equal(background[:, :64][mask_stripe], solver_layer[mask_stripe])
         # the fitted block beside it is filled as it would be alone
         np.testing.assert_array_equal(background[:, 64:], reconstruct_layers(smooth, cfg)[0])
+
+    def test_assemble_layers_reads_the_record(self, cfg):
+        # the record carries its own image, so the layers need nothing else
+        smooth, _, _ = gen_block(SynthSpec(seed=43))
+        img = np.hstack([stripe_block(), smooth])
+        seg = next(segment_images([img], cfg))
+        assert seg.image is img
+        for got, want in zip(assemble_layers(seg), reconstruct_layers(img, cfg), strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_multiblock_shapes(self):
         img = np.full((65, 130), 128.0)
