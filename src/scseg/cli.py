@@ -8,6 +8,7 @@ bit-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -19,81 +20,62 @@ from .synth import SynthSpec, write_dataset
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # the flag behind each config or synth spec field; flag() adds each one-field flag
+        self.flags = {f"rho{i}": f"--rho R{i}" for i in range(1, 5)} | {"count": "--count"}
+
+    def flag(self, flag: str, field: str, **kwargs):
+        """Add a flag that sets one dataclass field; unset, it leaves the field's default."""
+        self.flags[field] = flag
+        if "action" not in kwargs:  # store_true takes no metavar
+            kwargs["metavar"] = flag[2:].upper().replace("-", "_")
+        self.add_argument(flag, dest=field, default=argparse.SUPPRESS, **kwargs)
+
+    def reject(self, exc: ValueError):
+        # a config or spec ValueError starts with the field's name; the user typed the flag
+        name, _, rest = str(exc).partition(" ")
+        self.error(f"{self.flags.get(name, name)} {rest}")
+
     # usage errors exit 1; argparse's default of 2 is reserved for runtime errors
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _rho_list(text: str):
+def _rho_dict(text: str) -> dict:
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("expected four comma-separated values, e.g. 1,1,1,1")
     try:
-        return [float(p) for p in parts]
+        return {f"rho{i}": float(p) for i, p in enumerate(parts, 1)}
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad penalty list {text!r}") from None
 
 
+def _given(args, cls) -> dict:
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
+
+
 def _add_segmentation_flags(p):
-    p.add_argument("--lambda1", type=float, default=100.0, help="sparsity weight on the foreground layer")
-    p.add_argument("--lambda2", type=float, default=2.0, help="row/column group weight")
-    p.add_argument("--rho", type=_rho_list, default=[1.0, 1.0, 1.0, 1.0], metavar="R1,R2,R3,R4",
+    p.flag("--lambda1", "lambda1", type=float, help="sparsity weight on the foreground layer")
+    p.flag("--lambda2", "lambda2", type=float, help="row/column group weight")
+    p.add_argument("--rho", type=_rho_dict, default={}, metavar="R1,R2,R3,R4",
                    help="penalty parameters (default 1,1,1,1)")
-    p.add_argument("--iters", type=int, default=50, help="solver iterations per block")
-    p.add_argument("--block", type=int, default=64, help="block size in pixels")
-    p.add_argument("--k", type=int, default=10, help="number of smooth basis atoms")
-    p.add_argument("--fg-threshold", type=float, default=1.0,
-                   help="gray-level magnitude above which a pixel is foreground")
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes that solve the 8-block slices (default 1, capped at the usable "
-                        "CPUs); outputs are the same for any value")
-    p.set_defaults(build=_config, usage_error=p.error)
-
-
-# The flag that sets each config or synth spec field. A ValueError message
-# from either starts with the field's name; a usage error names the flag instead.
-_FLAGS = {
-    "lambda1": "--lambda1",
-    "lambda2": "--lambda2",
-    "rho1": "--rho R1",
-    "rho2": "--rho R2",
-    "rho3": "--rho R3",
-    "rho4": "--rho R4",
-    "max_iters": "--iters",
-    "workers": "--workers",
-    "block_size": "--block",
-    "k_bases": "--k",
-    "fg_threshold": "--fg-threshold",
-    "count": "--count",
-    "seed": "--seed",
-    "n": "--n",
-    "k_true": "--k-true",
-    "alpha_range": "--alpha-range",
-    "stroke_count": "--strokes",
-    "stroke_amplitude": "--amplitude",
-    "max_fg_fraction": "--max-fg-fraction",
-}
+    p.flag("--iters", "max_iters", type=int, help="solver iterations per block")
+    p.flag("--block", "block_size", type=int, help="block size in pixels")
+    p.flag("--k", "k_bases", type=int, help="number of smooth basis atoms")
+    p.flag("--fg-threshold", "fg_threshold", type=float,
+           help="gray-level magnitude above which a pixel is foreground")
+    p.flag("--workers", "workers", type=int,
+           help="processes that solve the 8-block slices (default 1, capped at the usable "
+                "CPUs); outputs are the same for any value")
+    p.set_defaults(build=_config, usage_error=p.reject)
 
 
 def _config(args) -> SegmentationConfig:
-    r1, r2, r3, r4 = args.rho
-    solver = SolverParams(
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        rho1=r1,
-        rho2=r2,
-        rho3=r3,
-        rho4=r4,
-        max_iters=args.iters,
-        workers=args.workers,
-    )
-    return SegmentationConfig(
-        block_size=args.block,
-        k_bases=args.k,
-        solver=solver,
-        fg_threshold=args.fg_threshold,
-    )
+    solver = SolverParams(**_given(args, SolverParams), **args.rho)
+    return SegmentationConfig(**_given(args, SegmentationConfig), solver=solver)
 
 
 def cmd_segment(args) -> int:
@@ -142,16 +124,7 @@ def cmd_evaluate(args) -> int:
 
 def _synth_spec(args) -> SynthSpec:
     require_count("count", args.count, 0)
-    return SynthSpec(
-        n=args.n,
-        k_true=args.k_true,
-        alpha_range=args.alpha_range,
-        stroke_count=args.strokes,
-        stroke_amplitude=args.amplitude,
-        max_fg_fraction=args.max_fg_fraction,
-        seed=args.seed,
-        diagonal_strokes=args.diagonal,
-    )
+    return SynthSpec(**_given(args, SynthSpec))
 
 
 def cmd_synth(args) -> int:
@@ -185,15 +158,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic blocks with ground truth")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=64, help="block side in pixels")
-    p.add_argument("--k-true", type=int, default=6, help="active smooth atoms")
-    p.add_argument("--alpha-range", type=float, default=100.0, help="smooth coefficient amplitude")
-    p.add_argument("--strokes", type=int, default=4, help="strokes per block")
-    p.add_argument("--amplitude", type=float, default=100.0, help="stroke gray-level offset")
-    p.add_argument("--max-fg-fraction", type=float, default=0.10)
-    p.add_argument("--diagonal", action="store_true", help="diagonal instead of axis-aligned strokes")
-    p.set_defaults(func=cmd_synth, build=_synth_spec, usage_error=p.error)
+    p.flag("--seed", "seed", type=int)
+    p.flag("--n", "n", type=int, help="block side in pixels")
+    p.flag("--k-true", "k_true", type=int, help="active smooth atoms")
+    p.flag("--alpha-range", "alpha_range", type=float, help="smooth coefficient amplitude")
+    p.flag("--strokes", "stroke_count", type=int, help="strokes per block")
+    p.flag("--amplitude", "stroke_amplitude", type=float, help="stroke gray-level offset")
+    p.flag("--max-fg-fraction", "max_fg_fraction", type=float)
+    p.flag("--diagonal", "diagonal_strokes", action="store_true",
+           help="diagonal instead of axis-aligned strokes")
+    p.set_defaults(func=cmd_synth, build=_synth_spec, usage_error=p.reject)
     return parser
 
 
@@ -205,8 +179,7 @@ def main(argv=None) -> int:
         try:
             args.config = args.build(args)
         except ValueError as exc:
-            name, _, rest = str(exc).partition(" ")
-            args.usage_error(f"{_FLAGS.get(name, name)} {rest}")
+            args.usage_error(exc)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

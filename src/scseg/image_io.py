@@ -206,10 +206,15 @@ def save_mask(mask: np.ndarray, path) -> None:
 
 
 def save_gray(img: np.ndarray, path) -> None:
-    """Write a gray image as binary PGM (P5), rounding and clipping to [0, 255]."""
+    """Write a gray image as binary PGM (P5), rounding and clipping to [0, 255].
+
+    NaN has no gray level and is a ValueError; infinities clip like any value.
+    """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {img.shape}")
+    if np.isnan(img).any():
+        raise ValueError("image contains NaN")
     height, width = img.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     data = np.clip(np.rint(img), 0, 255).astype(np.uint8)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 import scseg
-from scseg import SynthSpec, confusion, load_mask, write_dataset
-from scseg.cli import main
+from scseg import SegmentationConfig, SolverParams, SynthSpec, confusion, load_mask, write_dataset
+from scseg.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -355,3 +356,105 @@ def test_invalid_synth_value_is_usage_error(bad, message, tmp_path, capsys):
     for field in ("stroke_count", "stroke_amplitude", "max_fg_fraction"):
         assert field not in err
     assert list(tmp_path.iterdir()) == []
+
+
+
+# Each flag alone, set to a value that is not its field's default, and the fields it must reach.
+SEGMENTATION_FLAGS = [
+    pytest.param(["--lambda1", "7.5"], {"lambda1": 7.5}, id="lambda1"),
+    pytest.param(["--lambda2", "0.25"], {"lambda2": 0.25}, id="lambda2"),
+    pytest.param(["--rho", "1.5,2.5,3.5,4.5"], {"rho1": 1.5, "rho2": 2.5, "rho3": 3.5, "rho4": 4.5}, id="rho"),
+    pytest.param(["--iters", "7"], {"max_iters": 7}, id="max_iters"),
+    pytest.param(["--workers", "3"], {"workers": 3}, id="workers"),
+    pytest.param(["--block", "32"], {"block_size": 32}, id="block_size"),
+    pytest.param(["--k", "12"], {"k_bases": 12}, id="k_bases"),
+    pytest.param(["--fg-threshold", "2.5"], {"fg_threshold": 2.5}, id="fg_threshold"),
+]
+
+SYNTH_FLAGS = [
+    pytest.param(["--n", "96"], {"n": 96}, id="n"),
+    pytest.param(["--k-true", "8"], {"k_true": 8}, id="k_true"),
+    pytest.param(["--alpha-range", "30"], {"alpha_range": 30.0}, id="alpha_range"),
+    pytest.param(["--strokes", "3"], {"stroke_count": 3}, id="stroke_count"),
+    pytest.param(["--amplitude", "50"], {"stroke_amplitude": 50.0}, id="stroke_amplitude"),
+    pytest.param(["--max-fg-fraction", "0.2"], {"max_fg_fraction": 0.2}, id="max_fg_fraction"),
+    pytest.param(["--seed", "5"], {"seed": 5}, id="seed"),
+    pytest.param(["--diagonal"], {"diagonal_strokes": True}, id="diagonal_strokes"),
+]
+
+REQUIRED = {
+    "segment": ["segment", "--input", "in.pgm", "--mask-out", "m.pbm"],
+    "evaluate": ["evaluate", "--manifest", "m.tsv", "--report", "r.json"],
+    "synth": ["synth", "--out-dir", "d"],
+}
+
+SOLVER_FIELDS = {f.name for f in dataclasses.fields(SolverParams)}
+
+
+def built(argv):
+    # the config main() would run with, built without touching any file
+    args = build_parser().parse_args(argv)
+    return args.build(args)
+
+
+def segmentation_config(values):
+    solver = {name: v for name, v in values.items() if name in SOLVER_FIELDS}
+    rest = {name: v for name, v in values.items() if name not in SOLVER_FIELDS}
+    return SegmentationConfig(solver=SolverParams(**solver), **rest)
+
+
+def all_flags(params):
+    argv, values = [], {}
+    for param in params:
+        argv += param.values[0]
+        values.update(param.values[1])
+    return argv, values
+
+
+@pytest.mark.parametrize("argv, values", SEGMENTATION_FLAGS)
+@pytest.mark.parametrize("command", ["segment", "evaluate"])
+def test_segmentation_flag_reaches_its_field(command, argv, values):
+    assert built(REQUIRED[command] + argv) == segmentation_config(values)
+
+
+@pytest.mark.parametrize("argv, values", SYNTH_FLAGS)
+def test_synth_flag_reaches_its_field(argv, values):
+    assert built(REQUIRED["synth"] + argv) == SynthSpec(**values)
+
+
+@pytest.mark.parametrize("command", ["segment", "evaluate"])
+def test_every_segmentation_flag_at_once(command):
+    argv, values = all_flags(SEGMENTATION_FLAGS)
+    assert built(REQUIRED[command] + argv) == segmentation_config(values)
+
+
+def test_every_synth_flag_at_once():
+    argv, values = all_flags(SYNTH_FLAGS)
+    assert built(REQUIRED["synth"] + argv) == SynthSpec(**values)
+
+
+@pytest.mark.parametrize("command", ["segment", "evaluate", "synth"])
+def test_no_flags_give_the_library_defaults(command):
+    assert built(REQUIRED[command]) == (SynthSpec() if command == "synth" else SegmentationConfig())
+
+
+def test_every_field_has_a_flag():
+    segmentation_fields = {f.name for f in dataclasses.fields(SegmentationConfig)} - {"solver"}
+    assert set(all_flags(SEGMENTATION_FLAGS)[1]) == SOLVER_FIELDS | segmentation_fields
+    assert set(all_flags(SYNTH_FLAGS)[1]) == {f.name for f in dataclasses.fields(SynthSpec)}
+
+
+@pytest.mark.parametrize(
+    "command, metavars",
+    [
+        ("segment", ["--iters ITERS", "--block BLOCK", "--k K", "--rho R1,R2,R3,R4"]),
+        ("evaluate", ["--iters ITERS", "--block BLOCK", "--k K", "--rho R1,R2,R3,R4"]),
+        ("synth", ["--strokes STROKES", "--amplitude AMPLITUDE", "--k-true K_TRUE", "--n N"]),
+    ],
+)
+def test_help_keeps_the_flag_metavars(command, metavars, capsys):
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert usage.startswith(f"usage: scseg {command}")
+    for metavar in metavars:
+        assert f"[{metavar}]" in usage

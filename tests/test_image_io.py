@@ -269,6 +269,16 @@ class TestGrayWriter:
         save_gray(np.array([[-3.0, 12.6, 300.0]]), p)
         np.testing.assert_array_equal(load_gray(p), [[0, 13, 255]])
 
+    def test_infinities_clip(self, tmp_path):
+        p = tmp_path / "g.pgm"
+        save_gray(np.array([[np.inf, -np.inf, 7.0]]), p)
+        np.testing.assert_array_equal(load_gray(p), [[255, 0, 7]])
+
+    def test_nan_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="NaN"):
+            save_gray(np.array([[np.nan, 300.0]]), tmp_path / "g.pgm")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTiling:
     def test_single_block_no_padding(self):
