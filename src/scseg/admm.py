@@ -21,13 +21,13 @@ non-unit rho1 adds two scalings, a non-unit rho3 or rho4 one each.
 
 from __future__ import annotations
 
-import numbers
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import require_counts
 from .dct import BasisMatrix
 from .prox import group_factor, soft
 
@@ -36,24 +36,7 @@ class DivergenceError(RuntimeError):
     """Raised when iterates go non-finite (bad penalties or input)."""
 
 
-def require_count(name: str, value, low: int | None) -> None:
-    """Raise ValueError naming `name` if value is not an integer or is below low.
-
-    Python and numpy integers pass, bool does not; a low of None checks the type only.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
-
-
-def require_counts(obj, **minimums) -> None:
-    """require_count on each named field of obj, in order; the first bad one raises."""
-    for name, low in minimums.items():
-        require_count(name, getattr(obj, name), low)
-
-
-@dataclass
+@dataclass(frozen=True)
 class SolverParams:
     """Weights, penalty parameters, and iteration budget for the block solver.
 
@@ -80,7 +63,7 @@ class SolverParams:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Smooth coefficients and sparse layer after max_iters sweeps, with diagnostics.
 
@@ -366,7 +349,7 @@ def _solve_forked(runs: list, basis: BasisMatrix, params: SolverParams) -> list:
                 os.waitpid(pid, 0)
 
 
-def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams | None = None) -> list:
+def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams = SolverParams()) -> list:
     """Decompose every block; returns one Decomposition per block, in order.
 
     Each block runs from the zero state for params.max_iters sweeps. Blocks
@@ -380,8 +363,6 @@ def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams | None = None)
     solved in its own forked process on Linux, with the same results.
     Raises DivergenceError if any block or iterate is non-finite.
     """
-    if params is None:
-        params = SolverParams()
     flat = [_flatten_block(f, basis.n) for f in blocks]
     if not all(np.isfinite(f).all() for f in flat):
         raise DivergenceError("input block contains non-finite values")

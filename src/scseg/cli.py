@@ -12,7 +12,8 @@ import dataclasses
 import json
 import sys
 
-from .admm import SolverParams, require_count
+from .admm import SolverParams
+from .checks import require_count
 from .evaluation import SEGMENTERS, evaluate_dataset, load_manifest
 from .image_io import PnmError, atomic_write_bytes, load_gray, save_gray, save_mask
 from .segmentation import SegmentationConfig, assemble_layers, segment_images
@@ -58,18 +59,19 @@ def _given(args, cls) -> dict:
 
 
 def _add_segmentation_flags(p):
+    d = SolverParams()  # the defaults the help strings quote
     p.flag("--lambda1", "lambda1", type=float, help="sparsity weight on the foreground layer")
     p.flag("--lambda2", "lambda2", type=float, help="row/column group weight")
     p.add_argument("--rho", type=_rho_dict, default={}, metavar="R1,R2,R3,R4",
-                   help="penalty parameters (default 1,1,1,1)")
+                   help=f"penalty parameters (default {d.rho1:g},{d.rho2:g},{d.rho3:g},{d.rho4:g})")
     p.flag("--iters", "max_iters", type=int, help="solver iterations per block")
     p.flag("--block", "block_size", type=int, help="block size in pixels")
     p.flag("--k", "k_bases", type=int, help="number of smooth basis atoms")
     p.flag("--fg-threshold", "fg_threshold", type=float,
            help="gray-level magnitude above which a pixel is foreground")
     p.flag("--workers", "workers", type=int,
-           help="processes that solve the 8-block slices (default 1, capped at the usable "
-                "CPUs); outputs are the same for any value")
+           help=f"processes that solve the 8-block slices (default {d.workers}, capped at "
+                "the usable CPUs); outputs are the same for any value")
     p.set_defaults(build=_config, usage_error=p.reject)
 
 

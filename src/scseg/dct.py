@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import require_count
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class BasisMatrix:
     """Orthonormal 2D DCT atoms, one per column, lowest frequencies first.
 
@@ -25,8 +27,11 @@ def zigzag_order(n: int, k: int) -> list:
     """First k frequency pairs of the zig-zag walk over the n-by-n plane.
 
     Starts at (0, 0) and steps to (0, 1) first; anti-diagonal sweeps
-    alternate direction, so u + v is non-decreasing along the output.
+    alternate direction, so u + v is non-decreasing along the output. n and k
+    must be integers (Python or numpy, not bool), else ValueError.
     """
+    require_count("n", n, 1)
+    require_count("k", k, None)
     if not 1 <= k <= n * n:
         raise ValueError(f"k must be in [1, {n * n}], got {k}")
     order = []
@@ -36,9 +41,8 @@ def zigzag_order(n: int, k: int) -> list:
         sweep = range(lo, hi + 1) if d % 2 == 1 else range(hi, lo - 1, -1)
         for u in sweep:
             order.append((u, d - u))
-            if len(order) == k:
+            if len(order) == k:  # k <= n * n, so the walk always gets here
                 return order
-    return order
 
 
 def dct_atom(u: int, v: int, n: int) -> np.ndarray:

@@ -99,14 +99,15 @@ def load_manifest(path) -> list:
 def evaluate_dataset(
     entries,
     segmenter: str = "proposed",
-    cfg: SegmentationConfig | None = None,
+    cfg: SegmentationConfig = SegmentationConfig(),
 ) -> dict:
     """Segment every dataset entry and score it against its ground truth.
 
     Returns a JSON-ready report: per-entry counts and ratios (sorted by image
     path), micro and macro aggregates, and a list of entries that could not
     be read (those are skipped, not fatal). Raises ValueError for an empty
-    manifest or when no entry is readable. The proposed segmenter runs on
+    manifest or when no entry is readable (naming how many were not, and
+    the first one's path and error). The proposed segmenter runs on
     consecutive images together (segment_images); the report is
     byte-identical to segmenting each image alone.
     """
@@ -114,8 +115,6 @@ def evaluate_dataset(
         raise ValueError(f"unknown segmenter {segmenter!r}; expected one of {SEGMENTERS}")
     if not entries:
         raise ValueError("empty manifest")
-    if cfg is None:
-        cfg = SegmentationConfig()
 
     rows = []
     errors = []
@@ -143,7 +142,9 @@ def evaluate_dataset(
         m = metrics(*confusion(pred, truth))
         rows.append({"path": path, **asdict(m)})
     if not rows:
-        raise ValueError("no readable entries in manifest")
+        first = errors[0]
+        raise ValueError(f"no readable entries in manifest: {len(errors)} unreadable, "
+                         f"first {first['path']}: {first['error']}")
 
     micro = metrics(
         sum(r["tp"] for r in rows),

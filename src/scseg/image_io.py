@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import require_count
+
 # BT.601 luma weights (R, G, B).
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -221,7 +223,7 @@ def save_gray(img: np.ndarray, path) -> None:
     atomic_write_bytes(path, header + data.tobytes())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockGrid:
     """Tiling of an image into non-overlapping square blocks.
 
@@ -239,9 +241,11 @@ class BlockGrid:
 
 
 def tile(img: np.ndarray, n: int) -> BlockGrid:
-    """Split an image into n-by-n blocks, edge-padding partial blocks."""
-    if n < 2:
-        raise ValueError(f"block size must be >= 2, got {n}")
+    """Split an image into n-by-n blocks, edge-padding partial blocks.
+
+    n must be an integer (Python or numpy, not bool) of at least 2, else ValueError.
+    """
+    require_count("block size", n, 2)
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {img.shape}")

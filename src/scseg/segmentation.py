@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import BATCH_BLOCKS, SolverParams, require_counts, solve_blocks
+from .admm import BATCH_BLOCKS, SolverParams, solve_blocks
+from .checks import require_counts
 from .dct import BasisMatrix, build_basis
 from .image_io import BlockGrid, stitch, tile
 
@@ -15,7 +16,7 @@ class BackgroundFitError(ValueError):
     """Too few or too poorly spread background pixels to fit the smooth model."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentationConfig:
     """Block size, dictionary size, solver settings, and binarization threshold.
 
@@ -27,7 +28,7 @@ class SegmentationConfig:
 
     block_size: int = 64
     k_bases: int = 10
-    solver: SolverParams = field(default_factory=SolverParams)
+    solver: SolverParams = SolverParams()
     fg_threshold: float = 1.0
 
     def __post_init__(self):
@@ -57,7 +58,7 @@ class SegmentedImage:
     decompositions: tuple
 
 
-def segment_images(images, cfg: SegmentationConfig | None = None):
+def segment_images(images, cfg: SegmentationConfig = SegmentationConfig()):
     """Segment a stream of images; yields one SegmentedImage per image, in order.
 
     Consecutive images are grouped until the group holds at least
@@ -66,8 +67,6 @@ def segment_images(images, cfg: SegmentationConfig | None = None):
     group is held at a time: at most one image plus fewer than BATCH_BLOCKS
     blocks. Each record is bit-identical to segmenting its image alone.
     """
-    if cfg is None:
-        cfg = SegmentationConfig()
     basis = build_basis(cfg.block_size, cfg.k_bases)
     group = []
     blocks = []
@@ -90,7 +89,7 @@ def _group_records(group: list, blocks: list, basis: BasisMatrix, cfg: Segmentat
         yield SegmentedImage(img, stitch(grid, block_masks), grid, basis, block_masks, decompositions)
 
 
-def segment_image(img, cfg: SegmentationConfig | None = None) -> np.ndarray:
+def segment_image(img, cfg: SegmentationConfig = SegmentationConfig()) -> np.ndarray:
     """Segment a full image; returns an (h, w) boolean foreground mask."""
     return next(segment_images([img], cfg)).mask
 
@@ -151,7 +150,7 @@ def assemble_layers(seg: SegmentedImage):
     return background, foreground, seg.mask
 
 
-def reconstruct_layers(img, cfg: SegmentationConfig | None = None):
+def reconstruct_layers(img, cfg: SegmentationConfig = SegmentationConfig()):
     """Segment an image and split it into smooth background and foreground layers.
 
     Returns (background, foreground, mask): the background keeps original

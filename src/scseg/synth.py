@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admm import require_count, require_counts
+from .checks import require_count, require_counts
 from .dct import build_basis
 from .image_io import atomic_write_bytes, save_gray, save_mask
 

@@ -41,14 +41,6 @@ def group_norm_reference(s_flat: np.ndarray, n: int) -> float:
     return float(sum(np.linalg.norm(s_flat[g]) for g in overlapping_groups(n)))
 
 
-def block_objective(coef, s_flat, n: int, lambda1: float, lambda2: float) -> float:
-    return float(
-        np.abs(coef).sum()
-        + lambda1 * np.abs(s_flat).sum()
-        + lambda2 * group_norm_reference(np.asarray(s_flat, dtype=np.float64), n)
-    )
-
-
 def subgradient_best_objective(
     blocks: np.ndarray,
     atoms: np.ndarray,

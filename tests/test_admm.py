@@ -62,6 +62,15 @@ class TestParams:
         assert (p.rho1, p.rho2, p.rho3, p.rho4) == (1.0, 1.0, 1.0, 1.0)
         assert p.max_iters == 50
 
+    def test_fields_are_frozen(self):
+        # an assignment would skip __post_init__'s checks; dataclasses.replace runs them
+        p = SolverParams()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.max_iters = 0
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            dataclasses.replace(p, max_iters=0)
+        assert p.max_iters == 50
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -153,6 +162,11 @@ class TestObjective:
     def test_group_norm_rejects_non_square(self):
         with pytest.raises(ValueError):
             group_norm(np.zeros(5))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2)])
+    def test_group_norm_rejects_a_non_square_block(self, shape):
+        with pytest.raises(ValueError, match=r"block must be square, got shape \(2, "):
+            group_norm(np.zeros(shape))
 
 
 class TestSolve:

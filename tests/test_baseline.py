@@ -74,3 +74,9 @@ def test_image_wrapper_stitches_blocks():
     mask = kmeans2_image(img, block_size=64)
     assert mask.shape == (64, 128)
     np.testing.assert_array_equal(mask, img == 255.0)
+
+
+@pytest.mark.parametrize("block_size", [4.0, np.float64(4), True])
+def test_block_size_must_be_an_integer(block_size):
+    with pytest.raises(ValueError, match="^block size must be an integer"):
+        kmeans2_image(np.zeros((8, 8)), block_size)

@@ -318,6 +318,7 @@ def test_bad_rho_is_usage_error(dataset, tmp_path, capsys):
         pytest.param(["--lambda1", "nan"], "--lambda1 must be positive and finite", id="bad12-lambda1"),
         pytest.param(["--rho", "inf,1,1,1"], "--rho R1 must be positive and finite", id="bad13-rho1"),
         pytest.param(["--rho", "1,nan,1,1"], "--rho R2 must be positive and finite", id="bad14-rho2"),
+        pytest.param(["--rho", "1,2,x,4"], "argument --rho: bad penalty list '1,2,x,4'", id="bad15-rho3"),
     ],
 )
 @pytest.mark.parametrize("command", ["segment", "evaluate"])
@@ -458,3 +459,27 @@ def test_help_keeps_the_flag_metavars(command, metavars, capsys):
     assert usage.startswith(f"usage: scseg {command}")
     for metavar in metavars:
         assert f"[{metavar}]" in usage
+
+
+def test_help_reads_the_solver_defaults(monkeypatch, capsys):
+    @dataclasses.dataclass(frozen=True)
+    class Other(SolverParams):
+        rho1: float = 2.5
+        workers: int = 3
+
+    monkeypatch.setattr("scseg.cli.SolverParams", Other)
+    assert main(["segment", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "penalty parameters (default 2.5,1,1,1)" in out
+    assert "slices (default 3, capped" in out
+
+
+def test_evaluate_names_the_unreadable_entries(tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("missing.pgm\tmissing.pbm\n# comment\nalso.pgm\talso.pbm\n")
+    assert main(["evaluate", "--manifest", str(manifest), "--report", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    first = tmp_path / "also.pgm"  # entries are read in path order
+    assert err.startswith(f"error: no readable entries in manifest: 2 unreadable, first {first}: ")
+    assert "No such file or directory" in err
+    assert not (tmp_path / "r.json").exists()

@@ -37,6 +37,19 @@ def test_zigzag_k_out_of_range(k):
         zigzag_order(8, k)
 
 
+@pytest.mark.parametrize(
+    "n, k, name", [(8, 3.0, "k"), (8.0, 3, "n"), (8, True, "k"), (8, np.float64(3), "k"), (np.True_, 1, "n")]
+)
+def test_sizes_must_be_integers(n, k, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        build_basis(n, k)
+
+
+def test_sizes_accept_numpy_integers():
+    basis = build_basis(np.int64(8), np.int32(3))
+    np.testing.assert_array_equal(basis.atoms, build_basis(8, 3).atoms)
+
+
 def test_atom_dc_is_constant():
     np.testing.assert_allclose(dct_atom(0, 0, 4), np.full(16, 0.25))
 

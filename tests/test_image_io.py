@@ -1,3 +1,6 @@
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from scseg import (
     stitch,
     tile,
 )
+from scseg.image_io import atomic_write_bytes
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +130,21 @@ class TestLoadGray:
     def test_ascii_leading_zeros_accepted(self, tmp_path):
         p = write(tmp_path / "a.pgm", b"P2\n02 1\n0255\n007 010\n")
         np.testing.assert_array_equal(load_gray(p), [[7.0, 10.0]])
+
+    @pytest.mark.parametrize(
+        "payload, what",
+        [(b"P5\n0 1\n255\n", "width"), (b"P2\n1 0\n255\n", "height"), (b"P2\n1 1\n0\n0\n", "maxval")],
+    )
+    def test_header_value_must_be_positive(self, tmp_path, payload, what):
+        p = write(tmp_path / "a.pgm", payload)
+        with pytest.raises(MalformedHeaderError, match=f"{what} must be positive, got 0"):
+            load_gray(p)
+
+    def test_binary_payload_needs_a_separator(self, tmp_path):
+        # a comment right after maxval leaves no whitespace byte before the payload
+        p = write(tmp_path / "a.pgm", b"P5\n1 1\n255#c\n\x07")
+        with pytest.raises(MalformedHeaderError, match="missing separator before binary payload"):
+            load_gray(p)
 
     def test_missing_dims(self, tmp_path):
         p = write(tmp_path / "a.pgm", b"P5\n2")
@@ -280,6 +299,27 @@ class TestGrayWriter:
         assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError) as info:
+        atomic_write_bytes(target, b"payload")
+    assert info.value.filename == str(target)
+    assert os.listdir(tmp_path) == ["taken"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda a, path: save_mask(a, path), lambda a, path: save_gray(a, path), lambda a, path: tile(a, 2)],
+    ids=["save_mask", "save_gray", "tile"],
+)
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+def test_input_must_be_2d(tmp_path, call, shape):
+    with pytest.raises(ValueError, match=re.escape(f"must be 2-D, got shape {shape}")):
+        call(np.zeros(shape), tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestTiling:
     def test_single_block_no_padding(self):
         img = np.arange(64 * 64, dtype=float).reshape(64, 64)
@@ -307,6 +347,14 @@ class TestTiling:
     def test_block_size_too_small(self):
         with pytest.raises(ValueError):
             tile(np.zeros((4, 4)), 1)
+
+    @pytest.mark.parametrize("n", [3.0, np.float64(2), True])
+    def test_block_size_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="^block size must be an integer"):
+            tile(np.zeros((4, 4)), n)
+
+    def test_block_size_accepts_numpy_integers(self):
+        assert tile(np.zeros((4, 4)), np.int64(2)).block_size == 2
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_zero_length_side_rejected(self, shape):
@@ -338,6 +386,13 @@ class TestTiling:
         grid = tile(np.zeros((8, 8)), 4)
         with pytest.raises(ValueError):
             stitch(grid, [np.zeros((4, 4))])
+
+    # (1, 4) would broadcast into its 4x4 cell without the check
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 3)])
+    def test_stitch_wrong_block_shape(self, shape):
+        grid = tile(np.zeros((8, 8)), 4)
+        with pytest.raises(ValueError, match=re.escape(f"block shape {shape} does not match grid size 4")):
+            stitch(grid, [np.zeros(shape)] * 4)
 
     @settings(deadline=None)
     @given(

@@ -15,7 +15,9 @@ from scseg import (
     reconstruct_layers,
     segment_image,
     segment_images,
+    solve_blocks,
     SynthSpec,
+    tile,
 )
 from scseg.segmentation import MAX_FIT_CONDITION, assemble_layers
 
@@ -103,6 +105,31 @@ class TestSegmentBlock:
         img = np.full((16, 16), 90.0)
         cfg = SegmentationConfig(block_size=np.int64(8), k_bases=np.int32(3))
         assert not segment_image(img, cfg).any()
+
+    def test_fields_are_frozen(self):
+        # assigned, a negative threshold would skip __post_init__ and mark every pixel foreground
+        cfg = SegmentationConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.fg_threshold = -1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.solver.max_iters = 0
+        assert (cfg.fg_threshold, cfg.solver.max_iters) == (1.0, 50)
+
+
+# Two records built from equal inputs: equal arrays, distinct objects.
+ARRAY_RECORDS = {
+    "BasisMatrix": lambda: build_basis(8, 3),
+    "BlockGrid": lambda: tile(np.zeros((8, 8)), 4),
+    "Decomposition": lambda: solve_blocks([np.zeros(64)], build_basis(8, 3))[0],
+    "SegmentedImage": lambda: next(segment_images([np.zeros((8, 8))], SegmentationConfig(block_size=8, k_bases=3))),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS.keys())
+def test_array_records_compare_by_identity(make):
+    a, b = make(), make()
+    assert (a == b) is False
+    assert (a == a) is True
 
 
 class TestSegmentImage:
