@@ -137,66 +137,48 @@ def _times(x: np.ndarray, r: float, out: np.ndarray) -> np.ndarray:
     return x if r == 1.0 else np.multiply(x, r, out=out)
 
 
-class _Batch:
-    """Iterates of up to BATCH_BLOCKS blocks, one row per block.
+def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> list:
+    """Run max_iters sweeps on up to BATCH_BLOCKS blocks, one row of `work` each.
 
-    The pixel-sized iterates are views into a preallocated work array of
-    BATCH_BLOCKS rows; rows past the slice's blocks stay zero, and only the
-    basis products read them. The length-k ones (alpha, beta, the
-    coefficient-copy dual w2 and g = B'w1) are small, carry the padded rows
-    (zero is a fixed point of the sweep) and are rebuilt each sweep. The
-    group copies y and z exist only after a sweep run with last=True.
+    The pixel-sized iterates are views into the work rows; rows past the
+    slice's blocks stay zero, and only the basis products read them. Those
+    are GEMMs over all BATCH_BLOCKS rows, so each row gets the bits it would
+    alone. The length-k iterates (alpha, beta, the coefficient-copy dual w2
+    and g = B'w1) carry the padded rows: zero is a fixed point of the sweep.
+    Each sweep is the textbook one (coefficients, their l1 copy, the sparse
+    layer, the row and column group copies, then dual ascent on the fresh
+    gaps) with each dual update folded into the step that produces its gap.
+    The last sweep also keeps the group copies y and z for the split residuals.
     """
+    # alpha @ B' runs 2x faster on C order. B'x of every row x runs as one
+    # GEMM B' X', transposed back: at 8 x 4096 by 4096 x 10 this layout takes
+    # about 25 us where X B takes about 30 us (2-core x86 host, OpenBLAS, one thread).
+    atoms_t = np.ascontiguousarray(basis.atoms.T)
+    work[:, len(flat) :] = 0.0
+    rows = work[:, : len(flat)]
+    rows[0] = flat
+    rows[1:6] = 0.0  # s, w1, V1, V2 and U start at zero
+    f, s, w1, v1, v2, u, tmp = rows
+    cube = (len(flat), basis.n, basis.n)
+    r1, r2, r3, r4 = params.rho1, params.rho2, params.rho3, params.rho4
+    alpha = np.zeros((BATCH_BLOCKS, basis.k))
+    beta = np.zeros_like(alpha)
+    w2 = np.zeros_like(alpha)
+    # B'w1 of the previous sweep; from zero w1 this start gives sweep 1 its r1 B'f
+    g = -(r1 * (atoms_t @ work[0].T).T)
 
-    def __init__(self, flat: list, basis: BasisMatrix, params: SolverParams, work: np.ndarray):
-        self.atoms_t = np.ascontiguousarray(basis.atoms.T)  # alpha @ B' runs 2x faster on C order
-        self.work = work
-        work[:, len(flat) :] = 0.0
-        self.rows = work[:, : len(flat)]
-        self.rows[0] = flat
-        self.rows[1:6] = 0.0  # s, w1, V1, V2 and U start at zero
-        self.s = self.rows[1]
-        self.cube = (len(flat), basis.n, basis.n)
-        self.alpha = np.zeros((BATCH_BLOCKS, basis.k))
-        self.beta = np.zeros_like(self.alpha)
-        self.w2 = np.zeros_like(self.alpha)
-        # B'w1 of the previous sweep; from zero w1 this start gives sweep 1 its r1 B'f
-        self.g = -(params.rho1 * self._coefficients(work[0]))
-
-    def _coefficients(self, rows: np.ndarray) -> np.ndarray:
-        """B'x of every one of the BATCH_BLOCKS rows x, as one GEMM B' X'.
-
-        At 8 x 4096 by 4096 x 10 this layout takes about 25 us where X B takes
-        about 30 us (2-core x86 host, OpenBLAS, one thread).
-        """
-        return (self.atoms_t @ rows.T).T
-
-    def step(self, params: SolverParams, last: bool = False) -> None:
-        """One full update sweep of every row, in place, in scaled form.
-
-        The textbook sweep (coefficients, their l1 copy, the sparse layer,
-        the row and column group copies, then dual ascent on the fresh gaps)
-        with each dual update folded into the step that produces its gap.
-        The basis products are GEMMs over all BATCH_BLOCKS work rows, so
-        each row gets the bits it would alone. The last sweep also keeps the
-        group copies y and z for the split residuals.
-        """
-        f, s, w1, v1, v2, u, tmp = self.rows
-        r1, r2, r3, r4 = params.rho1, params.rho2, params.rho3, params.rho4
-
+    for it in range(1, params.max_iters + 1):
         # B has orthonormal columns, so rho1 B'B + rho2 I is (rho1 + rho2) I:
         # alpha = (B'w1 - w2 + r2 beta + r1 B'(f - s)) / (r1 + r2). The last w1
         # update added r1 (f - B alpha - s), so r1 B'(f - s) is g - g_prev + r1 alpha_prev.
-        g = self._coefficients(self.work[2])
-        rhs = g - self.w2 + r2 * self.beta + (g - self.g + r1 * self.alpha)
-        alpha = rhs / (r1 + r2)
-        beta = soft(alpha + self.w2 / r2, 1.0 / r2)
-        self.w2 = self.w2 + r2 * (alpha - beta)
-        self.alpha, self.beta, self.g = alpha, beta, g
+        g_prev, g = g, (atoms_t @ work[2].T).T
+        alpha = (g - w2 + r2 * beta + (g - g_prev + r1 * alpha)) / (r1 + r2)
+        beta = soft(alpha + w2 / r2, 1.0 / r2)
+        w2 = w2 + r2 * (alpha - beta)
 
         # q = w1 + r1 (f - B alpha), in w1; s = soft(q + U, lambda1) times 1 / (r1 + r3 + r4);
         # the dual ascent w1 += r1 (f - B alpha - s) is then w1 = q - r1 s
-        np.matmul(alpha, self.atoms_t, out=self.work[6])
+        np.matmul(alpha, atoms_t, out=work[6])
         w1 += _times(np.subtract(f, tmp, out=tmp), r1, tmp)
         np.add(w1, u, out=s)
         np.multiply(soft(s, params.lambda1, out=tmp), 1.0 / (r1 + r3 + r4), out=s)
@@ -206,51 +188,42 @@ class _Batch:
         # y = c T, c the row factor, in U's row (U is dead since s); the dual step
         # V1 += s - y is then V1 = T - y, and r3 y - v1 is r3 (y - V1).
         # Columns: the same with z in tmp, its share added into U.
-        t = np.add(v1, s, out=v1).reshape(self.cube)
-        y = np.multiply(t, group_factor(t, params.lambda2 / r3, axis=2), out=u.reshape(self.cube))
-        if last:
-            self.y = u.copy()
+        t = np.add(v1, s, out=v1).reshape(cube)
+        y = np.multiply(t, group_factor(t, params.lambda2 / r3, axis=2), out=u.reshape(cube))
+        if it == params.max_iters:
+            y_last = u.copy()
         t -= y
         _times(np.subtract(u, v1, out=u), r3, u)
-        t = np.add(v2, s, out=v2).reshape(self.cube)
-        z = np.multiply(t, group_factor(t, params.lambda2 / r4, axis=1), out=tmp.reshape(self.cube))
-        if last:
-            self.z = tmp.copy()
+        t = np.add(v2, s, out=v2).reshape(cube)
+        z = np.multiply(t, group_factor(t, params.lambda2 / r4, axis=1), out=tmp.reshape(cube))
+        if it == params.max_iters:
+            z_last = tmp.copy()
         t -= z
         u += _times(np.subtract(tmp, v2, out=tmp), r4, tmp)
 
-    def decompositions(self, params: SolverParams) -> list:
-        """Every row's iterates, constraint gaps and objective after the last sweep."""
-        f, s, smooth = self.rows[0], self.s, self.rows[6]
-        np.matmul(self.alpha, self.atoms_t, out=self.work[6])
-        results = []
-        for i in range(len(s)):
-            alpha, s_i = self.alpha[i].copy(), s[i].copy()
-            f_norm = float(np.linalg.norm(f[i]))
-            primal = float(np.linalg.norm(f[i] - smooth[i] - s_i))
-            results.append(
-                Decomposition(
-                    alpha=alpha,
-                    s=s_i,
-                    primal_residual=primal / f_norm if f_norm > 0 else 0.0,
-                    split_residuals=(
-                        float(np.linalg.norm(alpha - self.beta[i])),
-                        float(np.linalg.norm(s_i - self.y[i])),
-                        float(np.linalg.norm(s_i - self.z[i])),
-                    ),
-                    objective=objective(alpha, s_i, params),
-                )
-            )
-        return results
-
-
-def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> list:
-    batch = _Batch(flat, basis, params, work)
-    for it in range(1, params.max_iters + 1):
-        batch.step(params, last=it == params.max_iters)
-        if not (np.isfinite(batch.alpha).all() and np.isfinite(batch.s).all()):
+        if not (np.isfinite(alpha).all() and np.isfinite(s).all()):
             raise DivergenceError(f"non-finite iterate at iteration {it}")
-    return batch.decompositions(params)
+
+    smooth = np.matmul(alpha, atoms_t, out=work[6])
+    results = []
+    for i in range(len(flat)):
+        alpha_i, s_i = alpha[i].copy(), s[i].copy()
+        f_norm = float(np.linalg.norm(f[i]))
+        primal = float(np.linalg.norm(f[i] - smooth[i] - s_i))
+        results.append(
+            Decomposition(
+                alpha=alpha_i,
+                s=s_i,
+                primal_residual=primal / f_norm if f_norm > 0 else 0.0,
+                split_residuals=(
+                    float(np.linalg.norm(alpha_i - beta[i])),
+                    float(np.linalg.norm(s_i - y_last[i])),
+                    float(np.linalg.norm(s_i - z_last[i])),
+                ),
+                objective=objective(alpha_i, s_i, params),
+            )
+        )
+    return results
 
 
 def _solve_run(flat: list, basis: BasisMatrix, params: SolverParams) -> list:

@@ -12,7 +12,7 @@ import dataclasses
 import json
 import sys
 
-from .admm import SolverParams
+from .admm import BATCH_BLOCKS, SolverParams
 from .checks import require_count
 from .evaluation import SEGMENTERS, evaluate_dataset, load_manifest
 from .image_io import PnmError, atomic_write_bytes, load_gray, save_gray, save_mask
@@ -70,7 +70,7 @@ def _add_segmentation_flags(p):
     p.flag("--fg-threshold", "fg_threshold", type=float,
            help="gray-level magnitude above which a pixel is foreground")
     p.flag("--workers", "workers", type=int,
-           help=f"processes that solve the 8-block slices (default {d.workers}, capped at "
+           help=f"processes that solve the {BATCH_BLOCKS}-block slices (default {d.workers}, capped at "
                 "the usable CPUs); outputs are the same for any value")
     p.set_defaults(build=_config, usage_error=p.reject)
 

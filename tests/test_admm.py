@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import signal
 import subprocess
@@ -386,20 +387,33 @@ class TestSolveBlocks:
 
 
 class TestSweep:
-    """Invariants of one _Batch sweep on its preallocated work array."""
+    """Invariants of the slice sweep on its preallocated work array."""
 
     @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
-    def test_sweep_allocates_no_pixel_sized_array(self, basis64, regime_blocks, params):
+    def test_sweep_allocates_no_pixel_sized_array(self, monkeypatch, basis64, regime_blocks, params):
+        # group_factor runs twice a sweep; each call marks the traced memory and
+        # starts a new peak, so the marks cut the sweeps into intervals
+        marks = []
+        real_group_factor = admm.group_factor
+
+        def marking(*args, **kwargs):
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return real_group_factor(*args, **kwargs)
+
+        monkeypatch.setattr(admm, "group_factor", marking)
         work = np.empty((admm._WORK_ROWS, BATCH_BLOCKS, basis64.n**2))
-        batch = admm._Batch([f.ravel() for f in regime_blocks[:8]], basis64, params, work)
-        batch.step(params)
+        flat = [f.ravel() for f in regime_blocks[:8]]
         tracemalloc.start()
         try:
-            batch.step(params)
-            peak = tracemalloc.get_traced_memory()[1]
+            admm._solve_slice(flat, basis64, dataclasses.replace(params, max_iters=4), work)
         finally:
             tracemalloc.stop()
-        assert peak < work[0].nbytes, peak  # below one BATCH_BLOCKS x n*n row
+        assert len(marks) == 8
+        # from sweep 1's second call to sweep 4's first: no interval holds the
+        # last sweep's copies of y and z
+        for (start, _), (_, peak) in zip(marks[1:6], marks[2:7]):
+            assert peak - start < work[0].nbytes, (start, peak)  # below one BATCH_BLOCKS x n*n row
 
     @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
     def test_work_array_alignment_changes_no_bits(self, basis64, regime_blocks, params):
@@ -593,6 +607,26 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match=f"exited with status {-signal.SIGKILL} without a result"):
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
         _assert_no_children()
+
+    def test_failed_fork_kills_the_children_started(self, monkeypatch, cpus):
+        blocks = _index_slices(monkeypatch)
+        real_fork = os.fork
+        calls = []
+
+        def fork():  # the second of two forks fails
+            calls.append(os.getpid())
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError) as err:
+            solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=3))
+        assert err.value.errno == errno.EAGAIN
+        assert len(calls) == 2
+        _assert_no_children()  # the first child is killed and reaped
+        assert sorted(os.listdir("/proc/self/fd")) == fds  # no pipe end is left open
 
     def test_process_count_clamp(self, monkeypatch, cpus):
         cpus(2)

@@ -468,10 +468,11 @@ def test_help_reads_the_solver_defaults(monkeypatch, capsys):
         workers: int = 3
 
     monkeypatch.setattr("scseg.cli.SolverParams", Other)
+    monkeypatch.setattr("scseg.cli.BATCH_BLOCKS", 5)
     assert main(["segment", "--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())
     assert "penalty parameters (default 2.5,1,1,1)" in out
-    assert "slices (default 3, capped" in out
+    assert "solve the 5-block slices (default 3, capped" in out
 
 
 def test_evaluate_names_the_unreadable_entries(tmp_path, capsys):

@@ -299,13 +299,28 @@ class TestGrayWriter:
         assert list(tmp_path.iterdir()) == []
 
 
-def test_failed_write_leaves_no_temp_file(tmp_path):
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     target = tmp_path / "taken"
     target.mkdir()  # os.replace cannot put a file over a directory
     with pytest.raises(OSError) as info:
         atomic_write_bytes(target, b"payload")
     assert info.value.filename == str(target)
     assert os.listdir(tmp_path) == ["taken"]
+
+    # an interrupt during the rename comes back as raised, not wrapped
+    old = tmp_path / "old"
+    old.write_bytes(b"old bytes")
+    interrupt = KeyboardInterrupt()
+
+    def interrupted_replace(src, dst):
+        raise interrupt
+
+    monkeypatch.setattr(os, "replace", interrupted_replace)
+    with pytest.raises(KeyboardInterrupt) as info:
+        atomic_write_bytes(old, b"payload")
+    assert info.value is interrupt
+    assert sorted(os.listdir(tmp_path)) == ["old", "taken"]
+    assert old.read_bytes() == b"old bytes"
 
 
 @pytest.mark.parametrize(
