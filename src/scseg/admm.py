@@ -8,15 +8,15 @@ splitting variable per penalty term and dual ascent on the constraints.
 Every step acts per pixel, per row or per column of one block, so blocks are
 solved several at a time as rows of shared arrays, and runs of whole slices
 of them can go to forked processes. The sweep runs in the scaled form of
-ADMM (Boyd et al. 2011, section 3.1.1), so it needs two products with the
-basis, B'w1 and B alpha. Each runs as one GEMM of BATCH_BLOCKS rows,
-zero-padded when a slice is short: the shape never changes, so a block's
-bits do not depend on its row or on the blocks beside it. Besides those, a
-sweep at unit penalties makes 18 passes over the pixel rows: seven for the
-sparse layer (one a multiply by 1/(rho1 + rho3 + rho4)), and for each of the
-row and column groups one fused sum of squares, one broadcast multiply by
-the shrinkage factor and three (rows) or four (columns) plain passes. A
-non-unit rho1 adds two scalings, a non-unit rho3 or rho4 one each.
+ADMM (Boyd et al. 2011, section 3.1.1) with one penalty rho: every dual is
+stored divided by rho, so rho enters only the three shrinkage thresholds.
+A sweep needs two products with the basis, B'W1 and B alpha. Each runs as
+one GEMM of BATCH_BLOCKS rows, zero-padded when a slice is short: the shape
+never changes, so a block's bits do not depend on its row or on the blocks
+beside it. Besides those, a sweep makes 18 passes over the pixel rows: seven
+for the sparse layer (one a multiply by 1/3), and for each of the row and
+column groups one fused sum of squares, one broadcast multiply by the
+shrinkage factor and three (rows) or four (columns) plain passes.
 """
 
 from __future__ import annotations
@@ -38,29 +38,30 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Weights, penalty parameters, and iteration budget for the block solver.
+    """Weights, ADMM penalty, and iteration budget for the block solver.
 
     Defaults are the reference operating point: lambda1=100, lambda2=2,
-    unit penalties, 50 iterations. Every block runs exactly max_iters
-    sweeps from the zero state. workers caps the processes solve_blocks may
-    use; it changes no result. Both counts must be integers (Python or
-    numpy, not bool).
+    rho=1, 50 iterations. The ADMM penalty rho sets the sweeps' path, not the
+    minimiser; 1/rho, lambda1/rho and lambda2/rho must be finite. Every
+    block runs exactly max_iters sweeps from the zero state. workers caps
+    the processes solve_blocks may use; it changes no result. Both counts
+    must be integers (Python or numpy, not bool).
     """
 
     lambda1: float = 100.0
     lambda2: float = 2.0
-    rho1: float = 1.0
-    rho2: float = 1.0
-    rho3: float = 1.0
-    rho4: float = 1.0
+    rho: float = 1.0
     max_iters: int = 50
     workers: int = 1
 
     def __post_init__(self):
         require_counts(self, max_iters=1, workers=1)
-        for name in ("lambda1", "lambda2", "rho1", "rho2", "rho3", "rho4"):
+        for name in ("lambda1", "lambda2", "rho"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        # the largest shrinkage threshold; Python floats overflow to inf without a warning
+        if not np.isfinite(float(max(1.0, self.lambda1, self.lambda2)) / float(self.rho)):
+            raise ValueError(f"rho {self.rho} is too small: 1/rho, lambda1/rho or lambda2/rho overflows")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +74,8 @@ class Decomposition:
     stores the group copies: the last one forms y and z from its shrinkage
     inputs and factors. Every block runs from the zero state, so the
     residuals after k sweeps are the ones a solve with max_iters=k returns.
+    objective is the decomposition objective at that last iterate (a, s),
+    which need not satisfy f = B a + s, so it can read below the optimum.
     """
 
     alpha: np.ndarray
@@ -122,19 +125,14 @@ def _flatten_block(f, n: int) -> np.ndarray:
 BATCH_BLOCKS = 8
 
 # Rows of the preallocated work array: the blocks f, the sparse layer s, the
-# decomposition dual w1, the scaled group-copy duals V1 = v1/rho3 and
-# V2 = v2/rho4, U = rho3 y - v1 + rho4 z - v2, and scratch. Each group step
-# forms T = s + V in V's row, y = c T in U's row (columns: in scratch), then
-# V = T - y and U's share rho (y - V) in place. No other pixel-sized array is
-# made in a sweep but the last one's copies of y and z (the group norms and
-# factors are one value a row or column), so for 64-pixel blocks the sweep
-# works in 1.75 MB, within a 2 MB L2 cache.
+# scaled duals W1 = w1/rho, V1 = v1/rho and V2 = v2/rho, U = (y - V1) +
+# (z - V2), and scratch. Each group step forms T = s + V in V's row, y = c T
+# in U's row (columns: in scratch), then V = T - y and U's share y - V in
+# place. No other pixel-sized array is made in a sweep but the last one's
+# copies of y and z (the group norms and factors are one value a row or
+# column), so for 64-pixel blocks the sweep works in 1.75 MB, within a 2 MB
+# L2 cache.
 _WORK_ROWS = 7
-
-
-def _times(x: np.ndarray, r: float, out: np.ndarray) -> np.ndarray:
-    """r * x, skipping the pass when r is 1 (x * 1.0 is x, bit for bit)."""
-    return x if r == 1.0 else np.multiply(x, r, out=out)
 
 
 def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> list:
@@ -143,11 +141,12 @@ def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> 
     The pixel-sized iterates are views into the work rows; rows past the
     slice's blocks stay zero, and only the basis products read them. Those
     are GEMMs over all BATCH_BLOCKS rows, so each row gets the bits it would
-    alone. The length-k iterates (alpha, beta, the coefficient-copy dual w2
-    and g = B'w1) carry the padded rows: zero is a fixed point of the sweep.
-    Each sweep is the textbook one (coefficients, their l1 copy, the sparse
-    layer, the row and column group copies, then dual ascent on the fresh
-    gaps) with each dual update folded into the step that produces its gap.
+    alone. The length-k iterates (alpha, beta, the scaled coefficient-copy
+    dual W2 = w2/rho and g = B'W1) carry the padded rows: zero is a fixed
+    point of the sweep. Each sweep is the textbook one (coefficients, their
+    l1 copy, the sparse layer, the row and column group copies, then dual
+    ascent on the fresh gaps) divided through by rho, with each dual update
+    folded into the step that produces its gap.
     The last sweep also keeps the group copies y and z for the split residuals.
     """
     # alpha @ B' runs 2x faster on C order. B'x of every row x runs as one
@@ -157,49 +156,46 @@ def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> 
     work[:, len(flat) :] = 0.0
     rows = work[:, : len(flat)]
     rows[0] = flat
-    rows[1:6] = 0.0  # s, w1, V1, V2 and U start at zero
+    rows[1:6] = 0.0  # s, W1, V1, V2 and U start at zero
     f, s, w1, v1, v2, u, tmp = rows
     cube = (len(flat), basis.n, basis.n)
-    r1, r2, r3, r4 = params.rho1, params.rho2, params.rho3, params.rho4
+    rho = params.rho
     alpha = np.zeros((BATCH_BLOCKS, basis.k))
     beta = np.zeros_like(alpha)
     w2 = np.zeros_like(alpha)
-    # B'w1 of the previous sweep; from zero w1 this start gives sweep 1 its r1 B'f
-    g = -(r1 * (atoms_t @ work[0].T).T)
+    # B'W1 of the previous sweep; from zero W1 this start gives sweep 1 its B'f
+    g = -(atoms_t @ work[0].T).T
 
     for it in range(1, params.max_iters + 1):
-        # B has orthonormal columns, so rho1 B'B + rho2 I is (rho1 + rho2) I:
-        # alpha = (B'w1 - w2 + r2 beta + r1 B'(f - s)) / (r1 + r2). The last w1
-        # update added r1 (f - B alpha - s), so r1 B'(f - s) is g - g_prev + r1 alpha_prev.
+        # B'B = I, so alpha = (B'W1 - W2 + beta + B'(f - s)) / 2; the last W1
+        # update added f - B alpha - s, so B'(f - s) is g - g_prev + alpha_prev.
         g_prev, g = g, (atoms_t @ work[2].T).T
-        alpha = (g - w2 + r2 * beta + (g - g_prev + r1 * alpha)) / (r1 + r2)
-        beta = soft(alpha + w2 / r2, 1.0 / r2)
-        w2 = w2 + r2 * (alpha - beta)
+        alpha = (g - w2 + beta + (g - g_prev + alpha)) / 2.0
+        beta = soft(alpha + w2, 1.0 / rho)
+        w2 = w2 + (alpha - beta)
 
-        # q = w1 + r1 (f - B alpha), in w1; s = soft(q + U, lambda1) times 1 / (r1 + r3 + r4);
-        # the dual ascent w1 += r1 (f - B alpha - s) is then w1 = q - r1 s
+        # q = W1 + f - B alpha in W1, s = soft(q + U, lambda1/rho) / 3, and the dual step W1 = q - s
         np.matmul(alpha, atoms_t, out=work[6])
-        w1 += _times(np.subtract(f, tmp, out=tmp), r1, tmp)
+        w1 += np.subtract(f, tmp, out=tmp)
         np.add(w1, u, out=s)
-        np.multiply(soft(s, params.lambda1, out=tmp), 1.0 / (r1 + r3 + r4), out=s)
-        w1 -= _times(s, r1, tmp)
+        np.multiply(soft(s, params.lambda1 / rho, out=tmp), 1.0 / 3.0, out=s)
+        w1 -= s
 
-        # rows: T = s + V1 in V1's row (the old V1 is dead once T is formed), and
-        # y = c T, c the row factor, in U's row (U is dead since s); the dual step
-        # V1 += s - y is then V1 = T - y, and r3 y - v1 is r3 (y - V1).
-        # Columns: the same with z in tmp, its share added into U.
+        # rows: T = s + V1 in V1's row (the old V1 is dead once T is formed), y = c T,
+        # c the row factor, in U's row (U is dead since s); the dual step V1 += s - y
+        # is then V1 = T - y, and U's share is y - V1. Columns: the same, z in tmp.
         t = np.add(v1, s, out=v1).reshape(cube)
-        y = np.multiply(t, group_factor(t, params.lambda2 / r3, axis=2), out=u.reshape(cube))
+        y = np.multiply(t, group_factor(t, params.lambda2 / rho, axis=2), out=u.reshape(cube))
         if it == params.max_iters:
             y_last = u.copy()
         t -= y
-        _times(np.subtract(u, v1, out=u), r3, u)
+        np.subtract(u, v1, out=u)
         t = np.add(v2, s, out=v2).reshape(cube)
-        z = np.multiply(t, group_factor(t, params.lambda2 / r4, axis=1), out=tmp.reshape(cube))
+        z = np.multiply(t, group_factor(t, params.lambda2 / rho, axis=1), out=tmp.reshape(cube))
         if it == params.max_iters:
             z_last = tmp.copy()
         t -= z
-        u += _times(np.subtract(tmp, v2, out=tmp), r4, tmp)
+        u += np.subtract(tmp, v2, out=tmp)
 
         if not (np.isfinite(alpha).all() and np.isfinite(s).all()):
             raise DivergenceError(f"non-finite iterate at iteration {it}")

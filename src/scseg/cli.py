@@ -24,7 +24,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # the flag behind each config or synth spec field; flag() adds each one-field flag
-        self.flags = {f"rho{i}": f"--rho R{i}" for i in range(1, 5)} | {"count": "--count"}
+        self.flags = {"count": "--count"}
 
     def flag(self, flag: str, field: str, **kwargs):
         """Add a flag that sets one dataclass field; unset, it leaves the field's default."""
@@ -44,16 +44,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _rho_dict(text: str) -> dict:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected four comma-separated values, e.g. 1,1,1,1")
-    try:
-        return {f"rho{i}": float(p) for i, p in enumerate(parts, 1)}
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad penalty list {text!r}") from None
-
-
 def _given(args, cls) -> dict:
     return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
 
@@ -62,8 +52,7 @@ def _add_segmentation_flags(p):
     d = SolverParams()  # the defaults the help strings quote
     p.flag("--lambda1", "lambda1", type=float, help="sparsity weight on the foreground layer")
     p.flag("--lambda2", "lambda2", type=float, help="row/column group weight")
-    p.add_argument("--rho", type=_rho_dict, default={}, metavar="R1,R2,R3,R4",
-                   help=f"penalty parameters (default {d.rho1:g},{d.rho2:g},{d.rho3:g},{d.rho4:g})")
+    p.flag("--rho", "rho", type=float, help=f"ADMM penalty parameter (default {d.rho:g})")
     p.flag("--iters", "max_iters", type=int, help="solver iterations per block")
     p.flag("--block", "block_size", type=int, help="block size in pixels")
     p.flag("--k", "k_bases", type=int, help="number of smooth basis atoms")
@@ -76,7 +65,7 @@ def _add_segmentation_flags(p):
 
 
 def _config(args) -> SegmentationConfig:
-    solver = SolverParams(**_given(args, SolverParams), **args.rho)
+    solver = SolverParams(**_given(args, SolverParams))
     return SegmentationConfig(**_given(args, SegmentationConfig), solver=solver)
 
 

@@ -176,10 +176,11 @@ def admm_step(state: SolverState, f: np.ndarray, b: np.ndarray, params) -> Solve
 
     Order: coefficients, their l1 copy, the sparse layer, the row and column
     group copies, then dual ascent on all four constraints using the fresh
-    primal values.
+    primal values. Every split's penalty is params.rho; the names r1..r4
+    keep the textbook's one-penalty-per-split form.
     """
     n = int(round(np.sqrt(b.shape[0])))
-    r1, r2, r3, r4 = params.rho1, params.rho2, params.rho3, params.rho4
+    r1 = r2 = r3 = r4 = params.rho
     bt = np.ascontiguousarray(b.T)
 
     rhs = padded_product(state.w1, b) - state.w2 + r2 * state.beta + r1 * padded_product(f - state.s, b)
@@ -242,11 +243,12 @@ def reference_solve(f, atoms: np.ndarray, params, steps: int | None = None) -> d
 class ScaledState:
     """Iterates of one block's scaled-form sweep.
 
-    alpha, beta, w2 and g = B'w1 are length k; s, w1, the scaled group duals
-    V1 = v1/rho3 and V2 = v2/rho4, U = rho3 y - v1 + rho4 z - v2 and the
-    shrinkage inputs t_row = s + V1 and t_col = s + V2 of the last sweep are
-    n-by-n; row_factor (n, 1) and col_factor (1, n) are its shrinkage factors,
-    so y = row_factor * t_row and z = col_factor * t_col.
+    Each dual is admm_step's divided by rho. alpha, beta, W2 = w2/rho and
+    g = B'W1 are length k; s, W1 = w1/rho, V1 = v1/rho, V2 = v2/rho,
+    U = (y - V1) + (z - V2) and the shrinkage inputs t_row = s + V1 and
+    t_col = s + V2 of the last sweep are n-by-n; row_factor (n, 1) and
+    col_factor (1, n) are its shrinkage factors, so y = row_factor * t_row
+    and z = col_factor * t_col.
     """
 
     alpha: np.ndarray
@@ -267,31 +269,34 @@ class ScaledState:
 def scaled_step(state: ScaledState, f: np.ndarray, b: np.ndarray, params) -> ScaledState:
     """One scaled-form sweep of one block (f flat); returns the next state.
 
-    The last w1 update added r1 (f - B alpha - s), so r1 B'(f - s) is
-    g - g_prev + r1 alpha_prev. Each group step forms its copy y = c T once,
-    the scaled dual as T - y and its share of U as rho (y - V); the unscaled
-    group duals are never formed.
+    admm_step with every penalty rho, divided through by rho. Its alpha
+    update is (B'w1 - w2 + rho beta + rho B'(f - s)) / (2 rho), which is
+    (B'W1 - W2 + beta + B'(f - s)) / 2; the last W1 update added
+    f - B alpha - s, so B'(f - s) is g - g_prev + alpha_prev. Its s update
+    soft(c, lambda1) / (3 rho) is soft(c / rho, lambda1 / rho) / 3, with
+    c / rho = W1 + (f - B alpha) + U. Each group copy is the group soft
+    threshold of T = s + V at lambda2 / rho, and the dual step V += s - y is
+    V = T - y.
     """
     n = int(round(np.sqrt(b.shape[0])))
-    r1, r2, r3, r4 = params.rho1, params.rho2, params.rho3, params.rho4
+    rho = params.rho
     bt = np.ascontiguousarray(b.T)
 
     g = padded_transposed_product(bt, state.w1.ravel())
-    rhs = g - state.w2 + r2 * state.beta + (g - state.g + r1 * state.alpha)
-    alpha = rhs / (r1 + r2)
-    beta = reference_soft(alpha + state.w2 / r2, 1.0 / r2)
-    w2 = state.w2 + r2 * (alpha - beta)
+    alpha = (g - state.w2 + state.beta + (g - state.g + state.alpha)) / 2.0
+    beta = reference_soft(alpha + state.w2, 1.0 / rho)
+    w2 = state.w2 + (alpha - beta)
 
-    q = state.w1 + r1 * (f.reshape(n, n) - padded_product(alpha, bt).reshape(n, n))
-    s = reference_soft(q + state.u, params.lambda1) * (1.0 / (r1 + r3 + r4))
-    w1 = q - r1 * s
+    q = state.w1 + (f.reshape(n, n) - padded_product(alpha, bt).reshape(n, n))
+    s = reference_soft(q + state.u, params.lambda1 / rho) * (1.0 / 3.0)
+    w1 = q - s
 
     t_row = s + state.v1
-    row_factor = fused_group_factor(t_row, params.lambda2 / r3, axis=1)
+    row_factor = fused_group_factor(t_row, params.lambda2 / rho, axis=1)
     y = t_row * row_factor
     v1 = t_row - y
     t_col = s + state.v2
-    col_factor = fused_group_factor(t_col, params.lambda2 / r4, axis=0)
+    col_factor = fused_group_factor(t_col, params.lambda2 / rho, axis=0)
     z = t_col * col_factor
     v2 = t_col - z
     return ScaledState(
@@ -303,7 +308,7 @@ def scaled_step(state: ScaledState, f: np.ndarray, b: np.ndarray, params) -> Sca
         w1=w1,
         v1=v1,
         v2=v2,
-        u=r3 * (y - v1) + r4 * (z - v2),
+        u=(y - v1) + (z - v2),
         t_row=t_row,
         t_col=t_col,
         row_factor=row_factor,
@@ -321,7 +326,7 @@ def scaled_solve(f, atoms: np.ndarray, params, steps: int | None = None) -> dict
     n = int(round(np.sqrt(f.size)))
     k = atoms.shape[1]
     zero = np.zeros((n, n))
-    g = -(params.rho1 * padded_transposed_product(np.ascontiguousarray(atoms.T), f))
+    g = -padded_transposed_product(np.ascontiguousarray(atoms.T), f)
     state = ScaledState(
         alpha=np.zeros(k), beta=np.zeros(k), w2=np.zeros(k), g=g,
         s=zero, w1=zero, v1=zero, v2=zero, u=zero, t_row=zero, t_col=zero,

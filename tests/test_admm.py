@@ -33,16 +33,17 @@ REGIMES = (
     SynthSpec(k_true=15),
     SynthSpec(diagonal_strokes=True),
 )
-NON_DEFAULT = SolverParams(lambda1=5.0, lambda2=1.0, rho1=1.7, rho2=0.6, rho3=1.3, rho4=0.9)
-# The defaults, every weight and penalty changed at once, and one non-unit
-# penalty alone, so that a scaling the unit-penalty skip leaves out, or one
-# applied to the wrong term, cannot hide behind the others.
+NON_DEFAULT = SolverParams(lambda1=5.0, lambda2=1.0, rho=1.7)
+# The defaults, the weights and the penalty changed at once, the weights
+# alone, and a small and a large penalty alone: rho enters only the three
+# shrinkage thresholds, so a threshold that drops its rho, or one given the
+# wrong weight, cannot hide behind the others.
 PENALTY_CASES = {
     "default": SolverParams(),
     "penalties": NON_DEFAULT,
-    "rho1": SolverParams(rho1=1.7),
-    "rho3": SolverParams(rho3=1.3),
-    "rho4": SolverParams(rho4=0.9),
+    "lambdas": SolverParams(lambda1=5.0, lambda2=1.0),
+    "rho-small": SolverParams(rho=0.3),
+    "rho-large": SolverParams(rho=30.0),
 }
 
 
@@ -60,8 +61,9 @@ class TestParams:
     def test_defaults(self):
         p = SolverParams()
         assert (p.lambda1, p.lambda2) == (100.0, 2.0)
-        assert (p.rho1, p.rho2, p.rho3, p.rho4) == (1.0, 1.0, 1.0, 1.0)
+        assert p.rho == 1.0
         assert p.max_iters == 50
+        assert [f.name for f in dataclasses.fields(p)] == ["lambda1", "lambda2", "rho", "max_iters", "workers"]
 
     def test_fields_are_frozen(self):
         # an assignment would skip __post_init__'s checks; dataclasses.replace runs them
@@ -75,8 +77,11 @@ class TestParams:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"lambda1": 0}, {"lambda2": -1}, {"rho3": 0.0}, {"max_iters": 0}, {"workers": 0},
-            {"lambda1": np.nan}, {"lambda2": np.inf}, {"rho4": np.inf}, {"rho2": -np.inf},
+            {"lambda1": 0}, {"lambda2": -1}, {"rho": 0.0}, {"max_iters": 0}, {"workers": 0},
+            {"lambda1": np.nan}, {"lambda2": np.inf}, {"rho": np.inf}, {"rho": -np.inf},
+            # finite values whose shrinkage threshold overflows: lambda2/rho, lambda1/rho, 1/rho
+            {"lambda2": 1e300, "rho": 1e-10}, {"lambda1": np.float64(1e300), "rho": np.float64(1e-10)},
+            {"rho": 5e-324},
         ],
     )
     def test_validation(self, bad):
@@ -116,20 +121,20 @@ class TestStep:
         np.testing.assert_allclose(dec.alpha, expected, atol=1e-10)
 
     def test_orthonormal_shortcut_matches_factorized_path(self, basis64):
-        # the fourth coefficient update solves (rho1 B'B + rho2 I) alpha = rhs
+        # the fourth coefficient update solves (rho B'B + rho I) alpha = rhs
         # on the state after three sweeps
         rng = np.random.default_rng(14)
         f = rng.uniform(0, 255, 4096)
-        params = SolverParams(rho1=1.7, rho2=0.6)
+        params = SolverParams(rho=1.7)
         state = reference_solve(f, basis64.atoms, params, steps=3)["state"]
         b = basis64.atoms
         rhs = (
             b.T @ state.w1
             - state.w2
-            + params.rho2 * state.beta
-            + params.rho1 * (b.T @ (f - state.s))
+            + params.rho * state.beta
+            + params.rho * (b.T @ (f - state.s))
         )
-        factorized = np.linalg.solve(params.rho1 * b.T @ b + params.rho2 * np.eye(10), rhs)
+        factorized = np.linalg.solve(params.rho * b.T @ b + params.rho * np.eye(10), rhs)
         stepped = solve_blocks([f], basis64, dataclasses.replace(params, max_iters=4))[0]
         np.testing.assert_allclose(stepped.alpha, factorized, atol=1e-10)
 
@@ -336,6 +341,21 @@ class TestSolveBlocks:
         alone = [solve_blocks([f], basis8, params)[0] for f in blocks]
         _assert_same(solve_blocks(blocks, basis8, params), alone)
 
+    @settings(deadline=None, max_examples=30)
+    @given(
+        rho=st.floats(0.05, 50),
+        lambda1=st.floats(0.5, 200),
+        lambda2=st.floats(0.1, 10),
+        max_iters=st.integers(1, 60),
+        count=st.integers(1, 17),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_at_any_penalty(self, basis8, rho, lambda1, lambda2, max_iters, count, seed):
+        params = SolverParams(lambda1=lambda1, lambda2=lambda2, rho=rho, max_iters=max_iters)
+        blocks = np.random.default_rng(seed).uniform(0, 255, (count, 64))
+        refs = [scaled_solve(f, basis8.atoms, params) for f in blocks]
+        _assert_matches_reference(solve_blocks(blocks, basis8, params), refs)
+
     def test_empty_batch(self, basis8):
         assert solve_blocks([], basis8) == []
 
@@ -433,11 +453,11 @@ class TestTextbookAgreement:
     """The scaled-form sweep against the textbook one (reference_solve).
 
     The two are the same iteration in exact arithmetic; rounding differs,
-    because the scaled form takes B'(f - s) from the last dual update and
-    sums the group terms in another order. On these blocks, over every
-    penalty case below, the differences measured at most 5e-15 in relative
-    alpha, 3.3e-12 in s, 2e-16 in the primal residual and 7.2e-14 in the
-    group gaps.
+    because the scaled form divides every step by rho, takes B'(f - s) from
+    the last dual update and sums the group terms in another order. On these
+    blocks, over every penalty case below, the differences measured at most
+    1.8e-15 in relative alpha, 1.4e-12 in s, 3.5e-16 in the primal residual
+    and 3.3e-13 in the group gaps.
     """
 
     ALPHA_REL = 1e-13  # max |d alpha| over max |alpha|

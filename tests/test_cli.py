@@ -291,12 +291,14 @@ def test_synth_default_block_size(tmp_path, capsys):
 
 
 def test_bad_rho_is_usage_error(dataset, tmp_path, capsys):
+    # one penalty: the four-value form of older versions is an error, not four penalties
     rc = main(
         ["segment", "--input", str(dataset / "block_0000.pgm"),
-         "--mask-out", str(tmp_path / "m.pbm"), "--rho", "1,2"]
+         "--mask-out", str(tmp_path / "m.pbm"), "--rho", "1,1,1,1"]
     )
     assert rc == 1
-    capsys.readouterr()
+    assert "argument --rho: invalid float value: '1,1,1,1'" in capsys.readouterr().err
+    assert not (tmp_path / "m.pbm").exists()
 
 
 @pytest.mark.parametrize(
@@ -304,21 +306,23 @@ def test_bad_rho_is_usage_error(dataset, tmp_path, capsys):
     [
         # each case id names the config field the bad flag sets
         pytest.param(["--iters", "0"], "--iters must be >= 1", id="bad0-max_iters"),
-        pytest.param(["--rho", "0,1,1,1"], "--rho R1 must be positive", id="bad1-rho1"),
+        pytest.param(["--rho", "0"], "--rho must be positive", id="bad1-rho"),
         pytest.param(["--lambda1", "-1"], "--lambda1 must be positive", id="bad2-lambda1"),
         pytest.param(["--block", "1", "--k", "1"], "--block must be >= 2", id="bad3-block_size"),
         pytest.param(["--k", "0"], "--k 0 out of range", id="bad4-k_bases"),
         pytest.param(["--fg-threshold", "-1"], "--fg-threshold must be >= 0", id="bad5-fg_threshold"),
-        pytest.param(["--rho", "1,1,1,-2"], "--rho R4 must be positive", id="bad6-rho4"),
+        pytest.param(["--rho", "-2"], "--rho must be positive", id="bad6-rho"),
         pytest.param(["--workers", "0"], "--workers must be >= 1", id="bad7-workers"),
         pytest.param(["--workers", "-1"], "--workers must be >= 1", id="bad8-workers"),
         pytest.param(["--fg-threshold", "nan"], "--fg-threshold must be >= 0 and finite", id="bad9-fg_threshold"),
         pytest.param(["--fg-threshold", "inf"], "--fg-threshold must be >= 0 and finite", id="bad10-fg_threshold"),
         pytest.param(["--lambda2", "inf"], "--lambda2 must be positive and finite", id="bad11-lambda2"),
         pytest.param(["--lambda1", "nan"], "--lambda1 must be positive and finite", id="bad12-lambda1"),
-        pytest.param(["--rho", "inf,1,1,1"], "--rho R1 must be positive and finite", id="bad13-rho1"),
-        pytest.param(["--rho", "1,nan,1,1"], "--rho R2 must be positive and finite", id="bad14-rho2"),
-        pytest.param(["--rho", "1,2,x,4"], "argument --rho: bad penalty list '1,2,x,4'", id="bad15-rho3"),
+        pytest.param(["--rho", "inf"], "--rho must be positive and finite", id="bad13-rho"),
+        pytest.param(["--rho", "nan"], "--rho must be positive and finite", id="bad14-rho"),
+        pytest.param(["--rho", "x"], "argument --rho: invalid float value: 'x'", id="bad15-rho"),
+        # every value finite, but lambda2/rho overflows: rejected, not a NaN in the solver
+        pytest.param(["--lambda2", "1e300", "--rho", "1e-10"], "--rho 1e-10 is too small", id="bad16-rho"),
     ],
 )
 @pytest.mark.parametrize("command", ["segment", "evaluate"])
@@ -333,7 +337,7 @@ def test_invalid_config_is_usage_error(command, bad, message, tmp_path, capsys):
     assert err.startswith(f"usage: scseg {command}")
     assert f"scseg {command}: error: {message}" in err
     # the flag the user typed, not the library field behind it
-    for field in ("max_iters", "rho1", "rho4", "block_size", "k_bases", "fg_threshold"):
+    for field in ("max_iters", "block_size", "k_bases", "fg_threshold"):
         assert field not in err
     assert list(tmp_path.iterdir()) == []
 
@@ -364,7 +368,7 @@ def test_invalid_synth_value_is_usage_error(bad, message, tmp_path, capsys):
 SEGMENTATION_FLAGS = [
     pytest.param(["--lambda1", "7.5"], {"lambda1": 7.5}, id="lambda1"),
     pytest.param(["--lambda2", "0.25"], {"lambda2": 0.25}, id="lambda2"),
-    pytest.param(["--rho", "1.5,2.5,3.5,4.5"], {"rho1": 1.5, "rho2": 2.5, "rho3": 3.5, "rho4": 4.5}, id="rho"),
+    pytest.param(["--rho", "1.5"], {"rho": 1.5}, id="rho"),
     pytest.param(["--iters", "7"], {"max_iters": 7}, id="max_iters"),
     pytest.param(["--workers", "3"], {"workers": 3}, id="workers"),
     pytest.param(["--block", "32"], {"block_size": 32}, id="block_size"),
@@ -448,8 +452,8 @@ def test_every_field_has_a_flag():
 @pytest.mark.parametrize(
     "command, metavars",
     [
-        ("segment", ["--iters ITERS", "--block BLOCK", "--k K", "--rho R1,R2,R3,R4"]),
-        ("evaluate", ["--iters ITERS", "--block BLOCK", "--k K", "--rho R1,R2,R3,R4"]),
+        ("segment", ["--iters ITERS", "--block BLOCK", "--k K", "--rho RHO"]),
+        ("evaluate", ["--iters ITERS", "--block BLOCK", "--k K", "--rho RHO"]),
         ("synth", ["--strokes STROKES", "--amplitude AMPLITUDE", "--k-true K_TRUE", "--n N"]),
     ],
 )
@@ -464,14 +468,14 @@ def test_help_keeps_the_flag_metavars(command, metavars, capsys):
 def test_help_reads_the_solver_defaults(monkeypatch, capsys):
     @dataclasses.dataclass(frozen=True)
     class Other(SolverParams):
-        rho1: float = 2.5
+        rho: float = 2.5
         workers: int = 3
 
     monkeypatch.setattr("scseg.cli.SolverParams", Other)
     monkeypatch.setattr("scseg.cli.BATCH_BLOCKS", 5)
     assert main(["segment", "--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())
-    assert "penalty parameters (default 2.5,1,1,1)" in out
+    assert "ADMM penalty parameter (default 2.5)" in out
     assert "solve the 5-block slices (default 3, capped" in out
 
 
