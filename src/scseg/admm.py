@@ -22,12 +22,13 @@ shrinkage factor and three (rows) or four (columns) plain passes.
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import require_counts
+from .checks import require_counts, square_block
 from .dct import BasisMatrix
 from .prox import group_factor, soft
 
@@ -107,13 +108,6 @@ def objective(alpha, s, params: SolverParams) -> float:
         + params.lambda1 * np.abs(s).sum()
         + params.lambda2 * group_norm(s)
     )
-
-
-def _flatten_block(f, n: int) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64).reshape(-1)
-    if f.size != n * n:
-        raise ValueError(f"block has {f.size} pixels, basis expects {n * n}")
-    return f
 
 
 # Blocks advanced together in one sweep, and the row count of every basis
@@ -243,70 +237,54 @@ def _process_count(workers: int, slices: int) -> int:
     return min(workers, len(os.sched_getaffinity(0)), slices)
 
 
-def _fork_run(flat: list, basis: BasisMatrix, params: SolverParams) -> tuple:
-    """Solve a run of slices in a forked child; returns (pid, read end of its pipe).
-
-    The child pickles (True, decompositions) or (False, exception) into the
-    pipe and leaves through os._exit, so it runs none of the caller's
-    cleanup or buffered output.
-    """
-    import pickle
-
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = (True, _solve_run(flat, basis, params))
-            except Exception as exc:  # sent to the caller, which raises it
-                payload = (False, exc)
-            data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            with os.fdopen(write_fd, "wb") as out:
-                out.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _receive(pid: int, read_fd: int) -> list:
-    """Read and reap one child; returns its decompositions or raises its exception."""
-    import pickle
-
-    try:
-        with os.fdopen(read_fd, "rb") as src:
-            data = src.read()
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0 or not data:
-        raise RuntimeError(f"solver process {pid} exited with status {status} without a result")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
-
-
 def _solve_forked(runs: list, basis: BasisMatrix, params: SolverParams) -> list:
-    """Solve runs[0] here and every other run in its own child, in order.
+    """Solve runs[0] here and every other run in its own forked child, in order.
 
-    Raises the error of the earliest failing run, which is the one a single
-    process would raise; every child is reaped on every path.
+    A child pickles its run's decompositions, or the exception the run
+    raised, into its pipe and leaves through os._exit, so it runs none of
+    the caller's cleanup or buffered output. Raises the error of the
+    earliest failing run, which is the one a single process would raise;
+    every child is reaped and every pipe end closed on every path.
     """
-    children = []
+    children = []  # (pid, read end of its pipe) of each child not yet read
     try:
         for run in runs[1:]:
-            children.append(_fork_run(run, basis, params))
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    try:
+                        payload = _solve_run(run, basis, params)
+                    except Exception as exc:  # sent to the caller, which raises it
+                        payload = exc
+                    with os.fdopen(write_fd, "wb") as out:
+                        out.write(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, read_fd))
         results = _solve_run(runs[0], basis, params)
         while children:
-            results.extend(_receive(*children.pop(0)))
+            pid, read_fd = children.pop(0)
+            try:
+                with os.fdopen(read_fd, "rb") as src:
+                    data = src.read()
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status != 0 or not data:
+                raise RuntimeError(f"solver process {pid} exited with status {status} without a result")
+            payload = pickle.loads(data)
+            if isinstance(payload, Exception):
+                raise payload
+            results.extend(payload)
         return results
     finally:
         if children:
@@ -332,7 +310,7 @@ def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams = SolverParams
     solved in its own forked process on Linux, with the same results.
     Raises DivergenceError if any block or iterate is non-finite.
     """
-    flat = [_flatten_block(f, basis.n) for f in blocks]
+    flat = [square_block("block", f, basis.n, np.float64).ravel() for f in blocks]
     if not all(np.isfinite(f).all() for f in flat):
         raise DivergenceError("input block contains non-finite values")
     slices = -(-len(flat) // BATCH_BLOCKS)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import BATCH_BLOCKS, SolverParams, solve_blocks
-from .checks import require_counts
+from .checks import require_counts, square_block
 from .dct import BasisMatrix, build_basis
 from .image_io import BlockGrid, stitch, tile
 
@@ -113,8 +113,8 @@ def fill_background(f, mask, basis: BasisMatrix) -> np.ndarray:
     definite or its condition number exceeds MAX_FIT_CONDITION.
     """
     n, k = basis.n, basis.k
-    f = np.asarray(f, dtype=np.float64).reshape(n, n)
-    mask = np.asarray(mask, dtype=bool).reshape(n, n)
+    f = square_block("f", f, n, np.float64)
+    mask = square_block("mask", mask, n, bool)
     if not mask.any():
         return f.copy()
     background = ~mask.ravel()

@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -232,11 +233,16 @@ class TestSolve:
         first, last = (solve_blocks([f], basis8, SolverParams(max_iters=k))[0] for k in (1, 60))
         assert last.primal_residual < first.primal_residual
 
-    def test_dimension_mismatch(self, basis64):
+    def test_dimension_mismatch(self, basis64, basis8):
         with pytest.raises(ValueError):
             solve_blocks([np.zeros(100)], basis64)
         with pytest.raises(ValueError):
             solve_blocks([np.zeros(4096), np.zeros(100)], basis64)
+        # 64 pixels, but not an 8x8 block: read row-major they would put the wrong pixels in each group
+        for shape in ((4, 16), (2, 32)):
+            message = f"block must have shape (8, 8) or (64,), got {shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                solve_blocks([np.zeros(64), np.zeros(shape)], basis8)
 
     def test_non_finite_input_raises(self, basis8):
         f = np.zeros(64)
@@ -540,6 +546,13 @@ def _index_slices(monkeypatch, fail=(), exit_status=None):
 class TestWorkers:
     """solve_blocks with params.workers > 1: runs of slices in forked processes."""
 
+    @pytest.fixture(autouse=True)
+    def no_open_pipe_end(self):
+        """Every test leaves the process's open file descriptors as it found them."""
+        fds = sorted(os.listdir("/proc/self/fd"))
+        yield
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
     @pytest.fixture(scope="class")
     def serial(self, basis64, regime_blocks):
         return solve_blocks(regime_blocks, basis64)
@@ -607,6 +620,21 @@ class TestWorkers:
     def test_child_without_result_names_its_exit_status(self, monkeypatch, cpus, status):
         blocks = _index_slices(monkeypatch, exit_status=status)
         with pytest.raises(RuntimeError, match=f"exited with status {status} without a result"):
+            solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
+        _assert_no_children()
+
+    def test_child_error_that_cannot_be_pickled_names_exit_status_1(self, monkeypatch, cpus):
+        # the child's run raises, but its error holds a lambda, so the child sends nothing and exits 1
+        blocks = _index_slices(monkeypatch)
+        parent, index_slice = os.getpid(), admm._solve_slice
+
+        def fake(flat, basis, params, work):
+            if os.getpid() != parent:
+                raise ValueError(lambda: None)
+            return index_slice(flat, basis, params, work)
+
+        monkeypatch.setattr(admm, "_solve_slice", fake)
+        with pytest.raises(RuntimeError, match="exited with status 1 without a result"):
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
         _assert_no_children()
 

@@ -91,11 +91,13 @@ def test_solver_process_dying_is_runtime_error(dataset, tmp_path, eight_cpus, mo
         return solve_slice(*args)
 
     monkeypatch.setattr(admm, "_solve_slice", dying)
+    fds = sorted(os.listdir("/proc/self/fd"))
     rc = main(["segment", "--input", str(dataset / "block_0002.pgm"), "--block", "16",
                "--mask-out", str(tmp_path / "m.pbm"), "--workers", "2"])
     assert rc == 2
     assert "exited with status 5 without a result" in capsys.readouterr().err
     assert not (tmp_path / "m.pbm").exists()
+    assert sorted(os.listdir("/proc/self/fd")) == fds  # no pipe end is left open
 
 
 def test_segment_huge_threshold_empty_mask(dataset, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,16 @@ class TestFillBackground:
         mask = rng.random((64, 64)) < 0.2
         out = fill_background(f, mask, basis64)
         np.testing.assert_array_equal(out[~mask], f[~mask])
+
+    @pytest.mark.parametrize("bad", ["f", "mask"])
+    @pytest.mark.parametrize("shape", [(4, 16), (2, 32)])
+    def test_block_not_n_by_n(self, bad, shape):
+        # 64 values, but not an 8x8 block: read row-major they would fit the wrong pixels
+        args = {"f": np.zeros((8, 8)), "mask": np.eye(8, dtype=bool)}
+        args[bad] = args[bad].reshape(shape)
+        message = f"{bad} must have shape (8, 8) or (64,), got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fill_background(args["f"], args["mask"], build_basis(8, 3))
 
     def test_too_few_background_pixels(self, basis64):
         mask = np.ones((64, 64), dtype=bool)
