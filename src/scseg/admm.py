@@ -21,6 +21,7 @@ shrinkage factor and three (rows) or four (columns) plain passes.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import sys
@@ -88,14 +89,7 @@ class Decomposition:
 
 def group_norm(s) -> float:
     """Sum of row and column l2 norms of a block (the overlapping-group term)."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim == 1:
-        n = int(round(np.sqrt(s.size)))
-        if n * n != s.size:
-            raise ValueError(f"flat block length {s.size} is not a perfect square")
-        s = s.reshape(n, n)
-    elif s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError(f"block must be square, got shape {s.shape}")
+    s = square_block("block", s, math.isqrt(np.size(s)), np.float64)
     return float(np.linalg.norm(s, axis=1).sum() + np.linalg.norm(s, axis=0).sum())
 
 

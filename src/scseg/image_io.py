@@ -11,7 +11,6 @@ reduced to a single luma plane with BT.601 weights.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import tempfile
@@ -125,7 +124,7 @@ def load_gray(path) -> np.ndarray:
         payload = buf[start : start + count]
         if len(payload) < count:
             raise TruncatedDataError(f"payload has {len(payload)} bytes, expected {count}")
-        values = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        values = np.frombuffer(payload, dtype=np.uint8)
         if values.max() > maxval:
             raise PnmError(f"pixel sample outside [0, {maxval}]")
 
@@ -203,7 +202,7 @@ def save_mask(mask: np.ndarray, path) -> None:
         raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
     height, width = mask.shape
     header = f"P4\n{width} {height}\n".encode("ascii")
-    packed = np.packbits(mask.astype(np.uint8), axis=1)
+    packed = np.packbits(mask, axis=1)
     atomic_write_bytes(path, header + packed.tobytes())
 
 
@@ -229,15 +228,15 @@ class BlockGrid:
 
     Edge blocks are padded by replicating the last row/column; `width` and
     `height` keep the source size so `stitch` can crop the padding away.
-    `origins` holds each block's top-left (row, col) in the source image,
-    row-major over the grid.
+    `blocks` is one C-contiguous (m, n, n) float64 array and `origins` each
+    block's top-left (row, col) in the source image, both row-major over the grid.
     """
 
     block_size: int
     width: int
     height: int
     origins: tuple
-    blocks: tuple
+    blocks: np.ndarray
 
 
 def tile(img: np.ndarray, n: int) -> BlockGrid:
@@ -252,35 +251,26 @@ def tile(img: np.ndarray, n: int) -> BlockGrid:
     if 0 in img.shape:
         raise ValueError(f"image has a zero-length side, got shape {img.shape}")
     height, width = img.shape
-    grid_rows = math.ceil(height / n)
-    grid_cols = math.ceil(width / n)
-    padded = np.pad(img, ((0, grid_rows * n - height), (0, grid_cols * n - width)), mode="edge")
-    origins = []
-    blocks = []
-    for gr in range(grid_rows):
-        for gc in range(grid_cols):
-            origins.append((gr * n, gc * n))
-            blocks.append(padded[gr * n : (gr + 1) * n, gc * n : (gc + 1) * n].copy())
-    return BlockGrid(n, width, height, tuple(origins), tuple(blocks))
+    rows, cols = -(-height // n), -(-width // n)
+    # np.pad copies, so the blocks never share img's memory even where the reshape is a view
+    padded = np.pad(img, ((0, rows * n - height), (0, cols * n - width)), mode="edge")
+    # a one-row grid reshapes to a strided view, the one case ascontiguousarray copies
+    blocks = np.ascontiguousarray(padded.reshape(rows, n, cols, n).swapaxes(1, 2).reshape(-1, n, n))
+    origins = tuple((r * n, c * n) for r in range(rows) for c in range(cols))
+    return BlockGrid(n, width, height, origins, blocks)
 
 
 def stitch(grid: BlockGrid, per_block) -> np.ndarray:
     """Reassemble per-block results into a full-size array, cropping padding.
 
-    Works for boolean masks and for gray blocks alike; the output dtype
-    follows the inputs.
+    per_block is any iterable of the m (n, n) blocks in grid order, boolean or
+    gray; the output dtype follows them, and ragged blocks are a ValueError.
     """
-    per_block = list(per_block)
-    if len(per_block) != len(grid.blocks):
-        raise ValueError(f"expected {len(grid.blocks)} blocks, got {len(per_block)}")
-    n = grid.block_size
-    grid_rows = math.ceil(grid.height / n)
-    grid_cols = math.ceil(grid.width / n)
-    first = np.asarray(per_block[0])
-    canvas = np.zeros((grid_rows * n, grid_cols * n), dtype=first.dtype)
-    for (r0, c0), block in zip(grid.origins, per_block):
-        block = np.asarray(block)
-        if block.shape != (n, n):
-            raise ValueError(f"block shape {block.shape} does not match grid size {n}")
-        canvas[r0 : r0 + n, c0 : c0 + n] = block
-    return canvas[: grid.height, : grid.width]
+    stack = np.asarray(list(per_block))
+    m, n = len(grid.blocks), grid.block_size
+    if len(stack) != m:
+        raise ValueError(f"expected {m} blocks, got {len(stack)}")
+    if stack.shape[1:] != (n, n):
+        raise ValueError(f"block shape {stack.shape[1:]} does not match grid size {n}")
+    cols = -(-grid.width // n)
+    return stack.reshape(-1, cols, n, n).swapaxes(1, 2).reshape(-1, cols * n)[: grid.height, : grid.width]

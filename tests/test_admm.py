@@ -172,7 +172,7 @@ class TestObjective:
 
     @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2)])
     def test_group_norm_rejects_a_non_square_block(self, shape):
-        with pytest.raises(ValueError, match=r"block must be square, got shape \(2, "):
+        with pytest.raises(ValueError, match=r"block must have shape \(2, 2\) or \(4,\), got \(2, "):
             group_norm(np.zeros(shape))
 
 

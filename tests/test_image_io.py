@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scseg import (
@@ -409,6 +409,11 @@ class TestTiling:
         with pytest.raises(ValueError, match=re.escape(f"block shape {shape} does not match grid size 4")):
             stitch(grid, [np.zeros(shape)] * 4)
 
+    def test_stitch_ragged_blocks(self):
+        grid = tile(np.zeros((8, 8)), 4)
+        with pytest.raises(ValueError):
+            stitch(grid, [np.zeros((4, 4))] * 3 + [np.zeros((4, 3))])
+
     @settings(deadline=None)
     @given(
         h=st.integers(1, 70),
@@ -416,10 +421,18 @@ class TestTiling:
         n=st.integers(2, 24),
         seed=st.integers(0, 2**32 - 1),
     )
+    # one-column and one-row grids: the reshape is a view of the padded copy there
+    @example(h=70, w=5, n=8, seed=0)
+    @example(h=5, w=70, n=8, seed=0)
     def test_tile_stitch_round_trip_random_sizes(self, h, w, n, seed):
         img = np.random.default_rng(seed).uniform(0, 255, (h, w))
         grid = tile(img, n)
-        assert len(grid.blocks) == -(-h // n) * -(-w // n)
-        assert all(block.shape == (n, n) for block in grid.blocks)
-        np.testing.assert_array_equal(stitch(grid, grid.blocks), img)
-        np.testing.assert_array_equal(stitch(grid, [b > 127.5 for b in grid.blocks]), img > 127.5)
+        blocks = grid.blocks
+        assert blocks.shape == (-(-h // n) * -(-w // n), n, n)
+        assert blocks.dtype == np.float64 and blocks.flags.c_contiguous
+        assert not np.shares_memory(blocks, img)
+        for per_block in (list(blocks), tuple(blocks), (b for b in blocks), blocks):
+            np.testing.assert_array_equal(stitch(grid, per_block), img)
+        mask = stitch(grid, [b > 127.5 for b in blocks])
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, img > 127.5)
