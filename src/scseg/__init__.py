@@ -37,7 +37,6 @@ from .image_io import (
     tile,
 )
 from .segmentation import (
-    BackgroundFitError,
     SegmentationConfig,
     SegmentedImage,
     fill_background,
@@ -50,7 +49,6 @@ from .synth import SynthSpec, gen_block, write_dataset
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackgroundFitError",
     "BasisMatrix",
     "BlockGrid",
     "Decomposition",

@@ -263,14 +263,16 @@ def tile(img: np.ndarray, n: int) -> BlockGrid:
 def stitch(grid: BlockGrid, per_block) -> np.ndarray:
     """Reassemble per-block results into a full-size array, cropping padding.
 
-    per_block is any iterable of the m (n, n) blocks in grid order, boolean or
-    gray; the output dtype follows them, and ragged blocks are a ValueError.
+    per_block is an (m, n, n) array or a sequence of the m (n, n) blocks in grid
+    order, boolean or gray; the output dtype follows them. Else a ValueError.
     """
-    stack = np.asarray(list(per_block))
     m, n = len(grid.blocks), grid.block_size
-    if len(stack) != m:
-        raise ValueError(f"expected {m} blocks, got {len(stack)}")
-    if stack.shape[1:] != (n, n):
-        raise ValueError(f"block shape {stack.shape[1:]} does not match grid size {n}")
+    expected = f"per_block must be a ({m}, {n}, {n}) array or a sequence of {m} ({n}, {n}) blocks"
+    try:
+        stack = np.asarray(per_block)
+    except ValueError as exc:  # ragged blocks
+        raise ValueError(f"{expected}: {exc}") from exc
+    if stack.shape != (m, n, n):
+        raise ValueError(f"{expected}, got shape {stack.shape}")
     cols = -(-grid.width // n)
     return stack.reshape(-1, cols, n, n).swapaxes(1, 2).reshape(-1, cols * n)[: grid.height, : grid.width]

@@ -7,13 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admm import BATCH_BLOCKS, SolverParams, solve_blocks
-from .checks import require_counts, square_block
+from .checks import require_counts
 from .dct import BasisMatrix, build_basis
 from .image_io import BlockGrid, stitch, tile
-
-
-class BackgroundFitError(ValueError):
-    """Too few or too poorly spread background pixels to fit the smooth model."""
 
 
 @dataclass(frozen=True)
@@ -45,16 +41,16 @@ class SegmentedImage:
 
     image is the image as it was passed in, mask its (h, w) boolean
     foreground mask, grid its BlockGrid and basis the basis its blocks were
-    solved on. block_masks and decompositions are parallel tuples in grid
-    order: each block's (n, n) mask, True where the sparse layer exceeds
-    cfg.fg_threshold in magnitude, and its Decomposition.
+    solved on. block_masks is one (m, n, n) boolean array in grid order, True
+    where a block's sparse layer exceeds cfg.fg_threshold in magnitude, and
+    decompositions the tuple of the blocks' Decompositions in the same order.
     """
 
     image: np.ndarray
     mask: np.ndarray
     grid: BlockGrid
     basis: BasisMatrix
-    block_masks: tuple
+    block_masks: np.ndarray
     decompositions: tuple
 
 
@@ -85,7 +81,7 @@ def _group_records(group: list, blocks: list, basis: BasisMatrix, cfg: Segmentat
     decs = iter(solve_blocks(blocks, basis, cfg.solver))
     for img, grid in group:
         decompositions = tuple(next(decs) for _ in grid.blocks)
-        block_masks = tuple(np.abs(d.s).reshape(basis.n, basis.n) > cfg.fg_threshold for d in decompositions)
+        block_masks = np.abs([d.s for d in decompositions]).reshape(-1, basis.n, basis.n) > cfg.fg_threshold
         yield SegmentedImage(img, stitch(grid, block_masks), grid, basis, block_masks, decompositions)
 
 
@@ -94,42 +90,48 @@ def segment_image(img, cfg: SegmentationConfig = SegmentationConfig()) -> np.nda
     return next(segment_images([img], cfg)).mask
 
 
-# Largest condition number of the fit's normal matrix sub'sub that
-# fill_background accepts. The solve then keeps about 4 of float64's 16
-# digits: near this bound, the fill of an exactly smooth 8-bit block is off
-# by under 0.1 gray levels. The check reads the eigenvalues of the k x k
-# symmetric matrix the fit forms anyway: their ratio is its condition number.
+# Largest condition number of a block's fit normal matrix (the Gram matrix of its
+# background pixels' atoms) that fill_background accepts, read off its eigenvalues.
+# The solve then keeps about 4 of float64's 16 digits: near this bound, the fill
+# of an exactly smooth 8-bit block is off by under 0.1 gray levels.
 MAX_FIT_CONDITION = 1e12
 
+# Bytes of masked atoms (n*n x k) and normal matrices (k x k) that one batch of
+# fill_background's fits holds; a batch holds at least one block whatever k is.
+FIT_BATCH_BYTES = 1 << 20
 
-def fill_background(f, mask, basis: BasisMatrix) -> np.ndarray:
-    """Replace masked pixels with a smooth least-squares prediction.
 
-    Fits the basis coefficients to the unmasked (background) pixels only and
-    evaluates the fit inside the mask; background pixels pass through
-    unchanged, and an empty mask returns the block as it is. Raises
-    BackgroundFitError when fewer than k background pixels remain or they do
-    not determine the coefficients: the fit's normal matrix is not positive
-    definite or its condition number exceeds MAX_FIT_CONDITION.
+def fill_background(blocks, masks, basis: BasisMatrix):
+    """Replace masked pixels with a smooth least-squares prediction; returns (filled, fitted).
+
+    Fits each block of the (m, n, n) stack `blocks` to the basis over the
+    pixels its mask leaves (the background) and evaluates the fit inside its
+    mask; what lies under the mask, NaN or inf included, does not enter the
+    fit. fitted[i] is False where fewer than k background pixels remain or
+    the fit's normal matrix is not positive definite or its condition number
+    exceeds MAX_FIT_CONDITION; such a block comes back unchanged, as does one
+    with an empty mask. No block's result depends on the others in the call.
     """
     n, k = basis.n, basis.k
-    f = square_block("f", f, n, np.float64)
-    mask = square_block("mask", mask, n, bool)
-    if not mask.any():
-        return f.copy()
-    background = ~mask.ravel()
-    count = int(background.sum())
-    if count < k:
-        raise BackgroundFitError(f"{count} background pixels cannot determine {k} coefficients")
-    sub = basis.atoms[background]
-    gram = sub.T @ sub
-    w = np.linalg.eigvalsh(gram)
-    if not (w[0] > 0 and w[-1] <= MAX_FIT_CONDITION * w[0]):
-        raise BackgroundFitError("background pixels are too poorly spread to determine the fit")
-    coef = np.linalg.solve(gram, sub.T @ f.ravel()[background])
-    out = f.copy()
-    out[mask] = (basis.atoms @ coef).reshape(n, n)[mask]
-    return out
+    blocks, masks = np.asarray(blocks, dtype=np.float64), np.asarray(masks, dtype=bool)
+    if blocks.ndim != 3 or blocks.shape[1:] != (n, n) or masks.shape != blocks.shape:
+        raise ValueError(f"blocks {blocks.shape} and masks {masks.shape} must both have shape (m, {n}, {n})")
+    m, atoms, keep = len(blocks), basis.atoms, ~masks.reshape(-1, n * n)
+    fitted, coef = np.ones(m, dtype=bool), np.zeros((m, k, 1))
+    holes = np.flatnonzero(masks.any(axis=(1, 2)))
+    step = max(1, FIT_BATCH_BYTES // (8 * k * (n * n + k)))
+    # Stacked matmul, eigvalsh and solve run block by block, so no block's bits
+    # depend on the batch; one 2-D GEMM over many blocks' rows would not.
+    for batch in np.split(holes, range(step, len(holes), step)):
+        gram = atoms.T @ np.where(keep[batch, :, None], atoms, 0.0)
+        rhs = np.where(keep[batch], blocks.reshape(m, -1)[batch], 0.0)[:, None] @ atoms
+        w = np.linalg.eigvalsh(gram)
+        ok = (keep[batch].sum(axis=1) >= k) & (w[:, 0] > 0) & (w[:, -1] <= MAX_FIT_CONDITION * w[:, 0])
+        fitted[batch] = ok
+        coef[batch[ok]] = np.linalg.solve(gram[ok], rhs[ok].swapaxes(1, 2))
+    filled = (atoms @ coef).reshape(m, n, n)
+    np.copyto(filled, blocks, where=~(masks & fitted[:, None, None]))
+    return filled, fitted
 
 
 def assemble_layers(seg: SegmentedImage):
@@ -138,16 +140,13 @@ def assemble_layers(seg: SegmentedImage):
     A block whose background pixels cannot determine fill_background's fit
     gets its solver layer B alpha under its mask instead of stopping the image.
     """
-    basis = seg.basis
-    filled = []
-    for block, m, dec in zip(seg.grid.blocks, seg.block_masks, seg.decompositions):
-        try:
-            filled.append(fill_background(block, m, basis))
-        except BackgroundFitError:
-            filled.append(np.where(m, (basis.atoms @ dec.alpha).reshape(m.shape), block))
-    background = stitch(seg.grid, filled)
+    basis, masks = seg.basis, seg.block_masks
+    filled, fitted = fill_background(seg.grid.blocks, masks, basis)
+    alpha = np.array([d.alpha for d in seg.decompositions])[~fitted, :, None]
+    solver_layer = (basis.atoms @ alpha).reshape(-1, basis.n, basis.n)
+    filled[~fitted] = np.where(masks[~fitted], solver_layer, filled[~fitted])
     foreground = np.where(seg.mask, np.asarray(seg.image, dtype=np.float64), 0.0)
-    return background, foreground, seg.mask
+    return stitch(seg.grid, filled), foreground, seg.mask
 
 
 def reconstruct_layers(img, cfg: SegmentationConfig = SegmentationConfig()):

@@ -154,7 +154,7 @@ def test_criterion_7_background_fill_exactness():
         coef[0] = 128.0 * 64
         f = (basis.atoms @ coef).reshape(64, 64)
         mask = rng.random((64, 64)) < 0.5  # leaves ~2048 >> 2k background pixels
-        filled = fill_background(f, mask, basis)
+        filled = fill_background(f[None], mask[None], basis)[0][0]
         worst = max(worst, float(np.abs(filled - f).max()))
     report("7 background fill exactness", worst <= 1e-8, f"max abs error {worst:.2e}")
 

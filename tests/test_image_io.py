@@ -406,13 +406,30 @@ class TestTiling:
     @pytest.mark.parametrize("shape", [(1, 4), (4, 3)])
     def test_stitch_wrong_block_shape(self, shape):
         grid = tile(np.zeros((8, 8)), 4)
-        with pytest.raises(ValueError, match=re.escape(f"block shape {shape} does not match grid size 4")):
+        message = f"per_block must be a (4, 4, 4) array or a sequence of 4 (4, 4) blocks, got shape {(4, *shape)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             stitch(grid, [np.zeros(shape)] * 4)
 
     def test_stitch_ragged_blocks(self):
         grid = tile(np.zeros((8, 8)), 4)
         with pytest.raises(ValueError):
             stitch(grid, [np.zeros((4, 4))] * 3 + [np.zeros((4, 3))])
+
+    @pytest.mark.parametrize(
+        "per_block",
+        [
+            (np.zeros((4, 4)) for _ in range(4)),
+            np.zeros((4, 16)),
+            [np.zeros(16)] * 4,
+            np.zeros((4, 4, 4, 1)),
+            [np.zeros((4, 4))] * 3 + [np.zeros((4, 3))],
+        ],
+        ids=["generator", "2-d", "flat-blocks", "4-d", "ragged"],
+    )
+    def test_stitch_rejects_what_is_not_a_block_stack(self, per_block):
+        grid = tile(np.zeros((8, 8)), 4)
+        with pytest.raises(ValueError, match=re.escape("per_block must be a (4, 4, 4) array or a sequence of 4 (4, 4) blocks")):
+            stitch(grid, per_block)
 
     @settings(deadline=None)
     @given(
@@ -431,7 +448,7 @@ class TestTiling:
         assert blocks.shape == (-(-h // n) * -(-w // n), n, n)
         assert blocks.dtype == np.float64 and blocks.flags.c_contiguous
         assert not np.shares_memory(blocks, img)
-        for per_block in (list(blocks), tuple(blocks), (b for b in blocks), blocks):
+        for per_block in (list(blocks), tuple(blocks), blocks):
             np.testing.assert_array_equal(stitch(grid, per_block), img)
         mask = stitch(grid, [b > 127.5 for b in blocks])
         assert mask.dtype == bool

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scseg import (
-    BackgroundFitError,
     SegmentationConfig,
     SolverParams,
     build_basis,
@@ -20,6 +20,7 @@ from scseg import (
     SynthSpec,
     tile,
 )
+from scseg.image_io import stitch
 from scseg.segmentation import MAX_FIT_CONDITION, assemble_layers
 
 
@@ -34,11 +35,34 @@ def page_of(blocks):
     return np.block([blocks[r * 3 : r * 3 + 3] for r in range(3)])
 
 
+def fill_one(f, mask, basis):
+    """fill_background on a stack of one block: (its filled (n, n) block, whether it was fitted)."""
+    shape = (1, basis.n, basis.n)
+    filled, fitted = fill_background(np.reshape(f, shape), np.reshape(mask, shape), basis)
+    return filled[0], bool(fitted[0])
+
+
 def segment_alone(f, cfg):
     """(mask, decomposition) of an image that is exactly one block."""
     seg = next(segment_images([f], cfg))
     (mask,), (dec,) = seg.block_masks, seg.decompositions
     return mask, dec
+
+
+def least_squares_holes(f, mask, basis):
+    """The fit of f's background pixels by lstsq, evaluated at the pixels under mask."""
+    keep = ~np.ravel(mask)
+    coef = np.linalg.lstsq(basis.atoms[keep], np.ravel(f)[keep], rcond=None)[0]
+    return (basis.atoms @ coef)[~keep]
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +213,7 @@ class TestSegmentImages:
             alone = next(segment_images([img], cfg))
             assert seg.grid.origins == alone.grid.origins
             assert len(seg.block_masks) == len(seg.decompositions) == len(alone.decompositions) == len(seg.grid.blocks)
+            assert seg.block_masks.shape == (len(seg.grid.blocks), 8, 8) and seg.block_masks.dtype == bool
             blocks = zip(seg.block_masks, seg.decompositions, alone.block_masks, alone.decompositions)
             for block_mask, dec, alone_mask, alone_dec in blocks:
                 np.testing.assert_array_equal(block_mask, alone_mask)
@@ -200,8 +225,9 @@ class TestFillBackground:
     def test_empty_mask_passthrough(self, basis64):
         rng = np.random.default_rng(23)
         f = rng.uniform(0, 255, (64, 64))
-        out = fill_background(f, np.zeros((64, 64), dtype=bool), basis64)
+        out, fitted = fill_one(f, np.zeros((64, 64), dtype=bool), basis64)
         np.testing.assert_array_equal(out, f)
+        assert fitted
 
     def test_exact_recovery_on_smooth_data(self, basis64):
         rng = np.random.default_rng(29)
@@ -209,45 +235,55 @@ class TestFillBackground:
         coef[0] = 128.0 * 64
         f = (basis64.atoms @ coef).reshape(64, 64)
         mask = rng.random((64, 64)) < 0.3
-        out = fill_background(f, mask, basis64)
+        out, _ = fill_one(f, mask, basis64)
         np.testing.assert_allclose(out, f, atol=1e-8)
 
     def test_constant_hole_filled_with_constant(self, basis64):
         f = np.full((64, 64), 100.0)
         mask = np.zeros((64, 64), dtype=bool)
         mask[20:30, 20:30] = True
-        out = fill_background(f, mask, basis64)
+        out, _ = fill_one(f, mask, basis64)
         np.testing.assert_allclose(out, 100.0, atol=1e-9)
 
     def test_background_pixels_untouched(self, basis64):
         rng = np.random.default_rng(31)
         f = rng.uniform(0, 255, (64, 64))
         mask = rng.random((64, 64)) < 0.2
-        out = fill_background(f, mask, basis64)
+        out, _ = fill_one(f, mask, basis64)
         np.testing.assert_array_equal(out[~mask], f[~mask])
 
-    @pytest.mark.parametrize("bad", ["f", "mask"])
-    @pytest.mark.parametrize("shape", [(4, 16), (2, 32)])
+    @pytest.mark.parametrize("bad", ["blocks", "masks"])
+    @pytest.mark.parametrize("shape", [(1, 4, 16), (1, 2, 32), (8, 8), (1, 64), (2, 8, 8)])
     def test_block_not_n_by_n(self, bad, shape):
-        # 64 values, but not an 8x8 block: read row-major they would fit the wrong pixels
-        args = {"f": np.zeros((8, 8)), "mask": np.eye(8, dtype=bool)}
-        args[bad] = args[bad].reshape(shape)
-        message = f"{bad} must have shape (8, 8) or (64,), got {shape}"
+        # 64 values a block, but not a stack of 8x8 blocks: read row-major they
+        # would fit the wrong pixels; or a stack of another length than the other's
+        args = {"blocks": np.zeros((1, 8, 8)), "masks": np.eye(8, dtype=bool)[None]}
+        args[bad] = np.resize(args[bad], shape)
+        message = f"blocks {args['blocks'].shape} and masks {args['masks'].shape} must both have shape (m, 8, 8)"
         with pytest.raises(ValueError, match=re.escape(message)):
-            fill_background(args["f"], args["mask"], build_basis(8, 3))
+            fill_background(args["blocks"], args["masks"], build_basis(8, 3))
 
-    def test_too_few_background_pixels(self, basis64):
+    # 0 is a fully masked block, 9 is k - 1
+    @pytest.mark.parametrize("count", [0, 5, 9])
+    def test_too_few_background_pixels(self, basis64, cfg, count):
         mask = np.ones((64, 64), dtype=bool)
-        mask[0, :5] = False
-        with pytest.raises(BackgroundFitError):
-            fill_background(np.zeros((64, 64)), mask, basis64)
+        mask[0, :count] = False
+        _, fitted = fill_one(np.zeros((64, 64)), mask, basis64)
+        assert not fitted
+        # the layers give such a block its solver layer B alpha under its mask
+        f, _, _ = gen_block(SynthSpec(seed=47))
+        seg = dataclasses.replace(next(segment_images([f], cfg)), mask=mask, block_masks=mask[None])
+        background, _, _ = assemble_layers(seg)
+        solver_layer = (basis64.atoms @ seg.decompositions[0].alpha).reshape(64, 64)
+        np.testing.assert_array_equal(background[mask], solver_layer[mask])
+        np.testing.assert_array_equal(background[~mask], f[~mask])
 
     def test_rank_deficient_background(self, basis64):
         # background confined to one column cannot pin down column frequencies
         mask = np.ones((64, 64), dtype=bool)
         mask[:, 0] = False
-        with pytest.raises(BackgroundFitError):
-            fill_background(np.zeros((64, 64)), mask, basis64)
+        _, fitted = fill_one(np.zeros((64, 64)), mask, basis64)
+        assert not fitted
 
     def test_fit_decision_matches_matrix_rank(self, basis64, cfg):
         # the decision on the k x k normal matrix against the SVD rank of the
@@ -271,16 +307,12 @@ class TestFillBackground:
             mask = np.ones((64, 64), dtype=bool)
             mask[:, rng.choice(64, width, replace=False)] = False
             masks.append(mask)
-        refused = []
+        _, fitted = fill_background(np.repeat(blocks[:1], len(masks), axis=0), masks, basis64)
+        refused = list(~fitted)
         for i, mask in enumerate(masks):
             assert mask.any()
             sub = basis64.atoms[~mask.ravel()]
-            try:
-                fill_background(blocks[0], mask, basis64)
-                refused.append(False)
-            except BackgroundFitError:
-                refused.append(True)
-            assert refused[-1] == (np.linalg.matrix_rank(sub) < 10), f"mask {i}"
+            assert refused[i] == (np.linalg.matrix_rank(sub) < 10), f"mask {i}"
         stripe = len(blocks) - 1
         assert refused[stripe] and not all(refused)
 
@@ -300,8 +332,83 @@ class TestFillBackground:
         f = basis64.atoms @ coef
         fit = basis64.atoms @ np.linalg.solve(gram, sub.T @ f[~mask.ravel()])
         assert np.abs(fit - f).max() > 1.0
-        with pytest.raises(BackgroundFitError):
-            fill_background(f, mask, basis64)
+        _, fitted = fill_one(f, mask, basis64)
+        assert not fitted
+
+    def test_values_under_the_mask_do_not_enter_the_fit(self, basis64):
+        # NaN or inf marks a pixel to fill: the fit reads the background only
+        rng = np.random.default_rng(101)
+        f = rng.uniform(0, 255, (64, 64))
+        mask = rng.random((64, 64)) < 0.3
+        marked = np.stack([np.where(mask, bad, f) for bad in (np.nan, np.inf, -np.inf, 0.0)])
+        filled, fitted = fill_background(marked, np.repeat(mask[None], 4, axis=0), basis64)
+        assert fitted.all() and np.isfinite(filled).all()
+        for block in filled:
+            np.testing.assert_array_equal(block, filled[-1])
+        np.testing.assert_allclose(filled[0][mask], least_squares_holes(f, mask, basis64), atol=1e-9)
+        np.testing.assert_array_equal(filled[0][~mask], f[~mask])
+        # a block that cannot be fitted comes back as it was, marks included
+        full = np.ones((64, 64), dtype=bool)
+        out, fitted = fill_one(np.where(full, np.nan, f), full, basis64)
+        assert not fitted and np.isnan(out).all()
+
+    def test_large_k_fill_matches_least_squares(self):
+        # 16-pixel blocks with 200 of their 256 atoms: each block's fit holds
+        # only its own k x k normal matrix, never a table that grows with k^2
+        # (256 x 200^2 doubles would be 82 MB)
+        basis = build_basis(16, 200)
+        rng = np.random.default_rng(103)
+        counts = [256, 250, 230, 215, 199, 0, 240, 205]
+        blocks = rng.uniform(0, 255, (len(counts), 16, 16))
+        masks = np.ones((len(counts), 256), dtype=bool)
+        for mask, count in zip(masks, counts):
+            mask[rng.choice(256, count, replace=False)] = False
+        masks = masks.reshape(-1, 16, 16)
+        (filled, fitted), peak = traced_peak(fill_background, blocks, masks, basis)
+        assert peak < 16 * 2**20
+        assert list(fitted) == [count >= 200 for count in counts]
+        for f, mask, out, ok in zip(blocks, masks, filled, fitted):
+            np.testing.assert_array_equal(out[~mask], f[~mask])
+            if ok and mask.any():
+                np.testing.assert_allclose(out[mask], least_squares_holes(f, mask, basis), atol=1e-6)
+            elif not ok:
+                np.testing.assert_array_equal(out, f)
+        # every block, filled alone, gets the bits it got in the stack
+        for i in range(len(counts)):
+            out, ok = fill_one(blocks[i], masks[i], basis)
+            np.testing.assert_array_equal(out, filled[i])
+            assert ok == fitted[i]
+        # nor does a page of 64 such blocks hold all their fits at once (46 MB)
+        (many, many_fitted), peak = traced_peak(fill_background, np.tile(blocks, (8, 1, 1)), np.tile(masks, (8, 1, 1)), basis)
+        assert peak < 16 * 2**20
+        np.testing.assert_array_equal(many, np.tile(filled, (8, 1, 1)))
+        np.testing.assert_array_equal(many_fitted, np.tile(fitted, 8))
+
+    def test_block_results_independent_of_the_stack(self, basis64, cfg):
+        # every block, filled at every position of stacks of 2 to 9 blocks that
+        # mix fitted, empty-mask, fully masked and stripe blocks, gets the bits
+        # it gets alone
+        rng = np.random.default_rng(97)
+        specs = (SynthSpec(), SynthSpec(k_true=15), SynthSpec(diagonal_strokes=True))
+        pool = [gen_block(dataclasses.replace(s, seed=71))[0] for s in specs] + [stripe_block()]
+        pool = [(f, segment_alone(f, cfg)[0]) for f in pool]
+        pool += [(rng.uniform(0, 255, (64, 64)), np.zeros((64, 64), dtype=bool))]
+        pool += [(rng.uniform(0, 255, (64, 64)), np.ones((64, 64), dtype=bool))]
+        alone = [fill_one(f, mask, basis64) for f, mask in pool]
+        assert [fitted for _, fitted in alone] == [True, True, True, False, True, False]
+        # the fitted holes against a per-block least-squares reference
+        for (f, mask), (filled, fitted) in zip(pool, alone):
+            if fitted and mask.any():
+                coef = np.linalg.lstsq(basis64.atoms[~mask.ravel()], f[~mask], rcond=None)[0]
+                np.testing.assert_allclose(filled[mask], (basis64.atoms @ coef)[mask.ravel()], atol=1e-9)
+        for size in range(2, 10):
+            for target in range(len(pool)):
+                for pos in range(size):
+                    picks = rng.integers(0, len(pool), size)
+                    picks[pos] = target
+                    filled, fitted = fill_background([pool[i][0] for i in picks], [pool[i][1] for i in picks], basis64)
+                    np.testing.assert_array_equal(filled[pos], alone[target][0])
+                    assert fitted[pos] == alone[target][1]
 
 
 class TestReconstructLayers:
@@ -323,7 +430,7 @@ class TestReconstructLayers:
     def test_single_block_matches_direct_path(self, basis64, cfg):
         f, _, _ = gen_block(SynthSpec(seed=41))
         mask_direct, _ = segment_alone(f, cfg)
-        filled_direct = fill_background(f, mask_direct, basis64)
+        filled_direct, _ = fill_one(f, mask_direct, basis64)
         background, _, mask = reconstruct_layers(f, cfg)
         np.testing.assert_array_equal(mask, mask_direct)
         np.testing.assert_allclose(background, filled_direct, atol=1e-12)
@@ -332,8 +439,8 @@ class TestReconstructLayers:
         smooth, _, _ = gen_block(SynthSpec(seed=43))
         img = np.hstack([stripe_block(), smooth])
         mask_stripe, dec = segment_alone(stripe_block(), cfg)
-        with pytest.raises(BackgroundFitError):
-            fill_background(stripe_block(), mask_stripe, basis64)
+        _, fitted = fill_one(stripe_block(), mask_stripe, basis64)
+        assert not fitted
         background, foreground, mask = reconstruct_layers(img, cfg)
         np.testing.assert_array_equal(background[~mask], img[~mask])
         np.testing.assert_array_equal(foreground, np.where(mask, img, 0.0))
@@ -342,6 +449,28 @@ class TestReconstructLayers:
         np.testing.assert_array_equal(background[:, :64][mask_stripe], solver_layer[mask_stripe])
         # the fitted block beside it is filled as it would be alone
         np.testing.assert_array_equal(background[:, 64:], reconstruct_layers(smooth, cfg)[0])
+
+    def test_large_k_layers(self):
+        # 16-pixel blocks at k = 200: fitted holes match a per-block lstsq fit,
+        # a block left 199 background pixels gets B alpha, and the layers stay
+        # within a few MB
+        f, _, _ = gen_block(SynthSpec(seed=41))
+        seg = next(segment_images([f], SegmentationConfig(block_size=16, k_bases=200)))
+        masks = seg.block_masks.copy()
+        masks[5] = True
+        masks[5].flat[np.random.default_rng(107).choice(256, 199, replace=False)] = False
+        seg = dataclasses.replace(seg, mask=stitch(seg.grid, masks), block_masks=masks)
+        (background, _, mask), peak = traced_peak(assemble_layers, seg)
+        assert peak < 16 * 2**20
+        blocks = tile(background, 16).blocks
+        atoms = seg.basis.atoms
+        for i, (block, out, m, dec) in enumerate(zip(seg.grid.blocks, blocks, masks, seg.decompositions)):
+            np.testing.assert_array_equal(out[~m], block[~m])
+            if i == 5:
+                np.testing.assert_array_equal(out[m], (atoms @ dec.alpha)[m.ravel()])
+            elif m.any():
+                np.testing.assert_allclose(out[m], least_squares_holes(block, m, seg.basis), atol=1e-6)
+        assert sum(m.any() for m in masks) > 2
 
     def test_assemble_layers_reads_the_record(self, cfg):
         # the record carries its own image, so the layers need nothing else
