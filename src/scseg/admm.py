@@ -17,6 +17,10 @@ beside it. Besides those, a sweep makes 18 passes over the pixel rows: seven
 for the sparse layer (one a multiply by 1/3), and for each of the row and
 column groups one fused sum of squares, one broadcast multiply by the
 shrinkage factor and three (rows) or four (columns) plain passes.
+The sweep runs in float32, which halves the bytes of each pass: its
+iterates, the basis and the thresholds are all float32, and the records it
+returns hold float64 copies. solve_blocks refuses any pixel beyond
+PIXEL_BOUND, so no input within it can overflow float32's range.
 """
 
 from __future__ import annotations
@@ -35,7 +39,19 @@ from .prox import group_factor, soft
 
 
 class DivergenceError(RuntimeError):
-    """Raised when iterates go non-finite (bad penalties or input)."""
+    """Raised for a pixel the float32 sweep cannot take, and when iterates go non-finite."""
+
+
+# The largest |pixel| solve_blocks accepts. The sweep runs in float32, whose
+# largest value is about 2**128, and each group step sums the squares of one
+# row or column of n values. A block of side n <= 2**16 (beyond memory: one
+# such block is 2**32 pixels) keeps that sum finite while every value stays
+# below 2**56; PIXEL_BOUND = 2**40 leaves a factor 2**16 for the iterates to
+# grow past the largest pixel (on blocks of +-PIXEL_BOUND patterns the
+# pixel-sized ones grew 3.4-fold at most in 200 sweeps). An overflowed sum
+# would not raise: its factor would silently read 1. 16-bit samples stay
+# below 2**16.
+PIXEL_BOUND = 2.0**40
 
 
 @dataclass(frozen=True)
@@ -44,7 +60,8 @@ class SolverParams:
 
     Defaults are the reference operating point: lambda1=100, lambda2=2,
     rho=1, 50 iterations. The ADMM penalty rho sets the sweeps' path, not the
-    minimiser; 1/rho, lambda1/rho and lambda2/rho must be finite. Every
+    minimiser; 1/rho, lambda1/rho and lambda2/rho are the sweep's float32
+    thresholds, so none may exceed float32's largest value. Every
     block runs exactly max_iters sweeps from the zero state. workers caps
     the processes solve_blocks may use; it changes no result. Both counts
     must be integers (Python or numpy, not bool).
@@ -61,15 +78,22 @@ class SolverParams:
         for name in ("lambda1", "lambda2", "rho"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        # the largest shrinkage threshold; Python floats overflow to inf without a warning
-        if not np.isfinite(float(max(1.0, self.lambda1, self.lambda2)) / float(self.rho)):
-            raise ValueError(f"rho {self.rho} is too small: 1/rho, lambda1/rho or lambda2/rho overflows")
+        # the largest shrinkage threshold, held in float32 by the sweep; Python floats
+        # overflow to inf without a warning, and inf fails the comparison too
+        limit = float(np.finfo(np.float32).max)
+        if not float(max(1.0, self.lambda1, self.lambda2)) / float(self.rho) <= limit:
+            raise ValueError(
+                f"rho {self.rho} is too small: 1/rho, lambda1/rho or lambda2/rho exceeds float32's {limit:.4g}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Smooth coefficients and sparse layer after max_iters sweeps, with diagnostics.
 
+    alpha and s are float64 copies of the float32 sweep's iterates, and the
+    residuals and the objective are computed from float64 copies too, against
+    the float64 input block.
     primal_residual is ||f - B a - s|| / ||f|| (0 for an all-zero block);
     split_residuals are the absolute norms of the coefficient-copy, row-copy
     and column-copy gaps ||a - beta||, ||s - y||, ||s - z||. The sweep never
@@ -108,8 +132,8 @@ def objective(alpha, s, params: SolverParams) -> float:
 # product: a slice with fewer blocks is zero-padded to it, because a GEMM's
 # row bits depend on its row count (one row even runs as a GEMV) but not on
 # the other rows. A constant, not an option: it caps the solver's working
-# arrays at about nine BATCH_BLOCKS x n*n arrays (2.3 MB for 64-pixel
-# blocks) whatever the image size.
+# arrays at about nine float32 BATCH_BLOCKS x n*n arrays and one float64 one
+# (1.4 MB for 64-pixel blocks) whatever the image size.
 BATCH_BLOCKS = 8
 
 # Rows of the preallocated work array: the blocks f, the sparse layer s, the
@@ -118,13 +142,17 @@ BATCH_BLOCKS = 8
 # in U's row (columns: in scratch), then V = T - y and U's share y - V in
 # place. No other pixel-sized array is made in a sweep but the last one's
 # copies of y and z (the group norms and factors are one value a row or
-# column), so for 64-pixel blocks the sweep works in 1.75 MB, within a 2 MB
-# L2 cache.
+# column), so for 64-pixel blocks the float32 sweep works in 0.875 MB, under
+# half of a 2 MB L2 cache.
 _WORK_ROWS = 7
 
 
 def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> list:
     """Run max_iters sweeps on up to BATCH_BLOCKS blocks, one row of `work` each.
+
+    The sweep runs in work's dtype: the basis, every iterate and every
+    threshold are cast to it. solve_blocks passes float32; a float64 work
+    array runs the same sweep in float64.
 
     The pixel-sized iterates are views into the work rows; rows past the
     slice's blocks stay zero, and only the basis products read them. Those
@@ -140,15 +168,17 @@ def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> 
     # alpha @ B' runs 2x faster on C order. B'x of every row x runs as one
     # GEMM B' X', transposed back: at 8 x 4096 by 4096 x 10 this layout takes
     # about 25 us where X B takes about 30 us (2-core x86 host, OpenBLAS, one thread).
-    atoms_t = np.ascontiguousarray(basis.atoms.T)
+    dtype = work.dtype.type
+    atoms_t = np.ascontiguousarray(basis.atoms.T, dtype=dtype)
     work[:, len(flat) :] = 0.0
     rows = work[:, : len(flat)]
     rows[0] = flat
     rows[1:6] = 0.0  # s, W1, V1, V2 and U start at zero
     f, s, w1, v1, v2, u, tmp = rows
     cube = (len(flat), basis.n, basis.n)
-    rho = params.rho
-    alpha = np.zeros((BATCH_BLOCKS, basis.k))
+    coef_lam, sparse_lam, group_lam = (dtype(lam / params.rho) for lam in (1.0, params.lambda1, params.lambda2))
+    two, third = dtype(2.0), dtype(1.0 / 3.0)
+    alpha = np.zeros((BATCH_BLOCKS, basis.k), dtype)
     beta = np.zeros_like(alpha)
     w2 = np.zeros_like(alpha)
     # B'W1 of the previous sweep; from zero W1 this start gives sweep 1 its B'f
@@ -158,28 +188,28 @@ def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> 
         # B'B = I, so alpha = (B'W1 - W2 + beta + B'(f - s)) / 2; the last W1
         # update added f - B alpha - s, so B'(f - s) is g - g_prev + alpha_prev.
         g_prev, g = g, (atoms_t @ work[2].T).T
-        alpha = (g - w2 + beta + (g - g_prev + alpha)) / 2.0
-        beta = soft(alpha + w2, 1.0 / rho)
+        alpha = (g - w2 + beta + (g - g_prev + alpha)) / two
+        beta = soft(alpha + w2, coef_lam)
         w2 = w2 + (alpha - beta)
 
         # q = W1 + f - B alpha in W1, s = soft(q + U, lambda1/rho) / 3, and the dual step W1 = q - s
         np.matmul(alpha, atoms_t, out=work[6])
         w1 += np.subtract(f, tmp, out=tmp)
         np.add(w1, u, out=s)
-        np.multiply(soft(s, params.lambda1 / rho, out=tmp), 1.0 / 3.0, out=s)
+        np.multiply(soft(s, sparse_lam, out=tmp), third, out=s)
         w1 -= s
 
         # rows: T = s + V1 in V1's row (the old V1 is dead once T is formed), y = c T,
         # c the row factor, in U's row (U is dead since s); the dual step V1 += s - y
         # is then V1 = T - y, and U's share is y - V1. Columns: the same, z in tmp.
         t = np.add(v1, s, out=v1).reshape(cube)
-        y = np.multiply(t, group_factor(t, params.lambda2 / rho, axis=2), out=u.reshape(cube))
+        y = np.multiply(t, group_factor(t, group_lam, axis=2), out=u.reshape(cube))
         if it == params.max_iters:
             y_last = u.copy()
         t -= y
         np.subtract(u, v1, out=u)
         t = np.add(v2, s, out=v2).reshape(cube)
-        z = np.multiply(t, group_factor(t, params.lambda2 / rho, axis=1), out=tmp.reshape(cube))
+        z = np.multiply(t, group_factor(t, group_lam, axis=1), out=tmp.reshape(cube))
         if it == params.max_iters:
             z_last = tmp.copy()
         t -= z
@@ -188,12 +218,14 @@ def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> 
         if not (np.isfinite(alpha).all() and np.isfinite(s).all()):
             raise DivergenceError(f"non-finite iterate at iteration {it}")
 
-    smooth = np.matmul(alpha, atoms_t, out=work[6])
+    # the records in float64: B alpha is again one BATCH_BLOCKS-row GEMM, and f the input itself
+    alpha = alpha.astype(np.float64)
+    smooth = alpha @ np.ascontiguousarray(basis.atoms.T)
     results = []
     for i in range(len(flat)):
-        alpha_i, s_i = alpha[i].copy(), s[i].copy()
-        f_norm = float(np.linalg.norm(f[i]))
-        primal = float(np.linalg.norm(f[i] - smooth[i] - s_i))
+        alpha_i, s_i = alpha[i], s[i].astype(np.float64)
+        f_norm = float(np.linalg.norm(flat[i]))
+        primal = float(np.linalg.norm(flat[i] - smooth[i] - s_i))
         results.append(
             Decomposition(
                 alpha=alpha_i,
@@ -212,7 +244,7 @@ def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> 
 
 def _solve_run(flat: list, basis: BasisMatrix, params: SolverParams) -> list:
     """Solve blocks one BATCH_BLOCKS slice after another on one work array."""
-    work = np.empty((_WORK_ROWS, BATCH_BLOCKS, basis.n * basis.n))
+    work = np.empty((_WORK_ROWS, BATCH_BLOCKS, basis.n * basis.n), np.float32)
     results = []
     for start in range(0, len(flat), BATCH_BLOCKS):
         results.extend(_solve_slice(flat[start : start + BATCH_BLOCKS], basis, params, work))
@@ -302,11 +334,15 @@ def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams = SolverParams
     product. With params.workers > 1 the slices are cut into up to that
     many contiguous runs (no more than the usable CPUs or the slices), each
     solved in its own forked process on Linux, with the same results.
-    Raises DivergenceError if any block or iterate is non-finite.
+    Raises DivergenceError, before any sweep, if any pixel is non-finite or
+    beyond PIXEL_BOUND in magnitude, and if any iterate goes non-finite.
     """
     flat = [square_block("block", f, basis.n, np.float64).ravel() for f in blocks]
-    if not all(np.isfinite(f).all() for f in flat):
-        raise DivergenceError("input block contains non-finite values")
+    # NaN fails the comparison too
+    if not all((np.abs(f) <= PIXEL_BOUND).all() for f in flat):
+        raise DivergenceError(
+            f"input block contains non-finite values or a pixel beyond PIXEL_BOUND = {PIXEL_BOUND:.6g}"
+        )
     slices = -(-len(flat) // BATCH_BLOCKS)
     processes = _process_count(params.workers, slices)
     cuts = [BATCH_BLOCKS * (slices * r // processes) for r in range(processes + 1)]

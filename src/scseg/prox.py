@@ -1,8 +1,17 @@
-"""Shrinkage operators used by the block solver."""
+"""Shrinkage operators used by the block solver.
+
+Both keep a float32 input in float32, with the threshold cast to it, and
+compute anything else in float64.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _as_float(x) -> np.ndarray:
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def soft(x, lam: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -14,7 +23,8 @@ def soft(x, lam: float, out: np.ndarray | None = None) -> np.ndarray:
     """
     if lam < 0:
         raise ValueError(f"threshold must be nonnegative, got {lam}")
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_float(x)
+    lam = x.dtype.type(lam)
     clipped = np.clip(x, -lam, lam, out=out)
     return np.subtract(x, clipped, out=clipped)
 
@@ -30,11 +40,12 @@ def group_factor(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
     """
     if lam < 0:
         raise ValueError(f"threshold must be nonnegative, got {lam}")
-    a = np.asarray(a, dtype=np.float64)
+    a = _as_float(a)
+    lam = a.dtype.type(lam)
     dims = "abcdefghijklmnopqrstuvwxyz"[: a.ndim]
     squares = np.einsum(f"{dims},{dims}->{dims.replace(dims[axis], '')}", a, a)
     norms = np.sqrt(np.expand_dims(squares, axis))
     if lam == 0:
-        return (norms > 0).astype(np.float64)
+        return (norms > 0).astype(a.dtype)
     # lam / lam is exactly 1, so a slice at or below lam gets exactly 0
     return 1.0 - lam / np.maximum(norms, lam)

@@ -12,7 +12,11 @@ agree with it within rounding and give the same masks. `scaled_solve` is a
 frozen one-block copy of the solver's scaled-form sweep (the same iteration
 in exact arithmetic, with the group duals folded into the shrinkage steps),
 which the batched solver must reproduce bit for bit: `alpha`, `s` and every
-residual. The basis products of both follow the solver's product contract:
+residual. It runs in the solver's float32 (SWEEP_DTYPE) and, as the solver
+does, reports float64 copies and float64 residuals against the float64
+input; `reference_solve` runs in float64. The shrinkage operators here keep
+a float32 input in float32, as the solver's do, and take anything else to
+float64. The basis products of both follow the solver's product contract:
 each is row 0 of one GEMM with 8 rows (the solver's BATCH_BLOCKS), the other
 rows zero, because a GEMM's row bits depend on its row count but not on the
 other rows; the scaled sweep takes B'x as column 0 of B' X', X the 8 rows,
@@ -24,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+SWEEP_DTYPE = np.float32  # the dtype of the solver's sweep
 
 
 def overlapping_groups(n: int) -> list:
@@ -89,18 +95,25 @@ def subgradient_best_objective(
     return best
 
 
+def _as_float(x) -> np.ndarray:
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64)
+
+
 def reference_soft(x, lam: float) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    x = _as_float(x)
+    lam = x.dtype.type(lam)
+    return np.sign(x) * np.maximum(np.abs(x) - lam, x.dtype.type(0))
 
 
 def _shrink_factor(norms: np.ndarray, lam: float) -> np.ndarray:
-    return np.where(norms > lam, 1.0 - lam / np.where(norms > 0, norms, 1.0), 0.0)
+    one, lam = norms.dtype.type(1), norms.dtype.type(lam)
+    return np.where(norms > lam, one - lam / np.where(norms > 0, norms, one), norms.dtype.type(0))
 
 
 def reference_group_factor(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
     """(1 - lam/||x||)+ for every slice x along `axis`, keeping the axis."""
-    return _shrink_factor(np.linalg.norm(np.asarray(a, dtype=np.float64), axis=axis, keepdims=True), lam)
+    return _shrink_factor(np.linalg.norm(_as_float(a), axis=axis, keepdims=True), lam)
 
 
 def fused_group_factor(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
@@ -109,14 +122,14 @@ def fused_group_factor(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
     For arrays of up to three dimensions; the einsum's summation order, not
     np.linalg.norm's, sets the last bits.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = _as_float(a)
     dims = "ijk"[: a.ndim]
     squares = np.einsum(dims + "," + dims + "->" + dims.replace(dims[axis], ""), a, a)
     return _shrink_factor(np.sqrt(np.expand_dims(squares, axis)), lam)
 
 
 def reference_group_soft(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
+    a = _as_float(a)
     return a * reference_group_factor(a, lam, axis)
 
 
@@ -158,15 +171,15 @@ def init_state(n: int, k: int) -> SolverState:
 
 
 def padded_product(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """x @ mat as row 0 of a GEMM whose other 7 rows are zero."""
-    rows = np.zeros((8, x.size))
+    """x @ mat as row 0 of a GEMM whose other 7 rows are zero, in x's dtype."""
+    rows = np.zeros((8, x.size), x.dtype)
     rows[0] = x
     return (rows @ mat)[0]
 
 
 def padded_transposed_product(mat_t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mat_t @ x as column 0 of a GEMM whose other 7 columns are zero."""
-    rows = np.zeros((8, x.size))
+    """mat_t @ x as column 0 of a GEMM whose other 7 columns are zero, in x's dtype."""
+    rows = np.zeros((8, x.size), x.dtype)
     rows[0] = x
     return (mat_t @ rows.T)[:, 0]
 
@@ -276,19 +289,21 @@ def scaled_step(state: ScaledState, f: np.ndarray, b: np.ndarray, params) -> Sca
     soft(c, lambda1) / (3 rho) is soft(c / rho, lambda1 / rho) / 3, with
     c / rho = W1 + (f - B alpha) + U. Each group copy is the group soft
     threshold of T = s + V at lambda2 / rho, and the dual step V += s - y is
-    V = T - y.
+    V = T - y. It runs in the dtype of f and b, as the solver runs in its
+    work array's.
     """
     n = int(round(np.sqrt(b.shape[0])))
     rho = params.rho
     bt = np.ascontiguousarray(b.T)
+    two, third = f.dtype.type(2.0), f.dtype.type(1.0 / 3.0)
 
     g = padded_transposed_product(bt, state.w1.ravel())
-    alpha = (g - state.w2 + state.beta + (g - state.g + state.alpha)) / 2.0
+    alpha = (g - state.w2 + state.beta + (g - state.g + state.alpha)) / two
     beta = reference_soft(alpha + state.w2, 1.0 / rho)
     w2 = state.w2 + (alpha - beta)
 
     q = state.w1 + (f.reshape(n, n) - padded_product(alpha, bt).reshape(n, n))
-    s = reference_soft(q + state.u, params.lambda1 / rho) * (1.0 / 3.0)
+    s = reference_soft(q + state.u, params.lambda1 / rho) * third
     w1 = q - s
 
     t_row = s + state.v1
@@ -317,33 +332,38 @@ def scaled_step(state: ScaledState, f: np.ndarray, b: np.ndarray, params) -> Sca
 
 
 def scaled_solve(f, atoms: np.ndarray, params, steps: int | None = None) -> dict:
-    """Run scaled_step from the zero state; returns what reference_solve returns.
+    """Run scaled_step in SWEEP_DTYPE from the zero state; returns what reference_solve returns.
 
-    history holds, per sweep, ||f - B alpha - s|| and the split gaps
-    ||alpha - beta||, ||s - y||, ||s - z||.
+    "alpha" and "s" are float64 copies of the last sweep's. history holds,
+    per sweep, ||f - B alpha - s|| and the split gaps ||alpha - beta||,
+    ||s - y||, ||s - z||, each computed in float64 from float64 copies, with
+    f the float64 input and B alpha one 8-row float64 GEMM.
     """
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     n = int(round(np.sqrt(f.size)))
     k = atoms.shape[1]
-    zero = np.zeros((n, n))
-    g = -padded_transposed_product(np.ascontiguousarray(atoms.T), f)
+    f_sweep, atoms_sweep = f.astype(SWEEP_DTYPE), atoms.astype(SWEEP_DTYPE)
+    zero = np.zeros((n, n), SWEEP_DTYPE)
+    g = -padded_transposed_product(np.ascontiguousarray(atoms_sweep.T), f_sweep)
     state = ScaledState(
-        alpha=np.zeros(k), beta=np.zeros(k), w2=np.zeros(k), g=g,
+        alpha=np.zeros(k, SWEEP_DTYPE), beta=np.zeros(k, SWEEP_DTYPE), w2=np.zeros(k, SWEEP_DTYPE), g=g,
         s=zero, w1=zero, v1=zero, v2=zero, u=zero, t_row=zero, t_col=zero,
-        row_factor=np.zeros((n, 1)), col_factor=np.zeros((1, n)),
+        row_factor=np.zeros((n, 1), SWEEP_DTYPE), col_factor=np.zeros((1, n), SWEEP_DTYPE),
     )
     history = []
     iters_run = 0
     for _ in range(params.max_iters if steps is None else steps):
-        state = scaled_step(state, f, atoms, params)
+        state = scaled_step(state, f_sweep, atoms_sweep, params)
         iters_run += 1
         if not (np.isfinite(state.alpha).all() and np.isfinite(state.s).all()):
             raise FloatingPointError(f"non-finite iterate at iteration {iters_run}")
-        s = state.s.ravel()
+        alpha, s = state.alpha.astype(np.float64), state.s.ravel().astype(np.float64)
+        y, z = ((t * c).ravel().astype(np.float64) for t, c in ((state.t_row, state.row_factor),
+                                                                (state.t_col, state.col_factor)))
         history.append((
-            float(np.linalg.norm(f - padded_product(state.alpha, np.ascontiguousarray(atoms.T)) - s)),
-            float(np.linalg.norm(state.alpha - state.beta)),
-            float(np.linalg.norm(s - (state.t_row * state.row_factor).ravel())),
-            float(np.linalg.norm(s - (state.t_col * state.col_factor).ravel())),
+            float(np.linalg.norm(f - padded_product(alpha, np.ascontiguousarray(atoms.T)) - s)),
+            float(np.linalg.norm(alpha - state.beta.astype(np.float64))),
+            float(np.linalg.norm(s - y)),
+            float(np.linalg.norm(s - z)),
         ))
-    return {"alpha": state.alpha, "s": s, "iters_run": iters_run, "history": history, "state": state}
+    return {"alpha": alpha, "s": s, "iters_run": iters_run, "history": history, "state": state}

@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import group_norm_reference, reference_solve, scaled_solve
 from scseg import (
     DivergenceError,
+    SegmentationConfig,
     SolverParams,
     SynthSpec,
     build_basis,
@@ -25,7 +26,7 @@ from scseg import (
     solve_blocks,
 )
 from scseg import admm
-from scseg.admm import BATCH_BLOCKS, group_norm
+from scseg.admm import BATCH_BLOCKS, PIXEL_BOUND, group_norm
 
 # The four block regimes of the benchmark's pages.
 REGIMES = (
@@ -46,6 +47,17 @@ PENALTY_CASES = {
     "rho-small": SolverParams(rho=0.3),
     "rho-large": SolverParams(rho=30.0),
 }
+
+
+def _solve_in(dtype, blocks, basis, params):
+    """solve_blocks' sweep run in `dtype`: admm._solve_slice on a work array of it, one slice at a time.
+
+    solve_blocks runs it in float32; float64 is the same code at double precision.
+    """
+    work = np.empty((admm._WORK_ROWS, BATCH_BLOCKS, basis.n**2), dtype)
+    flat = [np.asarray(f, dtype=np.float64).ravel() for f in blocks]
+    return [dec for i in range(0, len(flat), BATCH_BLOCKS)
+            for dec in admm._solve_slice(flat[i : i + BATCH_BLOCKS], basis, params, work)]
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +95,8 @@ class TestParams:
             # finite values whose shrinkage threshold overflows: lambda2/rho, lambda1/rho, 1/rho
             {"lambda2": 1e300, "rho": 1e-10}, {"lambda1": np.float64(1e300), "rho": np.float64(1e-10)},
             {"rho": 5e-324},
+            # lambda2/rho = 1e39 is finite in float64 but beyond float32, the sweep's dtype
+            {"rho": 1e-37, "lambda2": 100.0},
         ],
     )
     def test_validation(self, bad):
@@ -98,6 +112,14 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             SolverParams(**{name: value})
 
+    def test_thresholds_up_to_float32_max_are_accepted(self, basis8):
+        # lambda2/rho at float32's largest value solves; the next float64 above it is refused
+        top = float(np.finfo(np.float32).max)
+        dec = solve_blocks([np.arange(64.0)], basis8, SolverParams(lambda2=top))[0]
+        assert np.isfinite(dec.s).all() and np.isfinite(dec.objective)
+        with pytest.raises(ValueError, match=r"^rho 1.0 is too small: .* exceeds float32's 3.403e\+38$"):
+            SolverParams(lambda2=np.nextafter(top, np.inf))
+
     @pytest.mark.parametrize("value", [7, np.int64(7), np.int32(7), np.uint8(7)])
     def test_counts_accept_python_and_numpy_integers(self, basis8, value):
         params = SolverParams(max_iters=value, workers=value)
@@ -105,6 +127,8 @@ class TestParams:
 
 
 class TestStep:
+    """The sweep's steps; the closed-form checks run the sweep in float64."""
+
     def test_zero_block_is_fixed_point(self, basis8):
         for max_iters in (1, 2, 3):
             params = SolverParams(lambda1=5.0, lambda2=1.0, max_iters=max_iters)
@@ -116,7 +140,7 @@ class TestStep:
     def test_single_step_coefficients(self, basis64):
         # from the zero state the first coefficient update is a scaled projection
         f = basis64.atoms[:, 0] * 100.0
-        dec = solve_blocks([f], basis64, SolverParams(max_iters=1))[0]
+        dec = _solve_in(np.float64, [f], basis64, SolverParams(max_iters=1))[0]
         expected = np.zeros(10)
         expected[0] = 50.0
         np.testing.assert_allclose(dec.alpha, expected, atol=1e-10)
@@ -136,7 +160,7 @@ class TestStep:
             + params.rho * (b.T @ (f - state.s))
         )
         factorized = np.linalg.solve(params.rho * b.T @ b + params.rho * np.eye(10), rhs)
-        stepped = solve_blocks([f], basis64, dataclasses.replace(params, max_iters=4))[0]
+        stepped = _solve_in(np.float64, [f], basis64, dataclasses.replace(params, max_iters=4))[0]
         np.testing.assert_allclose(stepped.alpha, factorized, atol=1e-10)
 
 
@@ -373,16 +397,24 @@ class TestSolveBlocks:
             solve_blocks(blocks, basis8)
 
     def test_non_finite_iterate_raises(self, basis64):
-        # finite pixels whose products overflow in the first sweep
-        huge = np.full(4096, 1e308)
-        huge[::7] = -1e308
-        blocks = [gen_block(SynthSpec(seed=3))[0].ravel(), huge]
+        # pixels finite in the sweep's dtype whose products overflow in the first sweep:
+        # float32 and float64 pixels near each one's largest value. solve_blocks refuses
+        # such pixels before any sweep, so the float32 slice sweep is called directly.
+        def huge(peak):
+            f = np.full(4096, peak)
+            f[::7] = -peak
+            return f
+
+        work = np.empty((admm._WORK_ROWS, BATCH_BLOCKS, 4096), np.float32)
+        blocks = [gen_block(SynthSpec(seed=3))[0].ravel(), huge(3e38)]
         with np.errstate(over="ignore", invalid="ignore"):
-            for oracle in (reference_solve, scaled_solve):
+            for oracle, peak in ((reference_solve, 1e308), (scaled_solve, 3e38)):
                 with pytest.raises(FloatingPointError, match="iteration 1$"):
-                    oracle(huge, basis64.atoms, SolverParams())
+                    oracle(huge(peak), basis64.atoms, SolverParams())
             with pytest.raises(DivergenceError, match="non-finite iterate at iteration 1$"):
-                solve_blocks(blocks, basis64)
+                admm._solve_slice(blocks, basis64, SolverParams(), work)
+        with pytest.raises(DivergenceError, match="PIXEL_BOUND"):
+            solve_blocks(blocks, basis64)
 
     def test_residual_histories_per_block(self, basis64):
         # the residuals after k sweeps, read from runs of k sweeps
@@ -428,7 +460,7 @@ class TestSweep:
             return real_group_factor(*args, **kwargs)
 
         monkeypatch.setattr(admm, "group_factor", marking)
-        work = np.empty((admm._WORK_ROWS, BATCH_BLOCKS, basis64.n**2))
+        work = np.empty((admm._WORK_ROWS, BATCH_BLOCKS, basis64.n**2), np.float32)
         flat = [f.ravel() for f in regime_blocks[:8]]
         tracemalloc.start()
         try:
@@ -448,8 +480,8 @@ class TestSweep:
         shape = (admm._WORK_ROWS, BATCH_BLOCKS, basis64.n**2)
         params = dataclasses.replace(params, max_iters=10)
         results = []
-        for offset in (0, 1, 3, 5):
-            work = np.empty(np.prod(shape) + offset)[offset:].reshape(shape)
+        for offset in (0, 1, 3, 5):  # float32s: 4, 12 and 20 bytes off
+            work = np.empty(np.prod(shape) + offset, np.float32)[offset:].reshape(shape)
             results.append(admm._solve_slice(flat, basis64, params, work))
         for decs in results[1:]:
             _assert_same(decs, results[0])
@@ -460,10 +492,12 @@ class TestTextbookAgreement:
 
     The two are the same iteration in exact arithmetic; rounding differs,
     because the scaled form divides every step by rho, takes B'(f - s) from
-    the last dual update and sums the group terms in another order. On these
-    blocks, over every penalty case below, the differences measured at most
-    1.8e-15 in relative alpha, 1.4e-12 in s, 3.5e-16 in the primal residual
-    and 3.3e-13 in the group gaps.
+    the last dual update and sums the group terms in another order. Both run
+    in float64 here: the solver's sweep through _solve_in, the same code on a
+    float64 work array (TestFloat32Sweep bounds what float32 changes).
+    On these blocks, over every penalty case below, the differences measured
+    at most 1.8e-15 in relative alpha, 1.4e-12 in s, 3.5e-16 in the primal
+    residual and 3.3e-13 in the group gaps.
     """
 
     ALPHA_REL = 1e-13  # max |d alpha| over max |alpha|
@@ -482,7 +516,7 @@ class TestTextbookAgreement:
     @pytest.mark.parametrize("params", PENALTY_CASES.values(), ids=PENALTY_CASES)
     def test_agrees_with_textbook_sweep(self, case, params):
         basis, blocks = case
-        for i, (f, dec) in enumerate(zip(blocks, solve_blocks(blocks, basis, params))):
+        for i, (f, dec) in enumerate(zip(blocks, _solve_in(np.float64, blocks, basis, params))):
             ref = reference_solve(f, basis.atoms, params)
             # masks at the default fg_threshold of one gray level
             np.testing.assert_array_equal(np.abs(dec.s) > 1.0, np.abs(ref["s"]) > 1.0, err_msg=f"block {i} mask")
@@ -493,6 +527,37 @@ class TestTextbookAgreement:
             assert abs(dec.split_residuals[0] - coef_gap) <= self.ALPHA_REL * np.abs(ref["alpha"]).max(), i
             assert abs(dec.split_residuals[1] - row_gap) <= self.S_ABS, i
             assert abs(dec.split_residuals[2] - col_gap) <= self.S_ABS, i
+
+
+class TestFloat32Sweep:
+    """The float32 sweep of solve_blocks against the same code run in float64.
+
+    Eight blocks of each regime, seeds 500-507. Measured: max |d s| 6.8e-4
+    gray levels (k_true=15 at 200 sweeps, 2.0e-4 at 50; at most 4.6e-5 on
+    the other regimes), and the smallest float64 margin ||s| - fg_threshold|
+    9.8e-5 (k_true=15 at 200 sweeps), so the masks could differ but do not.
+    """
+
+    S_ABS = 3e-3  # 4x the largest measured |d s|, three decades below fg_threshold's 1.0
+    REGIMES = {
+        "default": SynthSpec(),
+        "amplitude10": SynthSpec(stroke_amplitude=10.0),
+        "amplitude5": SynthSpec(stroke_amplitude=5.0),
+        "k15": SynthSpec(k_true=15),
+        "diagonal": SynthSpec(diagonal_strokes=True),
+    }
+
+    @pytest.mark.parametrize("sweeps", [50, 200])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_same_masks_as_float64(self, basis64, regime, sweeps):
+        blocks = [gen_block(dataclasses.replace(self.REGIMES[regime], seed=500 + i))[0] for i in range(8)]
+        params = SolverParams(max_iters=sweeps)
+        single = _solve_in(np.float32, blocks, basis64, params)
+        _assert_same(single, solve_blocks(blocks, basis64, params))
+        threshold = SegmentationConfig().fg_threshold
+        for i, (a, b) in enumerate(zip(single, _solve_in(np.float64, blocks, basis64, params))):
+            np.testing.assert_array_equal(np.abs(a.s) > threshold, np.abs(b.s) > threshold, err_msg=f"block {i}")
+            assert np.abs(a.s - b.s).max() <= self.S_ABS, i
 
 
 @pytest.fixture()
@@ -585,9 +650,11 @@ class TestWorkers:
         assert len(forks) == (workers - 1) * (1 + len(sweeps))
         _assert_no_children()
 
-    def test_divergence_in_a_child_slice(self, basis64, regime_blocks, cpus, forks):
-        huge = np.full(4096, 1e308)
-        huge[::7] = -1e308
+    def test_divergence_in_a_child_slice(self, monkeypatch, basis64, regime_blocks, cpus, forks):
+        # no pixel within PIXEL_BOUND overflows, so the bound is lifted to let one through
+        monkeypatch.setattr(admm, "PIXEL_BOUND", np.inf)
+        huge = np.full(4096, 3e38)
+        huge[::7] = -3e38
         blocks = list(regime_blocks[:BATCH_BLOCKS]) + [huge]  # only the child's slice overflows
         messages = []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -690,6 +757,49 @@ class TestWorkers:
             assert admm._process_count(3, 24) == 1
 
 
+class TestInputBound:
+    """solve_blocks solves pixels up to PIXEL_BOUND and refuses any beyond it before any sweep.
+
+    Library-level: a PNM sample has at most 16 bits, far below the bound.
+    """
+
+    # With lambda2 on the pixels' scale the group step shrinks, so a sum of squares that
+    # overflowed float32 (its factor then 1, not 0) would show in s: a bound of 2**60
+    # gives max |d s| 3.4 x the bound there.
+    @pytest.mark.parametrize("lambda2", [2.0, 10 * PIXEL_BOUND], ids=["default", "at-scale"])
+    def test_blocks_at_the_bound_solve(self, basis64, cpus, forks, lambda2):
+        rng = np.random.default_rng(89)
+        rows, cols = np.indices((64, 64))
+        signs = [np.ones((64, 64)), np.where((rows + cols) % 2, 1.0, -1.0), np.where(rows % 2, 1.0, -1.0),
+                 np.where(cols < 32, 1.0, -1.0), rng.choice([-1.0, 1.0], (64, 64)), rng.uniform(-1, 1, (64, 64))]
+        blocks = [PIXEL_BOUND * sign for sign in signs] + [-PIXEL_BOUND * sign for sign in signs]
+        assert max(np.abs(b).max() for b in blocks) == PIXEL_BOUND
+        params = SolverParams(max_iters=200, lambda2=lambda2, workers=2)
+        decs = solve_blocks(blocks, basis64, params)  # two slices, one in a child
+        for i, (dec, ref) in enumerate(zip(decs, _solve_in(np.float64, blocks, basis64, params))):
+            assert np.isfinite(dec.alpha).all() and np.isfinite(dec.s).all(), i
+            assert np.isfinite([dec.primal_residual, *dec.split_residuals, dec.objective]).all(), i
+            assert np.abs(dec.s - ref.s).max() <= 1e-4 * PIXEL_BOUND, i  # measured 1.6e-6 x the bound
+        assert len(forks) == 1
+        _assert_no_children()
+
+    @pytest.mark.parametrize("where", [0, 15])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_pixel_above_the_bound_raises_before_any_sweep(
+        self, monkeypatch, basis64, regime_blocks, cpus, forks, where, sign
+    ):
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(admm, "_solve_slice", no_sweep)
+        blocks = [b.copy() for b in regime_blocks[:16]]
+        blocks[where][3, 4] = sign * np.nextafter(PIXEL_BOUND, np.inf)
+        with pytest.raises(DivergenceError, match=re.escape(f"beyond PIXEL_BOUND = {PIXEL_BOUND:.6g}")):
+            solve_blocks(blocks, basis64, SolverParams(workers=2))
+        assert forks == []
+        _assert_no_children()
+
+
 class TestFixedShapeProducts:
     """A block's bits depend neither on its row in the slice nor on the blocks beside it.
 
@@ -721,7 +831,7 @@ class TestFixedShapeProducts:
         fill = {
             "random": rng.uniform(0, 255, shape),
             "zero": np.zeros(shape),
-            "huge": rng.uniform(-1e100, 1e100, shape),
+            "huge": rng.uniform(-PIXEL_BOUND, PIXEL_BOUND, shape),  # the largest pixels accepted
         }[others]
         for row in range(BATCH_BLOCKS):
             blocks = list(fill)

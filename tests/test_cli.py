@@ -325,6 +325,8 @@ def test_bad_rho_is_usage_error(dataset, tmp_path, capsys):
         pytest.param(["--rho", "x"], "argument --rho: invalid float value: 'x'", id="bad15-rho"),
         # every value finite, but lambda2/rho overflows: rejected, not a NaN in the solver
         pytest.param(["--lambda2", "1e300", "--rho", "1e-10"], "--rho 1e-10 is too small", id="bad16-rho"),
+        # lambda2/rho = 1e39 is finite in float64 but beyond the float32 sweep's range
+        pytest.param(["--lambda2", "100", "--rho", "1e-37"], "--rho 1e-37 is too small", id="bad17-rho"),
     ],
 )
 @pytest.mark.parametrize("command", ["segment", "evaluate"])

@@ -175,3 +175,25 @@ def test_soft_matches_sign_form_bit_for_bit():
         nonzero = sign_form != 0
         assert np.array_equal(got[nonzero].view(np.int64), sign_form[nonzero].view(np.int64))
         assert not got[~nonzero].any()
+
+
+def test_float32_input_stays_float32():
+    # the solver's sweep: the threshold is cast to float32, even a numpy float64 one, which
+    # numpy would otherwise promote the result to; anything else still runs in float64
+    rng = np.random.default_rng(29)
+    a = rng.normal(0, 50, (8, 16, 16)).astype(np.float32)
+    lam = np.float64(17.3)
+    got = soft(a, lam)
+    assert got.dtype == np.float32
+    sign_form = np.sign(a) * np.maximum(np.abs(a) - np.float32(lam), np.float32(0))
+    nonzero = sign_form != 0
+    assert np.array_equal(got[nonzero].view(np.int32), sign_form[nonzero].view(np.int32))
+    assert not got[~nonzero].any()
+    for axis in (1, 2):
+        for threshold in (0.0, lam):
+            factor = group_factor(a, threshold, axis)
+            assert factor.dtype == np.float32
+            assert np.array_equal(factor, fused_group_factor(a, np.float32(threshold), axis))
+    for x in (np.arange(4), np.arange(4, dtype=np.float16), [1.0, 2.0, 3.0, 4.0]):
+        assert soft(x, 0.5).dtype == np.float64
+        assert group_factor(np.reshape(x, (2, 2)), 0.5, 1).dtype == np.float64
