@@ -29,11 +29,11 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .checks import require_counts, square_block
+from .checks import block_stack, require_counts, require_real
 from .dct import BasisMatrix
 from .prox import group_factor, soft
 
@@ -76,6 +76,7 @@ class SolverParams:
     def __post_init__(self):
         require_counts(self, max_iters=1, workers=1)
         for name in ("lambda1", "lambda2", "rho"):
+            require_real(name, getattr(self, name))
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         # the largest shrinkage threshold, held in float32 by the sweep; Python floats
@@ -89,11 +90,12 @@ class SolverParams:
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Smooth coefficients and sparse layer after max_iters sweeps, with diagnostics.
+    """Smooth coefficients and sparse layers of m blocks after max_iters sweeps, with diagnostics.
 
-    alpha and s are float64 copies of the float32 sweep's iterates, and the
-    residuals and the objective are computed from float64 copies too, against
-    the float64 input block.
+    Each field is a float64 array whose row i is block i's: alpha (m, k), s (m, n, n),
+    primal_residual (m,), split_residuals (m, 3) and objective (m,). alpha and s
+    are copies of the float32 sweep's iterates, and the residuals and the
+    objective are computed from float64 copies too, against the float64 blocks.
     primal_residual is ||f - B a - s|| / ||f|| (0 for an all-zero block);
     split_residuals are the absolute norms of the coefficient-copy, row-copy
     and column-copy gaps ||a - beta||, ||s - y||, ||s - z||. The sweep never
@@ -106,26 +108,51 @@ class Decomposition:
 
     alpha: np.ndarray
     s: np.ndarray
-    primal_residual: float
-    split_residuals: tuple
-    objective: float
+    primal_residual: np.ndarray
+    split_residuals: np.ndarray
+    objective: np.ndarray
+
+    def rows(self, start: int, stop: int) -> Decomposition:
+        """Blocks start to stop, as views of these arrays."""
+        return Decomposition(*(getattr(self, f.name)[start:stop] for f in fields(self)))
+
+
+def _unfilled(m: int, basis: BasisMatrix) -> Decomposition:
+    """A Decomposition of m blocks whose arrays the solver has yet to fill."""
+    n, k = basis.n, basis.k
+    return Decomposition(np.empty((m, k)), np.empty((m, n, n)), np.empty(m), np.empty((m, 3)), np.empty(m))
 
 
 def group_norm(s) -> float:
-    """Sum of row and column l2 norms of a block (the overlapping-group term)."""
-    s = square_block("block", s, math.isqrt(np.size(s)), np.float64)
-    return float(np.linalg.norm(s, axis=1).sum() + np.linalg.norm(s, axis=0).sum())
+    """Sum of row and column l2 norms of one (n, n) or flat (n*n,) block (the overlapping-group term)."""
+    return float(_group_norms(block_stack("block", s, math.isqrt(np.size(s)), one=True))[0])
 
 
-def objective(alpha, s, params: SolverParams) -> float:
-    """Decomposition objective: ||alpha||_1 + lambda1 ||s||_1 + lambda2 * group term."""
+def _group_norms(s: np.ndarray) -> np.ndarray:
+    """group_norm of each block of an (m, n, n) float64 stack.
+
+    Each norm is np.linalg.norm's, the root of a sum of squares, with the squares formed once for both.
+    """
+    squares = s * s
+    return np.sqrt(squares.sum(axis=2)).sum(axis=1) + np.sqrt(squares.sum(axis=1)).sum(axis=1)
+
+
+def objective(alpha, s, params: SolverParams):
+    """Decomposition objective ||alpha||_1 + lambda1 ||s||_1 + lambda2 * group term, of each block.
+
+    One block's (k,) alpha and (n, n) or (n*n,) s give a float; an (m, k)
+    alpha and an (m, n, n) s give the m blocks' values as an array.
+    """
     alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.ndim == 1:
+        return float(objective(alpha[None], block_stack("block", s, math.isqrt(np.size(s)), one=True), params)[0])
     s = np.asarray(s, dtype=np.float64)
-    return float(
-        np.abs(alpha).sum()
-        + params.lambda1 * np.abs(s).sum()
-        + params.lambda2 * group_norm(s)
-    )
+    return np.abs(alpha).sum(axis=1) + params.lambda1 * np.abs(s).sum(axis=(1, 2)) + params.lambda2 * _group_norms(s)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row of a 2-D array: the root of the row's dot product, as np.linalg.norm takes it."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
 
 
 # Blocks advanced together in one sweep, and the row count of every basis
@@ -147,8 +174,8 @@ BATCH_BLOCKS = 8
 _WORK_ROWS = 7
 
 
-def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> list:
-    """Run max_iters sweeps on up to BATCH_BLOCKS blocks, one row of `work` each.
+def _solve_slice(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, work, out: Decomposition) -> None:
+    """Run max_iters sweeps on m <= BATCH_BLOCKS flat blocks, one row of `work` each, into out's m rows.
 
     The sweep runs in work's dtype: the basis, every iterate and every
     threshold are cast to it. solve_blocks passes float32; a float64 work
@@ -168,14 +195,14 @@ def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> 
     # alpha @ B' runs 2x faster on C order. B'x of every row x runs as one
     # GEMM B' X', transposed back: at 8 x 4096 by 4096 x 10 this layout takes
     # about 25 us where X B takes about 30 us (2-core x86 host, OpenBLAS, one thread).
-    dtype = work.dtype.type
+    m, dtype = len(flat), work.dtype.type
     atoms_t = np.ascontiguousarray(basis.atoms.T, dtype=dtype)
-    work[:, len(flat) :] = 0.0
-    rows = work[:, : len(flat)]
+    work[:, m:] = 0.0
+    rows = work[:, :m]
     rows[0] = flat
     rows[1:6] = 0.0  # s, W1, V1, V2 and U start at zero
     f, s, w1, v1, v2, u, tmp = rows
-    cube = (len(flat), basis.n, basis.n)
+    cube = (m, basis.n, basis.n)
     coef_lam, sparse_lam, group_lam = (dtype(lam / params.rho) for lam in (1.0, params.lambda1, params.lambda2))
     two, third = dtype(2.0), dtype(1.0 / 3.0)
     alpha = np.zeros((BATCH_BLOCKS, basis.k), dtype)
@@ -218,37 +245,30 @@ def _solve_slice(flat: list, basis: BasisMatrix, params: SolverParams, work) -> 
         if not (np.isfinite(alpha).all() and np.isfinite(s).all()):
             raise DivergenceError(f"non-finite iterate at iteration {it}")
 
-    # the records in float64: B alpha is again one BATCH_BLOCKS-row GEMM, and f the input itself
+    # the records in float64, the objective's temporaries freed before B alpha is made: B alpha
+    # is again one BATCH_BLOCKS-row GEMM, and f the input itself
     alpha = alpha.astype(np.float64)
+    out.alpha[:] = alpha[:m]
+    out.s[:] = s.reshape(cube)
+    out.objective[:] = objective(out.alpha, out.s, params)
+    s = out.s.reshape(m, -1)
     smooth = alpha @ np.ascontiguousarray(basis.atoms.T)
-    results = []
-    for i in range(len(flat)):
-        alpha_i, s_i = alpha[i], s[i].astype(np.float64)
-        f_norm = float(np.linalg.norm(flat[i]))
-        primal = float(np.linalg.norm(flat[i] - smooth[i] - s_i))
-        results.append(
-            Decomposition(
-                alpha=alpha_i,
-                s=s_i,
-                primal_residual=primal / f_norm if f_norm > 0 else 0.0,
-                split_residuals=(
-                    float(np.linalg.norm(alpha_i - beta[i])),
-                    float(np.linalg.norm(s_i - y_last[i])),
-                    float(np.linalg.norm(s_i - z_last[i])),
-                ),
-                objective=objective(alpha_i, s_i, params),
-            )
-        )
-    return results
+    gap = np.subtract(flat, smooth[:m], out=smooth[:m])
+    gap -= s
+    f_norm = _row_norms(flat)
+    out.primal_residual[:] = np.divide(_row_norms(gap), f_norm, out=np.zeros(m), where=f_norm > 0)
+    out.split_residuals[:, 0] = _row_norms(out.alpha - beta[:m])
+    out.split_residuals[:, 1] = _row_norms(np.subtract(s, y_last[:m], out=gap))
+    out.split_residuals[:, 2] = _row_norms(np.subtract(s, z_last[:m], out=gap))
 
 
-def _solve_run(flat: list, basis: BasisMatrix, params: SolverParams) -> list:
-    """Solve blocks one BATCH_BLOCKS slice after another on one work array."""
+def _solve_run(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, out: Decomposition) -> Decomposition:
+    """Solve the blocks one BATCH_BLOCKS slice after another on one work array, into out's rows; returns out."""
     work = np.empty((_WORK_ROWS, BATCH_BLOCKS, basis.n * basis.n), np.float32)
-    results = []
     for start in range(0, len(flat), BATCH_BLOCKS):
-        results.extend(_solve_slice(flat[start : start + BATCH_BLOCKS], basis, params, work))
-    return results
+        stop = start + BATCH_BLOCKS
+        _solve_slice(flat[start:stop], basis, params, work, out.rows(start, stop))
+    return out
 
 
 def _process_count(workers: int, slices: int) -> int:
@@ -263,17 +283,19 @@ def _process_count(workers: int, slices: int) -> int:
     return min(workers, len(os.sched_getaffinity(0)), slices)
 
 
-def _solve_forked(runs: list, basis: BasisMatrix, params: SolverParams) -> list:
-    """Solve runs[0] here and every other run in its own forked child, in order.
+def _solve_forked(runs: list, basis: BasisMatrix, params: SolverParams) -> Decomposition:
+    """Solve runs[0] here and every other run in its own forked child; returns all their rows, in order.
 
-    A child pickles its run's decompositions, or the exception the run
+    A child pickles its run's Decomposition, or the exception the run
     raised, into its pipe and leaves through os._exit, so it runs none of
     the caller's cleanup or buffered output. Raises the error of the
     earliest failing run, which is the one a single process would raise;
     every child is reaped and every pipe end closed on every path.
     """
-    children = []  # (pid, read end of its pipe) of each child not yet read
+    out = _unfilled(sum(map(len, runs)), basis)
+    children = []  # (pid, read end of its pipe, its rows of out) of each child not yet read
     try:
+        start = len(runs[0])
         for run in runs[1:]:
             read_fd, write_fd = os.pipe()
             try:
@@ -287,19 +309,20 @@ def _solve_forked(runs: list, basis: BasisMatrix, params: SolverParams) -> list:
                 try:
                     os.close(read_fd)
                     try:
-                        payload = _solve_run(run, basis, params)
+                        payload = _solve_run(run, basis, params, _unfilled(len(run), basis))
                     except Exception as exc:  # sent to the caller, which raises it
                         payload = exc
-                    with os.fdopen(write_fd, "wb") as out:
-                        out.write(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
-            children.append((pid, read_fd))
-        results = _solve_run(runs[0], basis, params)
+            children.append((pid, read_fd, out.rows(start, start + len(run))))
+            start += len(run)
+        _solve_run(runs[0], basis, params, out.rows(0, len(runs[0])))
         while children:
-            pid, read_fd = children.pop(0)
+            pid, read_fd, rows = children.pop(0)
             try:
                 with os.fdopen(read_fd, "rb") as src:
                     data = src.read()
@@ -310,21 +333,23 @@ def _solve_forked(runs: list, basis: BasisMatrix, params: SolverParams) -> list:
             payload = pickle.loads(data)
             if isinstance(payload, Exception):
                 raise payload
-            results.extend(payload)
-        return results
+            for field in fields(rows):
+                getattr(rows, field.name)[:] = getattr(payload, field.name)
+        return out
     finally:
         if children:
             import signal
 
-            for pid, read_fd in children:
+            for pid, read_fd, _ in children:
                 os.close(read_fd)
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams = SolverParams()) -> list:
-    """Decompose every block; returns one Decomposition per block, in order.
+def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams = SolverParams()) -> Decomposition:
+    """Decompose an (m, n, n) or (m, n*n) stack of blocks of basis.n; returns their Decomposition.
 
+    Any other shape is a ValueError; a float64 C-contiguous stack is not copied.
     Each block runs from the zero state for params.max_iters sweeps. Blocks
     advance BATCH_BLOCKS at a time as rows of shared arrays. Every shrinkage
     and norm acts on one row, and each basis product is one GEMM of exactly
@@ -337,9 +362,9 @@ def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams = SolverParams
     Raises DivergenceError, before any sweep, if any pixel is non-finite or
     beyond PIXEL_BOUND in magnitude, and if any iterate goes non-finite.
     """
-    flat = [square_block("block", f, basis.n, np.float64).ravel() for f in blocks]
+    flat = block_stack("blocks", blocks, basis.n).reshape(-1, basis.n * basis.n)
     # NaN fails the comparison too
-    if not all((np.abs(f) <= PIXEL_BOUND).all() for f in flat):
+    if flat.size and not -PIXEL_BOUND <= flat.min() <= flat.max() <= PIXEL_BOUND:
         raise DivergenceError(
             f"input block contains non-finite values or a pixel beyond PIXEL_BOUND = {PIXEL_BOUND:.6g}"
         )

@@ -24,9 +24,24 @@ def require_counts(obj, **minimums) -> None:
         require_count(name, getattr(obj, name), low)
 
 
-def square_block(name: str, a, n: int, dtype) -> np.ndarray:
-    """a as an (n, n) dtype array; ValueError naming `name` and its shape unless it is (n, n) or (n*n,)."""
-    a = np.asarray(a, dtype=dtype)
-    if a.shape not in ((n, n), (n * n,)):
-        raise ValueError(f"{name} must have shape ({n}, {n}) or ({n * n},), got {a.shape}")
-    return a.reshape(n, n)
+def require_real(name: str, value) -> None:
+    """Raise ValueError naming `name` unless value is a real number: Python or numpy, not bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def block_stack(name: str, a, n: int, dtype=np.float64, one: bool = False) -> np.ndarray:
+    """a as an (m, n, n) dtype array from an (m, n, n) or (m, n*n) stack; a C-contiguous dtype array is not copied.
+
+    With one, from a single (n, n) or (n*n,) block (m = 1). Anything else, a ragged
+    sequence or a generator too, is a ValueError naming `name` and the shape expected.
+    """
+    lead, comma = ("", ",") if one else ("m, ", "")
+    expected = f"{name} must have shape ({lead}{n}, {n}) or ({lead}{n * n}{comma})"
+    try:
+        a = np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # ragged blocks, a generator
+        raise ValueError(f"{expected}: {exc}") from exc
+    if (a[None] if one else a).shape[1:] not in ((n, n), (n * n,)):
+        raise ValueError(f"{expected}, got {a.shape}")
+    return a.reshape(-1, n, n)

@@ -73,17 +73,17 @@ def cmd_segment(args) -> int:
     img = load_gray(args.input)
     seg = next(segment_images([img], args.config))
     if args.verbose:
-        blocks = zip(seg.grid.origins, seg.block_masks, seg.decompositions)
-        for i, (origin, block_mask, dec) in enumerate(blocks):
-            coefficient, row, column = dec.split_residuals
+        dec = seg.decomposition
+        for i, (origin, block_mask) in enumerate(zip(seg.grid.origins, seg.block_masks)):
+            coefficient, row, column = dec.split_residuals[i].tolist()
             print(json.dumps({
                 "block": i,
                 "origin": origin,
-                "primal_residual": dec.primal_residual,
+                "primal_residual": float(dec.primal_residual[i]),
                 "coefficient_residual": coefficient,
                 "row_residual": row,
                 "column_residual": column,
-                "objective": dec.objective,
+                "objective": float(dec.objective[i]),
                 "fg_fraction": float(block_mask.mean()),
             }))
     if args.fg_out or args.bg_out:

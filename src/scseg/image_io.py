@@ -195,11 +195,22 @@ def atomic_write_bytes(path, payload: bytes) -> None:
         raise
 
 
+def _image_2d(name: str, a, dtype) -> np.ndarray:
+    """a as a 2-D dtype array; ValueError naming `name` unless it is 2-D with no zero-length side."""
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
+    if 0 in a.shape:
+        raise ValueError(f"{name} has a zero-length side, got shape {a.shape}")
+    return a
+
+
 def save_mask(mask: np.ndarray, path) -> None:
-    """Write a boolean mask as binary PBM (P4); round-trips with load_mask."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2:
-        raise ValueError(f"mask must be 2-D, got shape {mask.shape}")
+    """Write a boolean mask as binary PBM (P4); round-trips with load_mask.
+
+    A mask that is not 2-D or has a zero-length side (which PBM cannot hold) is a ValueError.
+    """
+    mask = _image_2d("mask", mask, bool)
     height, width = mask.shape
     header = f"P4\n{width} {height}\n".encode("ascii")
     packed = np.packbits(mask, axis=1)
@@ -209,11 +220,10 @@ def save_mask(mask: np.ndarray, path) -> None:
 def save_gray(img: np.ndarray, path) -> None:
     """Write a gray image as binary PGM (P5), rounding and clipping to [0, 255].
 
-    NaN has no gray level and is a ValueError; infinities clip like any value.
+    NaN has no gray level and is a ValueError, as is an image that is not 2-D
+    or has a zero-length side (which PGM cannot hold); infinities clip like any value.
     """
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"image must be 2-D, got shape {img.shape}")
+    img = _image_2d("image", img, np.float64)
     if np.isnan(img).any():
         raise ValueError("image contains NaN")
     height, width = img.shape
@@ -245,11 +255,7 @@ def tile(img: np.ndarray, n: int) -> BlockGrid:
     n must be an integer (Python or numpy, not bool) of at least 2, else ValueError.
     """
     require_count("block size", n, 2)
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"image must be 2-D, got shape {img.shape}")
-    if 0 in img.shape:
-        raise ValueError(f"image has a zero-length side, got shape {img.shape}")
+    img = _image_2d("image", img, np.float64)
     height, width = img.shape
     rows, cols = -(-height // n), -(-width // n)
     # np.pad copies, so the blocks never share img's memory even where the reshape is a view

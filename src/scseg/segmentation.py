@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import BATCH_BLOCKS, SolverParams, solve_blocks
-from .checks import require_counts
+from .admm import BATCH_BLOCKS, Decomposition, SolverParams, solve_blocks
+from .checks import block_stack, require_counts, require_real
 from .dct import BasisMatrix, build_basis
 from .image_io import BlockGrid, stitch, tile
 
@@ -29,6 +29,7 @@ class SegmentationConfig:
 
     def __post_init__(self):
         require_counts(self, block_size=2, k_bases=None)
+        require_real("fg_threshold", self.fg_threshold)
         if not 0 <= self.fg_threshold < np.inf:
             raise ValueError(f"fg_threshold must be >= 0 and finite, got {self.fg_threshold}")
         if not 1 <= self.k_bases <= self.block_size**2:
@@ -43,7 +44,9 @@ class SegmentedImage:
     foreground mask, grid its BlockGrid and basis the basis its blocks were
     solved on. block_masks is one (m, n, n) boolean array in grid order, True
     where a block's sparse layer exceeds cfg.fg_threshold in magnitude, and
-    decompositions the tuple of the blocks' Decompositions in the same order.
+    decomposition the Decomposition of the same m blocks in the same order
+    (row i is block i's); its arrays are views of the arrays its group's
+    solve_blocks call returned.
     """
 
     image: np.ndarray
@@ -51,7 +54,7 @@ class SegmentedImage:
     grid: BlockGrid
     basis: BasisMatrix
     block_masks: np.ndarray
-    decompositions: tuple
+    decomposition: Decomposition
 
 
 def segment_images(images, cfg: SegmentationConfig = SegmentationConfig()):
@@ -65,24 +68,25 @@ def segment_images(images, cfg: SegmentationConfig = SegmentationConfig()):
     """
     basis = build_basis(cfg.block_size, cfg.k_bases)
     group = []
-    blocks = []
     for img in images:
-        grid = tile(img, cfg.block_size)
-        group.append((img, grid))
-        blocks.extend(grid.blocks)
-        if len(blocks) >= BATCH_BLOCKS:
-            yield from _group_records(group, blocks, basis, cfg)
-            group, blocks = [], []
+        group.append((img, tile(img, cfg.block_size)))
+        if sum(len(grid.blocks) for _, grid in group) >= BATCH_BLOCKS:
+            yield from _group_records(group, basis, cfg)
+            group = []
     if group:
-        yield from _group_records(group, blocks, basis, cfg)
+        yield from _group_records(group, basis, cfg)
 
 
-def _group_records(group: list, blocks: list, basis: BasisMatrix, cfg: SegmentationConfig):
-    decs = iter(solve_blocks(blocks, basis, cfg.solver))
+def _group_records(group: list, basis: BasisMatrix, cfg: SegmentationConfig):
+    # one image's blocks are solved in place; several images' are stacked into one array
+    blocks = [grid.blocks for _, grid in group]
+    dec = solve_blocks(blocks[0] if len(blocks) == 1 else np.concatenate(blocks), basis, cfg.solver)
+    start = 0
     for img, grid in group:
-        decompositions = tuple(next(decs) for _ in grid.blocks)
-        block_masks = np.abs([d.s for d in decompositions]).reshape(-1, basis.n, basis.n) > cfg.fg_threshold
-        yield SegmentedImage(img, stitch(grid, block_masks), grid, basis, block_masks, decompositions)
+        rows = dec.rows(start, start + len(grid.blocks))
+        start += len(grid.blocks)
+        block_masks = np.abs(rows.s) > cfg.fg_threshold
+        yield SegmentedImage(img, stitch(grid, block_masks), grid, basis, block_masks, rows)
 
 
 def segment_image(img, cfg: SegmentationConfig = SegmentationConfig()) -> np.ndarray:
@@ -104,18 +108,19 @@ FIT_BATCH_BYTES = 1 << 20
 def fill_background(blocks, masks, basis: BasisMatrix):
     """Replace masked pixels with a smooth least-squares prediction; returns (filled, fitted).
 
-    Fits each block of the (m, n, n) stack `blocks` to the basis over the
-    pixels its mask leaves (the background) and evaluates the fit inside its
-    mask; what lies under the mask, NaN or inf included, does not enter the
-    fit. fitted[i] is False where fewer than k background pixels remain or
+    blocks and masks are (m, n, n) or (m, n*n) stacks of as many blocks, and
+    filled is (m, n, n). Fits each block to the basis over the pixels its
+    mask leaves (the background) and evaluates the fit inside its mask; what
+    lies under the mask, NaN or inf included, does not enter the fit.
+    fitted[i] is False where fewer than k background pixels remain or
     the fit's normal matrix is not positive definite or its condition number
     exceeds MAX_FIT_CONDITION; such a block comes back unchanged, as does one
     with an empty mask. No block's result depends on the others in the call.
     """
     n, k = basis.n, basis.k
-    blocks, masks = np.asarray(blocks, dtype=np.float64), np.asarray(masks, dtype=bool)
-    if blocks.ndim != 3 or blocks.shape[1:] != (n, n) or masks.shape != blocks.shape:
-        raise ValueError(f"blocks {blocks.shape} and masks {masks.shape} must both have shape (m, {n}, {n})")
+    blocks, masks = block_stack("blocks", blocks, n), block_stack("masks", masks, n, bool)
+    if len(masks) != len(blocks):
+        raise ValueError(f"blocks and masks must hold as many blocks, got {len(blocks)} and {len(masks)}")
     m, atoms, keep = len(blocks), basis.atoms, ~masks.reshape(-1, n * n)
     fitted, coef = np.ones(m, dtype=bool), np.zeros((m, k, 1))
     holes = np.flatnonzero(masks.any(axis=(1, 2)))
@@ -142,7 +147,7 @@ def assemble_layers(seg: SegmentedImage):
     """
     basis, masks = seg.basis, seg.block_masks
     filled, fitted = fill_background(seg.grid.blocks, masks, basis)
-    alpha = np.array([d.alpha for d in seg.decompositions])[~fitted, :, None]
+    alpha = seg.decomposition.alpha[~fitted, :, None]
     solver_layer = (basis.atoms @ alpha).reshape(-1, basis.n, basis.n)
     filled[~fitted] = np.where(masks[~fitted], solver_layer, filled[~fitted])
     foreground = np.where(seg.mask, np.asarray(seg.image, dtype=np.float64), 0.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import require_count, require_counts
+from .checks import require_count, require_counts, require_real
 from .dct import build_basis
 from .image_io import atomic_write_bytes, save_gray, save_mask
 
@@ -35,6 +35,8 @@ class SynthSpec:
         require_counts(self, n=4, k_true=None, stroke_count=0, seed=0)
         if not 1 <= self.k_true <= self.n**2:
             raise ValueError(f"k_true must be in [1, {self.n**2}], got {self.k_true}")
+        for name in ("alpha_range", "stroke_amplitude", "max_fg_fraction"):
+            require_real(name, getattr(self, name))
         for name in ("alpha_range", "stroke_amplitude"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")

@@ -83,7 +83,7 @@ def test_criterion_3_solver_feasibility():
     blocks = [rng.uniform(0, 255, 4096) for _ in range(50)]
     # every solve starts from the zero state, so a 50-sweep run gives the residual at sweep 50
     worst_50, worst_500 = (
-        max(dec.primal_residual for dec in solve_blocks(blocks, basis, SolverParams(max_iters=k)))
+        max(solve_blocks(blocks, basis, SolverParams(max_iters=k)).primal_residual)
         for k in (50, 500)
     )
     report(
@@ -104,8 +104,8 @@ def test_criterion_4_oracle_equivalence():
     params = SolverParams(lambda1=lambda1, lambda2=lambda2, max_iters=2000)
     worst = 0.0
     for i in range(10):
-        dec = solve_blocks([blocks[i]], basis, params)[0]
-        feasible = objective(dec.alpha, blocks[i] - basis.atoms @ dec.alpha, params)
+        alpha = solve_blocks([blocks[i]], basis, params).alpha[0]
+        feasible = objective(alpha, blocks[i] - basis.atoms @ alpha, params)
         worst = max(worst, abs(feasible - oracle[i]) / oracle[i])
     report("4 oracle equivalence", worst <= 0.01, f"max relative objective gap {worst:.2e}")
 

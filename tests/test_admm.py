@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import group_norm_reference, reference_solve, scaled_solve
 from scseg import (
+    Decomposition,
     DivergenceError,
     SegmentationConfig,
     SolverParams,
@@ -55,9 +56,19 @@ def _solve_in(dtype, blocks, basis, params):
     solve_blocks runs it in float32; float64 is the same code at double precision.
     """
     work = np.empty((admm._WORK_ROWS, BATCH_BLOCKS, basis.n**2), dtype)
-    flat = [np.asarray(f, dtype=np.float64).ravel() for f in blocks]
-    return [dec for i in range(0, len(flat), BATCH_BLOCKS)
-            for dec in admm._solve_slice(flat[i : i + BATCH_BLOCKS], basis, params, work)]
+    flat = np.reshape(blocks, (len(blocks), -1)).astype(np.float64)
+    out = admm._unfilled(len(flat), basis)
+    for i in range(0, len(flat), BATCH_BLOCKS):
+        admm._solve_slice(flat[i : i + BATCH_BLOCKS], basis, params, work, out.rows(i, i + BATCH_BLOCKS))
+    return out
+
+
+def _alone(blocks, basis, params):
+    """solve_blocks of each block by itself, its rows joined in order."""
+    decs = [solve_blocks(np.empty((0, basis.n**2)), basis, params)]  # the fields' shapes when blocks is empty
+    decs += [solve_blocks([f], basis, params) for f in blocks]
+    names = [field.name for field in dataclasses.fields(Decomposition)]
+    return Decomposition(*(np.concatenate([getattr(d, name) for d in decs]) for name in names))
 
 
 @pytest.fixture(scope="module")
@@ -115,15 +126,15 @@ class TestParams:
     def test_thresholds_up_to_float32_max_are_accepted(self, basis8):
         # lambda2/rho at float32's largest value solves; the next float64 above it is refused
         top = float(np.finfo(np.float32).max)
-        dec = solve_blocks([np.arange(64.0)], basis8, SolverParams(lambda2=top))[0]
-        assert np.isfinite(dec.s).all() and np.isfinite(dec.objective)
+        dec = solve_blocks([np.arange(64.0)], basis8, SolverParams(lambda2=top))
+        assert np.isfinite(dec.s[0]).all() and np.isfinite(dec.objective[0])
         with pytest.raises(ValueError, match=r"^rho 1.0 is too small: .* exceeds float32's 3.403e\+38$"):
             SolverParams(lambda2=np.nextafter(top, np.inf))
 
     @pytest.mark.parametrize("value", [7, np.int64(7), np.int32(7), np.uint8(7)])
     def test_counts_accept_python_and_numpy_integers(self, basis8, value):
         params = SolverParams(max_iters=value, workers=value)
-        assert solve_blocks([np.zeros(64)], basis8, params)[0].primal_residual == 0.0
+        assert solve_blocks([np.zeros(64)], basis8, params).primal_residual[0] == 0.0
 
 
 class TestStep:
@@ -132,18 +143,18 @@ class TestStep:
     def test_zero_block_is_fixed_point(self, basis8):
         for max_iters in (1, 2, 3):
             params = SolverParams(lambda1=5.0, lambda2=1.0, max_iters=max_iters)
-            dec = solve_blocks([np.zeros(64)], basis8, params)[0]
-            assert not dec.alpha.any()
-            assert not dec.s.any()
-            assert (dec.primal_residual, dec.split_residuals) == (0.0, (0.0, 0.0, 0.0))
+            dec = solve_blocks([np.zeros(64)], basis8, params)
+            assert not dec.alpha[0].any()
+            assert not dec.s[0].any()
+            assert (dec.primal_residual[0], tuple(dec.split_residuals[0])) == (0.0, (0.0, 0.0, 0.0))
 
     def test_single_step_coefficients(self, basis64):
         # from the zero state the first coefficient update is a scaled projection
         f = basis64.atoms[:, 0] * 100.0
-        dec = _solve_in(np.float64, [f], basis64, SolverParams(max_iters=1))[0]
+        dec = _solve_in(np.float64, [f], basis64, SolverParams(max_iters=1))
         expected = np.zeros(10)
         expected[0] = 50.0
-        np.testing.assert_allclose(dec.alpha, expected, atol=1e-10)
+        np.testing.assert_allclose(dec.alpha[0], expected, atol=1e-10)
 
     def test_orthonormal_shortcut_matches_factorized_path(self, basis64):
         # the fourth coefficient update solves (rho B'B + rho I) alpha = rhs
@@ -160,8 +171,8 @@ class TestStep:
             + params.rho * (b.T @ (f - state.s))
         )
         factorized = np.linalg.solve(params.rho * b.T @ b + params.rho * np.eye(10), rhs)
-        stepped = _solve_in(np.float64, [f], basis64, dataclasses.replace(params, max_iters=4))[0]
-        np.testing.assert_allclose(stepped.alpha, factorized, atol=1e-10)
+        stepped = _solve_in(np.float64, [f], basis64, dataclasses.replace(params, max_iters=4))
+        np.testing.assert_allclose(stepped.alpha[0], factorized, atol=1e-10)
 
 
 class TestObjective:
@@ -202,60 +213,60 @@ class TestObjective:
 
 class TestSolve:
     def test_zero_block(self, basis8):
-        dec = solve_blocks([np.zeros(64)], basis8, SolverParams(lambda1=5.0, lambda2=1.0))[0]
-        assert not dec.alpha.any()
-        assert not dec.s.any()
-        assert dec.objective == 0.0
-        assert dec.primal_residual == 0.0
+        dec = solve_blocks([np.zeros(64)], basis8, SolverParams(lambda1=5.0, lambda2=1.0))
+        assert not dec.alpha[0].any()
+        assert not dec.s[0].any()
+        assert dec.objective[0] == 0.0
+        assert dec.primal_residual[0] == 0.0
 
     def test_smooth_block_stays_in_smooth_layer(self, basis64):
         rng = np.random.default_rng(17)
         coef = rng.uniform(-100, 100, 10)
         coef[0] = 128.0 * 64
         f = basis64.atoms @ coef
-        dec = solve_blocks([f], basis64, SolverParams(max_iters=500))[0]
-        assert dec.primal_residual <= 1e-3
-        assert np.abs(dec.s).max() <= 1.0
+        dec = solve_blocks([f], basis64, SolverParams(max_iters=500))
+        assert dec.primal_residual[0] <= 1e-3
+        assert np.abs(dec.s[0]).max() <= 1.0
 
     def test_feasibility_on_random_blocks(self, basis64):
         rng = np.random.default_rng(29)
         for _ in range(3):
             f = rng.uniform(0, 255, 4096)
-            dec = solve_blocks([f], basis64, SolverParams(max_iters=500))[0]
-            assert dec.primal_residual <= 1e-3
+            dec = solve_blocks([f], basis64, SolverParams(max_iters=500))
+            assert dec.primal_residual[0] <= 1e-3
 
     def test_beats_trivial_feasible_points(self, basis64):
         rng = np.random.default_rng(31)
         params = SolverParams()
         for _ in range(3):
             f = rng.uniform(0, 255, 4096)
-            dec = solve_blocks([f], basis64, params)[0]
+            dec = solve_blocks([f], basis64, params)
             proj = basis64.atoms.T @ f
-            assert dec.objective <= objective(proj, f - basis64.atoms @ proj, params)
-            assert dec.objective <= objective(np.zeros(10), f, params)
+            assert dec.objective[0] <= objective(proj, f - basis64.atoms @ proj, params)
+            assert dec.objective[0] <= objective(np.zeros(10), f, params)
 
     def test_deterministic(self, basis8):
         rng = np.random.default_rng(41)
         f = rng.uniform(0, 255, 64)
         params = SolverParams(lambda1=5.0, lambda2=1.0)
-        a = solve_blocks([f], basis8, params)[0]
-        b = solve_blocks([f], basis8, params)[0]
-        np.testing.assert_array_equal(a.s, b.s)
-        np.testing.assert_array_equal(a.alpha, b.alpha)
-        assert a.objective == b.objective
+        a = solve_blocks([f], basis8, params)
+        b = solve_blocks([f], basis8, params)
+        np.testing.assert_array_equal(a.s[0], b.s[0])
+        np.testing.assert_array_equal(a.alpha[0], b.alpha[0])
+        assert a.objective[0] == b.objective[0]
 
     def test_accepts_2d_block(self, basis8):
         rng = np.random.default_rng(43)
         f = rng.uniform(0, 255, (8, 8))
-        a = solve_blocks([f], basis8)[0]
-        b = solve_blocks([f.ravel()], basis8)[0]
-        np.testing.assert_array_equal(a.s, b.s)
+        a = solve_blocks([f], basis8)
+        b = solve_blocks([f.ravel()], basis8)
+        np.testing.assert_array_equal(a.s[0], b.s[0])
 
     def test_primal_residual_falls_with_sweeps(self, basis8):
         rng = np.random.default_rng(47)
         f = rng.uniform(0, 255, 64)
-        first, last = (solve_blocks([f], basis8, SolverParams(max_iters=k))[0] for k in (1, 60))
-        assert last.primal_residual < first.primal_residual
+        first, last = (solve_blocks([f], basis8, SolverParams(max_iters=k)) for k in (1, 60))
+        assert last.primal_residual[0] < first.primal_residual[0]
 
     def test_dimension_mismatch(self, basis64, basis8):
         with pytest.raises(ValueError):
@@ -264,9 +275,9 @@ class TestSolve:
             solve_blocks([np.zeros(4096), np.zeros(100)], basis64)
         # 64 pixels, but not an 8x8 block: read row-major they would put the wrong pixels in each group
         for shape in ((4, 16), (2, 32)):
-            message = f"block must have shape (8, 8) or (64,), got {shape}"
+            message = f"blocks must have shape (m, 8, 8) or (m, 64), got {(2, *shape)}"
             with pytest.raises(ValueError, match=re.escape(message)):
-                solve_blocks([np.zeros(64), np.zeros(shape)], basis8)
+                solve_blocks(np.zeros((2, *shape)), basis8)
 
     def test_non_finite_input_raises(self, basis8):
         f = np.zeros(64)
@@ -281,10 +292,10 @@ class TestSolve:
         f = rng.uniform(0, 255, 64)
         params_short = SolverParams(lambda1=5.0, lambda2=1.0, max_iters=400)
         params_long = SolverParams(lambda1=5.0, lambda2=1.0, max_iters=4000)
-        short = solve_blocks([f], basis8, params_short)[0]
-        long = solve_blocks([f], basis8, params_long)[0]
-        o_short = objective(short.alpha, f - basis8.atoms @ short.alpha, params_short)
-        o_long = objective(long.alpha, f - basis8.atoms @ long.alpha, params_long)
+        short = solve_blocks([f], basis8, params_short)
+        long = solve_blocks([f], basis8, params_long)
+        o_short = objective(short.alpha[0], f - basis8.atoms @ short.alpha[0], params_short)
+        o_long = objective(long.alpha[0], f - basis8.atoms @ long.alpha[0], params_long)
         assert abs(o_short - o_long) / o_long < 1e-2
 
 
@@ -293,22 +304,24 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _assert_same(decs, serial):
-    """Every field of every decomposition equal, bit for bit."""
-    assert len(decs) == len(serial)
-    for i, (dec, ref) in enumerate(zip(decs, serial)):
-        assert np.array_equal(dec.alpha, ref.alpha), f"block {i}: alpha differs"
-        assert np.array_equal(dec.s, ref.s), f"block {i}: s differs"
-        assert dec.primal_residual == ref.primal_residual
-        assert dec.split_residuals == ref.split_residuals
-        assert dec.objective == ref.objective
+def _assert_same(dec, serial):
+    """Every field of every block's row equal, bit for bit."""
+    assert len(dec.alpha) == len(serial.alpha)
+    for name in ("alpha", "s", "primal_residual", "split_residuals", "objective"):
+        assert getattr(dec, name).shape == getattr(serial, name).shape, name
+    for i in range(len(dec.alpha)):
+        assert np.array_equal(dec.alpha[i], serial.alpha[i]), f"block {i}: alpha differs"
+        assert np.array_equal(dec.s[i], serial.s[i]), f"block {i}: s differs"
+        assert dec.primal_residual[i] == serial.primal_residual[i]
+        assert tuple(dec.split_residuals[i]) == tuple(serial.split_residuals[i])
+        assert dec.objective[i] == serial.objective[i]
 
 
-def _assert_matches_reference(decs, refs):
-    assert len(decs) == len(refs)
-    for i, (dec, ref) in enumerate(zip(decs, refs)):
-        assert np.array_equal(dec.alpha, ref["alpha"]), f"block {i}: alpha differs"
-        assert np.array_equal(dec.s, ref["s"]), f"block {i}: s differs"
+def _assert_matches_reference(dec, refs):
+    assert len(dec.alpha) == len(refs)
+    for i, ref in enumerate(refs):
+        assert np.array_equal(dec.alpha[i], ref["alpha"]), f"block {i}: alpha differs"
+        assert np.array_equal(dec.s[i].ravel(), ref["s"]), f"block {i}: s differs"
 
 
 def _assert_residuals_match_history(blocks, basis, params, sweeps):
@@ -320,12 +333,12 @@ def _assert_residuals_match_history(blocks, basis, params, sweeps):
     """
     refs = [scaled_solve(f, basis.atoms, params, steps=max(sweeps)) for f in blocks]
     for k in sweeps:
-        decs = solve_blocks(blocks, basis, dataclasses.replace(params, max_iters=k))
-        for i, (dec, f, ref) in enumerate(zip(decs, blocks, refs)):
+        dec = solve_blocks(blocks, basis, dataclasses.replace(params, max_iters=k))
+        for i, (f, ref) in enumerate(zip(blocks, refs)):
             primal, *split = ref["history"][k - 1]
             norm = np.linalg.norm(f)
-            assert dec.primal_residual == (primal / norm if norm > 0 else 0.0), f"block {i}, {k} sweeps"
-            assert dec.split_residuals == tuple(split), f"block {i}, {k} sweeps"
+            assert dec.primal_residual[i] == (primal / norm if norm > 0 else 0.0), f"block {i}, {k} sweeps"
+            assert tuple(dec.split_residuals[i]) == tuple(split), f"block {i}, {k} sweeps"
 
 
 @pytest.fixture(scope="module")
@@ -368,8 +381,7 @@ class TestSolveBlocks:
     )
     def test_batched_equals_one_block_at_a_time(self, basis8, blocks, max_iters):
         params = SolverParams(max_iters=max_iters)
-        alone = [solve_blocks([f], basis8, params)[0] for f in blocks]
-        _assert_same(solve_blocks(blocks, basis8, params), alone)
+        _assert_same(solve_blocks(blocks, basis8, params), _alone(blocks, basis8, params))
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -387,7 +399,45 @@ class TestSolveBlocks:
         _assert_matches_reference(solve_blocks(blocks, basis8, params), refs)
 
     def test_empty_batch(self, basis8):
-        assert solve_blocks([], basis8) == []
+        for shape in ((0, 8, 8), (0, 64)):
+            dec = solve_blocks(np.empty(shape), basis8)
+            shapes = [getattr(dec, f.name).shape for f in dataclasses.fields(dec)]
+            assert shapes == [(0, 3), (0, 8, 8), (0,), (0, 3), (0,)], shape
+
+    @pytest.mark.parametrize(
+        "blocks, got",
+        [
+            ((np.zeros(64) for _ in range(2)), "float() argument"),  # a generator
+            ([np.zeros(64), np.zeros(65)], "inhomogeneous"),  # ragged
+            (np.zeros((3, 65)), "got (3, 65)"),
+            (np.zeros((3, 4, 16)), "got (3, 4, 16)"),
+            (np.zeros(64), "got (64,)"),  # one flat block, not a stack of them
+            ([], "got (0,)"),
+        ],
+        ids=["generator", "ragged", "m-by-65", "m-by-4-by-16", "one-block", "empty-list"],
+    )
+    def test_input_must_be_a_stack_of_blocks(self, basis8, blocks, got):
+        with pytest.raises(ValueError, match=r"^blocks must have shape \(m, 8, 8\) or \(m, 64\)") as err:
+            solve_blocks(blocks, basis8)
+        assert got in str(err.value)
+
+    def test_row_i_is_block_i_solved_alone(self, basis64, regime_blocks):
+        # every field, the diagnostics too, for 64-pixel blocks of every regime across three slices
+        blocks = np.array(regime_blocks[:19])
+        _assert_same(solve_blocks(blocks, basis64), _alone(blocks, basis64, SolverParams()))
+
+    def test_a_float64_stack_is_not_copied(self, monkeypatch, basis8):
+        blocks = np.random.default_rng(73).uniform(0, 255, (9, 8, 8))
+        seen = []
+
+        def record(flat, basis, params, work, out):
+            seen.append(flat)
+            out.alpha[:] = 0.0
+
+        monkeypatch.setattr(admm, "_solve_slice", record)
+        solve_blocks(blocks, basis8)
+        assert [len(flat) for flat in seen] == [8, 1]
+        assert all(np.shares_memory(flat, blocks) for flat in seen)
 
     @pytest.mark.parametrize("where", [0, 8])
     def test_non_finite_pixel_anywhere_raises(self, basis8, where):
@@ -406,13 +456,13 @@ class TestSolveBlocks:
             return f
 
         work = np.empty((admm._WORK_ROWS, BATCH_BLOCKS, 4096), np.float32)
-        blocks = [gen_block(SynthSpec(seed=3))[0].ravel(), huge(3e38)]
+        blocks = np.array([gen_block(SynthSpec(seed=3))[0].ravel(), huge(3e38)])
         with np.errstate(over="ignore", invalid="ignore"):
             for oracle, peak in ((reference_solve, 1e308), (scaled_solve, 3e38)):
                 with pytest.raises(FloatingPointError, match="iteration 1$"):
                     oracle(huge(peak), basis64.atoms, SolverParams())
             with pytest.raises(DivergenceError, match="non-finite iterate at iteration 1$"):
-                admm._solve_slice(blocks, basis64, SolverParams(), work)
+                admm._solve_slice(blocks, basis64, SolverParams(), work, admm._unfilled(2, basis64))
         with pytest.raises(DivergenceError, match="PIXEL_BOUND"):
             solve_blocks(blocks, basis64)
 
@@ -421,15 +471,16 @@ class TestSolveBlocks:
         exact = basis64.atoms[:, 0] * 8192.0  # settles long before max_iters
         synthetic = gen_block(SynthSpec(seed=9))[0]
         params = SolverParams(max_iters=60)
-        batched = solve_blocks([exact, synthetic], basis64, params)
-        alone = [solve_blocks([f], basis64, params)[0] for f in (exact, synthetic)]
+        batched = solve_blocks([exact, synthetic.ravel()], basis64, params)
+        alone = _alone([exact, synthetic], basis64, params)
         refs = [scaled_solve(f, basis64.atoms, params) for f in (exact, synthetic)]
         _assert_same(batched, alone)
         _assert_matches_reference(batched, refs)
-        _assert_residuals_match_history([exact, synthetic], basis64, params, (1, 2, 17, 60))
+        _assert_residuals_match_history([exact, synthetic.ravel()], basis64, params, (1, 2, 17, 60))
 
     def test_working_memory_does_not_grow_with_block_count(self, basis64):
-        blocks = [gen_block(SynthSpec(seed=i))[0] for i in range(64)]
+        # one (64, 64, 64) stack, made before tracing starts: solve_blocks reads it in place
+        blocks = np.array([gen_block(SynthSpec(seed=i))[0] for i in range(64)])
         params = SolverParams(max_iters=2)
 
         def peak(batch):
@@ -461,10 +512,11 @@ class TestSweep:
 
         monkeypatch.setattr(admm, "group_factor", marking)
         work = np.empty((admm._WORK_ROWS, BATCH_BLOCKS, basis64.n**2), np.float32)
-        flat = [f.ravel() for f in regime_blocks[:8]]
+        flat = np.reshape(regime_blocks[:8], (8, -1))
+        out = admm._unfilled(8, basis64)
         tracemalloc.start()
         try:
-            admm._solve_slice(flat, basis64, dataclasses.replace(params, max_iters=4), work)
+            admm._solve_slice(flat, basis64, dataclasses.replace(params, max_iters=4), work, out)
         finally:
             tracemalloc.stop()
         assert len(marks) == 8
@@ -476,15 +528,16 @@ class TestSweep:
     @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
     def test_work_array_alignment_changes_no_bits(self, basis64, regime_blocks, params):
         # the einsum and GEMM kernels may take other SIMD paths on unaligned rows
-        flat = [f.ravel() for f in regime_blocks[:5]]
+        flat = np.reshape(regime_blocks[:5], (5, -1))
         shape = (admm._WORK_ROWS, BATCH_BLOCKS, basis64.n**2)
         params = dataclasses.replace(params, max_iters=10)
         results = []
         for offset in (0, 1, 3, 5):  # float32s: 4, 12 and 20 bytes off
             work = np.empty(np.prod(shape) + offset, np.float32)[offset:].reshape(shape)
-            results.append(admm._solve_slice(flat, basis64, params, work))
-        for decs in results[1:]:
-            _assert_same(decs, results[0])
+            results.append(admm._unfilled(5, basis64))
+            admm._solve_slice(flat, basis64, params, work, results[-1])
+        for dec in results[1:]:
+            _assert_same(dec, results[0])
 
 
 class TestTextbookAgreement:
@@ -516,17 +569,20 @@ class TestTextbookAgreement:
     @pytest.mark.parametrize("params", PENALTY_CASES.values(), ids=PENALTY_CASES)
     def test_agrees_with_textbook_sweep(self, case, params):
         basis, blocks = case
-        for i, (f, dec) in enumerate(zip(blocks, _solve_in(np.float64, blocks, basis, params))):
+        dec = _solve_in(np.float64, blocks, basis, params)
+        for i, f in enumerate(blocks):
             ref = reference_solve(f, basis.atoms, params)
+            s = dec.s[i].ravel()
             # masks at the default fg_threshold of one gray level
-            np.testing.assert_array_equal(np.abs(dec.s) > 1.0, np.abs(ref["s"]) > 1.0, err_msg=f"block {i} mask")
-            assert np.abs(dec.alpha - ref["alpha"]).max() <= self.ALPHA_REL * np.abs(ref["alpha"]).max(), i
-            assert np.abs(dec.s - ref["s"]).max() <= self.S_ABS, i
+            np.testing.assert_array_equal(np.abs(s) > 1.0, np.abs(ref["s"]) > 1.0, err_msg=f"block {i} mask")
+            assert np.abs(dec.alpha[i] - ref["alpha"]).max() <= self.ALPHA_REL * np.abs(ref["alpha"]).max(), i
+            assert np.abs(s - ref["s"]).max() <= self.S_ABS, i
             primal, coef_gap, row_gap, col_gap = ref["history"][-1]
-            assert abs(dec.primal_residual - primal / np.linalg.norm(f)) <= self.PRIMAL_ABS, i
-            assert abs(dec.split_residuals[0] - coef_gap) <= self.ALPHA_REL * np.abs(ref["alpha"]).max(), i
-            assert abs(dec.split_residuals[1] - row_gap) <= self.S_ABS, i
-            assert abs(dec.split_residuals[2] - col_gap) <= self.S_ABS, i
+            assert abs(dec.primal_residual[i] - primal / np.linalg.norm(f)) <= self.PRIMAL_ABS, i
+            coef, row, col = dec.split_residuals[i]
+            assert abs(coef - coef_gap) <= self.ALPHA_REL * np.abs(ref["alpha"]).max(), i
+            assert abs(row - row_gap) <= self.S_ABS, i
+            assert abs(col - col_gap) <= self.S_ABS, i
 
 
 class TestFloat32Sweep:
@@ -555,9 +611,10 @@ class TestFloat32Sweep:
         single = _solve_in(np.float32, blocks, basis64, params)
         _assert_same(single, solve_blocks(blocks, basis64, params))
         threshold = SegmentationConfig().fg_threshold
-        for i, (a, b) in enumerate(zip(single, _solve_in(np.float64, blocks, basis64, params))):
-            np.testing.assert_array_equal(np.abs(a.s) > threshold, np.abs(b.s) > threshold, err_msg=f"block {i}")
-            assert np.abs(a.s - b.s).max() <= self.S_ABS, i
+        double = _solve_in(np.float64, blocks, basis64, params)
+        for i, (a, b) in enumerate(zip(single.s, double.s)):
+            np.testing.assert_array_equal(np.abs(a) > threshold, np.abs(b) > threshold, err_msg=f"block {i}")
+            assert np.abs(a - b).max() <= self.S_ABS, i
 
 
 @pytest.fixture()
@@ -586,7 +643,7 @@ def forks(monkeypatch):
 
 
 def _index_slices(monkeypatch, fail=(), exit_status=None):
-    """Replace the slice solver by one that returns each block's first pixel.
+    """Replace the slice solver by one that writes each block's first pixel as its objective.
 
     Blocks are filled with their index. A slice whose first block is in
     `fail` raises; with `exit_status`, a slice solved in a child ends the
@@ -594,7 +651,7 @@ def _index_slices(monkeypatch, fail=(), exit_status=None):
     """
     parent = os.getpid()
 
-    def fake(flat, basis, params, work):
+    def fake(flat, basis, params, work, out):
         first = int(flat[0][0])
         if exit_status is not None and os.getpid() != parent:
             if exit_status < 0:
@@ -602,7 +659,7 @@ def _index_slices(monkeypatch, fail=(), exit_status=None):
             os._exit(exit_status)
         if first in fail:
             raise ValueError(f"slice at block {first}")
-        return [int(f[0]) for f in flat]
+        out.objective[:] = flat[:, 0]
 
     monkeypatch.setattr(admm, "_solve_slice", fake)
     return [np.full(64, float(i)) for i in range(3 * BATCH_BLOCKS)]
@@ -622,13 +679,17 @@ class TestWorkers:
     def serial(self, basis64, regime_blocks):
         return solve_blocks(regime_blocks, basis64)
 
+    @pytest.fixture(scope="class")
+    def regime_stack(self, regime_blocks):
+        return np.array(regime_blocks)
+
     @pytest.mark.parametrize("count", [0, 1, 9, 17, 24])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_bit_identical_to_one_process(
-        self, basis64, regime_blocks, regime_refs, serial, cpus, forks, workers, count
+        self, basis64, regime_stack, regime_refs, serial, cpus, forks, workers, count
     ):
-        decs = solve_blocks(regime_blocks[:count], basis64, SolverParams(workers=workers))
-        _assert_same(decs, serial[:count])
+        decs = solve_blocks(regime_stack[:count], basis64, SolverParams(workers=workers))
+        _assert_same(decs, serial.rows(0, count))
         _assert_matches_reference(decs, regime_refs[:count])
         slices = -(-count // BATCH_BLOCKS)
         assert len(forks) == max(min(workers, slices) - 1, 0)
@@ -655,7 +716,7 @@ class TestWorkers:
         monkeypatch.setattr(admm, "PIXEL_BOUND", np.inf)
         huge = np.full(4096, 3e38)
         huge[::7] = -3e38
-        blocks = list(regime_blocks[:BATCH_BLOCKS]) + [huge]  # only the child's slice overflows
+        blocks = list(regime_blocks[:BATCH_BLOCKS]) + [huge.reshape(64, 64)]  # only the child's slice overflows
         messages = []
         with np.errstate(over="ignore", invalid="ignore"):
             for workers in (1, 2):
@@ -671,7 +732,8 @@ class TestWorkers:
     def test_results_in_input_order(self, monkeypatch, cpus, forks, usable, workers, children):
         cpus(usable)
         blocks = _index_slices(monkeypatch)
-        assert solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=workers)) == list(range(24))
+        dec = solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=workers))
+        assert dec.objective.tolist() == list(range(24))
         assert len(forks) == children
         _assert_no_children()
 
@@ -695,32 +757,33 @@ class TestWorkers:
         blocks = _index_slices(monkeypatch)
         parent, index_slice = os.getpid(), admm._solve_slice
 
-        def fake(flat, basis, params, work):
+        def fake(flat, basis, params, work, out):
             if os.getpid() != parent:
                 raise ValueError(lambda: None)
-            return index_slice(flat, basis, params, work)
+            index_slice(flat, basis, params, work, out)
 
         monkeypatch.setattr(admm, "_solve_slice", fake)
         with pytest.raises(RuntimeError, match="exited with status 1 without a result"):
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
         _assert_no_children()
 
-    def test_child_killed_while_sending_names_its_exit_status(self, monkeypatch, cpus):
-        # the child's 1 MB result overfills the pipe while the caller is still
-        # busy, and the child is killed with part of it sent
+    def test_child_killed_while_sending_names_its_exit_status(self, monkeypatch, basis64, cpus):
+        # the child's 1 MB result (32 64x64 float64 layers) overfills the pipe while
+        # the caller is still busy, and the child is killed with part of it sent
         parent = os.getpid()
+        timers = []
 
-        def fake(flat, basis, params, work):
+        def fake(flat, basis, params, work, out):
             if os.getpid() == parent:
                 os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # until the child dies, unreaped
-                return [None] * len(flat)
-            threading.Timer(0.1, os.kill, (os.getpid(), signal.SIGKILL)).start()
-            return [np.zeros(2**17)] * len(flat)
+            elif not timers:
+                timers.append(threading.Timer(0.1, os.kill, (os.getpid(), signal.SIGKILL)))
+                timers[0].start()
 
         monkeypatch.setattr(admm, "_solve_slice", fake)
-        blocks = [np.zeros(64)] * (2 * BATCH_BLOCKS)
+        blocks = np.zeros((8 * BATCH_BLOCKS, 4096))
         with pytest.raises(RuntimeError, match=f"exited with status {-signal.SIGKILL} without a result"):
-            solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
+            solve_blocks(blocks, basis64, SolverParams(workers=2))
         _assert_no_children()
 
     def test_failed_fork_kills_the_children_started(self, monkeypatch, cpus):
@@ -775,11 +838,12 @@ class TestInputBound:
         blocks = [PIXEL_BOUND * sign for sign in signs] + [-PIXEL_BOUND * sign for sign in signs]
         assert max(np.abs(b).max() for b in blocks) == PIXEL_BOUND
         params = SolverParams(max_iters=200, lambda2=lambda2, workers=2)
-        decs = solve_blocks(blocks, basis64, params)  # two slices, one in a child
-        for i, (dec, ref) in enumerate(zip(decs, _solve_in(np.float64, blocks, basis64, params))):
-            assert np.isfinite(dec.alpha).all() and np.isfinite(dec.s).all(), i
-            assert np.isfinite([dec.primal_residual, *dec.split_residuals, dec.objective]).all(), i
-            assert np.abs(dec.s - ref.s).max() <= 1e-4 * PIXEL_BOUND, i  # measured 1.6e-6 x the bound
+        dec = solve_blocks(blocks, basis64, params)  # two slices, one in a child
+        ref = _solve_in(np.float64, blocks, basis64, params)
+        for i in range(len(blocks)):
+            assert np.isfinite(dec.alpha[i]).all() and np.isfinite(dec.s[i]).all(), i
+            assert np.isfinite([dec.primal_residual[i], *dec.split_residuals[i], dec.objective[i]]).all(), i
+            assert np.abs(dec.s[i] - ref.s[i]).max() <= 1e-4 * PIXEL_BOUND, i  # measured 1.6e-6 x the bound
         assert len(forks) == 1
         _assert_no_children()
 
@@ -813,15 +877,15 @@ class TestFixedShapeProducts:
     @pytest.fixture(scope="class")
     def alone(self, basis64):
         f = gen_block(SynthSpec(k_true=15, seed=77))[0].ravel()
-        return f, solve_blocks([f], basis64, self.PARAMS)[0]
+        return f, solve_blocks([f], basis64, self.PARAMS)
 
     @pytest.mark.parametrize("m", range(1, BATCH_BLOCKS + 1))
     def test_every_row_of_a_partial_slice(self, basis64, regime_blocks, alone, m):
         f, ref = alone
         for row in range(m):
-            blocks = list(regime_blocks[:m])
+            blocks = np.reshape(regime_blocks[:m], (m, -1))
             blocks[row] = f
-            _assert_same([solve_blocks(blocks, basis64, self.PARAMS)[row]], [ref])
+            _assert_same(solve_blocks(blocks, basis64, self.PARAMS).rows(row, row + 1), ref)
 
     @pytest.mark.parametrize("others", ["random", "zero", "huge"])
     def test_every_row_of_a_full_slice(self, basis64, alone, others):
@@ -834,9 +898,9 @@ class TestFixedShapeProducts:
             "huge": rng.uniform(-PIXEL_BOUND, PIXEL_BOUND, shape),  # the largest pixels accepted
         }[others]
         for row in range(BATCH_BLOCKS):
-            blocks = list(fill)
+            blocks = fill.copy()
             blocks[row] = f
-            _assert_same([solve_blocks(blocks, basis64, self.PARAMS)[row]], [ref])
+            _assert_same(solve_blocks(blocks, basis64, self.PARAMS).rows(row, row + 1), ref)
 
 
 def test_same_bits_for_one_and_two_blas_threads(tmp_path, basis64, regime_blocks):
@@ -847,8 +911,8 @@ def test_same_bits_for_one_and_two_blas_threads(tmp_path, basis64, regime_blocks
         "import sys\n"
         "import numpy as np\n"
         "from scseg import build_basis, solve_blocks\n"
-        "decs = solve_blocks(np.load(sys.argv[1]), build_basis(64, 10))\n"
-        "np.save(sys.argv[2], np.array([np.concatenate([d.alpha, d.s]) for d in decs]))\n"
+        "dec = solve_blocks(np.load(sys.argv[1]), build_basis(64, 10))\n"
+        "np.save(sys.argv[2], np.hstack([dec.alpha, dec.s.reshape(len(dec.s), -1)]))\n"
     )
     # run the package under test, wherever it was imported from
     package_root = os.path.dirname(os.path.dirname(admm.__file__))
@@ -862,5 +926,6 @@ def test_same_bits_for_one_and_two_blas_threads(tmp_path, basis64, regime_blocks
         results[threads] = np.load(out)
     assert results["1"].shape == (16, 10 + 4096)
     assert results["1"].tobytes() == results["2"].tobytes()
-    here = np.array([np.concatenate([d.alpha, d.s]) for d in solve_blocks(blocks, basis64)])
+    dec = solve_blocks(blocks, basis64)
+    here = np.hstack([dec.alpha, dec.s.reshape(len(dec.s), -1)])
     assert here.tobytes() == results["1"].tobytes()

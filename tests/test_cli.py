@@ -159,17 +159,18 @@ def test_verbose_record_is_the_solver_state(dataset, tmp_path, capsys):
                  "--mask-out", str(tmp_path / "m.pbm"), "--verbose"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     seg = next(segment_images([img], SegmentationConfig(block_size=32)))
-    assert len(records) == len(seg.decompositions) == 4
-    blocks = zip(records, seg.grid.origins, seg.block_masks, seg.decompositions)
-    for i, (record, origin, block_mask, dec) in enumerate(blocks):
+    dec = seg.decomposition
+    assert len(records) == len(dec.objective) == 4
+    blocks = zip(records, seg.grid.origins, seg.block_masks)
+    for i, (record, origin, block_mask) in enumerate(blocks):
         assert record == {
             "block": i,
             "origin": list(origin),
-            "primal_residual": dec.primal_residual,
-            "coefficient_residual": dec.split_residuals[0],
-            "row_residual": dec.split_residuals[1],
-            "column_residual": dec.split_residuals[2],
-            "objective": dec.objective,
+            "primal_residual": dec.primal_residual[i],
+            "coefficient_residual": dec.split_residuals[i, 0],
+            "row_residual": dec.split_residuals[i, 1],
+            "column_residual": dec.split_residuals[i, 2],
+            "objective": dec.objective[i],
             "fg_fraction": block_mask.mean(),
         }
     assert any(0 < r["fg_fraction"] < 1 for r in records)

@@ -335,6 +335,22 @@ def test_input_must_be_2d(tmp_path, call, shape):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0)])
+def test_save_mask_refuses_a_zero_length_side(tmp_path, shape):
+    # PBM has no zero width or height: load_mask would refuse the file
+    with pytest.raises(ValueError, match=re.escape(f"mask has a zero-length side, got shape {shape}")):
+        save_mask(np.zeros(shape, dtype=bool), tmp_path / "out.pbm")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+def test_save_gray_refuses_a_zero_length_side(tmp_path, shape):
+    # PGM has no zero width or height: load_gray would refuse the file
+    with pytest.raises(ValueError, match=re.escape(f"image has a zero-length side, got shape {shape}")):
+        save_gray(np.zeros(shape), tmp_path / "out.pgm")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestTiling:
     def test_single_block_no_padding(self):
         img = np.arange(64 * 64, dtype=float).reshape(64, 64)

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -45,8 +46,8 @@ def fill_one(f, mask, basis):
 def segment_alone(f, cfg):
     """(mask, decomposition) of an image that is exactly one block."""
     seg = next(segment_images([f], cfg))
-    (mask,), (dec,) = seg.block_masks, seg.decompositions
-    return mask, dec
+    (mask,) = seg.block_masks
+    return mask, seg.decomposition
 
 
 def least_squares_holes(f, mask, basis):
@@ -91,7 +92,7 @@ class TestSegmentBlock:
     def test_zero_block_empty_mask(self, cfg):
         mask, dec = segment_alone(np.zeros((64, 64)), cfg)
         assert not mask.any()
-        assert dec.objective == 0.0
+        assert dec.objective[0] == 0.0
 
     def test_mask_invariant_to_constant_shift(self, cfg):
         f, _, _ = gen_block(SynthSpec(alpha_range=80.0, seed=7))
@@ -107,7 +108,7 @@ class TestSegmentBlock:
         assert not mask.any()
         zero = SegmentationConfig(fg_threshold=0.0)
         mask, dec = segment_alone(f, zero)
-        np.testing.assert_array_equal(mask.ravel(), dec.s != 0)
+        np.testing.assert_array_equal(mask, dec.s[0] != 0)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -141,11 +142,33 @@ class TestSegmentBlock:
         assert (cfg.fg_threshold, cfg.solver.max_iters) == (1.0, 50)
 
 
+@pytest.mark.parametrize(
+    "make, name, value",
+    [
+        (SolverParams, "lambda1", True), (SolverParams, "lambda2", np.True_), (SolverParams, "rho", False),
+        (SolverParams, "lambda1", "1"), (SolverParams, "rho", 1j), (SolverParams, "lambda2", None),
+        (SegmentationConfig, "fg_threshold", True), (SegmentationConfig, "fg_threshold", "1.0"),
+        (SynthSpec, "alpha_range", True), (SynthSpec, "stroke_amplitude", np.False_),
+        (SynthSpec, "max_fg_fraction", True), (SynthSpec, "max_fg_fraction", "0.1"),
+    ],
+)
+def test_real_fields_take_real_numbers_only(make, name, value):
+    # bool is an int to Python, and a string failed a comparison with a TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
+        make(**{name: value})
+
+
+def test_real_fields_take_python_and_numpy_reals():
+    params = SolverParams(lambda1=np.float32(5.0), lambda2=2, rho=Fraction(1, 2))
+    assert SegmentationConfig(fg_threshold=np.float64(0.5), solver=params).solver.rho == 0.5
+    assert SynthSpec(alpha_range=np.int64(50), stroke_amplitude=80, max_fg_fraction=Fraction(1, 5)).stroke_count == 4
+
+
 # Two records built from equal inputs: equal arrays, distinct objects.
 ARRAY_RECORDS = {
     "BasisMatrix": lambda: build_basis(8, 3),
     "BlockGrid": lambda: tile(np.zeros((8, 8)), 4),
-    "Decomposition": lambda: solve_blocks([np.zeros(64)], build_basis(8, 3))[0],
+    "Decomposition": lambda: solve_blocks([np.zeros(64)], build_basis(8, 3)),
     "SegmentedImage": lambda: next(segment_images([np.zeros((8, 8))], SegmentationConfig(block_size=8, k_bases=3))),
 }
 
@@ -190,9 +213,9 @@ class TestSegmentBlocks:
         for i, block in enumerate(blocks):
             mask, dec = segment_alone(block, cfg)
             for seg, j in ((page, i), (permuted, moved[i])):
-                other_mask, other_dec = seg.block_masks[j], seg.decompositions[j]
-                np.testing.assert_array_equal(other_dec.s, dec.s)
-                np.testing.assert_array_equal(other_dec.alpha, dec.alpha)
+                other_mask, other_dec = seg.block_masks[j], seg.decomposition
+                np.testing.assert_array_equal(other_dec.s[j], dec.s[0])
+                np.testing.assert_array_equal(other_dec.alpha[j], dec.alpha[0])
                 np.testing.assert_array_equal(other_mask, mask)
 
 
@@ -212,13 +235,13 @@ class TestSegmentImages:
             np.testing.assert_array_equal(seg.mask, segment_image(img, cfg))
             alone = next(segment_images([img], cfg))
             assert seg.grid.origins == alone.grid.origins
-            assert len(seg.block_masks) == len(seg.decompositions) == len(alone.decompositions) == len(seg.grid.blocks)
-            assert seg.block_masks.shape == (len(seg.grid.blocks), 8, 8) and seg.block_masks.dtype == bool
-            blocks = zip(seg.block_masks, seg.decompositions, alone.block_masks, alone.decompositions)
-            for block_mask, dec, alone_mask, alone_dec in blocks:
+            m = len(seg.grid.blocks)
+            assert len(seg.block_masks) == len(seg.decomposition.s) == len(alone.decomposition.s) == m
+            assert seg.block_masks.shape == (m, 8, 8) and seg.block_masks.dtype == bool
+            for i, (block_mask, alone_mask) in enumerate(zip(seg.block_masks, alone.block_masks)):
                 np.testing.assert_array_equal(block_mask, alone_mask)
-                np.testing.assert_array_equal(dec.s, alone_dec.s)
-                np.testing.assert_array_equal(dec.alpha, alone_dec.alpha)
+                np.testing.assert_array_equal(seg.decomposition.s[i], alone.decomposition.s[i])
+                np.testing.assert_array_equal(seg.decomposition.alpha[i], alone.decomposition.alpha[i])
 
 
 class TestFillBackground:
@@ -253,15 +276,27 @@ class TestFillBackground:
         np.testing.assert_array_equal(out[~mask], f[~mask])
 
     @pytest.mark.parametrize("bad", ["blocks", "masks"])
-    @pytest.mark.parametrize("shape", [(1, 4, 16), (1, 2, 32), (8, 8), (1, 64), (2, 8, 8)])
+    @pytest.mark.parametrize("shape", [(1, 4, 16), (1, 2, 32), (8, 8), (1, 65), (2, 8, 8)])
     def test_block_not_n_by_n(self, bad, shape):
         # 64 values a block, but not a stack of 8x8 blocks: read row-major they
-        # would fit the wrong pixels; or a stack of another length than the other's
+        # would fit the wrong pixels; a flat stack of another length; one block,
+        # not a stack; or a stack of another length than the other's
         args = {"blocks": np.zeros((1, 8, 8)), "masks": np.eye(8, dtype=bool)[None]}
         args[bad] = np.resize(args[bad], shape)
-        message = f"blocks {args['blocks'].shape} and masks {args['masks'].shape} must both have shape (m, 8, 8)"
+        message = f"{bad} must have shape (m, 8, 8) or (m, 64), got {shape}"
+        if shape == (2, 8, 8):
+            message = f"blocks and masks must hold as many blocks, got {len(args['blocks'])} and {len(args['masks'])}"
         with pytest.raises(ValueError, match=re.escape(message)):
             fill_background(args["blocks"], args["masks"], build_basis(8, 3))
+
+    def test_flat_stacks_are_read_row_major(self, basis64):
+        rng = np.random.default_rng(37)
+        blocks = rng.uniform(0, 255, (3, 64, 64))
+        masks = rng.random((3, 64, 64)) < 0.2
+        filled, fitted = fill_background(blocks, masks, basis64)
+        flat_filled, flat_fitted = fill_background(blocks.reshape(3, -1), masks.reshape(3, -1), basis64)
+        np.testing.assert_array_equal(flat_filled, filled)
+        np.testing.assert_array_equal(flat_fitted, fitted)
 
     # 0 is a fully masked block, 9 is k - 1
     @pytest.mark.parametrize("count", [0, 5, 9])
@@ -274,7 +309,7 @@ class TestFillBackground:
         f, _, _ = gen_block(SynthSpec(seed=47))
         seg = dataclasses.replace(next(segment_images([f], cfg)), mask=mask, block_masks=mask[None])
         background, _, _ = assemble_layers(seg)
-        solver_layer = (basis64.atoms @ seg.decompositions[0].alpha).reshape(64, 64)
+        solver_layer = (basis64.atoms @ seg.decomposition.alpha[0]).reshape(64, 64)
         np.testing.assert_array_equal(background[mask], solver_layer[mask])
         np.testing.assert_array_equal(background[~mask], f[~mask])
 
@@ -444,7 +479,7 @@ class TestReconstructLayers:
         background, foreground, mask = reconstruct_layers(img, cfg)
         np.testing.assert_array_equal(background[~mask], img[~mask])
         np.testing.assert_array_equal(foreground, np.where(mask, img, 0.0))
-        solver_layer = (basis64.atoms @ dec.alpha).reshape(64, 64)
+        solver_layer = (basis64.atoms @ dec.alpha[0]).reshape(64, 64)
         assert mask_stripe.any()
         np.testing.assert_array_equal(background[:, :64][mask_stripe], solver_layer[mask_stripe])
         # the fitted block beside it is filled as it would be alone
@@ -464,10 +499,10 @@ class TestReconstructLayers:
         assert peak < 16 * 2**20
         blocks = tile(background, 16).blocks
         atoms = seg.basis.atoms
-        for i, (block, out, m, dec) in enumerate(zip(seg.grid.blocks, blocks, masks, seg.decompositions)):
+        for i, (block, out, m, alpha) in enumerate(zip(seg.grid.blocks, blocks, masks, seg.decomposition.alpha)):
             np.testing.assert_array_equal(out[~m], block[~m])
             if i == 5:
-                np.testing.assert_array_equal(out[m], (atoms @ dec.alpha)[m.ravel()])
+                np.testing.assert_array_equal(out[m], (atoms @ alpha)[m.ravel()])
             elif m.any():
                 np.testing.assert_allclose(out[m], least_squares_holes(block, m, seg.basis), atol=1e-6)
         assert sum(m.any() for m in masks) > 2
