@@ -16,7 +16,8 @@ never changes, so a block's bits do not depend on its row or on the blocks
 beside it. Besides those, a sweep makes 18 passes over the pixel rows: seven
 for the sparse layer (one a multiply by 1/3), and for each of the row and
 column groups one fused sum of squares, one broadcast multiply by the
-shrinkage factor and three (rows) or four (columns) plain passes.
+shrinkage factor and three (rows) or four (columns) plain passes. The
+divergence check adds none: it reads alpha and the groups' sums of squares.
 The sweep runs in float32, which halves the bytes of each pass: its
 iterates, the basis and the thresholds are all float32, and the records it
 returns hold float64 copies. solve_blocks refuses any pixel beyond
@@ -39,7 +40,7 @@ from .prox import group_factor, soft
 
 
 class DivergenceError(RuntimeError):
-    """Raised for a pixel the float32 sweep cannot take, and when iterates go non-finite."""
+    """Raised for a pixel the float32 sweep cannot take, and when alpha or a group sum of squares goes non-finite."""
 
 
 # The largest |pixel| solve_blocks accepts. The sweep runs in float32, whose
@@ -49,8 +50,8 @@ class DivergenceError(RuntimeError):
 # below 2**56; PIXEL_BOUND = 2**40 leaves a factor 2**16 for the iterates to
 # grow past the largest pixel (on blocks of +-PIXEL_BOUND patterns the
 # pixel-sized ones grew 3.4-fold at most in 200 sweeps). An overflowed sum
-# would not raise: its factor would silently read 1. 16-bit samples stay
-# below 2**16.
+# raises DivergenceError at its sweep, where its factor would otherwise read
+# 1. 16-bit samples stay below 2**16.
 PIXEL_BOUND = 2.0**40
 
 
@@ -228,21 +229,26 @@ def _solve_slice(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, wor
 
         # rows: T = s + V1 in V1's row (the old V1 is dead once T is formed), y = c T,
         # c the row factor, in U's row (U is dead since s); the dual step V1 += s - y
-        # is then V1 = T - y, and U's share is y - V1. Columns: the same, z in tmp.
+        # is then V1 = T - y, and U's share is y - V1. Columns: the same, z in tmp. The
+        # divergence check reads the largest sum of squares of each.
         t = np.add(v1, s, out=v1).reshape(cube)
-        y = np.multiply(t, group_factor(t, group_lam, axis=2), out=u.reshape(cube))
+        squares = np.einsum("ijk,ijk->ij", t, t)
+        row_peak = squares.max()
+        y = np.multiply(t, group_factor(squares, group_lam)[:, :, None], out=u.reshape(cube))
         if it == params.max_iters:
             y_last = u.copy()
         t -= y
         np.subtract(u, v1, out=u)
         t = np.add(v2, s, out=v2).reshape(cube)
-        z = np.multiply(t, group_factor(t, group_lam, axis=1), out=tmp.reshape(cube))
+        squares = np.einsum("ijk,ijk->ik", t, t)
+        col_peak = squares.max()
+        z = np.multiply(t, group_factor(squares, group_lam)[:, None, :], out=tmp.reshape(cube))
         if it == params.max_iters:
             z_last = tmp.copy()
         t -= z
         u += np.subtract(tmp, v2, out=tmp)
 
-        if not (np.isfinite(alpha).all() and np.isfinite(s).all()):
+        if not (np.isfinite(alpha).all() and math.isfinite(row_peak) and math.isfinite(col_peak)):
             raise DivergenceError(f"non-finite iterate at iteration {it}")
 
     # the records in float64, the objective's temporaries freed before B alpha is made: B alpha
@@ -360,7 +366,8 @@ def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams = SolverParams
     many contiguous runs (no more than the usable CPUs or the slices), each
     solved in its own forked process on Linux, with the same results.
     Raises DivergenceError, before any sweep, if any pixel is non-finite or
-    beyond PIXEL_BOUND in magnitude, and if any iterate goes non-finite.
+    beyond PIXEL_BOUND in magnitude, and if alpha, s or a row or column sum
+    of squares goes non-finite.
     """
     flat = block_stack("blocks", blocks, basis.n).reshape(-1, basis.n * basis.n)
     # NaN fails the comparison too

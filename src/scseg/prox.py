@@ -1,17 +1,12 @@
 """Shrinkage operators used by the block solver.
 
-Both keep a float32 input in float32, with the threshold cast to it, and
-compute anything else in float64.
+Both keep float32 in float32, with the threshold cast to it; soft computes
+any other input in float64, and group_factor works in its input's array.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _as_float(x) -> np.ndarray:
-    x = np.asarray(x)
-    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def soft(x, lam: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -23,29 +18,25 @@ def soft(x, lam: float, out: np.ndarray | None = None) -> np.ndarray:
     """
     if lam < 0:
         raise ValueError(f"threshold must be nonnegative, got {lam}")
-    x = _as_float(x)
+    x = np.asarray(x)
+    x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
     lam = x.dtype.type(lam)
-    clipped = np.clip(x, -lam, lam, out=out)
+    clipped = x.clip(-lam, lam, out=out)
     return np.subtract(x, clipped, out=clipped)
 
 
-def group_factor(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
-    """Block soft-threshold factor (1 - lam/||x||)+ of every 1-D slice x along `axis`.
+def group_factor(squares: np.ndarray, lam: float) -> np.ndarray:
+    """Block soft-threshold factors (1 - lam/||x||)+ of slices x from their float32 or float64 ||x||**2.
 
-    The result keeps `axis` with length 1, so `a * group_factor(a, lam, axis)`
-    is the block soft threshold of every slice; a slice whose norm is at or
-    below lam gets factor zero. Along a length-1 axis the shrunk values are
-    the element-wise soft threshold. Each squared norm is one fused
-    sum-of-squares (einsum), with no array of squares in between.
+    The factors overwrite `squares` in place and are returned; a slice x
+    times its factor is its block soft threshold, and a slice whose norm is
+    at or below lam gets factor zero.
     """
     if lam < 0:
         raise ValueError(f"threshold must be nonnegative, got {lam}")
-    a = _as_float(a)
-    lam = a.dtype.type(lam)
-    dims = "abcdefghijklmnopqrstuvwxyz"[: a.ndim]
-    squares = np.einsum(f"{dims},{dims}->{dims.replace(dims[axis], '')}", a, a)
-    norms = np.sqrt(np.expand_dims(squares, axis))
-    if lam == 0:
-        return (norms > 0).astype(a.dtype)
+    lam = squares.dtype.type(lam)
+    if lam == 0:  # also a positive threshold that underflows the dtype
+        return np.greater(squares, 0, out=squares)
     # lam / lam is exactly 1, so a slice at or below lam gets exactly 0
-    return 1.0 - lam / np.maximum(norms, lam)
+    norms = np.maximum(np.sqrt(squares, out=squares), lam, out=squares)
+    return np.subtract(1, np.divide(lam, norms, out=norms), out=norms)

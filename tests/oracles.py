@@ -5,6 +5,8 @@ explicit list of overlapping groups, and the block objective is minimized by
 a batched normalized-subgradient method on the coefficient vector alone (the
 sparse layer eliminated through the exact-decomposition constraint). Both
 exist so solver results can be checked against an unrelated code path.
+`group_factor_along` is the one helper that calls the library: it feeds
+`scseg.prox.group_factor` the squared slice norms the solver's einsum sums.
 
 `reference_solve` is a frozen copy of the one-block-at-a-time ADMM loop in
 its textbook form, with its own shrinkage operators; the batched solver must
@@ -28,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from scseg.prox import group_factor
 
 SWEEP_DTYPE = np.float32  # the dtype of the solver's sweep
 
@@ -116,16 +120,31 @@ def reference_group_factor(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
     return _shrink_factor(np.linalg.norm(_as_float(a), axis=axis, keepdims=True), lam)
 
 
-def fused_group_factor(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
-    """reference_group_factor with each squared norm summed by one einsum, as the solver sums it.
+def slice_squares(a, axis: int) -> np.ndarray:
+    """The squared norm of every slice of `a` along `axis`, summed by one einsum as the solver sums it.
 
-    For arrays of up to three dimensions; the einsum's summation order, not
-    np.linalg.norm's, sets the last bits.
+    For arrays of up to three dimensions, taken to float32 or float64 as the
+    shrinkage operators take them; the axis is dropped (a 1-D `a` gives a
+    0-d array). The einsum's summation order, not np.linalg.norm's, sets the
+    last bits.
     """
     a = _as_float(a)
     dims = "ijk"[: a.ndim]
-    squares = np.einsum(dims + "," + dims + "->" + dims.replace(dims[axis], ""), a, a)
-    return _shrink_factor(np.sqrt(np.expand_dims(squares, axis)), lam)
+    return np.asarray(np.einsum(dims + "," + dims + "->" + dims.replace(dims[axis], ""), a, a))
+
+
+def fused_group_factor(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
+    """reference_group_factor with each squared norm summed by one einsum (slice_squares)."""
+    return _shrink_factor(np.sqrt(np.expand_dims(slice_squares(a, axis), axis)), lam)
+
+
+def group_factor_along(a, lam: float, axis: int) -> np.ndarray:
+    """The library's scseg.prox.group_factor of every slice of `a` along `axis`, keeping the axis.
+
+    Its squared norms are slice_squares', so it must equal fused_group_factor
+    bit for bit; this is the one helper here that calls the library.
+    """
+    return np.expand_dims(group_factor(slice_squares(a, axis), lam), axis)
 
 
 def reference_group_soft(a: np.ndarray, lam: float, axis: int) -> np.ndarray:

