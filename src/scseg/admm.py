@@ -18,6 +18,9 @@ for the sparse layer (one a multiply by 1/3), and for each of the row and
 column groups one fused sum of squares, one broadcast multiply by the
 shrinkage factor and three (rows) or four (columns) plain passes. The
 divergence check adds none: it reads alpha and the groups' sums of squares.
+The work array those passes run over starts on a 64-byte cache line: where
+np.empty put it 16 or 48 bytes past one, a 16-block solve of 64-pixel blocks
+took about 10% longer (3.5% at 32 bytes; 2-core x86 host), with the same bits.
 The sweep runs in float32, which halves the bytes of each pass: its
 iterates, the basis and the thresholds are all float32, and the records it
 returns hold float64 copies. solve_blocks refuses any pixel beyond
@@ -171,7 +174,8 @@ BATCH_BLOCKS = 8
 # place. No other pixel-sized array is made in a sweep but the last one's
 # copies of y and z (the group norms and factors are one value a row or
 # column), so for 64-pixel blocks the float32 sweep works in 0.875 MB, under
-# half of a 2 MB L2 cache.
+# half of a 2 MB L2 cache. _solve_run starts the array on a 64-byte boundary
+# (see _aligned_work); the rows then stay aligned for every even block side.
 _WORK_ROWS = 7
 
 
@@ -249,6 +253,9 @@ def _solve_slice(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, wor
         u += np.subtract(tmp, v2, out=tmp)
 
         if not (np.isfinite(alpha).all() and math.isfinite(row_peak) and math.isfinite(col_peak)):
+            # only the raise path looks at the pixel iterates: a finite sweep overflowed a sum
+            if np.isfinite(alpha).all() and np.isfinite(rows[1:6]).all():
+                raise DivergenceError(f"row or column sum of squares overflowed float32 at iteration {it}")
             raise DivergenceError(f"non-finite iterate at iteration {it}")
 
     # the records in float64, the objective's temporaries freed before B alpha is made: B alpha
@@ -268,9 +275,18 @@ def _solve_slice(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, wor
     out.split_residuals[:, 2] = _row_norms(np.subtract(s, z_last[:m], out=gap))
 
 
+def _aligned_work(n: int) -> np.ndarray:
+    """An uninitialised float32 (_WORK_ROWS, BATCH_BLOCKS, n*n) work array that starts on a 64-byte boundary."""
+    shape = (_WORK_ROWS, BATCH_BLOCKS, n * n)
+    size = math.prod(shape) * 4
+    raw = np.empty(size + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + size].view(np.float32).reshape(shape)
+
+
 def _solve_run(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, out: Decomposition) -> Decomposition:
     """Solve the blocks one BATCH_BLOCKS slice after another on one work array, into out's rows; returns out."""
-    work = np.empty((_WORK_ROWS, BATCH_BLOCKS, basis.n * basis.n), np.float32)
+    work = _aligned_work(basis.n)
     for start in range(0, len(flat), BATCH_BLOCKS):
         stop = start + BATCH_BLOCKS
         _solve_slice(flat[start:stop], basis, params, work, out.rows(start, stop))

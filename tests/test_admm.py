@@ -28,6 +28,7 @@ from scseg import (
 )
 from scseg import admm
 from scseg.admm import BATCH_BLOCKS, PIXEL_BOUND, group_norm
+from scseg.image_io import tile
 
 # The four block regimes of the benchmark's pages.
 REGIMES = (
@@ -491,7 +492,7 @@ class TestSolveBlocks:
             else:
                 assert min(peaks) > largest
                 assert state.row_factor.max() == state.col_factor.max() == 1.0
-                with pytest.raises(DivergenceError, match="at iteration 3$"):
+                with pytest.raises(DivergenceError, match="^row or column sum of squares overflowed float32 at iteration 3$"):
                     admm._solve_slice(checker[None], basis8, params, work, admm._unfilled(1, basis8))
 
     @pytest.mark.parametrize(
@@ -567,18 +568,48 @@ class TestSweep:
             assert peak - start < work[0].nbytes, (start, peak)  # below one BATCH_BLOCKS x n*n row
 
     @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
-    def test_work_array_alignment_changes_no_bits(self, basis64, regime_blocks, params):
-        # the einsum and GEMM kernels may take other SIMD paths on unaligned rows
-        flat = np.reshape(regime_blocks[:5], (5, -1))
-        shape = (admm._WORK_ROWS, BATCH_BLOCKS, basis64.n**2)
+    def test_work_array_alignment_changes_no_bits(self, regime_blocks, params):
+        # the einsum and GEMM kernels may take other SIMD paths on unaligned rows: a work array
+        # 16, 32 or 48 bytes past a cache line (where np.empty's land), or 4, 12 or 20, solves
+        # each block to the bits solve_blocks' aligned one gives
         params = dataclasses.replace(params, max_iters=10)
-        results = []
-        for offset in (0, 1, 3, 5):  # float32s: 4, 12 and 20 bytes off
-            work = np.empty(np.prod(shape) + offset, np.float32)[offset:].reshape(shape)
-            results.append(admm._unfilled(5, basis64))
-            admm._solve_slice(flat, basis64, params, work, results[-1])
-        for dec in results[1:]:
-            _assert_same(dec, results[0])
+        for n in (64, 16):
+            basis = build_basis(n, 10)
+            flat = np.concatenate([tile(f, n).blocks for f in regime_blocks[:13]])[:13].reshape(13, -1)
+            expected = solve_blocks(flat, basis, params)
+            shape = (admm._WORK_ROWS, BATCH_BLOCKS, n * n)
+            size = int(np.prod(shape)) * 4
+            raw = np.empty(size + 128, np.uint8)
+            line = -raw.ctypes.data % 64
+            for offset in (0, 4, 12, 16, 20, 32, 48):
+                work = raw[line + offset : line + offset + size].view(np.float32).reshape(shape)
+                assert work.ctypes.data % 64 == offset
+                out = admm._unfilled(len(flat), basis)
+                for i in range(0, len(flat), BATCH_BLOCKS):
+                    admm._solve_slice(flat[i : i + BATCH_BLOCKS], basis, params, work, out.rows(i, i + BATCH_BLOCKS))
+                _assert_same(out, expected)
+
+    @pytest.mark.parametrize("n", [64, 8])
+    def test_work_array_starts_on_a_cache_line(self, monkeypatch, n):
+        # whatever the heap did before: each solve between allocations of other sizes
+        offsets = []
+        real_solve_slice = admm._solve_slice
+
+        def recording(flat, basis, params, work, out):
+            assert work.shape == (admm._WORK_ROWS, BATCH_BLOCKS, n * n) and work.dtype == np.float32
+            offsets.append(work.ctypes.data % 64)
+            return real_solve_slice(flat, basis, params, work, out)
+
+        monkeypatch.setattr(admm, "_solve_slice", recording)
+        basis = build_basis(n, 3)
+        blocks = np.random.default_rng(83).uniform(0, 255, (3, n * n))
+        held = []
+        for i in range(60):
+            held.append(np.empty(8 * n * n + 24 * i + 8, np.uint8))
+            if i % 3 == 0:
+                del held[0]
+            solve_blocks(blocks, basis, SolverParams(max_iters=1))
+        assert offsets == [0] * 60
 
 
 class TestTextbookAgreement:

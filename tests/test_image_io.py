@@ -453,17 +453,29 @@ class TestTiling:
         w=st.integers(1, 70),
         n=st.integers(2, 24),
         seed=st.integers(0, 2**32 - 1),
+        transposed=st.booleans(),
     )
-    # one-column and one-row grids: the reshape is a view of the padded copy there
-    @example(h=70, w=5, n=8, seed=0)
-    @example(h=5, w=70, n=8, seed=0)
-    def test_tile_stitch_round_trip_random_sizes(self, h, w, n, seed):
-        img = np.random.default_rng(seed).uniform(0, 255, (h, w))
+    # ragged one-column and one-row grids, and exact ones
+    @example(h=70, w=5, n=8, seed=0, transposed=False)
+    @example(h=5, w=70, n=8, seed=0, transposed=False)
+    @example(h=64, w=8, n=8, seed=0, transposed=False)
+    @example(h=8, w=64, n=8, seed=0, transposed=False)
+    # exact multiples, a single pixel, and a grid ragged on both sides
+    @example(h=48, w=64, n=16, seed=0, transposed=False)
+    @example(h=1, w=1, n=2, seed=0, transposed=False)
+    @example(h=61, w=50, n=16, seed=0, transposed=True)
+    def test_tile_stitch_round_trip_random_sizes(self, h, w, n, seed, transposed):
+        img = np.random.default_rng(seed).uniform(0, 255, (w, h) if transposed else (h, w))
+        img = img.T if transposed else img  # a strided view reads the same
         grid = tile(img, n)
         blocks = grid.blocks
-        assert blocks.shape == (-(-h // n) * -(-w // n), n, n)
+        rows, cols = -(-h // n), -(-w // n)
+        assert blocks.shape == (rows * cols, n, n)
         assert blocks.dtype == np.float64 and blocks.flags.c_contiguous
         assert not np.shares_memory(blocks, img)
+        padded = np.pad(img, ((0, rows * n - h), (0, cols * n - w)), mode="edge")
+        expected = padded.reshape(rows, n, cols, n).swapaxes(1, 2).reshape(-1, n, n)
+        assert blocks.tobytes() == expected.tobytes()
         for per_block in (list(blocks), tuple(blocks), blocks):
             np.testing.assert_array_equal(stitch(grid, per_block), img)
         mask = stitch(grid, [b > 127.5 for b in blocks])
