@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import sys
 
@@ -163,12 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main parses with one parser per process; build_parser still returns a fresh one
-_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
-    parser = _parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         # an invalid value (--iters 0, --count -1) is a usage error, found before any file is read

@@ -258,28 +258,13 @@ def tile(img: np.ndarray, n: int) -> BlockGrid:
     img = _image_2d("image", img, np.float64)
     height, width = img.shape
     rows, cols = -(-height // n), -(-width // n)
+    pad = ((0, rows * n - height), (0, cols * n - width))
+    # only a ragged grid needs np.pad's edge copy; the blocks are written once and never share img's memory
+    src = np.pad(img, pad, mode="edge") if pad[0][1] or pad[1][1] else img
     blocks = np.empty((rows, cols, n, n))
-    # the edge-padded image, as a view of the blocks: its pixel (r*n + i, c*n + j) is blocks[r, c, i, j]
-    padded = blocks.swapaxes(1, 2)
-    full, ragged = height // n, height % n
-    _fill_block_rows(padded[:full], img[: full * n])
-    if ragged:
-        _fill_block_rows(padded[full:, :ragged], img[full * n :])
-        padded[full:, ragged:] = padded[full:, ragged - 1 : ragged]
+    blocks.swapaxes(1, 2)[...] = src.reshape(rows, n, cols, n)
     origins = tuple((r * n, c * n) for r in range(rows) for c in range(cols))
     return BlockGrid(n, width, height, origins, blocks.reshape(-1, n, n))
-
-
-def _fill_block_rows(dst: np.ndarray, src: np.ndarray) -> None:
-    """Write the (r*h, width) image rows src into the (r, h, cols, n) padded-image view dst, edge-padding columns."""
-    r, h, _, n = dst.shape
-    width = src.shape[1]
-    src = src.reshape(r, h, width)
-    full, ragged = width // n, width % n
-    dst[:, :, :full] = src[:, :, : full * n].reshape(r, h, full, n)
-    if ragged:
-        dst[:, :, full, :ragged] = src[:, :, full * n :]
-        dst[:, :, full, ragged:] = src[:, :, -1:]
 
 
 def stitch(grid: BlockGrid, per_block) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,7 @@ class SegmentedImage:
 
     image is the image as it was passed in, mask its (h, w) boolean
     foreground mask, grid its BlockGrid and basis the basis its blocks were
-    solved on: one object per process for each (block_size, k_bases), whose
-    atoms are read-only. block_masks is one (m, n, n) boolean array in grid order, True
+    solved on. block_masks is one (m, n, n) boolean array in grid order, True
     where a block's sparse layer exceeds cfg.fg_threshold in magnitude, and
     decomposition the Decomposition of the same m blocks in the same order
     (row i is block i's); its arrays are views of the arrays its group's
@@ -68,7 +66,7 @@ def segment_images(images, cfg: SegmentationConfig = SegmentationConfig()):
     group is held at a time: at most one image plus fewer than BATCH_BLOCKS
     blocks. Each record is bit-identical to segmenting its image alone.
     """
-    basis = _shared_basis(int(cfg.block_size), int(cfg.k_bases))
+    basis = build_basis(cfg.block_size, cfg.k_bases)
     group = []
     for img in images:
         group.append((img, tile(img, cfg.block_size)))
@@ -77,14 +75,6 @@ def segment_images(images, cfg: SegmentationConfig = SegmentationConfig()):
             group = []
     if group:
         yield from _group_records(group, basis, cfg)
-
-
-@functools.lru_cache(maxsize=8)
-def _shared_basis(n: int, k: int) -> BasisMatrix:
-    """build_basis(n, k), built once per process and shared, so its atoms are made read-only."""
-    basis = build_basis(n, k)
-    basis.atoms.flags.writeable = False
-    return basis
 
 
 def _group_records(group: list, basis: BasisMatrix, cfg: SegmentationConfig):

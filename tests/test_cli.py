@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 import scseg
-from scseg import SegmentationConfig, SolverParams, SynthSpec, confusion, gen_block, load_mask, save_gray, write_dataset
-from scseg import cli
+from scseg import SegmentationConfig, SolverParams, SynthSpec, confusion, load_mask, write_dataset
 from scseg.cli import build_parser, main
 
 
@@ -479,40 +478,10 @@ def test_help_reads_the_solver_defaults(monkeypatch, capsys):
 
     monkeypatch.setattr("scseg.cli.SolverParams", Other)
     monkeypatch.setattr("scseg.cli.BATCH_BLOCKS", 5)
-    # main keeps the parser it built first; drop it before and after, so the patched
-    # defaults reach this help and no other test sees them
-    cli._parser.cache_clear()
-    try:
-        assert main(["segment", "--help"]) == 0
-    finally:
-        cli._parser.cache_clear()
+    assert main(["segment", "--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())
     assert "ADMM penalty parameter (default 2.5)" in out
     assert "solve the 5-block slices (default 3, capped" in out
-
-
-def test_main_reuses_one_parser_with_the_bytes_a_fresh_one_writes(dataset, tmp_path):
-    # low-contrast strokes: one sweep leaves the mask empty, the default 50 find them, so
-    # a flag that outlived its call would change the second file
-    image, manifest = str(tmp_path / "faint.pgm"), str(dataset / "manifest.tsv")
-    save_gray(gen_block(SynthSpec(seed=1, stroke_amplitude=5.0))[0], image)
-    runs = {
-        "short.pbm": ["segment", "--input", image, "--iters", "1", "--mask-out"],
-        "default.pbm": ["segment", "--input", image, "--mask-out"],
-        "report.json": ["evaluate", "--manifest", manifest, "--report"],
-    }
-    for fresh in (False, True):
-        (tmp_path / str(fresh)).mkdir()
-        for name, argv in runs.items():
-            if fresh:
-                cli._parser.cache_clear()
-            assert main(argv + [str(tmp_path / str(fresh) / name)]) == 0
-            if not fresh:
-                assert cli._parser.cache_info().currsize == 1
-        assert build_parser() is not build_parser() is not cli._parser()
-    for name in runs:
-        assert (tmp_path / "False" / name).read_bytes() == (tmp_path / "True" / name).read_bytes(), name
-    assert (tmp_path / "False" / "short.pbm").read_bytes() != (tmp_path / "False" / "default.pbm").read_bytes()
 
 
 def test_evaluate_names_the_unreadable_entries(tmp_path, capsys):

@@ -243,26 +243,6 @@ class TestSegmentImages:
                 np.testing.assert_array_equal(seg.decomposition.s[i], alone.decomposition.s[i])
                 np.testing.assert_array_equal(seg.decomposition.alpha[i], alone.decomposition.alpha[i])
 
-    def test_one_read_only_basis_per_size(self):
-        cfg = SegmentationConfig(block_size=16, k_bases=6, solver=SolverParams(max_iters=2))
-        img = np.random.default_rng(5).uniform(0, 255, (20, 40))
-        first = next(segment_images([img], cfg))
-        # the cache is keyed on the sizes' values, so a numpy block size shares the basis
-        second = next(segment_images([img], dataclasses.replace(cfg, block_size=np.int64(16))))
-        assert first.basis is second.basis
-        assert next(segment_images([img], dataclasses.replace(cfg, k_bases=5))).basis is not first.basis
-        fresh = build_basis(16, 6)
-        np.testing.assert_array_equal(first.basis.atoms, fresh.atoms)
-        assert first.basis.freq_pairs == fresh.freq_pairs
-        with pytest.raises(ValueError, match="read-only"):
-            first.basis.atoms[0, 0] = 0.0
-        # build_basis itself still hands every caller its own writeable atoms
-        again = build_basis(16, 6)
-        assert again is not fresh and not np.shares_memory(again.atoms, fresh.atoms)
-        assert not np.shares_memory(fresh.atoms, first.basis.atoms)
-        fresh.atoms[0, 0] = 0.0
-        np.testing.assert_array_equal(first.basis.atoms, again.atoms)
-
 
 class TestFillBackground:
     def test_empty_mask_passthrough(self, basis64):
