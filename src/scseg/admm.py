@@ -7,9 +7,12 @@ sum of column norms of s) subject to the exact decomposition, using one
 splitting variable per penalty term and dual ascent on the constraints.
 Every step acts per pixel, per row or per column of one block, so blocks are
 solved several at a time as rows of shared arrays, and runs of whole slices
-of them can go to forked processes. The sweep runs in the scaled form of
-ADMM (Boyd et al. 2011, section 3.1.1) with one penalty rho: every dual is
-stored divided by rho, so rho enters only the three shrinkage thresholds.
+of them can go to forked processes. Those children write their rows straight
+into the result's arrays, which then live in one anonymous shared mapping,
+and a child's pipe carries only a pickled None, or its error. The sweep runs
+in the scaled form of ADMM (Boyd et al. 2011, section 3.1.1) with one
+penalty rho: every dual is stored divided by rho, so rho enters only the
+three shrinkage thresholds.
 A sweep needs two products with the basis, B'W1 and B alpha. Each runs as
 one GEMM of BATCH_BLOCKS rows, zero-padded when a slice is short: the shape
 never changes, so a block's bits do not depend on its row or on the blocks
@@ -121,23 +124,34 @@ class Decomposition:
         return Decomposition(*(getattr(self, f.name)[start:stop] for f in fields(self)))
 
 
-def _unfilled(m: int, basis: BasisMatrix) -> Decomposition:
-    """A Decomposition of m blocks whose arrays the solver has yet to fill."""
+def _unfilled(m: int, basis: BasisMatrix, shared: bool = False) -> Decomposition:
+    """A Decomposition of m blocks whose arrays the solver has yet to fill.
+
+    shared puts the five arrays in one anonymous shared mapping, which processes
+    forked afterwards write into; it must hold at least one value.
+    """
     n, k = basis.n, basis.k
-    return Decomposition(np.empty((m, k)), np.empty((m, n, n)), np.empty(m), np.empty((m, 3)), np.empty(m))
+    shapes = ((m, k), (m, n, n), (m,), (m, 3), (m,))
+    if not shared:
+        return Decomposition(*(np.empty(shape) for shape in shapes))
+    import mmap  # only a forked solve needs it, so importing scseg does not load it
+
+    sizes = [math.prod(shape) for shape in shapes]
+    parts = np.split(np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), np.float64), np.cumsum(sizes)[:-1])
+    return Decomposition(*(part.reshape(shape) for part, shape in zip(parts, shapes)))
 
 
 def group_norm(s) -> float:
     """Sum of row and column l2 norms of one (n, n) or flat (n*n,) block (the overlapping-group term)."""
-    return float(_group_norms(block_stack("block", s, math.isqrt(np.size(s)), one=True))[0])
+    s = block_stack("block", s, math.isqrt(np.size(s)), one=True)
+    return float(_group_norms(s * s)[0])
 
 
-def _group_norms(s: np.ndarray) -> np.ndarray:
-    """group_norm of each block of an (m, n, n) float64 stack.
+def _group_norms(squares: np.ndarray) -> np.ndarray:
+    """group_norm of each block of an (m, n, n) float64 stack, from its squares s * s.
 
     Each norm is np.linalg.norm's, the root of a sum of squares, with the squares formed once for both.
     """
-    squares = s * s
     return np.sqrt(squares.sum(axis=2)).sum(axis=1) + np.sqrt(squares.sum(axis=1)).sum(axis=1)
 
 
@@ -151,7 +165,14 @@ def objective(alpha, s, params: SolverParams):
     if alpha.ndim == 1:
         return float(objective(alpha[None], block_stack("block", s, math.isqrt(np.size(s)), one=True), params)[0])
     s = np.asarray(s, dtype=np.float64)
-    return np.abs(alpha).sum(axis=1) + params.lambda1 * np.abs(s).sum(axis=(1, 2)) + params.lambda2 * _group_norms(s)
+    return _objective(alpha, s, params, np.empty_like(s))
+
+
+def _objective(alpha: np.ndarray, s: np.ndarray, params: SolverParams, scratch: np.ndarray) -> np.ndarray:
+    """objective of an (m, k) alpha and an (m, n, n) float64 s; |s|, then s * s, are formed in scratch, s's shape."""
+    sparse = np.abs(s, out=scratch).sum(axis=(1, 2))
+    groups = _group_norms(np.multiply(s, s, out=scratch))
+    return np.abs(alpha).sum(axis=1) + params.lambda1 * sparse + params.lambda2 * groups
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -174,8 +195,10 @@ BATCH_BLOCKS = 8
 # place. No other pixel-sized array is made in a sweep but the last one's
 # copies of y and z (the group norms and factors are one value a row or
 # column), so for 64-pixel blocks the float32 sweep works in 0.875 MB, under
-# half of a 2 MB L2 cache. _solve_run starts the array on a 64-byte boundary
-# (see _aligned_work); the rows then stay aligned for every even block side.
+# half of a 2 MB L2 cache. After the last sweep rows 2 to 5 (W1 to U) are dead,
+# and the records use them as two float64 BATCH_BLOCKS x n*n scratch arrays.
+# _solve_run starts the array on a 64-byte boundary (see _aligned_work); the
+# rows then stay aligned for every even block side.
 _WORK_ROWS = 7
 
 
@@ -201,7 +224,8 @@ def _solve_slice(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, wor
     # GEMM B' X', transposed back: at 8 x 4096 by 4096 x 10 this layout takes
     # about 25 us where X B takes about 30 us (2-core x86 host, OpenBLAS, one thread).
     m, dtype = len(flat), work.dtype.type
-    atoms_t = np.ascontiguousarray(basis.atoms.T, dtype=dtype)
+    atoms_t64 = np.ascontiguousarray(basis.atoms.T)
+    atoms_t = atoms_t64.astype(dtype, copy=False)
     work[:, m:] = 0.0
     rows = work[:, :m]
     rows[0] = flat
@@ -258,14 +282,16 @@ def _solve_slice(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, wor
                 raise DivergenceError(f"row or column sum of squares overflowed float32 at iteration {it}")
             raise DivergenceError(f"non-finite iterate at iteration {it}")
 
-    # the records in float64, the objective's temporaries freed before B alpha is made: B alpha
-    # is again one BATCH_BLOCKS-row GEMM, and f the input itself
+    # the records in float64, in the dead rows W1 to U seen as two float64 BATCH_BLOCKS x n*n
+    # arrays: the objective's |s| and s * s in one, B alpha in the other. B alpha is again one
+    # BATCH_BLOCKS-row GEMM, and f the input itself
+    scratch = work[2:6].reshape(-1).view(np.float64)[: 2 * work[0].size].reshape(2, *work[0].shape)
     alpha = alpha.astype(np.float64)
     out.alpha[:] = alpha[:m]
     out.s[:] = s.reshape(cube)
-    out.objective[:] = objective(out.alpha, out.s, params)
+    out.objective[:] = _objective(out.alpha, out.s, params, scratch[0, :m].reshape(cube))
     s = out.s.reshape(m, -1)
-    smooth = alpha @ np.ascontiguousarray(basis.atoms.T)
+    smooth = np.matmul(alpha, atoms_t64, out=scratch[1])
     gap = np.subtract(flat, smooth[:m], out=smooth[:m])
     gap -= s
     f_norm = _row_norms(flat)
@@ -308,14 +334,17 @@ def _process_count(workers: int, slices: int) -> int:
 def _solve_forked(runs: list, basis: BasisMatrix, params: SolverParams) -> Decomposition:
     """Solve runs[0] here and every other run in its own forked child; returns all their rows, in order.
 
-    A child pickles its run's Decomposition, or the exception the run
-    raised, into its pipe and leaves through os._exit, so it runs none of
-    the caller's cleanup or buffered output. Raises the error of the
-    earliest failing run, which is the one a single process would raise;
-    every child is reaped and every pipe end closed on every path.
+    The result's arrays live in one anonymous shared mapping, and each child
+    solves its run straight into its rows there. Its pipe carries only a
+    pickled None, or the exception the run raised; it then leaves through
+    os._exit, so it runs none of the caller's cleanup or buffered output. A
+    child that exits without reporting fails the call, whatever rows it
+    wrote. Raises the error of the earliest failing run, which is the one a
+    single process would raise; every child is reaped and every pipe end
+    closed on every path.
     """
-    out = _unfilled(sum(map(len, runs)), basis)
-    children = []  # (pid, read end of its pipe, its rows of out) of each child not yet read
+    out = _unfilled(sum(map(len, runs)), basis, shared=len(runs) > 1)
+    children = []  # (pid, read end of its pipe) of each child not yet read
     try:
         start = len(runs[0])
         for run in runs[1:]:
@@ -331,20 +360,21 @@ def _solve_forked(runs: list, basis: BasisMatrix, params: SolverParams) -> Decom
                 try:
                     os.close(read_fd)
                     try:
-                        payload = _solve_run(run, basis, params, _unfilled(len(run), basis))
+                        _solve_run(run, basis, params, out.rows(start, start + len(run)))
+                        error = None
                     except Exception as exc:  # sent to the caller, which raises it
-                        payload = exc
+                        error = exc
                     with os.fdopen(write_fd, "wb") as pipe:
-                        pipe.write(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+                        pipe.write(pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL))
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
-            children.append((pid, read_fd, out.rows(start, start + len(run))))
+            children.append((pid, read_fd))
             start += len(run)
         _solve_run(runs[0], basis, params, out.rows(0, len(runs[0])))
         while children:
-            pid, read_fd, rows = children.pop(0)
+            pid, read_fd = children.pop(0)
             try:
                 with os.fdopen(read_fd, "rb") as src:
                     data = src.read()
@@ -352,17 +382,15 @@ def _solve_forked(runs: list, basis: BasisMatrix, params: SolverParams) -> Decom
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if status != 0 or not data:
                 raise RuntimeError(f"solver process {pid} exited with status {status} without a result")
-            payload = pickle.loads(data)
-            if isinstance(payload, Exception):
-                raise payload
-            for field in fields(rows):
-                getattr(rows, field.name)[:] = getattr(payload, field.name)
+            error = pickle.loads(data)
+            if error is not None:
+                raise error
         return out
     finally:
         if children:
             import signal
 
-            for pid, read_fd, _ in children:
+            for pid, read_fd in children:
                 os.close(read_fd)
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)

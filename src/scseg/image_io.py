@@ -228,8 +228,10 @@ def save_gray(img: np.ndarray, path) -> None:
         raise ValueError("image contains NaN")
     height, width = img.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    data = np.clip(np.rint(img), 0, 255).astype(np.uint8)
-    atomic_write_bytes(path, header + data.tobytes())
+    # one float64 temporary, rounded then clipped in place; img may be the caller's own array
+    levels = np.rint(img)
+    np.clip(levels, 0, 255, out=levels)
+    atomic_write_bytes(path, header + levels.astype(np.uint8).tobytes())
 
 
 @dataclass(frozen=True, eq=False)

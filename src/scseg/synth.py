@@ -63,9 +63,13 @@ def gen_block(spec: SynthSpec):
     atoms; the block adds stroke_amplitude on the stroke support and clips to
     [0, 255]. The spec's stroke budget keeps the truth within max_fg_fraction.
     """
+    return _gen_block(spec, build_basis(spec.n, spec.k_true))
+
+
+def _gen_block(spec: SynthSpec, basis):
+    """gen_block on a prebuilt build_basis(spec.n, spec.k_true)."""
     lo, hi = _stroke_bounds(spec.n)
     rng = np.random.default_rng(spec.seed)
-    basis = build_basis(spec.n, spec.k_true)
     coef = np.zeros(spec.k_true)
     coef[0] = 128.0 * spec.n  # DC atom has value 1/n, so the mean lands at 128
     if spec.k_true > 1:
@@ -109,8 +113,9 @@ def write_dataset(out_dir, count: int, spec: SynthSpec):
     require_count("count", count, 0)
     os.makedirs(out_dir, exist_ok=True)
     lines = ["# image\tmask\tlabel"]
+    basis = build_basis(spec.n, spec.k_true)  # the same for every block: only the seed varies
     for i in range(count):
-        f, truth, _ = gen_block(replace(spec, seed=spec.seed + i))
+        f, truth, _ = _gen_block(replace(spec, seed=spec.seed + i), basis)
         name = f"block_{i:04d}"
         save_gray(f, os.path.join(out_dir, f"{name}.pgm"))
         save_mask(truth, os.path.join(out_dir, f"{name}_mask.pbm"))

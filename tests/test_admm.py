@@ -1,11 +1,12 @@
 import dataclasses
 import errno
+import gc
 import os
+import pickle
 import re
 import signal
 import subprocess
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -567,6 +568,26 @@ class TestSweep:
         for (start, _), (_, peak) in zip(marks[1:6], marks[2:7]):
             assert peak - start < work[0].nbytes, (start, peak)  # below one BATCH_BLOCKS x n*n row
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [64, 16])
+    def test_records_on_a_reused_work_array(self, regime_blocks, dtype, n):
+        # the records are formed in work rows the last sweep leaves dead; a slice after another
+        # on the same work array, of other blocks or of one block after eight, gets the records
+        # a fresh one gives
+        basis = build_basis(n, 10)
+        flat = np.concatenate([tile(f, n).blocks for f in regime_blocks[:17]])[:17].reshape(17, -1)
+        params = SolverParams(max_iters=10)
+        shape = (admm._WORK_ROWS, BATCH_BLOCKS, n * n)
+        for first, second in ((flat[:8], flat[8:16]), (flat[:8], flat[16:])):
+            work = np.empty(shape, dtype)
+            admm._solve_slice(first, basis, params, work, admm._unfilled(len(first), basis))
+            reused = admm._unfilled(len(second), basis)
+            admm._solve_slice(second, basis, params, work, reused)
+            fresh = admm._unfilled(len(second), basis)
+            admm._solve_slice(second, basis, params, np.full(shape, np.nan, dtype), fresh)
+            _assert_same(reused, fresh)
+            assert np.array_equal(reused.objective, objective(reused.alpha, reused.s, params))
+
     @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
     def test_work_array_alignment_changes_no_bits(self, regime_blocks, params):
         # the einsum and GEMM kernels may take other SIMD paths on unaligned rows: a work array
@@ -767,6 +788,25 @@ class TestWorkers:
         assert len(forks) == max(min(workers, slices) - 1, 0)
         _assert_no_children()
 
+    def test_forked_result_is_an_ordinary_decomposition(self, basis64, regime_stack, serial, cpus, forks):
+        # its arrays share one mapping, written by the children: they stay writable and
+        # valid after the call, pickle by value, and belong to this call's result alone
+        params = SolverParams(workers=2)
+        dec = solve_blocks(regime_stack[:17], basis64, params)
+        names = [field.name for field in dataclasses.fields(Decomposition)]
+        assert all(getattr(dec, name).flags.writeable for name in names)
+        copy = pickle.loads(pickle.dumps(dec))
+        assert all(np.array_equal(getattr(copy, name), getattr(dec, name)) for name in names)
+        rows = dec.rows(9, 17)
+        del dec, copy
+        gc.collect()
+        _assert_same(rows, serial.rows(9, 17))
+        other = solve_blocks(regime_stack[:17], basis64, params)
+        _assert_same(other.rows(9, 17), rows)
+        assert not any(np.shares_memory(getattr(rows, name), getattr(other, name)) for name in names)
+        assert len(forks) == 2
+        _assert_no_children()
+
     @pytest.mark.parametrize("workers", [2, 3])
     def test_residual_histories(self, basis8, cpus, forks, workers):
         # the residuals after k sweeps, read from runs of k sweeps in `workers` processes
@@ -839,24 +879,28 @@ class TestWorkers:
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
         _assert_no_children()
 
-    def test_child_killed_while_sending_names_its_exit_status(self, monkeypatch, basis64, cpus):
-        # the child's 1 MB result (32 64x64 float64 layers) overfills the pipe while
-        # the caller is still busy, and the child is killed with part of it sent
-        parent = os.getpid()
-        timers = []
+    def test_child_killed_before_reporting_names_its_exit_status(self, monkeypatch, cpus):
+        # the child's one slice writes its rows into the shared result, and the child is
+        # killed before it reports: the call returns no rows
+        blocks = _index_slices(monkeypatch)[: 2 * BATCH_BLOCKS]
+        parent, index_slice, real_unfilled = os.getpid(), admm._solve_slice, admm._unfilled
+        made = []
 
         def fake(flat, basis, params, work, out):
-            if os.getpid() == parent:
-                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # until the child dies, unreaped
-            elif not timers:
-                timers.append(threading.Timer(0.1, os.kill, (os.getpid(), signal.SIGKILL)))
-                timers[0].start()
+            index_slice(flat, basis, params, work, out)
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def recording(*args, **kwargs):
+            made.append(real_unfilled(*args, **kwargs))
+            return made[-1]
 
         monkeypatch.setattr(admm, "_solve_slice", fake)
-        blocks = np.zeros((8 * BATCH_BLOCKS, 4096))
+        monkeypatch.setattr(admm, "_unfilled", recording)
         with pytest.raises(RuntimeError, match=f"exited with status {-signal.SIGKILL} without a result"):
-            solve_blocks(blocks, basis64, SolverParams(workers=2))
+            solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
         _assert_no_children()
+        assert len(made) == 1 and made[0].objective.tolist() == list(range(2 * BATCH_BLOCKS))  # it had written them
 
     def test_failed_fork_kills_the_children_started(self, monkeypatch, cpus):
         blocks = _index_slices(monkeypatch)

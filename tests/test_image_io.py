@@ -283,15 +283,23 @@ class TestGrayWriter:
         save_gray(img, scratch_dir / "g.pgm")
         np.testing.assert_array_equal(load_gray(scratch_dir / "g.pgm"), img)
 
+    @staticmethod
+    def _assert_written(img, path, levels):
+        """save_gray(img) wrote levels, the payload np.rint then np.clip gives, and left img as it was."""
+        given = img.copy()
+        save_gray(img, path)
+        np.testing.assert_array_equal(img, given)
+        payload = np.clip(np.rint(given), 0, 255).astype(np.uint8).tobytes()
+        assert path.read_bytes() == f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii") + payload
+        np.testing.assert_array_equal(load_gray(path), levels)
+
     def test_rounds_and_clips(self, tmp_path):
-        p = tmp_path / "g.pgm"
-        save_gray(np.array([[-3.0, 12.6, 300.0]]), p)
-        np.testing.assert_array_equal(load_gray(p), [[0, 13, 255]])
+        # halves round to even; values beyond [0, 255] clip, however far out
+        img = np.array([[-3.0, 12.6, 300.0, -1e300, 1e300, 7.0], [0.5, 1.5, 2.5, -0.5, 254.5, 255.5]])
+        self._assert_written(img, tmp_path / "g.pgm", [[0, 13, 255, 0, 255, 7], [0, 2, 2, 0, 254, 255]])
 
     def test_infinities_clip(self, tmp_path):
-        p = tmp_path / "g.pgm"
-        save_gray(np.array([[np.inf, -np.inf, 7.0]]), p)
-        np.testing.assert_array_equal(load_gray(p), [[255, 0, 7]])
+        self._assert_written(np.array([[np.inf, -np.inf, 7.0]]), tmp_path / "g.pgm", [[255, 0, 7]])
 
     def test_nan_rejected_before_writing(self, tmp_path):
         with pytest.raises(ValueError, match="NaN"):

@@ -1,9 +1,11 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scseg import SynthSpec, build_basis, gen_block, load_gray, load_manifest, load_mask, write_dataset
+from scseg import SynthSpec, build_basis, gen_block, load_gray, load_manifest, load_mask, save_gray, save_mask
+from scseg import synth, write_dataset
 
 
 def test_no_strokes_means_empty_truth():
@@ -112,6 +114,28 @@ class TestWriteDataset:
         f, truth, _ = gen_block(spec)
         np.testing.assert_array_equal(load_mask(entries[0].mask_path), truth)
         np.testing.assert_array_equal(load_gray(entries[0].image_path), np.rint(f))
+
+    def test_files_are_gen_blocks_on_one_basis(self, tmp_path, monkeypatch):
+        # the bytes that writing gen_block's blocks one at a time gives, from one basis a call
+        spec = SynthSpec(k_true=9, seed=3)
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        for i in range(5):
+            f, truth, _ = gen_block(replace(spec, seed=spec.seed + i))
+            save_gray(f, expected / f"block_{i:04d}.pgm")
+            save_mask(truth, expected / f"block_{i:04d}_mask.pbm")
+        calls = []
+        real_build_basis = synth.build_basis
+
+        def counting(*args):
+            calls.append(args)
+            return real_build_basis(*args)
+
+        monkeypatch.setattr(synth, "build_basis", counting)
+        write_dataset(tmp_path / "d", 5, spec)
+        assert calls == [(64, 9)]
+        for path in sorted(expected.iterdir()):
+            assert (tmp_path / "d" / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_deterministic_directory(self, tmp_path):
         write_dataset(tmp_path / "a", 3, SynthSpec(seed=2))
