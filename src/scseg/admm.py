@@ -105,10 +105,11 @@ class Decomposition:
     objective are computed from float64 copies too, against the float64 blocks.
     primal_residual is ||f - B a - s|| / ||f|| (0 for an all-zero block);
     split_residuals are the absolute norms of the coefficient-copy, row-copy
-    and column-copy gaps ||a - beta||, ||s - y||, ||s - z||. The sweep never
-    stores the group copies: the last one forms y and z from its shrinkage
-    inputs and factors. Every block runs from the zero state, so the
-    residuals after k sweeps are the ones a solve with max_iters=k returns.
+    and column-copy gaps ||a - beta||, ||s - y||, ||s - z||. The sweep keeps
+    no copy of y or z: the last one forms them from its shrinkage inputs and
+    factors in work rows that are dead by then. Every block runs from the
+    zero state, so the residuals after k sweeps are the ones a solve with
+    max_iters=k returns.
     objective is the decomposition objective at that last iterate (a, s),
     which need not satisfy f = B a + s, so it can read below the optimum.
     """
@@ -183,31 +184,53 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 # Blocks advanced together in one sweep, and the row count of every basis
 # product: a slice with fewer blocks is zero-padded to it, because a GEMM's
 # row bits depend on its row count (one row even runs as a GEMV) but not on
-# the other rows. A constant, not an option: it caps the solver's working
-# arrays at about nine float32 BATCH_BLOCKS x n*n arrays and one float64 one
-# (1.4 MB for 64-pixel blocks) whatever the image size.
+# the other rows. A constant, not an option: whatever the image size, it caps
+# the solver's working arrays at the seven float32 BATCH_BLOCKS x n*n rows of
+# the work array (0.875 MB for 64-pixel blocks), besides the call's float64
+# and float32 copies of the k x n*n basis.
 BATCH_BLOCKS = 8
 
 # Rows of the preallocated work array: the blocks f, the sparse layer s, the
 # scaled duals W1 = w1/rho, V1 = v1/rho and V2 = v2/rho, U = (y - V1) +
 # (z - V2), and scratch. Each group step forms T = s + V in V's row, y = c T
 # in U's row (columns: in scratch), then V = T - y and U's share y - V in
-# place. No other pixel-sized array is made in a sweep but the last one's
-# copies of y and z (the group norms and factors are one value a row or
-# column), so for 64-pixel blocks the float32 sweep works in 0.875 MB, under
-# half of a 2 MB L2 cache. After the last sweep rows 2 to 5 (W1 to U) are dead,
+# place. No other pixel-sized array is made in a slice (the group norms and
+# factors are one value a row or column), so for 64-pixel blocks the float32
+# sweep works in 0.875 MB, under half of a 2 MB L2 cache. The last sweep keeps
+# y in f's row, dead once W1 += f - B alpha, and z in W1's row, dead once
+# W1 -= s, for the split residuals. After them rows 2 to 5 (z to U) are dead,
 # and the records use them as two float64 BATCH_BLOCKS x n*n scratch arrays.
 # _solve_run starts the array on a 64-byte boundary (see _aligned_work); the
 # rows then stay aligned for every even block side.
 _WORK_ROWS = 7
 
 
-def _solve_slice(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, work, out: Decomposition) -> None:
+@dataclass(frozen=True, eq=False)
+class _SweepBasis:
+    """The basis as the sweep reads it: B' as a C-contiguous float64 (k, n*n) array and its float32 cast.
+
+    solve_blocks makes one per call, before it forks, so every process reads
+    the caller's pages. alpha @ B' runs 2x faster on C order than on the
+    transpose of the (n*n, k) atoms.
+    """
+
+    n: int
+    atoms_t: np.ndarray
+    atoms_t32: np.ndarray
+
+
+def _sweep_basis(basis: BasisMatrix) -> _SweepBasis:
+    """basis as the sweep reads it."""
+    atoms_t = np.ascontiguousarray(basis.atoms.T)
+    return _SweepBasis(basis.n, atoms_t, atoms_t.astype(np.float32))
+
+
+def _solve_slice(flat: np.ndarray, basis: _SweepBasis, params: SolverParams, work, out: Decomposition) -> None:
     """Run max_iters sweeps on m <= BATCH_BLOCKS flat blocks, one row of `work` each, into out's m rows.
 
-    The sweep runs in work's dtype: the basis, every iterate and every
-    threshold are cast to it. solve_blocks passes float32; a float64 work
-    array runs the same sweep in float64.
+    The sweep runs in work's dtype, float32 or float64: the basis, every
+    iterate and every threshold are in it. solve_blocks passes float32; a
+    float64 work array runs the same sweep in float64.
 
     The pixel-sized iterates are views into the work rows; rows past the
     slice's blocks stay zero, and only the basis products read them. Those
@@ -218,14 +241,14 @@ def _solve_slice(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, wor
     l1 copy, the sparse layer, the row and column group copies, then dual
     ascent on the fresh gaps) divided through by rho, with each dual update
     folded into the step that produces its gap.
-    The last sweep also keeps the group copies y and z for the split residuals.
+    The last sweep also keeps the group copies y and z, in dead work rows,
+    for the split residuals.
     """
-    # alpha @ B' runs 2x faster on C order. B'x of every row x runs as one
-    # GEMM B' X', transposed back: at 8 x 4096 by 4096 x 10 this layout takes
-    # about 25 us where X B takes about 30 us (2-core x86 host, OpenBLAS, one thread).
+    # B'x of every row x runs as one GEMM B' X', transposed back: at 8 x 4096
+    # by 4096 x 10 this layout takes about 25 us where X B takes about 30 us
+    # (2-core x86 host, OpenBLAS, one thread).
     m, dtype = len(flat), work.dtype.type
-    atoms_t64 = np.ascontiguousarray(basis.atoms.T)
-    atoms_t = atoms_t64.astype(dtype, copy=False)
+    atoms_t = basis.atoms_t32 if dtype is np.float32 else basis.atoms_t
     work[:, m:] = 0.0
     rows = work[:, :m]
     rows[0] = flat
@@ -234,7 +257,7 @@ def _solve_slice(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, wor
     cube = (m, basis.n, basis.n)
     coef_lam, sparse_lam, group_lam = (dtype(lam / params.rho) for lam in (1.0, params.lambda1, params.lambda2))
     two, third = dtype(2.0), dtype(1.0 / 3.0)
-    alpha = np.zeros((BATCH_BLOCKS, basis.k), dtype)
+    alpha = np.zeros((BATCH_BLOCKS, len(atoms_t)), dtype)
     beta = np.zeros_like(alpha)
     w2 = np.zeros_like(alpha)
     # B'W1 of the previous sweep; from zero W1 this start gives sweep 1 its B'f
@@ -258,23 +281,19 @@ def _solve_slice(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, wor
         # rows: T = s + V1 in V1's row (the old V1 is dead once T is formed), y = c T,
         # c the row factor, in U's row (U is dead since s); the dual step V1 += s - y
         # is then V1 = T - y, and U's share is y - V1. Columns: the same, z in tmp. The
+        # last sweep puts y in f's row and z in W1's, which the records read. The
         # divergence check reads the largest sum of squares of each.
+        y_row, z_row = (f, w1) if it == params.max_iters else (u, tmp)
         t = np.add(v1, s, out=v1).reshape(cube)
         squares = np.einsum("ijk,ijk->ij", t, t)
         row_peak = squares.max()
-        y = np.multiply(t, group_factor(squares, group_lam)[:, :, None], out=u.reshape(cube))
-        if it == params.max_iters:
-            y_last = u.copy()
-        t -= y
-        np.subtract(u, v1, out=u)
+        t -= np.multiply(t, group_factor(squares, group_lam)[:, :, None], out=y_row.reshape(cube))
+        np.subtract(y_row, v1, out=u)
         t = np.add(v2, s, out=v2).reshape(cube)
         squares = np.einsum("ijk,ijk->ik", t, t)
         col_peak = squares.max()
-        z = np.multiply(t, group_factor(squares, group_lam)[:, None, :], out=tmp.reshape(cube))
-        if it == params.max_iters:
-            z_last = tmp.copy()
-        t -= z
-        u += np.subtract(tmp, v2, out=tmp)
+        t -= np.multiply(t, group_factor(squares, group_lam)[:, None, :], out=z_row.reshape(cube))
+        u += np.subtract(z_row, v2, out=tmp)
 
         if not (np.isfinite(alpha).all() and math.isfinite(row_peak) and math.isfinite(col_peak)):
             # only the raise path looks at the pixel iterates: a finite sweep overflowed a sum
@@ -282,23 +301,25 @@ def _solve_slice(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, wor
                 raise DivergenceError(f"row or column sum of squares overflowed float32 at iteration {it}")
             raise DivergenceError(f"non-finite iterate at iteration {it}")
 
-    # the records in float64, in the dead rows W1 to U seen as two float64 BATCH_BLOCKS x n*n
-    # arrays: the objective's |s| and s * s in one, B alpha in the other. B alpha is again one
-    # BATCH_BLOCKS-row GEMM, and f the input itself
+    # the records in float64, in the dead rows 2 to 5 seen as two float64 BATCH_BLOCKS x n*n
+    # arrays: the split gaps in the second while z is still in row 2, then the objective's |s|
+    # and s * s in the first and B alpha in the second. B alpha is again one BATCH_BLOCKS-row
+    # GEMM, and f the input itself
     scratch = work[2:6].reshape(-1).view(np.float64)[: 2 * work[0].size].reshape(2, *work[0].shape)
     alpha = alpha.astype(np.float64)
     out.alpha[:] = alpha[:m]
     out.s[:] = s.reshape(cube)
-    out.objective[:] = _objective(out.alpha, out.s, params, scratch[0, :m].reshape(cube))
     s = out.s.reshape(m, -1)
-    smooth = np.matmul(alpha, atoms_t64, out=scratch[1])
+    gap = scratch[1, :m]
+    out.split_residuals[:, 0] = _row_norms(out.alpha - beta[:m])
+    out.split_residuals[:, 1] = _row_norms(np.subtract(s, y_row, out=gap))
+    out.split_residuals[:, 2] = _row_norms(np.subtract(s, z_row, out=gap))
+    out.objective[:] = _objective(out.alpha, out.s, params, scratch[0, :m].reshape(cube))
+    smooth = np.matmul(alpha, basis.atoms_t, out=scratch[1])
     gap = np.subtract(flat, smooth[:m], out=smooth[:m])
     gap -= s
     f_norm = _row_norms(flat)
     out.primal_residual[:] = np.divide(_row_norms(gap), f_norm, out=np.zeros(m), where=f_norm > 0)
-    out.split_residuals[:, 0] = _row_norms(out.alpha - beta[:m])
-    out.split_residuals[:, 1] = _row_norms(np.subtract(s, y_last[:m], out=gap))
-    out.split_residuals[:, 2] = _row_norms(np.subtract(s, z_last[:m], out=gap))
 
 
 def _aligned_work(n: int) -> np.ndarray:
@@ -310,7 +331,7 @@ def _aligned_work(n: int) -> np.ndarray:
     return raw[start : start + size].view(np.float32).reshape(shape)
 
 
-def _solve_run(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, out: Decomposition) -> Decomposition:
+def _solve_run(flat: np.ndarray, basis: _SweepBasis, params: SolverParams, out: Decomposition) -> Decomposition:
     """Solve the blocks one BATCH_BLOCKS slice after another on one work array, into out's rows; returns out."""
     work = _aligned_work(basis.n)
     for start in range(0, len(flat), BATCH_BLOCKS):
@@ -344,6 +365,7 @@ def _solve_forked(runs: list, basis: BasisMatrix, params: SolverParams) -> Decom
     closed on every path.
     """
     out = _unfilled(sum(map(len, runs)), basis, shared=len(runs) > 1)
+    basis = _sweep_basis(basis)
     children = []  # (pid, read end of its pipe) of each child not yet read
     try:
         start = len(runs[0])

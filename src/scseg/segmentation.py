@@ -8,7 +8,7 @@ import numpy as np
 
 from .admm import BATCH_BLOCKS, Decomposition, SolverParams, solve_blocks
 from .checks import block_stack, require_counts, require_real
-from .dct import BasisMatrix, build_basis
+from .dct import BasisMatrix, build_basis, dct_vectors
 from .image_io import BlockGrid, stitch, tile
 
 
@@ -85,7 +85,9 @@ def _group_records(group: list, basis: BasisMatrix, cfg: SegmentationConfig):
     for img, grid in group:
         rows = dec.rows(start, start + len(grid.blocks))
         start += len(grid.blocks)
-        block_masks = np.abs(rows.s) > cfg.fg_threshold
+        # |s| > t for t >= 0, NaN included, without a float64 |s| the size of s
+        block_masks = rows.s > cfg.fg_threshold
+        block_masks |= rows.s < -cfg.fg_threshold
         yield SegmentedImage(img, stitch(grid, block_masks), grid, basis, block_masks, rows)
 
 
@@ -100,8 +102,11 @@ def segment_image(img, cfg: SegmentationConfig = SegmentationConfig()) -> np.nda
 # of an exactly smooth 8-bit block is off by under 0.1 gray levels.
 MAX_FIT_CONDITION = 1e12
 
-# Bytes of masked atoms (n*n x k) and normal matrices (k x k) that one batch of
-# fill_background's fits holds; a batch holds at least one block whatever k is.
+# Bytes of one batch of fill_background's per-block arrays: one n*n buffer
+# (the 0/1 background, then the block zeroed under its mask, then its fill),
+# the background's products with P_v (n x V*V) and with P_u and P_v
+# (U*U x V*V), and the normal matrix (k x k); a batch holds at least one
+# block whatever k is.
 FIT_BATCH_BYTES = 1 << 20
 
 
@@ -116,26 +121,49 @@ def fill_background(blocks, masks, basis: BasisMatrix):
     the fit's normal matrix is not positive definite or its condition number
     exceeds MAX_FIT_CONDITION; such a block comes back unchanged, as does one
     with an empty mask. No block's result depends on the others in the call.
+
+    Atom j is the outer product of the 1-D DCT vectors of freq_pairs[j] = (u, v),
+    so no masked copy of the atoms is formed. C_u and C_v hold the vectors of
+    the U vertical frequencies 0 to the largest u and the V horizontal ones 0
+    to the largest v (a zig-zag basis uses each), and P_u and P_v their
+    pairwise products (n x U*U, n x V*V). A block's normal matrix is read off
+    P_u' K P_v (K its 0/1 background), its right-hand side off C_u' F C_v (F
+    the block, zero under its mask), and its fill is C_u Coef C_v', Coef the
+    U x V table of its coefficients, written under its mask only.
     """
     n, k = basis.n, basis.k
     blocks, masks = block_stack("blocks", blocks, n), block_stack("masks", masks, n, bool)
     if len(masks) != len(blocks):
         raise ValueError(f"blocks and masks must hold as many blocks, got {len(blocks)} and {len(masks)}")
-    m, atoms, keep = len(blocks), basis.atoms, ~masks.reshape(-1, n * n)
-    fitted, coef = np.ones(m, dtype=bool), np.zeros((m, k, 1))
+    fitted, filled = np.ones(len(blocks), dtype=bool), blocks.copy()
+    u, v = np.array(basis.freq_pairs).T
+    cu, cv = dct_vectors(range(u.max() + 1), n), dct_vectors(range(v.max() + 1), n)
+    pu, pv = ((c[:, :, None] * c[:, None, :]).reshape(n, -1) for c in (cu, cv))
+    # normal matrix entry (i, j) sits at row (u_i, u_j) and column (v_i, v_j) of P_u' K P_v
+    gram_rows, gram_cols = u[:, None] * cu.shape[1] + u, v[:, None] * cv.shape[1] + v
     holes = np.flatnonzero(masks.any(axis=(1, 2)))
-    step = max(1, FIT_BATCH_BYTES // (8 * k * (n * n + k)))
+    step = max(1, FIT_BATCH_BYTES // (8 * (n * n + (n + pu.shape[1]) * pv.shape[1] + k * k)))
+    # one batch's 0/1 backgrounds, then its blocks zeroed under their masks, then its fills
+    pixels = np.empty((min(step, len(holes)), n, n))
     # Stacked matmul, eigvalsh and solve run block by block, so no block's bits
     # depend on the batch; one 2-D GEMM over many blocks' rows would not.
     for batch in np.split(holes, range(step, len(holes), step)):
-        gram = atoms.T @ np.where(keep[batch, :, None], atoms, 0.0)
-        rhs = np.where(keep[batch], blocks.reshape(m, -1)[batch], 0.0)[:, None] @ atoms
+        part = pixels[: len(batch)]
+        keep = np.logical_not(masks[batch], out=part)
+        gram = (pu.T @ (keep @ pv))[:, gram_rows, gram_cols]
+        ok = keep.sum(axis=(1, 2)) >= k
+        # mode "clip" takes straight into part (batch's indices are all valid); "raise" buffers a copy
+        background = np.take(blocks, batch, axis=0, out=part, mode="clip")
+        np.copyto(background, 0.0, where=masks[batch])
+        rhs = (cu.T @ background @ cv)[:, u, v]
         w = np.linalg.eigvalsh(gram)
-        ok = (keep[batch].sum(axis=1) >= k) & (w[:, 0] > 0) & (w[:, -1] <= MAX_FIT_CONDITION * w[:, 0])
+        ok &= (w[:, 0] > 0) & (w[:, -1] <= MAX_FIT_CONDITION * w[:, 0])
         fitted[batch] = ok
-        coef[batch[ok]] = np.linalg.solve(gram[ok], rhs[ok].swapaxes(1, 2))
-    filled = (atoms @ coef).reshape(m, n, n)
-    np.copyto(filled, blocks, where=~(masks & fitted[:, None, None]))
+        coef = np.zeros((np.count_nonzero(ok), cu.shape[1], cv.shape[1]))
+        coef[:, u, v] = np.linalg.solve(gram[ok], rhs[ok, :, None])[:, :, 0]
+        smooth = np.matmul(cu @ coef, cv.T, out=part[: len(coef)])
+        for i, layer in zip(batch[ok], smooth):
+            np.copyto(filled[i], layer, where=masks[i])
     return filled, fitted
 
 

@@ -23,6 +23,10 @@ each is row 0 of one GEMM with 8 rows (the solver's BATCH_BLOCKS), the other
 rows zero, because a GEMM's row bits depend on its row count but not on the
 other rows; the scaled sweep takes B'x as column 0 of B' X', X the 8 rows,
 as the solver does.
+
+`dense_fill_background` fits each block's background through an (n*n, k)
+masked copy of the dense atoms, the reference the library's separable fit
+(through the atoms' 1-D factors) must agree with.
 """
 
 from __future__ import annotations
@@ -386,3 +390,33 @@ def scaled_solve(f, atoms: np.ndarray, params, steps: int | None = None) -> dict
             float(np.linalg.norm(s - z)),
         ))
     return {"alpha": alpha, "s": s, "iters_run": iters_run, "history": history, "state": state}
+
+
+def dense_fill_background(blocks, masks, basis, batch_bytes: int = 1 << 20):
+    """fill_background through masked copies of the atoms: (filled, fitted), the reference for the separable fit.
+
+    Each batch of blocks with holes forms its (m, n*n, k) masked atoms, their
+    normal matrices and right-hand sides by stacked products with the dense
+    (n*n, k) basis, and the fill is atoms @ coef; batches hold about
+    batch_bytes of masked atoms and normal matrices. The fit decision is the
+    library's, on these normal matrices.
+    """
+    from scseg.segmentation import MAX_FIT_CONDITION
+
+    n, k, atoms = basis.n, basis.k, basis.atoms
+    blocks = np.asarray(blocks, dtype=np.float64).reshape(-1, n, n)
+    masks = np.asarray(masks, dtype=bool).reshape(-1, n, n)
+    m, keep = len(blocks), ~masks.reshape(-1, n * n)
+    fitted, coef = np.ones(m, dtype=bool), np.zeros((m, k, 1))
+    holes = np.flatnonzero(masks.any(axis=(1, 2)))
+    step = max(1, batch_bytes // (8 * k * (n * n + k)))
+    for batch in np.split(holes, range(step, len(holes), step)):
+        gram = atoms.T @ np.where(keep[batch, :, None], atoms, 0.0)
+        rhs = np.where(keep[batch], blocks.reshape(m, -1)[batch], 0.0)[:, None] @ atoms
+        w = np.linalg.eigvalsh(gram)
+        ok = (keep[batch].sum(axis=1) >= k) & (w[:, 0] > 0) & (w[:, -1] <= MAX_FIT_CONDITION * w[:, 0])
+        fitted[batch] = ok
+        coef[batch[ok]] = np.linalg.solve(gram[ok], rhs[ok].swapaxes(1, 2))
+    filled = (atoms @ coef).reshape(m, n, n)
+    np.copyto(filled, blocks, where=~(masks & fitted[:, None, None]))
+    return filled, fitted

@@ -59,9 +59,9 @@ def _solve_in(dtype, blocks, basis, params):
     """
     work = np.empty((admm._WORK_ROWS, BATCH_BLOCKS, basis.n**2), dtype)
     flat = np.reshape(blocks, (len(blocks), -1)).astype(np.float64)
-    out = admm._unfilled(len(flat), basis)
+    out, sweep_basis = admm._unfilled(len(flat), basis), admm._sweep_basis(basis)
     for i in range(0, len(flat), BATCH_BLOCKS):
-        admm._solve_slice(flat[i : i + BATCH_BLOCKS], basis, params, work, out.rows(i, i + BATCH_BLOCKS))
+        admm._solve_slice(flat[i : i + BATCH_BLOCKS], sweep_basis, params, work, out.rows(i, i + BATCH_BLOCKS))
     return out
 
 
@@ -464,7 +464,7 @@ class TestSolveBlocks:
                 with pytest.raises(FloatingPointError, match="iteration 1$"):
                     oracle(huge(peak), basis64.atoms, SolverParams())
             with pytest.raises(DivergenceError, match="non-finite iterate at iteration 1$"):
-                admm._solve_slice(blocks, basis64, SolverParams(), work, admm._unfilled(2, basis64))
+                admm._solve_slice(blocks, admm._sweep_basis(basis64), SolverParams(), work, admm._unfilled(2, basis64))
         with pytest.raises(DivergenceError, match="PIXEL_BOUND"):
             solve_blocks(blocks, basis64)
 
@@ -488,13 +488,13 @@ class TestSolveBlocks:
             if sweeps < 3:
                 assert max(peaks) < largest, sweeps
                 out = admm._unfilled(1, basis8)
-                admm._solve_slice(checker[None], basis8, params, work, out)
+                admm._solve_slice(checker[None], admm._sweep_basis(basis8), params, work, out)
                 _assert_matches_reference(out, [ref])
             else:
                 assert min(peaks) > largest
                 assert state.row_factor.max() == state.col_factor.max() == 1.0
                 with pytest.raises(DivergenceError, match="^row or column sum of squares overflowed float32 at iteration 3$"):
-                    admm._solve_slice(checker[None], basis8, params, work, admm._unfilled(1, basis8))
+                    admm._solve_slice(checker[None], admm._sweep_basis(basis8), params, work, admm._unfilled(1, basis8))
 
     @pytest.mark.parametrize(
         "params", [SolverParams(lambda2=1e-50), SolverParams(rho=1e300)], ids=["lambda2", "rho"]
@@ -542,31 +542,22 @@ class TestSweep:
     """Invariants of the slice sweep on its preallocated work array."""
 
     @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
-    def test_sweep_allocates_no_pixel_sized_array(self, monkeypatch, basis64, regime_blocks, params):
-        # group_factor runs twice a sweep; each call marks the traced memory and
-        # starts a new peak, so the marks cut the sweeps into intervals
-        marks = []
-        real_group_factor = admm.group_factor
-
-        def marking(*args, **kwargs):
-            marks.append(tracemalloc.get_traced_memory())
-            tracemalloc.reset_peak()
-            return real_group_factor(*args, **kwargs)
-
-        monkeypatch.setattr(admm, "group_factor", marking)
+    def test_sweep_allocates_no_pixel_sized_array(self, basis64, regime_blocks, params):
+        # neither the sweeps nor the records: the last sweep keeps y and z in dead work rows,
+        # and the basis is transposed and cast once per solve_blocks call, not per slice
+        sweep_basis = admm._sweep_basis(basis64)
         work = np.empty((admm._WORK_ROWS, BATCH_BLOCKS, basis64.n**2), np.float32)
         flat = np.reshape(regime_blocks[:8], (8, -1))
         out = admm._unfilled(8, basis64)
         tracemalloc.start()
         try:
-            admm._solve_slice(flat, basis64, dataclasses.replace(params, max_iters=4), work, out)
+            admm._solve_slice(flat, sweep_basis, dataclasses.replace(params, max_iters=4), work, out)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(marks) == 8
-        # from sweep 1's second call to sweep 4's first: no interval holds the
-        # last sweep's copies of y and z
-        for (start, _), (_, peak) in zip(marks[1:6], marks[2:7]):
-            assert peak - start < work[0].nbytes, (start, peak)  # below one BATCH_BLOCKS x n*n row
+        # below one BATCH_BLOCKS x n*n row; the largest is the 64 KB buffer numpy casts the
+        # float32 y and z through for the float64 split gaps
+        assert peak < work[0].nbytes, peak
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [64, 16])
@@ -578,13 +569,14 @@ class TestSweep:
         flat = np.concatenate([tile(f, n).blocks for f in regime_blocks[:17]])[:17].reshape(17, -1)
         params = SolverParams(max_iters=10)
         shape = (admm._WORK_ROWS, BATCH_BLOCKS, n * n)
+        sweep_basis = admm._sweep_basis(basis)
         for first, second in ((flat[:8], flat[8:16]), (flat[:8], flat[16:])):
             work = np.empty(shape, dtype)
-            admm._solve_slice(first, basis, params, work, admm._unfilled(len(first), basis))
+            admm._solve_slice(first, sweep_basis, params, work, admm._unfilled(len(first), basis))
             reused = admm._unfilled(len(second), basis)
-            admm._solve_slice(second, basis, params, work, reused)
+            admm._solve_slice(second, sweep_basis, params, work, reused)
             fresh = admm._unfilled(len(second), basis)
-            admm._solve_slice(second, basis, params, np.full(shape, np.nan, dtype), fresh)
+            admm._solve_slice(second, sweep_basis, params, np.full(shape, np.nan, dtype), fresh)
             _assert_same(reused, fresh)
             assert np.array_equal(reused.objective, objective(reused.alpha, reused.s, params))
 
@@ -605,9 +597,9 @@ class TestSweep:
             for offset in (0, 4, 12, 16, 20, 32, 48):
                 work = raw[line + offset : line + offset + size].view(np.float32).reshape(shape)
                 assert work.ctypes.data % 64 == offset
-                out = admm._unfilled(len(flat), basis)
+                out, sweep_basis = admm._unfilled(len(flat), basis), admm._sweep_basis(basis)
                 for i in range(0, len(flat), BATCH_BLOCKS):
-                    admm._solve_slice(flat[i : i + BATCH_BLOCKS], basis, params, work, out.rows(i, i + BATCH_BLOCKS))
+                    admm._solve_slice(flat[i : i + BATCH_BLOCKS], sweep_basis, params, work, out.rows(i, i + BATCH_BLOCKS))
                 _assert_same(out, expected)
 
     @pytest.mark.parametrize("n", [64, 8])
@@ -786,6 +778,28 @@ class TestWorkers:
         _assert_matches_reference(decs, regime_refs[:count])
         slices = -(-count // BATCH_BLOCKS)
         assert len(forks) == max(min(workers, slices) - 1, 0)
+        _assert_no_children()
+
+    def test_sweep_basis_is_made_once_before_any_fork(self, monkeypatch, basis64, regime_stack, serial, cpus, forks):
+        # the caller transposes and casts the basis once, and every process's slices read that
+        # one object (a child's failed check comes back as the call's error)
+        made = []
+        real_sweep_basis, real_solve_slice = admm._sweep_basis, admm._solve_slice
+
+        def recording(basis):
+            made.append((len(forks), real_sweep_basis(basis)))
+            return made[-1][1]
+
+        def reading(flat, basis, params, work, out):
+            if basis is not made[0][1]:
+                raise AssertionError("a slice read a basis of its own")
+            real_solve_slice(flat, basis, params, work, out)
+
+        monkeypatch.setattr(admm, "_sweep_basis", recording)
+        monkeypatch.setattr(admm, "_solve_slice", reading)
+        dec = solve_blocks(regime_stack[:24], basis64, SolverParams(workers=3))
+        assert [forked for forked, _ in made] == [0] and len(forks) == 2
+        _assert_same(dec, serial.rows(0, 24))
         _assert_no_children()
 
     def test_forked_result_is_an_ordinary_decomposition(self, basis64, regime_stack, serial, cpus, forks):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scseg import build_basis
-from scseg.dct import dct_atom, zigzag_order
+from scseg.dct import dct_atom, dct_vectors, zigzag_order
 
 # First ten pairs of the zig-zag walk, enumerated by hand.
 FIRST_TEN = [(0, 0), (0, 1), (1, 0), (2, 0), (1, 1), (0, 2), (0, 3), (1, 2), (2, 1), (3, 0)]
@@ -66,6 +66,31 @@ def test_atom_unit_norm():
 def test_atom_vertical_frequency_layout():
     # varies down the rows, constant along each row, flattened row-major
     np.testing.assert_allclose(dct_atom(1, 0, 2), [0.5, 0.5, -0.5, -0.5], atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 64])
+def test_atom_bits_are_one_frequency_at_a_time(n):
+    # the solver's bits depend on the atoms': each is the outer product of two cosines
+    # computed one frequency at a time, times the product of their two scales, and
+    # build_basis's columns are those atoms
+    grid = np.arange(n)
+    basis = build_basis(n, min(n * n, 40))
+    for j, (u, v) in enumerate(basis.freq_pairs):
+        cu = np.sqrt(1.0 / n) if u == 0 else np.sqrt(2.0 / n)
+        cv = np.sqrt(1.0 / n) if v == 0 else np.sqrt(2.0 / n)
+        rows = np.cos(np.pi * u * (2 * grid + 1) / (2 * n))
+        cols = np.cos(np.pi * v * (2 * grid + 1) / (2 * n))
+        np.testing.assert_array_equal(dct_atom(u, v, n), (cu * cv) * np.outer(rows, cols).ravel())
+        np.testing.assert_array_equal(basis.atoms[:, j], dct_atom(u, v, n))
+
+
+@pytest.mark.parametrize("n", [2, 7, 64])
+def test_vectors_are_the_atoms_factors(n):
+    vectors = dct_vectors(range(n), n)
+    assert vectors.shape == (n, n)
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(n), atol=1e-12)
+    for u, v in zigzag_order(n, min(n * n, 12)):
+        np.testing.assert_allclose(np.outer(vectors[:, u], vectors[:, v]).ravel(), dct_atom(u, v, n), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("u,v", [(-1, 0), (0, 8), (8, 0)])

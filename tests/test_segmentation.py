@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scseg import (
@@ -23,6 +23,8 @@ from scseg import (
 )
 from scseg.image_io import stitch
 from scseg.segmentation import MAX_FIT_CONDITION, assemble_layers
+
+from oracles import dense_fill_background
 
 
 def stripe_block(n=64):
@@ -109,6 +111,18 @@ class TestSegmentBlock:
         zero = SegmentationConfig(fg_threshold=0.0)
         mask, dec = segment_alone(f, zero)
         np.testing.assert_array_equal(mask, dec.s[0] != 0)
+        for t in (1.0, 40.0):
+            mask, dec = segment_alone(f, SegmentationConfig(fg_threshold=t))
+            np.testing.assert_array_equal(mask, np.abs(dec.s[0]) > t)
+            assert mask.any() and not mask.all()
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.5, 1e300])
+    def test_two_sided_mask_equals_magnitude_mask(self, t):
+        # segment_images marks (s > t) | (s < -t), which is |s| > t for every t >= 0 on
+        # signed zeros, values at and beside +-t, NaN and infinities
+        s = np.array([0.0, -0.0, t, -t, np.nextafter(t, np.inf), -np.nextafter(t, np.inf),
+                      np.nextafter(t, 0), -np.nextafter(t, 0), np.nan, -np.nan, np.inf, -np.inf])
+        np.testing.assert_array_equal((s > t) | (s < -t), np.abs(s) > t)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -418,6 +432,108 @@ class TestFillBackground:
         assert peak < 16 * 2**20
         np.testing.assert_array_equal(many, np.tile(filled, (8, 1, 1)))
         np.testing.assert_array_equal(many_fitted, np.tile(fitted, 8))
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        n=st.sampled_from([4, 8, 16]),
+        k_share=st.floats(0, 1),
+        kind=st.sampled_from(["random", "rows", "columns", "corner", "near-full"]),
+        width_share=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=8, k_share=1 / 64, kind="rows", width_share=0.5, seed=1)  # k = 2: one u, two v
+    @example(n=8, k_share=3 / 64, kind="columns", width_share=0.5, seed=2)  # k = 4: three u, two v
+    @example(n=16, k_share=1.0, kind="near-full", width_share=1.0, seed=3)  # k = n*n
+    def test_matches_the_dense_fill(self, n, k_share, kind, width_share, seed):
+        # the separable fit against the masked-atom one it replaced: the same decision, and
+        # fills within a bound that grows with the normal matrix's condition number
+        k = 1 + round(k_share * (n * n - 1))
+        basis = build_basis(n, k)
+        rng = np.random.default_rng(seed)
+        width = 1 + round(width_share * (n - 2))
+        mask = np.ones((n, n), dtype=bool)
+        if kind == "random":
+            mask = rng.random((n, n)) < rng.uniform(0.05, 0.95)
+        elif kind == "rows":
+            mask[:width] = False
+        elif kind == "columns":
+            mask[:, -width:] = False
+        elif kind == "corner":
+            mask[-width:, :width] = False
+        else:  # 0 to k + 3 background pixels
+            mask.flat[rng.choice(n * n, min(n * n, round(width_share * (k + 3))), replace=False)] = False
+        blocks = np.stack([rng.uniform(0, 255, (n, n)), np.where(mask, np.nan, rng.uniform(0, 255, (n, n)))])
+        masks = np.stack([mask, mask])
+        filled, fitted = fill_background(blocks, masks, basis)
+        want, want_fitted = dense_fill_background(blocks, masks, basis)
+        sub = basis.atoms[~mask.ravel()]
+        w = np.linalg.eigvalsh(sub.T @ sub)
+        near_bound = len(sub) >= k and 0.9 < w[-1] / (MAX_FIT_CONDITION * w[0]) < 1.1 if w[0] > 0 else False
+        if not near_bound:  # within rounding of the bound either side may decide
+            np.testing.assert_array_equal(fitted, want_fitted)
+        for block, out, ref, ok, ref_ok in zip(blocks, filled, want, fitted, want_fitted):
+            np.testing.assert_array_equal(out[~mask], block[~mask])
+            if not ok:
+                np.testing.assert_array_equal(out, block)
+            elif ref_ok:
+                tol = 8 * (w[-1] / w[0]) * np.finfo(float).eps * np.linalg.norm(ref)
+                np.testing.assert_allclose(out, ref, rtol=0, atol=tol)
+
+    def test_fitted_matches_the_dense_fill_on_thin_backgrounds(self, basis64, cfg):
+        # 1 to 11 background rows, columns and corner squares, the stripe block and the
+        # masks the solver gives regime blocks: the dense fill's decision on every one
+        rng = np.random.default_rng(109)
+        masks = []
+        for width in range(1, 12):
+            for background in ((slice(0, width), slice(None)), (slice(None), slice(-width, None)),
+                               (slice(0, width), slice(0, width)), (slice(-width, None), slice(-width, None))):
+                mask = np.ones((64, 64), dtype=bool)
+                mask[background] = False
+                masks.append(mask)
+        specs = (SynthSpec(), SynthSpec(stroke_amplitude=10.0), SynthSpec(k_true=15), SynthSpec(diagonal_strokes=True))
+        blocks = [gen_block(dataclasses.replace(spec, seed=seed))[0] for spec in specs for seed in (11, 12)]
+        blocks.append(stripe_block())
+        masks += [segment_alone(f, cfg)[0] for f in blocks]
+        blocks = np.concatenate([rng.uniform(0, 255, (len(masks) - len(blocks), 64, 64)), blocks])
+        filled, fitted = fill_background(blocks, masks, basis64)
+        want, want_fitted = dense_fill_background(blocks, masks, basis64)
+        np.testing.assert_array_equal(fitted, want_fitted)
+        thin = fitted[:44]
+        assert thin.any() and not thin.all() and fitted[-9:-1].all() and not fitted[-1]
+        # the regime blocks' layers round to the same gray levels
+        np.testing.assert_array_equal(np.rint(filled[-9:]), np.rint(want[-9:]))
+
+    @pytest.mark.parametrize("k", [10, 28])
+    def test_ill_conditioned_fits_no_less_accurate_than_dense(self, k):
+        # above condition 1e6 the two fills part; against a QR (lstsq) fit of the kept pixels the
+        # separable one is no further off in median, on rectangles of background at every place
+        # a 16-pixel block can hold them
+        basis = build_basis(16, k)
+        rng = np.random.default_rng(113)
+        separable, dense = [], []
+        for rows in range(1, 17):
+            for cols in range(1, 17):
+                for top in (0, (16 - rows) // 2):
+                    mask = np.ones((16, 16), dtype=bool)
+                    mask[top : top + rows, top * cols // 16 : top * cols // 16 + cols] = False
+                    sub = basis.atoms[~mask.ravel()]
+                    if len(sub) < k or mask.sum() == 0:
+                        continue
+                    w = np.linalg.eigvalsh(sub.T @ sub)
+                    if not 1e6 < w[-1] / w[0] <= MAX_FIT_CONDITION:
+                        continue
+                    f = rng.uniform(0, 255, (16, 16))
+                    (out,), (ok,) = fill_background(f[None], mask[None], basis)
+                    (ref,), (ref_ok,) = dense_fill_background(f[None], mask[None], basis)
+                    if not (ok and ref_ok):
+                        continue
+                    qr = least_squares_holes(f, mask, basis)
+                    separable.append(np.abs(out[mask] - qr).max())
+                    dense.append(np.abs(ref[mask] - qr).max())
+        separable, dense = np.array(separable), np.array(dense)
+        assert len(separable) >= 30
+        assert np.median(separable) <= np.median(dense)
+        assert np.median(separable / dense) < 1
 
     def test_block_results_independent_of_the_stack(self, basis64, cfg):
         # every block, filled at every position of stacks of 2 to 9 blocks that
