@@ -9,7 +9,8 @@ Every step acts per pixel, per row or per column of one block, so blocks are
 solved several at a time as rows of shared arrays, and runs of whole slices
 of them can go to forked processes. Those children write their rows straight
 into the result's arrays, which then live in one anonymous shared mapping,
-and a child's pipe carries only a pickled None, or its error. The sweep runs
+and report by exit status alone: on the error path the caller solves a
+failed child's run again, which raises that run's error. The sweep runs
 in the scaled form of ADMM (Boyd et al. 2011, section 3.1.1) with one
 penalty rho: every dual is stored divided by rho, so rho enters only the
 three shrinkage thresholds.
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import sys
 from dataclasses import dataclass, fields
 
@@ -42,7 +42,6 @@ import numpy as np
 
 from .checks import block_stack, require_counts, require_real
 from .dct import BasisMatrix
-from .prox import group_factor, soft
 
 
 class DivergenceError(RuntimeError):
@@ -179,6 +178,40 @@ def _objective(alpha: np.ndarray, s: np.ndarray, params: SolverParams, scratch: 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """The l2 norm of each row of a 2-D array: the root of the row's dot product, as np.linalg.norm takes it."""
     return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+
+
+def soft(x, lam: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Element-wise soft threshold: sign(x) * max(|x| - lam, 0).
+
+    Computed as x - clip(x, -lam, lam), two passes instead of four, into
+    `out` when given (it must not overlap x). Every nonzero result has the
+    same bits as the sign form; zeros are +0.0. float32 stays float32, with
+    the threshold cast to it; any other input is computed in float64.
+    """
+    if lam < 0:
+        raise ValueError(f"threshold must be nonnegative, got {lam}")
+    x = np.asarray(x)
+    x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+    lam = x.dtype.type(lam)
+    clipped = x.clip(-lam, lam, out=out)
+    return np.subtract(x, clipped, out=clipped)
+
+
+def group_factor(squares: np.ndarray, lam: float) -> np.ndarray:
+    """Block soft-threshold factors (1 - lam/||x||)+ of slices x from their float32 or float64 ||x||**2.
+
+    The factors overwrite `squares` in place, in its dtype, and are returned;
+    a slice x times its factor is its block soft threshold, and a slice whose
+    norm is at or below lam gets factor zero.
+    """
+    if lam < 0:
+        raise ValueError(f"threshold must be nonnegative, got {lam}")
+    lam = squares.dtype.type(lam)
+    if lam == 0:  # also a positive threshold that underflows the dtype
+        return np.greater(squares, 0, out=squares)
+    # lam / lam is exactly 1, so a slice at or below lam gets exactly 0
+    norms = np.maximum(np.sqrt(squares, out=squares), lam, out=squares)
+    return np.subtract(1, np.divide(lam, norms, out=norms), out=norms)
 
 
 # Blocks advanced together in one sweep, and the row count of every basis
@@ -356,64 +389,47 @@ def _solve_forked(runs: list, basis: BasisMatrix, params: SolverParams) -> Decom
     """Solve runs[0] here and every other run in its own forked child; returns all their rows, in order.
 
     The result's arrays live in one anonymous shared mapping, and each child
-    solves its run straight into its rows there. Its pipe carries only a
-    pickled None, or the exception the run raised; it then leaves through
-    os._exit, so it runs none of the caller's cleanup or buffered output. A
-    child that exits without reporting fails the call, whatever rows it
-    wrote. Raises the error of the earliest failing run, which is the one a
-    single process would raise; every child is reaped and every pipe end
-    closed on every path.
+    solves its run straight into its rows there. It reports by exit status
+    alone, through os._exit, so it runs none of the caller's cleanup or
+    buffered output. The caller reaps the children in order. Only on the
+    error path, when a child exits with a status other than 0, does the
+    caller solve that child's run again, into the same rows: a run's sweep
+    gives the same bits in every process, so this raises the error the run
+    raised in the child. If it completes instead, the call fails naming the
+    child's status. So the error raised is the earliest failing run's, the
+    one a single process would raise, and every child is reaped on every path.
     """
     out = _unfilled(sum(map(len, runs)), basis, shared=len(runs) > 1)
     basis = _sweep_basis(basis)
-    children = []  # (pid, read end of its pipe) of each child not yet read
+    children = []  # (pid, run, its rows of out) of each child not yet reaped
     try:
         start = len(runs[0])
         for run in runs[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
+            rows = out.rows(start, start + len(run))
+            start += len(run)
+            pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
-                    os.close(read_fd)
-                    try:
-                        _solve_run(run, basis, params, out.rows(start, start + len(run)))
-                        error = None
-                    except Exception as exc:  # sent to the caller, which raises it
-                        error = exc
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pipe.write(pickle.dumps(error, protocol=pickle.HIGHEST_PROTOCOL))
+                    _solve_run(run, basis, params, rows)
                     status = 0
                 finally:
                     os._exit(status)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-            start += len(run)
+            children.append((pid, run, rows))
         _solve_run(runs[0], basis, params, out.rows(0, len(runs[0])))
         while children:
-            pid, read_fd = children.pop(0)
-            try:
-                with os.fdopen(read_fd, "rb") as src:
-                    data = src.read()
-            finally:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if status != 0 or not data:
+            pid, run, rows = children[0]
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)  # only once reaped, so an interrupted wait still kills and reaps it
+            if status != 0:
+                _solve_run(run, basis, params, rows)
                 raise RuntimeError(f"solver process {pid} exited with status {status} without a result")
-            error = pickle.loads(data)
-            if error is not None:
-                raise error
         return out
     finally:
         if children:
             import signal
 
-            for pid, read_fd in children:
-                os.close(read_fd)
+            for pid, _, _ in children:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 

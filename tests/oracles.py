@@ -6,7 +6,7 @@ a batched normalized-subgradient method on the coefficient vector alone (the
 sparse layer eliminated through the exact-decomposition constraint). Both
 exist so solver results can be checked against an unrelated code path.
 `group_factor_along` is the one helper that calls the library: it feeds
-`scseg.prox.group_factor` the squared slice norms the solver's einsum sums.
+`scseg.admm.group_factor` the squared slice norms the solver's einsum sums.
 
 `reference_solve` is a frozen copy of the one-block-at-a-time ADMM loop in
 its textbook form, with its own shrinkage operators; the batched solver must
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scseg.prox import group_factor
+from scseg.admm import group_factor
 
 SWEEP_DTYPE = np.float32  # the dtype of the solver's sweep
 
@@ -143,7 +143,7 @@ def fused_group_factor(a: np.ndarray, lam: float, axis: int) -> np.ndarray:
 
 
 def group_factor_along(a, lam: float, axis: int) -> np.ndarray:
-    """The library's scseg.prox.group_factor of every slice of `a` along `axis`, keeping the axis.
+    """The library's scseg.admm.group_factor of every slice of `a` along `axis`, keeping the axis.
 
     Its squared norms are slice_squares', so it must equal fused_group_factor
     bit for bit; this is the one helper here that calls the library.

@@ -29,7 +29,7 @@ from scseg import (
 )
 from scseg.cli import main
 from scseg.dct import zigzag_order
-from scseg.prox import soft
+from scseg.admm import soft
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

@@ -727,21 +727,23 @@ def forks(monkeypatch):
     return calls
 
 
-def _index_slices(monkeypatch, fail=(), exit_status=None):
+def _index_slices(monkeypatch, fail=(), exits=None):
     """Replace the slice solver by one that writes each block's first pixel as its objective.
 
     Blocks are filled with their index. A slice whose first block is in
-    `fail` raises; with `exit_status`, a slice solved in a child ends the
-    child without a result.
+    `fail` raises in every process; a child that solves a slice whose first
+    block is a key of `exits` ends with that exit status (negative: killed
+    by that signal), and the caller solves the slice as usual.
     """
     parent = os.getpid()
+    exits = exits or {}
 
     def fake(flat, basis, params, work, out):
         first = int(flat[0][0])
-        if exit_status is not None and os.getpid() != parent:
-            if exit_status < 0:
-                os.kill(os.getpid(), -exit_status)
-            os._exit(exit_status)
+        if first in exits and os.getpid() != parent:
+            if exits[first] < 0:
+                os.kill(os.getpid(), -exits[first])
+            os._exit(exits[first])
         if first in fail:
             raise ValueError(f"slice at block {first}")
         out.objective[:] = flat[:, 0]
@@ -754,7 +756,7 @@ class TestWorkers:
     """solve_blocks with params.workers > 1: runs of slices in forked processes."""
 
     @pytest.fixture(autouse=True)
-    def no_open_pipe_end(self):
+    def no_fd_left_open(self):
         """Every test leaves the process's open file descriptors as it found them."""
         fds = sorted(os.listdir("/proc/self/fd"))
         yield
@@ -863,23 +865,32 @@ class TestWorkers:
         assert len(forks) == children
         _assert_no_children()
 
-    @pytest.mark.parametrize("fail", [{0}, {8}, {16}, {8, 16}, {0, 16}])
+    # each case is (the slices that raise in every process, {slice: the status its child exits with}),
+    # slices named by their first block; the last mixes the two
+    @pytest.mark.parametrize("fail", [({0}, {}), ({8}, {}), ({16}, {}), ({8, 16}, {}), ({0, 16}, {}), ({16}, {8: 3})])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_raises_error_of_earliest_failing_slice(self, monkeypatch, cpus, workers, fail):
-        blocks = _index_slices(monkeypatch, fail=fail)
-        with pytest.raises(ValueError, match=f"^slice at block {min(fail)}$"):
+        raising, exits = fail
+        blocks = _index_slices(monkeypatch, fail=raising, exits=exits)
+        if exits and workers == 3:
+            # slice 8 is a run of its own, which the caller solves again without an error
+            error, message = RuntimeError, "exited with status 3 without a result$"
+        else:
+            # at workers 2 slices 8 and 16 are one run, which raises at 16 when the caller solves it again
+            error, message = ValueError, f"^slice at block {min(raising)}$"
+        with pytest.raises(error, match=message):
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=workers))
         _assert_no_children()
 
     @pytest.mark.parametrize("status", [3, -signal.SIGKILL])
     def test_child_without_result_names_its_exit_status(self, monkeypatch, cpus, status):
-        blocks = _index_slices(monkeypatch, exit_status=status)
+        blocks = _index_slices(monkeypatch, exits={8: status})
         with pytest.raises(RuntimeError, match=f"exited with status {status} without a result"):
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
         _assert_no_children()
 
-    def test_child_error_that_cannot_be_pickled_names_exit_status_1(self, monkeypatch, cpus):
-        # the child's run raises, but its error holds a lambda, so the child sends nothing and exits 1
+    def test_run_failing_only_in_its_child_names_exit_status_1(self, monkeypatch, cpus):
+        # the child's run raises and the child exits 1; solved again in the caller, the run completes
         blocks = _index_slices(monkeypatch)
         parent, index_slice = os.getpid(), admm._solve_slice
 
@@ -891,6 +902,43 @@ class TestWorkers:
         monkeypatch.setattr(admm, "_solve_slice", fake)
         with pytest.raises(RuntimeError, match="exited with status 1 without a result"):
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
+        _assert_no_children()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_error_that_cannot_be_pickled_reaches_the_caller(self, monkeypatch, cpus, forks, workers):
+        # slice 8's run raises an error holding a lambda in every process: the caller raises it itself
+        blocks = _index_slices(monkeypatch)
+        index_slice = admm._solve_slice
+
+        def fake(flat, basis, params, work, out):
+            if flat[0][0] == 8:
+                raise ValueError(lambda: None)
+            index_slice(flat, basis, params, work, out)
+
+        monkeypatch.setattr(admm, "_solve_slice", fake)
+        with pytest.raises(ValueError) as err:
+            solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=workers))
+        assert len(err.value.args) == 1 and callable(err.value.args[0])
+        assert len(forks) == workers - 1
+        _assert_no_children()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_interrupted_wait_kills_and_reaps_the_children(self, monkeypatch, cpus, forks, workers):
+        # the caller's first wait is interrupted before it reaps a child; no child is left behind
+        blocks = _index_slices(monkeypatch)
+        real_waitpid = os.waitpid
+        calls = []
+
+        def waitpid(pid, options):
+            calls.append(pid)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return real_waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        with pytest.raises(KeyboardInterrupt):
+            solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=workers))
+        assert len(forks) == workers - 1 and len(calls) == workers
         _assert_no_children()
 
     def test_child_killed_before_reporting_names_its_exit_status(self, monkeypatch, cpus):
@@ -934,7 +982,7 @@ class TestWorkers:
         assert err.value.errno == errno.EAGAIN
         assert len(calls) == 2
         _assert_no_children()  # the first child is killed and reaped
-        assert sorted(os.listdir("/proc/self/fd")) == fds  # no pipe end is left open
+        assert sorted(os.listdir("/proc/self/fd")) == fds  # no file descriptor is left open
 
     def test_process_count_clamp(self, monkeypatch, cpus):
         cpus(2)

@@ -63,7 +63,7 @@ VERBOSE_FIELDS = {
 
 def test_segment_workers_identical(dataset, tmp_path, eight_cpus, capsys):
     # 16-pixel blocks: 16 blocks, two slices, so a second process runs;
-    # --verbose prints every block's diagnostics, half of them sent back through the pipe
+    # --verbose prints every block's diagnostics, half of them written by the child
     base = ["segment", "--input", str(dataset / "block_0002.pgm"), "--block", "16", "--verbose"]
     outputs = {}
     for w in ("1", "2", "4"):
@@ -97,7 +97,7 @@ def test_solver_process_dying_is_runtime_error(dataset, tmp_path, eight_cpus, mo
     assert rc == 2
     assert "exited with status 5 without a result" in capsys.readouterr().err
     assert not (tmp_path / "m.pbm").exists()
-    assert sorted(os.listdir("/proc/self/fd")) == fds  # no pipe end is left open
+    assert sorted(os.listdir("/proc/self/fd")) == fds  # no file descriptor is left open
 
 
 def test_segment_huge_threshold_empty_mask(dataset, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import fused_group_factor, group_factor_along, reference_group_soft
-from scseg.prox import soft
+from scseg.admm import soft
 
 
 def group_soft(a, lam, axis):
