@@ -17,11 +17,17 @@ three shrinkage thresholds.
 A sweep needs two products with the basis, B'W1 and B alpha. Each runs as
 one GEMM of BATCH_BLOCKS rows, zero-padded when a slice is short: the shape
 never changes, so a block's bits do not depend on its row or on the blocks
-beside it. Besides those, a sweep makes 18 passes over the pixel rows: seven
-for the sparse layer (one a multiply by 1/3), and for each of the row and
-column groups one fused sum of squares, one broadcast multiply by the
-shrinkage factor and three (rows) or four (columns) plain passes. The
-divergence check adds none: it reads alpha and the groups' sums of squares.
+beside it. Each sweep is one fixed list of numpy calls: the two GEMMs, two
+einsums, soft twice, group_factor once, and plain ufuncs. Every call writes
+into arrays made once per slice (the work rows and their (m, n, n) views,
+the length-k iterates and temporaries, both B'W1 products, and one (2, m, n)
+array of sums of squares), so no array is made per sweep. Given s, the row
+and column groups are independent: their sums of squares share that array,
+so one group_factor call and one max reduce serve both. The list makes 18
+passes over the pixel rows: seven for the sparse layer (one a multiply by
+1/3), and for each group one fused sum of squares, one broadcast multiply by
+its factors and three (rows) or four (columns) plain passes. The divergence
+check adds none: it reads alpha and the largest sum of squares.
 The work array those passes run over starts on a 64-byte cache line: where
 np.empty put it 16 or 48 bytes past one, a 16-block solve of 64-pixel blocks
 took about 10% longer (3.5% at 32 bytes; 2-core x86 host), with the same bits.
@@ -282,58 +288,73 @@ def _solve_slice(flat: np.ndarray, basis: _SweepBasis, params: SolverParams, wor
     # (2-core x86 host, OpenBLAS, one thread).
     m, dtype = len(flat), work.dtype.type
     atoms_t = basis.atoms_t32 if dtype is np.float32 else basis.atoms_t
+    k, last = len(atoms_t), params.max_iters
     work[:, m:] = 0.0
     rows = work[:, :m]
     rows[0] = flat
     rows[1:6] = 0.0  # s, W1, V1, V2 and U start at zero
     f, s, w1, v1, v2, u, tmp = rows
     cube = (m, basis.n, basis.n)
+    f3, w13, v13, v23, u3, tmp3 = (row.reshape(cube) for row in (f, w1, v1, v2, u, tmp))
+    w1_t, smooth = work[2].T, work[6]  # W1 and B alpha of all BATCH_BLOCKS rows, for the GEMMs
     coef_lam, sparse_lam, group_lam = (dtype(lam / params.rho) for lam in (1.0, params.lambda1, params.lambda2))
     two, third = dtype(2.0), dtype(1.0 / 3.0)
-    alpha = np.zeros((BATCH_BLOCKS, len(atoms_t)), dtype)
-    beta = np.zeros_like(alpha)
-    w2 = np.zeros_like(alpha)
-    # B'W1 of the previous sweep; from zero W1 this start gives sweep 1 its B'f
-    g = -(atoms_t @ work[0].T).T
+    # alpha, beta, W2 and the alpha step's two temporaries, one (BATCH_BLOCKS, k) array each
+    alpha, beta, w2, t1, t2 = np.zeros((5, BATCH_BLOCKS, k), dtype)
+    finite = np.empty(alpha.shape, bool)
+    # B'W1 of this sweep and of the last: two (k, BATCH_BLOCKS) GEMM products, each paired
+    # with its (BATCH_BLOCKS, k) transpose, which the alpha step reads; they swap every sweep
+    g, g_prev = ((product, product.T) for product in np.empty((2, k, BATCH_BLOCKS), dtype))
+    # every row's (0) and every column's (1) sum of squares, then group_factor's factors in place
+    squares = np.empty((2, m, basis.n), dtype)
+    row_squares, col_squares = squares
+    row_factor, col_factor = row_squares[:, :, None], col_squares[:, None, :]
+    # from zero W1 this start gives sweep 1 its B'f
+    np.negative(np.matmul(atoms_t, work[0].T, out=g[0]), out=g[0])
 
-    for it in range(1, params.max_iters + 1):
+    for it in range(1, last + 1):
         # B'B = I, so alpha = (B'W1 - W2 + beta + B'(f - s)) / 2; the last W1
         # update added f - B alpha - s, so B'(f - s) is g - g_prev + alpha_prev.
-        g_prev, g = g, (atoms_t @ work[2].T).T
-        alpha = (g - w2 + beta + (g - g_prev + alpha)) / two
-        beta = soft(alpha + w2, coef_lam)
-        w2 = w2 + (alpha - beta)
+        g_prev, g = g, g_prev
+        np.matmul(atoms_t, w1_t, out=g[0])
+        np.add(np.subtract(g[1], g_prev[1], out=t2), alpha, out=alpha)
+        np.add(np.add(np.subtract(g[1], w2, out=t1), beta, out=t1), alpha, out=alpha)
+        np.divide(alpha, two, out=alpha)
+        soft(np.add(alpha, w2, out=t1), coef_lam, out=beta)
+        w2 += np.subtract(alpha, beta, out=t1)
 
         # q = W1 + f - B alpha in W1, s = soft(q + U, lambda1/rho) / 3, and the dual step W1 = q - s
-        np.matmul(alpha, atoms_t, out=work[6])
+        np.matmul(alpha, atoms_t, out=smooth)
         w1 += np.subtract(f, tmp, out=tmp)
         np.add(w1, u, out=s)
         np.multiply(soft(s, sparse_lam, out=tmp), third, out=s)
         w1 -= s
 
-        # rows: T = s + V1 in V1's row (the old V1 is dead once T is formed), y = c T,
-        # c the row factor, in U's row (U is dead since s); the dual step V1 += s - y
-        # is then V1 = T - y, and U's share is y - V1. Columns: the same, z in tmp. The
-        # last sweep puts y in f's row and z in W1's, which the records read. The
-        # divergence check reads the largest sum of squares of each.
-        y_row, z_row = (f, w1) if it == params.max_iters else (u, tmp)
-        t = np.add(v1, s, out=v1).reshape(cube)
-        squares = np.einsum("ijk,ijk->ij", t, t)
-        row_peak = squares.max()
-        t -= np.multiply(t, group_factor(squares, group_lam)[:, :, None], out=y_row.reshape(cube))
-        np.subtract(y_row, v1, out=u)
-        t = np.add(v2, s, out=v2).reshape(cube)
-        squares = np.einsum("ijk,ijk->ik", t, t)
-        col_peak = squares.max()
-        t -= np.multiply(t, group_factor(squares, group_lam)[:, None, :], out=z_row.reshape(cube))
-        u += np.subtract(z_row, v2, out=tmp)
+        # Given s the two groups are independent. T = s + V in V's row (the old V is dead once
+        # T is formed), for the rows (V1) and the columns (V2); one group_factor call turns both
+        # groups' sums of squares into their factors c, and the divergence check reads the
+        # largest sum. y = c T goes to U's row (U is dead since s), the dual step V += s - y
+        # is then V = T - y, and U's share is y - V; columns the same, with z in tmp. The last
+        # sweep puts y in f's row and z in W1's, which the records read.
+        y3, z3 = (f3, w13) if it == last else (u3, tmp3)
+        np.add(v1, s, out=v1)
+        np.add(v2, s, out=v2)
+        np.einsum("ijk,ijk->ij", v13, v13, out=row_squares)
+        np.einsum("ijk,ijk->ik", v23, v23, out=col_squares)
+        peak = squares.max()
+        group_factor(squares, group_lam)
+        v13 -= np.multiply(v13, row_factor, out=y3)
+        np.subtract(y3, v13, out=u3)
+        v23 -= np.multiply(v23, col_factor, out=z3)
+        u3 += np.subtract(z3, v23, out=tmp3)
 
-        if not (np.isfinite(alpha).all() and math.isfinite(row_peak) and math.isfinite(col_peak)):
+        if not (np.isfinite(alpha, out=finite).all() and math.isfinite(peak)):
             # only the raise path looks at the pixel iterates: a finite sweep overflowed a sum
             if np.isfinite(alpha).all() and np.isfinite(rows[1:6]).all():
                 raise DivergenceError(f"row or column sum of squares overflowed float32 at iteration {it}")
             raise DivergenceError(f"non-finite iterate at iteration {it}")
 
+    y_row, z_row = f, w1  # where the last sweep left y and z
     # the records in float64, in the dead rows 2 to 5 seen as two float64 BATCH_BLOCKS x n*n
     # arrays: the split gaps in the second while z is still in row 2, then the objective's |s|
     # and s * s in the first and B alpha in the second. B alpha is again one BATCH_BLOCKS-row

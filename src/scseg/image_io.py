@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -172,19 +171,20 @@ def load_mask(path) -> np.ndarray:
 def atomic_write_bytes(path, payload: bytes) -> None:
     """Write a file atomically (temp file + rename in the target directory).
 
-    An OSError names `path`, not the temp file, and keeps its errno.
+    The file gets mode 0o666 less the process umask, which the kernel applies
+    when the temp file is created. An OSError names `path`, not the temp file,
+    and keeps its errno.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        # a random name; O_EXCL refuses one that is taken
+        name = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
+        tmp = name
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
-        # mkstemp creates 0600 files; give the final file normal umask perms
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:

@@ -61,7 +61,9 @@ def gen_block(spec: SynthSpec):
 
     The smooth layer is an exact combination of the first k_true zig-zag
     atoms; the block adds stroke_amplitude on the stroke support and clips to
-    [0, 255]. The spec's stroke budget keeps the truth within max_fg_fraction.
+    [0, 255]. The truth is the stroke pixels where the block differs from the
+    smooth layer clipped to [0, 255]. The spec's stroke budget keeps the truth
+    within max_fg_fraction.
     """
     return _gen_block(spec, build_basis(spec.n, spec.k_true))
 
@@ -98,8 +100,9 @@ def _gen_block(spec: SynthSpec, basis):
             support[r0 : r0 + length, c0 : c0 + thickness] = True
 
     f = np.clip(smooth + spec.stroke_amplitude * support, 0.0, 255.0)
-    # Saturation can erase a stroke pixel; drop it from the truth, it is invisible.
-    truth = support & (f != smooth)
+    # Saturation can erase a stroke pixel, also where the smooth layer is itself
+    # clipped: where f equals the clipped layer the stroke is invisible, not truth.
+    truth = support & (f != np.clip(smooth, 0.0, 255.0))
     return f, truth, smooth
 
 

@@ -376,6 +376,17 @@ class TestSolveBlocks:
         refs = [scaled_solve(f, basis8.atoms, params) for f in blocks]
         _assert_matches_reference(solve_blocks(blocks, basis8, params), refs)
 
+    @pytest.mark.parametrize("params", PENALTY_CASES.values(), ids=PENALTY_CASES)
+    @pytest.mark.parametrize("n, k, count", [(3, 2, 17), (5, 3, 11), (7, 6, 9)], ids=["side3", "side5", "side7"])
+    def test_bit_identical_on_odd_block_sides(self, params, n, k, count):
+        # odd sides put the work rows off the 64-byte line and give the rows' and columns'
+        # stacked sums of squares an odd last axis; each count ends in a short slice
+        basis = build_basis(n, k)
+        blocks = np.random.default_rng(61).uniform(0, 255, (count, n * n))
+        refs = [scaled_solve(f, basis.atoms, params) for f in blocks]
+        _assert_matches_reference(solve_blocks(blocks, basis, params), refs)
+        _assert_residuals_match_history(blocks, basis, params, (1, params.max_iters))
+
     @settings(deadline=None, max_examples=30)
     @given(
         blocks=arrays(np.float64, st.tuples(st.integers(0, 20), st.just(64)), elements=st.floats(0, 255)),

@@ -331,6 +331,25 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     assert old.read_bytes() == b"old bytes"
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_written_file_takes_the_umask_without_changing_it(tmp_path, monkeypatch):
+    # the kernel applies the umask when the file is created: the process umask is neither read
+    # nor set, so a file another thread creates meanwhile keeps its own umask
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    previous = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", no_umask)
+            atomic_write_bytes(tmp_path / "f", b"payload")
+    finally:
+        os.umask(previous)
+    assert os.stat(tmp_path / "f").st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["f"]
+    assert (tmp_path / "f").read_bytes() == b"payload"
+
+
 @pytest.mark.parametrize(
     "call",
     [lambda a, path: save_mask(a, path), lambda a, path: save_gray(a, path), lambda a, path: tile(a, 2)],

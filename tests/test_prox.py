@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import fused_group_factor, group_factor_along, reference_group_soft
-from scseg.admm import soft
+from scseg.admm import group_factor, soft
 
 
 def group_soft(a, lam, axis):
@@ -197,3 +197,19 @@ def test_float32_input_stays_float32():
     for x in (np.arange(4), np.arange(4, dtype=np.float16), [1.0, 2.0, 3.0, 4.0]):
         assert soft(x, 0.5).dtype == np.float64
         assert group_factor_along(np.reshape(x, (2, 2)), 0.5, 1).dtype == np.float64
+
+
+@pytest.mark.parametrize("lam", [2.0, 1e-50], ids=["positive", "underflows"])
+def test_group_factor_of_a_stack_equals_separate_calls(lam):
+    # the sweep takes both groups' factors in one call on its (2, m, n) float32 sums of squares,
+    # and reads them in place; 1e-50 rounds to 0 in float32, where a zero slice gets factor 0
+    squares = np.random.default_rng(43).uniform(0, 5, (2, 5, 7)).astype(np.float32) ** 2
+    squares[0, 1] = 0.0
+    squares[1, :, 3] = 0.0
+    squares[:, 2, 4] = np.float32(4.0)  # norm 2, exactly the positive threshold: factor 0
+    separate = np.stack([group_factor(part.copy(), lam) for part in squares])
+    stacked = squares.copy()
+    assert group_factor(stacked, lam) is stacked
+    assert stacked.dtype == np.float32
+    assert np.array_equal(stacked.view(np.uint32), separate.view(np.uint32))
+    assert np.isfinite(stacked).all() and (stacked[0, 1] == 0).all() and (stacked[1, :, 3] == 0).all()

@@ -45,6 +45,16 @@ def test_truth_within_visible_difference():
         assert not (truth & (f == smooth)).any()
 
 
+def test_no_truth_where_the_smooth_layer_saturates():
+    # at alpha_range 5000 the smooth layer runs far outside [0, 255]: a stroke on a pixel whose
+    # layer is clipped can leave the block equal to the clipped layer, invisible, so not truth
+    f, truth, smooth = gen_block(SynthSpec(alpha_range=5000, seed=0))
+    clipped = np.clip(smooth, 0.0, 255.0)
+    assert truth.any()
+    assert not (truth & (f == clipped)).any()
+    np.testing.assert_array_equal(truth, f != clipped)
+
+
 def test_smooth_layer_in_basis_span():
     spec = SynthSpec(k_true=6, stroke_count=0, seed=13)
     _, _, smooth = gen_block(spec)
