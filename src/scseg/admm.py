@@ -6,11 +6,17 @@ minimizes ||a||_1 + lambda1 ||s||_1 + lambda2 * (sum of row norms of s +
 sum of column norms of s) subject to the exact decomposition, using one
 splitting variable per penalty term and dual ascent on the constraints.
 Every step acts per pixel, per row or per column of one block, so blocks are
-solved several at a time as rows of shared arrays, and runs of whole slices
-of them can go to forked processes. Those children write their rows straight
-into the result's arrays, which then live in one anonymous shared mapping,
-and report by exit status alone: on the error path the caller solves a
-failed child's run again, which raises that run's error. The sweep runs
+solved several at a time as rows of shared arrays, and whole slices of them
+can go to solver children: processes forked by the first call that needs
+them, which then serve every later call until the process ends. Each child
+owns one anonymous shared slot with room for two slices. For each slice the
+caller writes the blocks into a free half of it (and, first in each call,
+the call's sweep basis and params into the rest) and one byte to the
+child's job pipe; the child solves the slice into that half's record rows
+and writes the byte back, and the caller copies the rows into its own
+result. A child whose slice raises exits with status 1, and the caller then
+solves the call again itself, which raises the earliest failing slice's
+error. The sweep runs
 in the scaled form of ADMM (Boyd et al. 2011, section 3.1.1) with one
 penalty rho: every dual is stored divided by rho, so rho enters only the
 three shrinkage thresholds.
@@ -39,9 +45,11 @@ PIXEL_BOUND, so no input within it can overflow float32's range.
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -64,6 +72,9 @@ class DivergenceError(RuntimeError):
 # raises DivergenceError at its sweep, where its factor would otherwise read
 # 1. 16-bit samples stay below 2**16.
 PIXEL_BOUND = 2.0**40
+
+# float32's largest value, as a Python float
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -93,10 +104,9 @@ class SolverParams:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         # the largest shrinkage threshold, held in float32 by the sweep; Python floats
         # overflow to inf without a warning, and inf fails the comparison too
-        limit = float(np.finfo(np.float32).max)
-        if not float(max(1.0, self.lambda1, self.lambda2)) / float(self.rho) <= limit:
+        if not float(max(1.0, self.lambda1, self.lambda2)) / float(self.rho) <= _FLOAT32_MAX:
             raise ValueError(
-                f"rho {self.rho} is too small: 1/rho, lambda1/rho or lambda2/rho exceeds float32's {limit:.4g}"
+                f"rho {self.rho} is too small: 1/rho, lambda1/rho or lambda2/rho exceeds float32's {_FLOAT32_MAX:.4g}"
             )
 
 
@@ -130,21 +140,14 @@ class Decomposition:
         return Decomposition(*(getattr(self, f.name)[start:stop] for f in fields(self)))
 
 
-def _unfilled(m: int, basis: BasisMatrix, shared: bool = False) -> Decomposition:
-    """A Decomposition of m blocks whose arrays the solver has yet to fill.
+def _record_shapes(m: int, n: int, k: int) -> tuple:
+    """The shapes of a Decomposition's five fields for m blocks of side n and k atoms, in field order."""
+    return (m, k), (m, n, n), (m,), (m, 3), (m,)
 
-    shared puts the five arrays in one anonymous shared mapping, which processes
-    forked afterwards write into; it must hold at least one value.
-    """
-    n, k = basis.n, basis.k
-    shapes = ((m, k), (m, n, n), (m,), (m, 3), (m,))
-    if not shared:
-        return Decomposition(*(np.empty(shape) for shape in shapes))
-    import mmap  # only a forked solve needs it, so importing scseg does not load it
 
-    sizes = [math.prod(shape) for shape in shapes]
-    parts = np.split(np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), np.float64), np.cumsum(sizes)[:-1])
-    return Decomposition(*(part.reshape(shape) for part, shape in zip(parts, shapes)))
+def _unfilled(m: int, basis: BasisMatrix) -> Decomposition:
+    """A Decomposition of m blocks whose arrays the solver has yet to fill."""
+    return Decomposition(*(np.empty(shape) for shape in _record_shapes(m, basis.n, basis.k)))
 
 
 def group_norm(s) -> float:
@@ -192,9 +195,10 @@ def soft(x, lam: float, out: np.ndarray | None = None) -> np.ndarray:
     Computed as x - clip(x, -lam, lam), two passes instead of four, into
     `out` when given (it must not overlap x). Every nonzero result has the
     same bits as the sign form; zeros are +0.0. float32 stays float32, with
-    the threshold cast to it; any other input is computed in float64.
+    the threshold cast to it; any other input is computed in float64. A
+    negative or NaN threshold is a ValueError.
     """
-    if lam < 0:
+    if not lam >= 0:  # NaN fails the comparison too
         raise ValueError(f"threshold must be nonnegative, got {lam}")
     x = np.asarray(x)
     x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
@@ -208,10 +212,17 @@ def group_factor(squares: np.ndarray, lam: float) -> np.ndarray:
 
     The factors overwrite `squares` in place, in its dtype, and are returned;
     a slice x times its factor is its block soft threshold, and a slice whose
-    norm is at or below lam gets factor zero.
+    norm is at or below lam gets factor zero, so a threshold that is infinite
+    in that dtype gives every slice factor zero. A negative or NaN threshold
+    is a ValueError.
     """
-    if lam < 0:
+    if not lam >= 0:  # NaN fails the comparison too
         raise ValueError(f"threshold must be nonnegative, got {lam}")
+    if lam > _FLOAT32_MAX and (lam == np.inf or squares.dtype == np.float32):
+        # infinite in the dtype, where lam / lam would be NaN; a threshold between float32's
+        # largest value and the first that rounds to inf gives factor zero in the path below too
+        squares.fill(0)
+        return squares
     lam = squares.dtype.type(lam)
     if lam == 0:  # also a positive threshold that underflows the dtype
         return np.greater(squares, 0, out=squares)
@@ -248,9 +259,9 @@ _WORK_ROWS = 7
 class _SweepBasis:
     """The basis as the sweep reads it: B' as a C-contiguous float64 (k, n*n) array and its float32 cast.
 
-    solve_blocks makes one per call, before it forks, so every process reads
-    the caller's pages. alpha @ B' runs 2x faster on C order than on the
-    transpose of the (n*n, k) atoms.
+    solve_blocks makes one per call, and a call that uses solver children
+    copies it into each one's slot. alpha @ B' runs 2x faster on C order than
+    on the transpose of the (n*n, k) atoms.
     """
 
     n: int
@@ -406,53 +417,280 @@ def _process_count(workers: int, slices: int) -> int:
     return min(workers, len(os.sched_getaffinity(0)), slices)
 
 
-def _solve_forked(runs: list, basis: BasisMatrix, params: SolverParams) -> Decomposition:
-    """Solve runs[0] here and every other run in its own forked child; returns all their rows, in order.
+# The solver children: forked by the first call that needs them, kept until the process
+# ends. A call hands its slices to the first processes - 1 of them; the lock makes calls
+# from several threads take turns.
+_pool: list = []
+_pool_lock = threading.Lock()
 
-    The result's arrays live in one anonymous shared mapping, and each child
-    solves its run straight into its rows there. It reports by exit status
-    alone, through os._exit, so it runs none of the caller's cleanup or
-    buffered output. The caller reaps the children in order. Only on the
-    error path, when a child exits with a status other than 0, does the
-    caller solve that child's run again, into the same rows: a run's sweep
-    gives the same bits in every process, so this raises the error the run
-    raised in the child. If it completes instead, the call fails naming the
-    child's status. So the error raised is the earliest failing run's, the
-    one a single process would raise, and every child is reaped on every path.
+# Slices a child holds at once, each in a region of its slot: it starts on the second as
+# soon as it has solved the first, while the caller, busy with a slice of its own, has yet
+# to copy the first out and send the next.
+_REGIONS = 2
+
+# float64 values at the start of a slot: each region's block count m, then n, k and the
+# length of the pickled params
+_HEADER = _REGIONS + 3
+
+
+def _slot_layout(n: int, k: int) -> tuple[list, int]:
+    """Where a slot keeps its arrays for blocks of side n and k atoms: (offset, shape, dtype) of each, and their end.
+
+    In order, each from a 64-byte boundary: the header, B' in float64 and in
+    float32, then for each region one slice's blocks and the five record
+    fields of BATCH_BLOCKS rows. The pickled params follow from the end.
     """
-    out = _unfilled(sum(map(len, runs)), basis, shared=len(runs) > 1)
-    basis = _sweep_basis(basis)
-    children = []  # (pid, run, its rows of out) of each child not yet reaped
-    try:
-        start = len(runs[0])
-        for run in runs[1:]:
-            rows = out.rows(start, start + len(run))
-            start += len(run)
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    _solve_run(run, basis, params, rows)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children.append((pid, run, rows))
-        _solve_run(runs[0], basis, params, out.rows(0, len(runs[0])))
-        while children:
-            pid, run, rows = children[0]
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)  # only once reaped, so an interrupted wait still kills and reaps it
-            if status != 0:
-                _solve_run(run, basis, params, rows)
-                raise RuntimeError(f"solver process {pid} exited with status {status} without a result")
-        return out
-    finally:
-        if children:
-            import signal
+    nn, parts, end = n * n, [], 0
+    region = [((BATCH_BLOCKS, nn), np.float64)] + [(shape, np.float64) for shape in _record_shapes(BATCH_BLOCKS, n, k)]
+    for shape, dtype in [((_HEADER,), np.float64), ((k, nn), np.float64), ((k, nn), np.float32)] + region * _REGIONS:
+        parts.append((end, shape, dtype))
+        end += -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+    return parts, end
 
-            for pid, _, _ in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+
+def _slot_views(slot, n: int, k: int) -> tuple:
+    """Views of a slot laid out by _slot_layout(n, k), and the params' offset.
+
+    The views are the header, B' and its float32 cast, and each region's
+    blocks and records (a Decomposition of BATCH_BLOCKS rows).
+    """
+    parts, end = _slot_layout(n, k)
+    header, atoms_t, atoms_t32, *rest = (
+        np.frombuffer(slot, dtype, math.prod(shape), offset).reshape(shape) for offset, shape, dtype in parts
+    )
+    per = 1 + len(fields(Decomposition))  # a region's blocks and record fields
+    regions = [(rest[i], Decomposition(*rest[i + 1 : i + per])) for i in range(0, len(rest), per)]
+    return header, atoms_t, atoms_t32, regions, end
+
+
+def _serve(slot, jobs: int, done: int) -> None:
+    """A child's loop: for each byte read from `jobs`, solve the slice in the region it names, then write it to `done`.
+
+    Returns on EOF, once every write end of `jobs` is closed.
+    """
+    import pickle
+
+    work = None
+    while job := os.read(jobs, 1):
+        header = np.frombuffer(slot, np.float64, _HEADER)
+        n, k, length = (int(value) for value in header[_REGIONS:])
+        m = int(header[job[0]])
+        _, atoms_t, atoms_t32, regions, end = _slot_views(slot, n, k)
+        blocks, records = regions[job[0]]
+        if work is None or work.shape[2] != n * n:
+            work = _aligned_work(n)
+        params = pickle.loads(slot[end : end + length])
+        _solve_slice(blocks[:m], _SweepBasis(n, atoms_t, atoms_t32), params, work, records.rows(0, m))
+        os.write(done, job)
+
+
+class _Child:
+    """A solver child: its pid, the caller's ends of its job and reply pipes, and its shared slot of `size` bytes.
+
+    It is forked when made, ignores SIGINT, closes every file descriptor but
+    its ends of the two pipes, and runs _serve until its job pipe reaches
+    EOF; then, or when a slice raises, it leaves through
+    os._exit (status 0 or 1), so it runs none of the caller's cleanup or
+    buffered output. `running` maps each region it holds a slice in to the
+    slice's first block.
+    """
+
+    def __init__(self, size: int):
+        import mmap  # only a call that forks needs it, so importing scseg does not load it
+
+        self.size, self.slot, self.running = size, mmap.mmap(-1, size), {}
+        fds = os.pipe()
+        try:
+            fds += os.pipe()
+            self.pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        jobs, self.jobs, self.done, done = fds
+        if self.pid == 0:
+            status = 1
+            try:
+                import signal
+
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                # keep only its own two ends: a pipe the caller has open would otherwise see
+                # no EOF while this child lives, after the caller closes it
+                low, high = sorted((jobs, done))
+                os.closerange(0, low)
+                os.closerange(low + 1, high)
+                os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+                _serve(self.slot, jobs, done)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(jobs)
+        os.close(done)
+        self.open = True
+
+    def load(self, basis: _SweepBasis, params: bytes) -> None:
+        """Write a call's sweep basis and pickled params into the slot, and keep views of its header and regions."""
+        k = len(basis.atoms_t)
+        self.header, atoms_t, atoms_t32, self.regions, end = _slot_views(self.slot, basis.n, k)
+        self.header[_REGIONS:] = basis.n, k, len(params)
+        atoms_t[:] = basis.atoms_t
+        atoms_t32[:] = basis.atoms_t32
+        self.slot[end : end + len(params)] = params
+
+    def send(self, start: int, flat: np.ndarray) -> None:
+        """Write the slice of flat from block `start` into a free region, and queue the child's job on it."""
+        region = min(set(range(_REGIONS)) - set(self.running))
+        rows = flat[start : start + BATCH_BLOCKS]
+        self.header[region] = len(rows)
+        self.regions[region][0][: len(rows)] = rows
+        self.running[region] = start
+        try:
+            os.write(self.jobs, bytes([region]))
+        except BrokenPipeError:
+            pass  # the child has exited; receive() reaps it and returns its status
+
+    def receive(self, out: Decomposition) -> int | None:
+        """Copy each slice the child reports solved into out's rows, and return None.
+
+        If the child exited instead, returns its exit status, once reaped.
+        """
+        replies = os.read(self.done, _REGIONS)
+        if not replies:
+            return self.reap()
+        for region in replies:
+            start = self.running.pop(region)
+            rows, records = out.rows(start, start + BATCH_BLOCKS), self.regions[region][1]
+            for f in fields(rows):
+                getattr(rows, f.name)[:] = getattr(records, f.name)[: len(rows.alpha)]
+        return None
+
+    def close(self) -> None:
+        """Close the caller's ends of the pipes; an idle child then exits."""
+        if self.open:
+            self.open = False
+            os.close(self.jobs)
+            os.close(self.done)
+
+    def retire(self) -> None:
+        """Close the pipes and reap the child, which exits on the EOF."""
+        self.close()
+        self.reap()
+
+    def reap(self) -> int:
+        """Wait for the child to exit, then drop it from the pool; returns its exit status."""
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        _pool.remove(self)  # only once reaped, so an interrupted wait leaves it to be killed and reaped
+        self.close()
+        return status
+
+
+def _pool_children(count: int, size: int) -> list:
+    """The pool's first `count` children, each with a slot of at least `size` bytes.
+
+    Children that have exited since the last call (killed while idle) are
+    reaped and dropped, children missing are forked and children whose slot
+    is smaller are replaced; children past the usable CPUs less one are
+    retired.
+    """
+    for child in [child for child in _pool if os.waitpid(child.pid, os.WNOHANG)[0]]:
+        _pool.remove(child)
+        child.close()
+    while len(_pool) > len(os.sched_getaffinity(0)) - 1:
+        _pool[-1].retire()
+    for i in range(count):
+        if i < len(_pool) and _pool[i].size < size:
+            _pool[i].retire()
+        if i == len(_pool) or _pool[i].size < size:
+            _pool.insert(i, _Child(size))
+    return _pool[:count]
+
+
+def _kill_pool() -> None:
+    """SIGKILL every child and reap it: a failed or interrupted call drops the pool, children mid-slice too."""
+    import signal
+
+    while _pool:
+        os.kill(_pool[-1].pid, signal.SIGKILL)
+        _pool[-1].reap()
+
+
+def _shutdown_pool() -> None:
+    """Retire every child; runs at exit."""
+    while _pool:
+        _pool[-1].retire()
+
+
+def _forget_pool() -> None:
+    """After a fork, in the new process: close the inherited pipes of a pool that is not its own."""
+    global _pool, _pool_lock
+    for child in _pool:
+        child.close()
+    _pool, _pool_lock = [], threading.Lock()
+
+
+atexit.register(_shutdown_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _solve_pooled(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, processes: int) -> Decomposition:
+    """Solve the slices here and in the pool's first processes - 1 children, forked if missing.
+
+    The caller takes slices from the front and the children from the back,
+    each child holding up to _REGIONS of them (one once no more slices are
+    left to hand out than there are processes), until they meet. Between
+    its own slices the caller copies out the rows of the slices the children
+    report solved, and sends them more. A child that exits instead (status 1
+    if its slice raised) fails the call: the caller kills and reaps every
+    child, drops the pool and solves the whole call again in-process. A
+    slice's sweep gives the same bits in every process, so this raises the
+    earliest failing slice's error, as one process would; if it completes,
+    the call fails naming the child's exit status. An error in one of the
+    caller's own slices (every slice before it was the caller's too) or an
+    interrupt also drops the pool. The result is an ordinary Decomposition.
+    """
+    import pickle
+    import select
+
+    out, sweep, blob = _unfilled(len(flat), basis), _sweep_basis(basis), pickle.dumps(params)
+    work, starts = _aligned_work(basis.n), range(0, len(flat), BATCH_BLOCKS)
+    failed = None  # (pid, exit status) of a child that exited
+    with _pool_lock:
+        try:
+            # whole pages, so that params that pickle a few bytes longer still fit
+            size = -(-(_slot_layout(basis.n, basis.k)[1] + len(blob)) // 4096) * 4096
+            children = _pool_children(processes - 1, size)
+            replies, by_fd = select.poll(), {}
+            for child in children:
+                child.load(sweep, blob)
+                replies.register(child.done, select.POLLIN)
+                by_fd[child.done] = child
+            lo, hi = 0, len(starts)  # the slices not yet handed out
+            while not failed:
+                for child in children:
+                    while lo < hi and len(child.running) < (_REGIONS if hi - lo > processes else 1):
+                        hi -= 1
+                        child.send(starts[hi], flat)
+                if lo < hi:
+                    own = starts[lo]
+                    lo += 1
+                    _solve_slice(flat[own : own + BATCH_BLOCKS], sweep, params, work, out.rows(own, own + BATCH_BLOCKS))
+                elif not any(child.running for child in children):
+                    break
+                # with no slice left for the caller it waits: every child still holds one then
+                for fd, _ in replies.poll(0 if lo < hi else None):
+                    status = by_fd[fd].receive(out)
+                    if status is not None:
+                        failed = by_fd[fd].pid, status
+                        _kill_pool()
+                        break
+        except BaseException:
+            _kill_pool()
+            raise
+    if failed:
+        _solve_run(flat, sweep, params, out)
+        raise RuntimeError(f"solver process {failed[0]} exited with status {failed[1]} without a result")
+    return out
 
 
 def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams = SolverParams()) -> Decomposition:
@@ -465,9 +703,10 @@ def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams = SolverParams
     BATCH_BLOCKS rows (a short slice is zero-padded), whose row bits do not
     depend on the other rows; so a block's result is bit-identical whichever
     blocks share its sweep, and one block alone pays for a full 8-row
-    product. With params.workers > 1 the slices are cut into up to that
-    many contiguous runs (no more than the usable CPUs or the slices), each
-    solved in its own forked process on Linux, with the same results.
+    product. With params.workers > 1 on Linux, the slices are shared out
+    among up to that many processes (no more than the usable CPUs or the
+    slices): this one and solver children kept across calls, with the same
+    results.
     Raises DivergenceError, before any sweep, if any pixel is non-finite or
     beyond PIXEL_BOUND in magnitude, and if alpha, s or a row or column sum
     of squares goes non-finite.
@@ -478,7 +717,8 @@ def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams = SolverParams
         raise DivergenceError(
             f"input block contains non-finite values or a pixel beyond PIXEL_BOUND = {PIXEL_BOUND:.6g}"
         )
-    slices = -(-len(flat) // BATCH_BLOCKS)
-    processes = _process_count(params.workers, slices)
-    cuts = [BATCH_BLOCKS * (slices * r // processes) for r in range(processes + 1)]
-    return _solve_forked([flat[a:b] for a, b in zip(cuts, cuts[1:])], basis, params)
+    processes = _process_count(params.workers, -(-len(flat) // BATCH_BLOCKS))
+    if processes > 1:
+        return _solve_pooled(flat, basis, params, processes)
+    out = _unfilled(len(flat), basis)
+    return _solve_run(flat, _sweep_basis(basis), params, out)

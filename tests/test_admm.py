@@ -4,9 +4,12 @@ import gc
 import os
 import pickle
 import re
+import select
 import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -29,6 +32,7 @@ from scseg import (
 )
 from scseg import admm
 from scseg.admm import BATCH_BLOCKS, PIXEL_BOUND, group_norm
+from scseg.dct import BasisMatrix
 from scseg.image_io import tile
 
 # The four block regimes of the benchmark's pages.
@@ -347,6 +351,11 @@ def _assert_residuals_match_history(blocks, basis, params, sweeps):
 def regime_blocks():
     """24 blocks cycling the four regimes: three full slices."""
     return [gen_block(dataclasses.replace(REGIMES[i % 4], seed=300 + i))[0] for i in range(24)]
+
+
+@pytest.fixture(scope="module")
+def regime_stack(regime_blocks):
+    return np.array(regime_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -763,65 +772,73 @@ def _index_slices(monkeypatch, fail=(), exits=None):
     return [np.full(64, float(i)) for i in range(3 * BATCH_BLOCKS)]
 
 
+@pytest.mark.usefixtures("no_child_or_fd_left")
 class TestWorkers:
-    """solve_blocks with params.workers > 1: runs of slices in forked processes."""
+    """solve_blocks with params.workers > 1: slices solved here and in solver children kept across calls.
 
-    @pytest.fixture(autouse=True)
-    def no_fd_left_open(self):
-        """Every test leaves the process's open file descriptors as it found them."""
-        fds = sorted(os.listdir("/proc/self/fd"))
-        yield
-        assert sorted(os.listdir("/proc/self/fd")) == fds
+    Each test starts with no children; after it, and a pool shutdown, no
+    child process and no file descriptor it opened may be left.
+    """
 
     @pytest.fixture(scope="class")
     def serial(self, basis64, regime_blocks):
         return solve_blocks(regime_blocks, basis64)
-
-    @pytest.fixture(scope="class")
-    def regime_stack(self, regime_blocks):
-        return np.array(regime_blocks)
 
     @pytest.mark.parametrize("count", [0, 1, 9, 17, 24])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_bit_identical_to_one_process(
         self, basis64, regime_stack, regime_refs, serial, cpus, forks, workers, count
     ):
-        decs = solve_blocks(regime_stack[:count], basis64, SolverParams(workers=workers))
-        _assert_same(decs, serial.rows(0, count))
-        _assert_matches_reference(decs, regime_refs[:count])
-        slices = -(-count // BATCH_BLOCKS)
-        assert len(forks) == max(min(workers, slices) - 1, 0)
-        _assert_no_children()
+        # the first call forks the children it needs, and the second reuses them
+        children = max(min(workers, -(-count // BATCH_BLOCKS)) - 1, 0)
+        for _ in range(2):
+            decs = solve_blocks(regime_stack[:count], basis64, SolverParams(workers=workers))
+            _assert_same(decs, serial.rows(0, count))
+            _assert_matches_reference(decs, regime_refs[:count])
+            assert len(forks) == children == len(admm._pool)
 
     def test_sweep_basis_is_made_once_before_any_fork(self, monkeypatch, basis64, regime_stack, serial, cpus, forks):
-        # the caller transposes and casts the basis once, and every process's slices read that
-        # one object (a child's failed check comes back as the call's error)
+        # each call transposes and casts the basis once, before its children are forked, and
+        # copies it into each child's slot: the caller's slices read that one object, and a
+        # child's slices an equal copy in its slot (a child's failed check exits 1, which fails
+        # the call with the error of the caller solving it again)
         made = []
         real_sweep_basis, real_solve_slice = admm._sweep_basis, admm._solve_slice
+        expected = real_sweep_basis(basis64)
+        parent = os.getpid()
 
         def recording(basis):
             made.append((len(forks), real_sweep_basis(basis)))
             return made[-1][1]
 
         def reading(flat, basis, params, work, out):
-            if basis is not made[0][1]:
+            if os.getpid() == parent and basis is not made[-1][1]:
                 raise AssertionError("a slice read a basis of its own")
+            if os.getpid() != parent and not (
+                np.array_equal(basis.atoms_t, expected.atoms_t) and np.array_equal(basis.atoms_t32, expected.atoms_t32)
+            ):
+                raise AssertionError("a child's slice read another basis")
             real_solve_slice(flat, basis, params, work, out)
 
         monkeypatch.setattr(admm, "_sweep_basis", recording)
         monkeypatch.setattr(admm, "_solve_slice", reading)
-        dec = solve_blocks(regime_stack[:24], basis64, SolverParams(workers=3))
-        assert [forked for forked, _ in made] == [0] and len(forks) == 2
-        _assert_same(dec, serial.rows(0, 24))
-        _assert_no_children()
+        for _ in range(2):
+            dec = solve_blocks(regime_stack[:24], basis64, SolverParams(workers=3))
+            _assert_same(dec, serial.rows(0, 24))
+        assert [forked for forked, _ in made] == [0, 2] and len(forks) == 2
+        assert made[0][1] is not made[1][1]
 
     def test_forked_result_is_an_ordinary_decomposition(self, basis64, regime_stack, serial, cpus, forks):
-        # its arrays share one mapping, written by the children: they stay writable and
-        # valid after the call, pickle by value, and belong to this call's result alone
+        # its arrays are the caller's own, with the children's rows copied in: they own their
+        # memory, share none with a child's slot, stay writable and valid after the call,
+        # pickle by value, and belong to this call's result alone
         params = SolverParams(workers=2)
         dec = solve_blocks(regime_stack[:17], basis64, params)
         names = [field.name for field in dataclasses.fields(Decomposition)]
-        assert all(getattr(dec, name).flags.writeable for name in names)
+        assert all(getattr(dec, name).flags.writeable and getattr(dec, name).flags.owndata for name in names)
+        slot = np.frombuffer(admm._pool[0].slot, np.uint8)
+        assert not any(np.shares_memory(getattr(dec, name), slot) for name in names)
+        del slot
         copy = pickle.loads(pickle.dumps(dec))
         assert all(np.array_equal(getattr(copy, name), getattr(dec, name)) for name in names)
         rows = dec.rows(9, 17)
@@ -831,8 +848,7 @@ class TestWorkers:
         other = solve_blocks(regime_stack[:17], basis64, params)
         _assert_same(other.rows(9, 17), rows)
         assert not any(np.shares_memory(getattr(rows, name), getattr(other, name)) for name in names)
-        assert len(forks) == 2
-        _assert_no_children()
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_residual_histories(self, basis8, cpus, forks, workers):
@@ -847,8 +863,7 @@ class TestWorkers:
         _assert_matches_reference(decs, refs)
         sweeps = (1, 5, 50, 200)
         _assert_residuals_match_history(blocks, basis8, dataclasses.replace(params, workers=workers), sweeps)
-        assert len(forks) == (workers - 1) * (1 + len(sweeps))
-        _assert_no_children()
+        assert len(forks) == workers - 1  # the first call's children serve every later one
 
     def test_divergence_in_a_child_slice(self, monkeypatch, basis64, regime_blocks, cpus, forks):
         # no pixel within PIXEL_BOUND overflows, so the bound is lifted to let one through
@@ -864,6 +879,7 @@ class TestWorkers:
                 messages.append(str(err.value))
         assert messages == ["non-finite iterate at iteration 1"] * 2
         assert len(forks) == 1
+        assert admm._pool == []  # the child's failure dropped the pool
         _assert_no_children()
 
     # 100000 workers on 2 usable CPUs start one child, never more
@@ -873,35 +889,34 @@ class TestWorkers:
         blocks = _index_slices(monkeypatch)
         dec = solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=workers))
         assert dec.objective.tolist() == list(range(24))
-        assert len(forks) == children
-        _assert_no_children()
+        assert len(forks) == children == len(admm._pool)
 
     # each case is (the slices that raise in every process, {slice: the status its child exits with}),
     # slices named by their first block; the last mixes the two
     @pytest.mark.parametrize("fail", [({0}, {}), ({8}, {}), ({16}, {}), ({8, 16}, {}), ({0, 16}, {}), ({16}, {8: 3})])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_raises_error_of_earliest_failing_slice(self, monkeypatch, cpus, workers, fail):
+        # a failing slice in a child, or a child exiting, makes the caller solve the whole call
+        # again, which raises at the earliest slice that raises in every process; the caller
+        # takes slices from the front, so an error in its own slice is the earliest
         raising, exits = fail
         blocks = _index_slices(monkeypatch, fail=raising, exits=exits)
-        if exits and workers == 3:
-            # slice 8 is a run of its own, which the caller solves again without an error
-            error, message = RuntimeError, "exited with status 3 without a result$"
-        else:
-            # at workers 2 slices 8 and 16 are one run, which raises at 16 when the caller solves it again
-            error, message = ValueError, f"^slice at block {min(raising)}$"
-        with pytest.raises(error, match=message):
+        with pytest.raises(ValueError, match=f"^slice at block {min(raising)}$"):
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=workers))
+        assert admm._pool == []
         _assert_no_children()
 
     @pytest.mark.parametrize("status", [3, -signal.SIGKILL])
     def test_child_without_result_names_its_exit_status(self, monkeypatch, cpus, status):
-        blocks = _index_slices(monkeypatch, exits={8: status})
+        # children take slices from the back, so the last one is a child's
+        blocks = _index_slices(monkeypatch, exits={16: status})
         with pytest.raises(RuntimeError, match=f"exited with status {status} without a result"):
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
+        assert admm._pool == []
         _assert_no_children()
 
     def test_run_failing_only_in_its_child_names_exit_status_1(self, monkeypatch, cpus):
-        # the child's run raises and the child exits 1; solved again in the caller, the run completes
+        # the child's slice raises and the child exits 1; solved again in the caller, the call completes
         blocks = _index_slices(monkeypatch)
         parent, index_slice = os.getpid(), admm._solve_slice
 
@@ -913,6 +928,7 @@ class TestWorkers:
         monkeypatch.setattr(admm, "_solve_slice", fake)
         with pytest.raises(RuntimeError, match="exited with status 1 without a result"):
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
+        assert admm._pool == []
         _assert_no_children()
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -931,30 +947,57 @@ class TestWorkers:
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=workers))
         assert len(err.value.args) == 1 and callable(err.value.args[0])
         assert len(forks) == workers - 1
+        assert admm._pool == []
         _assert_no_children()
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_interrupted_wait_kills_and_reaps_the_children(self, monkeypatch, cpus, forks, workers):
-        # the caller's first wait is interrupted before it reaps a child; no child is left behind
+        # the caller's first wait for a child's reply is interrupted: every child, busy or not,
+        # is killed and reaped, and the pool dropped
         blocks = _index_slices(monkeypatch)
-        real_waitpid = os.waitpid
+        real_read, parent = os.read, os.getpid()
         calls = []
 
-        def waitpid(pid, options):
-            calls.append(pid)
-            if len(calls) == 1:
-                raise KeyboardInterrupt
-            return real_waitpid(pid, options)
+        def read(fd, size):
+            if os.getpid() == parent:
+                calls.append(fd)
+                if len(calls) == 1:
+                    raise KeyboardInterrupt
+            return real_read(fd, size)
 
-        monkeypatch.setattr(os, "waitpid", waitpid)
+        monkeypatch.setattr(os, "read", read)
         with pytest.raises(KeyboardInterrupt):
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=workers))
-        assert len(forks) == workers - 1 and len(calls) == workers
+        assert len(forks) == workers - 1 and len(calls) == 1
+        assert admm._pool == []
+        _assert_no_children()
+
+    def test_interrupted_reap_leaves_the_child_in_the_pool(self, monkeypatch, cpus, forks):
+        # an interrupt, then a second one in the wait for the killed child: the child stays in
+        # the pool, and the next shutdown reaps it, so no zombie is left
+        blocks = _index_slices(monkeypatch)
+        real_read, real_waitpid, parent = os.read, os.waitpid, os.getpid()
+
+        def read(fd, size):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real_read(fd, size)
+
+        def waitpid(pid, options):
+            monkeypatch.setattr(os, "waitpid", real_waitpid)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "read", read)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        with pytest.raises(KeyboardInterrupt):
+            solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
+        assert len(admm._pool) == len(forks) == 1  # killed, not yet reaped
+        admm._shutdown_pool()
         _assert_no_children()
 
     def test_child_killed_before_reporting_names_its_exit_status(self, monkeypatch, cpus):
-        # the child's one slice writes its rows into the shared result, and the child is
-        # killed before it reports: the call returns no rows
+        # the child solves its one slice into its slot and is killed before it replies: the
+        # call raises, after the caller has solved every row again itself
         blocks = _index_slices(monkeypatch)[: 2 * BATCH_BLOCKS]
         parent, index_slice, real_unfilled = os.getpid(), admm._solve_slice, admm._unfilled
         made = []
@@ -972,8 +1015,9 @@ class TestWorkers:
         monkeypatch.setattr(admm, "_unfilled", recording)
         with pytest.raises(RuntimeError, match=f"exited with status {-signal.SIGKILL} without a result"):
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
+        assert admm._pool == []
         _assert_no_children()
-        assert len(made) == 1 and made[0].objective.tolist() == list(range(2 * BATCH_BLOCKS))  # it had written them
+        assert len(made) == 1 and made[0].objective.tolist() == list(range(2 * BATCH_BLOCKS))
 
     def test_failed_fork_kills_the_children_started(self, monkeypatch, cpus):
         blocks = _index_slices(monkeypatch)
@@ -992,6 +1036,7 @@ class TestWorkers:
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=3))
         assert err.value.errno == errno.EAGAIN
         assert len(calls) == 2
+        assert admm._pool == []
         _assert_no_children()  # the first child is killed and reaped
         assert sorted(os.listdir("/proc/self/fd")) == fds  # no file descriptor is left open
 
@@ -1009,6 +1054,212 @@ class TestWorkers:
             assert admm._process_count(3, 24) == 1
 
 
+# Ends the solver's process normally, by an uncaught exception or by SIGKILL, once it holds three
+# solver children; prints their pids first.
+LIFECYCLE_SCRIPT = """\
+import os, signal, sys
+import numpy as np
+os.sched_getaffinity = lambda pid: set(range(8))
+from scseg import SolverParams, admm, build_basis, solve_blocks
+solve_blocks(np.random.default_rng(5).uniform(0, 255, (32, 64)), build_basis(8, 3), SolverParams(workers=4))
+print(*[child.pid for child in admm._pool], flush=True)
+if sys.argv[1] == "exception":
+    raise RuntimeError("uncaught")
+if sys.argv[1] == "sigkill":
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+def _pipe(fd: int, pid="self") -> str:
+    """The pipe (or other file) that file descriptor fd of process pid refers to, as /proc names it."""
+    return os.readlink(f"/proc/{pid}/fd/{fd}")
+
+
+@pytest.mark.usefixtures("no_child_or_fd_left")
+class TestSolverPool:
+    """The solver children outlive a call: reused with every bit kept, replaced, dropped and ended."""
+
+    def test_reused_children_keep_every_bit(self, basis64, regime_stack, cpus, forks):
+        # alternating calls at workers 2 and 3 over block sides, atom counts, params and a basis
+        # whose atoms are permuted; the letters name the pool's children after each call, in
+        # order: a call that needs a larger slot replaces only the children it uses whose slot
+        # is too small (64/28 > 64/10 > 16/28 > 16/10 > 5/10 in bytes)
+        rng = np.random.default_rng(97)
+        basis16 = build_basis(16, 10)
+        perm = [3, 0, 9, 5, 1, 8, 2, 7, 4, 6]
+        permuted = BasisMatrix(16, 10, basis16.atoms[:, perm], tuple(basis16.freq_pairs[i] for i in perm))
+        stacks = {n: rng.uniform(0, 255, (24, n, n)) for n in (16, 5)}
+        stacks[64] = regime_stack
+        calls = [
+            (2, basis64, SolverParams(), "A"),
+            (3, build_basis(16, 28), SolverParams(rho=0.3), "AB"),
+            (2, build_basis(5, 10), SolverParams(max_iters=7), "AB"),
+            (3, basis64, SolverParams(lambda2=7.5), "AC"),
+            # a float32 weight over a float64 penalty: the thresholds divide in float32
+            (2, build_basis(64, 28), SolverParams(lambda1=np.float32(5.0), rho=1.7), "DC"),
+            (3, permuted, SolverParams(), "DC"),
+            (3, build_basis(64, 28), SolverParams(max_iters=7), "DE"),
+        ]
+        names = {}
+        for workers, basis, params, pool in calls:
+            blocks = stacks[basis.n]
+            dec = solve_blocks(blocks, basis, dataclasses.replace(params, workers=workers))
+            _assert_same(dec, solve_blocks(blocks, basis, params))
+            pids = [child.pid for child in admm._pool]
+            for name, pid in zip(pool, pids, strict=True):
+                assert names.setdefault(name, pid) == pid, (pool, name)
+            assert len(set(names.values())) == len(names) == len(forks)
+
+    def test_calls_from_threads_take_turns(self, basis64, regime_stack, cpus, forks):
+        # the pool is forked before the threads start; then four threads, more than the cores,
+        # share it one call at a time, switching as often as the interpreter allows
+        params = SolverParams(workers=3)
+        serial = solve_blocks(regime_stack, basis64)
+        solve_blocks(regime_stack, basis64, params)
+        results = []
+
+        def run(count):
+            for _ in range(3):
+                results.append((count, solve_blocks(regime_stack[:count], basis64, params)))
+
+        # daemon threads, so that calls which deadlock fail the test and do not hang the exit
+        threads = [threading.Thread(target=run, args=(count,), daemon=True) for count in (24, 17, 9, 24)]
+        interval, deadline = sys.getswitchinterval(), time.monotonic() + 120
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=max(deadline - time.monotonic(), 0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(results) == 12
+        for count, dec in results:
+            _assert_same(dec, serial.rows(0, count))
+        assert len(forks) == len(admm._pool) == 2
+
+    def test_pool_never_exceeds_the_usable_cpus_less_one(self, cpus, forks):
+        blocks, basis = np.random.default_rng(5).uniform(0, 255, (32, 64)), build_basis(8, 3)
+        # nothing forks at workers 1 or for a call of one slice
+        solve_blocks(blocks, basis, SolverParams(workers=1))
+        solve_blocks(blocks[:BATCH_BLOCKS], basis, SolverParams(workers=4))
+        assert forks == [] and admm._pool == []
+        solve_blocks(blocks, basis, SolverParams(workers=4))
+        first = [child.pid for child in admm._pool]
+        assert len(first) == 3
+        cpus(2)  # the next call retires the children past the one that 2 usable CPUs leave
+        solve_blocks(blocks, basis, SolverParams(workers=4))
+        assert [child.pid for child in admm._pool] == first[:1] and len(forks) == 3
+
+    def test_no_child_holds_a_siblings_pipe(self, cpus):
+        # a child forked after its siblings inherits the caller's ends of their pipes and closes
+        # them, so that closing the caller's ends reaches every child as EOF
+        def check():
+            for child in admm._pool:
+                held = {_pipe(fd, child.pid) for fd in os.listdir(f"/proc/{child.pid}/fd")}
+                assert held == {_pipe(child.jobs), _pipe(child.done)}  # its own two ends, nothing else
+                siblings = {_pipe(fd) for other in admm._pool if other is not child for fd in (other.jobs, other.done)}
+                assert not held & siblings
+
+        rng = np.random.default_rng(5)
+        solve_blocks(rng.uniform(0, 255, (32, 64)), build_basis(8, 3), SolverParams(workers=4))
+        assert len(admm._pool) == 3
+        check()
+        first = [child.pid for child in admm._pool]
+        solve_blocks(rng.uniform(0, 255, (24, 256)), build_basis(16, 10), SolverParams(workers=3))
+        assert [child.pid in first for child in admm._pool] == [False, False, True]  # two replaced
+        check()
+
+    def test_a_pipe_opened_before_the_first_call_reaches_eof(self, basis64, regime_stack, cpus):
+        # a child keeps none of the caller's descriptors, so closing a write end the caller
+        # held when the child was forked still ends the pipe
+        read_end, write_end = os.pipe()
+        try:
+            solve_blocks(regime_stack[:16], basis64, SolverParams(workers=2))
+            assert len(admm._pool) == 1
+            os.close(write_end)
+            write_end = None
+            assert select.select([read_end], [], [], 60)[0] == [read_end]
+            assert os.read(read_end, 1) == b""
+        finally:
+            for fd in (read_end, write_end):
+                if fd is not None:
+                    os.close(fd)
+
+    def test_a_child_killed_while_idle_is_replaced(self, basis64, regime_stack, cpus, forks):
+        # a child that dies between calls is reaped at the next call, which forks a new one
+        params = SolverParams(workers=2)
+        serial = solve_blocks(regime_stack[:16], basis64)
+        _assert_same(solve_blocks(regime_stack[:16], basis64, params), serial)
+        killed = admm._pool[0].pid
+        os.kill(killed, signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while _running(killed) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        _assert_same(solve_blocks(regime_stack[:16], basis64, params), serial)
+        assert len(forks) == 2 and len(admm._pool) == 1 and admm._pool[0].pid != killed
+
+    def test_a_forked_process_drops_the_inherited_pool(self, basis64, regime_stack, cpus, forks):
+        params = SolverParams(workers=2)
+        serial = solve_blocks(regime_stack[:16], basis64)
+        solve_blocks(regime_stack[:16], basis64, params)
+        pool = list(admm._pool)
+        fds = [fd for child in pool for fd in (child.jobs, child.done)]
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                closed = []
+                for fd in fds:
+                    try:
+                        os.fstat(fd)
+                    except OSError as err:
+                        closed.append(err.errno == errno.EBADF)
+                assert closed == [True] * len(fds) and admm._pool == []
+                # its own call forks its own child, and gives the same bits
+                _assert_same(solve_blocks(regime_stack[:16], basis64, params), serial)
+                assert len(admm._pool) == 1 and admm._pool[0].pid != pool[0].pid
+                admm._shutdown_pool()
+                status = 0
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 300
+        while not (status := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
+        # the parent's pool still serves its next call
+        _assert_same(solve_blocks(regime_stack[:16], basis64, params), serial)
+        assert admm._pool == pool and len(forks) == 2  # the pool's child and the process forked here
+
+    @pytest.mark.parametrize("how, returncode", [("normal", 0), ("exception", 1), ("sigkill", -signal.SIGKILL)])
+    def test_children_end_with_their_process(self, how, returncode):
+        # normally and on an uncaught exception the exit hook closes the pipes and reaps the
+        # children; after SIGKILL each child reads EOF and exits, and is reaped by init
+        package_root = os.path.dirname(os.path.dirname(admm.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", LIFECYCLE_SCRIPT, how], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert done.returncode == returncode, done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 3
+        if how != "sigkill":
+            assert not any(os.path.exists(f"/proc/{pid}") for pid in pids)  # reaped before the exit
+        deadline = time.monotonic() + 60
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+
+
+@pytest.mark.usefixtures("no_child_or_fd_left")
 class TestInputBound:
     """solve_blocks solves pixels up to PIXEL_BOUND and refuses any beyond it before any sweep.
 
@@ -1034,7 +1285,6 @@ class TestInputBound:
             assert np.isfinite([dec.primal_residual[i], *dec.split_residuals[i], dec.objective[i]]).all(), i
             assert np.abs(dec.s[i] - ref.s[i]).max() <= 1e-4 * PIXEL_BOUND, i  # measured 1.6e-6 x the bound
         assert len(forks) == 1
-        _assert_no_children()
 
     @pytest.mark.parametrize("where", [0, 15])
     @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -88,6 +88,44 @@ def test_negative_threshold_rejected(op):
         op([1.0, 2.0], -0.1)
 
 
+@pytest.mark.parametrize("op", [soft, BLOCK_SOFT])
+@pytest.mark.parametrize("lam", [float("nan"), np.float32("nan")], ids=["float", "float32"])
+def test_nan_threshold_rejected(op, lam):
+    # NaN fails every comparison, so a test of lam < 0 alone let it through to an all-NaN result
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        op([1.0, 2.0], lam)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_group_factor_rejects_a_nan_threshold(dtype):
+    squares = np.ones((2, 3), dtype)
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        group_factor(squares, np.nan)
+
+
+@pytest.mark.parametrize(
+    "dtype, lam",
+    [(np.float64, np.inf), (np.float32, np.inf), (np.float32, 1e39), (np.float32, np.float64(1e39)),
+     (np.float32, np.float32(np.inf))],
+    ids=["inf-float64", "inf-float32", "1e39-float32", "numpy-1e39-float32", "float32-inf"],
+)
+def test_group_factor_of_a_threshold_infinite_in_the_dtype_is_zero(dtype, lam):
+    # inf / inf would be NaN, with a RuntimeWarning (and casting 1e39 to float32 warns of overflow)
+    squares = np.array([[0.0, 1.0, 4e30], [9.0, 0.0, 3e38]], dtype)
+    with np.errstate(all="raise"):
+        got = group_factor(squares, lam)
+    assert got is squares and got.dtype == dtype
+    assert (got == 0).all() and not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("lam", [float(np.finfo(np.float32).max), 3.4028235e38 * (1 + 2**-26)])
+def test_group_factor_of_the_largest_float32_thresholds_is_zero(lam):
+    # float32's largest value, and a larger one that rounds to it in a cast, give factor zero too, without a warning
+    squares = np.array([0.0, 1.0, 3e38], np.float32)
+    with np.errstate(all="raise"):
+        assert (group_factor(squares, lam) == 0).all()
+
+
 def test_group_soft_matches_per_row_block_soft():
     rng = np.random.default_rng(3)
     a = rng.normal(0, 4, (6, 6))
