@@ -7,12 +7,13 @@ sum of column norms of s) subject to the exact decomposition, using one
 splitting variable per penalty term and dual ascent on the constraints.
 Every step acts per pixel, per row or per column of one block, so blocks are
 solved several at a time as rows of shared arrays, and whole slices of them
-can go to solver children: processes forked by the first call that needs
-them, which then serve every later call until the process ends. Each child
-owns one anonymous shared slot with room for two slices. For each slice the
-caller writes the blocks into a free half of it (and, first in each call,
-the call's sweep basis and params into the rest) and one byte to the
-child's job pipe; the child solves the slice into that half's record rows
+can go to solver children: processes forked by a call that needs them,
+which keep that call's sweep basis and params and serve every later call
+with exactly the same ones until the process ends; a call with any other
+basis or params replaces the children it uses. Each child owns one
+anonymous shared slot of two regions, each with room for one slice. For each
+slice the caller writes the blocks into a free region and one byte to the
+child's job pipe; the child solves the slice into that region's record rows
 and writes the byte back, and the caller copies the rows into its own
 result. A child whose slice raises exits with status 1, and the caller then
 solves the call again itself, which raises the earliest failing slice's
@@ -150,14 +151,8 @@ def _unfilled(m: int, basis: BasisMatrix) -> Decomposition:
     return Decomposition(*(np.empty(shape) for shape in _record_shapes(m, basis.n, basis.k)))
 
 
-def group_norm(s) -> float:
-    """Sum of row and column l2 norms of one (n, n) or flat (n*n,) block (the overlapping-group term)."""
-    s = block_stack("block", s, math.isqrt(np.size(s)), one=True)
-    return float(_group_norms(s * s)[0])
-
-
 def _group_norms(squares: np.ndarray) -> np.ndarray:
-    """group_norm of each block of an (m, n, n) float64 stack, from its squares s * s.
+    """The group term (sum of row and column l2 norms) of each block of an (m, n, n) float64 stack, from its squares s * s.
 
     Each norm is np.linalg.norm's, the root of a sum of squares, with the squares formed once for both.
     """
@@ -196,12 +191,21 @@ def soft(x, lam: float, out: np.ndarray | None = None) -> np.ndarray:
     `out` when given (it must not overlap x). Every nonzero result has the
     same bits as the sign form; zeros are +0.0. float32 stays float32, with
     the threshold cast to it; any other input is computed in float64. A
-    negative or NaN threshold is a ValueError.
+    threshold that is infinite in that dtype gives all zeros, an infinite x
+    included. A negative or NaN threshold is a ValueError.
     """
     if not lam >= 0:  # NaN fails the comparison too
         raise ValueError(f"threshold must be nonnegative, got {lam}")
     x = np.asarray(x)
     x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+    if lam > _FLOAT32_MAX:
+        with np.errstate(over="ignore"):  # a cast that rounds to inf warns of overflow
+            lam = x.dtype.type(lam)
+        if lam == np.inf:  # where x - clip(x) would be inf - inf = NaN for an infinite x
+            if out is None:
+                return np.zeros_like(x)
+            out.fill(0)
+            return out
     lam = x.dtype.type(lam)
     clipped = x.clip(-lam, lam, out=out)
     return np.subtract(x, clipped, out=clipped)
@@ -259,9 +263,9 @@ _WORK_ROWS = 7
 class _SweepBasis:
     """The basis as the sweep reads it: B' as a C-contiguous float64 (k, n*n) array and its float32 cast.
 
-    solve_blocks makes one per call, and a call that uses solver children
-    copies it into each one's slot. alpha @ B' runs 2x faster on C order than
-    on the transpose of the (n*n, k) atoms.
+    solve_blocks makes one per call, and a solver child keeps the one of the
+    call that forked it. alpha @ B' runs 2x faster on C order than on the
+    transpose of the (n*n, k) atoms.
     """
 
     n: int
@@ -417,9 +421,9 @@ def _process_count(workers: int, slices: int) -> int:
     return min(workers, len(os.sched_getaffinity(0)), slices)
 
 
-# The solver children: forked by the first call that needs them, kept until the process
-# ends. A call hands its slices to the first processes - 1 of them; the lock makes calls
-# from several threads take turns.
+# The solver children: forked by a call that needs them, each kept until the process ends
+# or a call with another basis or params replaces it. A call hands its slices to the first
+# processes - 1 of them; the lock makes calls from several threads take turns.
 _pool: list = []
 _pool_lock = threading.Lock()
 
@@ -428,77 +432,50 @@ _pool_lock = threading.Lock()
 # to copy the first out and send the next.
 _REGIONS = 2
 
-# float64 values at the start of a slot: each region's block count m, then n, k and the
-# length of the pickled params
-_HEADER = _REGIONS + 3
+
+def _region_dtype(n: int, k: int) -> np.dtype:
+    """One region of a slot for blocks of side n and k atoms: its block count m, one slice's blocks and the five record fields."""
+    records = zip(fields(Decomposition), _record_shapes(BATCH_BLOCKS, n, k))
+    return np.dtype([("m", np.int64), ("blocks", np.float64, (BATCH_BLOCKS, n * n))]
+                    + [(f.name, np.float64, shape) for f, shape in records])
 
 
-def _slot_layout(n: int, k: int) -> tuple[list, int]:
-    """Where a slot keeps its arrays for blocks of side n and k atoms: (offset, shape, dtype) of each, and their end.
-
-    In order, each from a 64-byte boundary: the header, B' in float64 and in
-    float32, then for each region one slice's blocks and the five record
-    fields of BATCH_BLOCKS rows. The pickled params follow from the end.
-    """
-    nn, parts, end = n * n, [], 0
-    region = [((BATCH_BLOCKS, nn), np.float64)] + [(shape, np.float64) for shape in _record_shapes(BATCH_BLOCKS, n, k)]
-    for shape, dtype in [((_HEADER,), np.float64), ((k, nn), np.float64), ((k, nn), np.float32)] + region * _REGIONS:
-        parts.append((end, shape, dtype))
-        end += -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
-    return parts, end
+def _records(regions: np.ndarray, region: int, m: int) -> Decomposition:
+    """The first m record rows of one region of a slot, as views."""
+    return Decomposition(*(regions[f.name][region, :m] for f in fields(Decomposition)))
 
 
-def _slot_views(slot, n: int, k: int) -> tuple:
-    """Views of a slot laid out by _slot_layout(n, k), and the params' offset.
-
-    The views are the header, B' and its float32 cast, and each region's
-    blocks and records (a Decomposition of BATCH_BLOCKS rows).
-    """
-    parts, end = _slot_layout(n, k)
-    header, atoms_t, atoms_t32, *rest = (
-        np.frombuffer(slot, dtype, math.prod(shape), offset).reshape(shape) for offset, shape, dtype in parts
-    )
-    per = 1 + len(fields(Decomposition))  # a region's blocks and record fields
-    regions = [(rest[i], Decomposition(*rest[i + 1 : i + per])) for i in range(0, len(rest), per)]
-    return header, atoms_t, atoms_t32, regions, end
-
-
-def _serve(slot, jobs: int, done: int) -> None:
+def _serve(regions: np.ndarray, jobs: int, done: int, basis: _SweepBasis, params: SolverParams) -> None:
     """A child's loop: for each byte read from `jobs`, solve the slice in the region it names, then write it to `done`.
 
+    Every slice runs on the basis and params the child was forked with.
     Returns on EOF, once every write end of `jobs` is closed.
     """
-    import pickle
-
-    work = None
+    work = _aligned_work(basis.n)
     while job := os.read(jobs, 1):
-        header = np.frombuffer(slot, np.float64, _HEADER)
-        n, k, length = (int(value) for value in header[_REGIONS:])
-        m = int(header[job[0]])
-        _, atoms_t, atoms_t32, regions, end = _slot_views(slot, n, k)
-        blocks, records = regions[job[0]]
-        if work is None or work.shape[2] != n * n:
-            work = _aligned_work(n)
-        params = pickle.loads(slot[end : end + length])
-        _solve_slice(blocks[:m], _SweepBasis(n, atoms_t, atoms_t32), params, work, records.rows(0, m))
+        region = job[0]
+        m = int(regions["m"][region])
+        _solve_slice(regions["blocks"][region, :m], basis, params, work, _records(regions, region, m))
         os.write(done, job)
 
 
 class _Child:
-    """A solver child: its pid, the caller's ends of its job and reply pipes, and its shared slot of `size` bytes.
+    """A solver child: its pid, the caller's ends of its job and reply pipes, and its shared slot of _REGIONS regions.
 
-    It is forked when made, ignores SIGINT, closes every file descriptor but
-    its ends of the two pipes, and runs _serve until its job pipe reaches
-    EOF; then, or when a slice raises, it leaves through
-    os._exit (status 0 or 1), so it runs none of the caller's cleanup or
-    buffered output. `running` maps each region it holds a slice in to the
-    slice's first block.
+    It is forked when made, keeps the basis and params it was given, which
+    `key` names, ignores SIGINT, closes every file descriptor but its ends
+    of the two pipes, and runs _serve until its job pipe reaches EOF; then,
+    or when a slice raises, it leaves through os._exit (status 0 or 1), so
+    it runs none of the caller's cleanup or buffered output. `running` maps
+    each region it holds a slice in to the slice's first block.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, basis: _SweepBasis, params: SolverParams, key: tuple):
         import mmap  # only a call that forks needs it, so importing scseg does not load it
 
-        self.size, self.slot, self.running = size, mmap.mmap(-1, size), {}
+        dtype = _region_dtype(basis.n, len(basis.atoms_t))
+        self.key, self.slot, self.running = key, mmap.mmap(-1, _REGIONS * dtype.itemsize), {}
+        self.regions = np.frombuffer(self.slot, dtype, _REGIONS)
         fds = os.pipe()
         try:
             fds += os.pipe()
@@ -520,7 +497,7 @@ class _Child:
                 os.closerange(0, low)
                 os.closerange(low + 1, high)
                 os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
-                _serve(self.slot, jobs, done)
+                _serve(self.regions, jobs, done, basis, params)
                 status = 0
             finally:
                 os._exit(status)
@@ -528,21 +505,12 @@ class _Child:
         os.close(done)
         self.open = True
 
-    def load(self, basis: _SweepBasis, params: bytes) -> None:
-        """Write a call's sweep basis and pickled params into the slot, and keep views of its header and regions."""
-        k = len(basis.atoms_t)
-        self.header, atoms_t, atoms_t32, self.regions, end = _slot_views(self.slot, basis.n, k)
-        self.header[_REGIONS:] = basis.n, k, len(params)
-        atoms_t[:] = basis.atoms_t
-        atoms_t32[:] = basis.atoms_t32
-        self.slot[end : end + len(params)] = params
-
     def send(self, start: int, flat: np.ndarray) -> None:
         """Write the slice of flat from block `start` into a free region, and queue the child's job on it."""
         region = min(set(range(_REGIONS)) - set(self.running))
         rows = flat[start : start + BATCH_BLOCKS]
-        self.header[region] = len(rows)
-        self.regions[region][0][: len(rows)] = rows
+        self.regions["m"][region] = len(rows)
+        self.regions["blocks"][region, : len(rows)] = rows
         self.running[region] = start
         try:
             os.write(self.jobs, bytes([region]))
@@ -559,9 +527,10 @@ class _Child:
             return self.reap()
         for region in replies:
             start = self.running.pop(region)
-            rows, records = out.rows(start, start + BATCH_BLOCKS), self.regions[region][1]
+            rows = out.rows(start, start + BATCH_BLOCKS)
+            records = _records(self.regions, region, len(rows.alpha))
             for f in fields(rows):
-                getattr(rows, f.name)[:] = getattr(records, f.name)[: len(rows.alpha)]
+                getattr(rows, f.name)[:] = getattr(records, f.name)
         return None
 
     def close(self) -> None:
@@ -584,24 +553,31 @@ class _Child:
         return status
 
 
-def _pool_children(count: int, size: int) -> list:
-    """The pool's first `count` children, each with a slot of at least `size` bytes.
+def _pool_children(count: int, basis: _SweepBasis, params: SolverParams) -> list:
+    """The pool's first `count` children, each forked with this basis and these params (workers aside).
 
     Children that have exited since the last call (killed while idle) are
-    reaped and dropped, children missing are forked and children whose slot
-    is smaller are replaced; children past the usable CPUs less one are
-    retired.
+    reaped and dropped, children missing are forked and children forked
+    with another basis or other params are replaced; children past the
+    usable CPUs less one are retired.
     """
+    # B' by its exact bits, and each param but workers by type and value: a float32 weight, whose
+    # thresholds divide in float32, differs from an equal Python float, where == alone would not tell
+    # (the params are positive and finite, so equal values of one type have equal bits)
+    atoms_t = basis.atoms_t
+    key = atoms_t.dtype.str, atoms_t.shape, atoms_t.tobytes(), [
+        (type(value), value) for name, value in vars(params).items() if name != "workers"
+    ]
     for child in [child for child in _pool if os.waitpid(child.pid, os.WNOHANG)[0]]:
         _pool.remove(child)
         child.close()
     while len(_pool) > len(os.sched_getaffinity(0)) - 1:
         _pool[-1].retire()
     for i in range(count):
-        if i < len(_pool) and _pool[i].size < size:
+        if i < len(_pool) and _pool[i].key != key:
             _pool[i].retire()
-        if i == len(_pool) or _pool[i].size < size:
-            _pool.insert(i, _Child(size))
+        if i == len(_pool) or _pool[i].key != key:
+            _pool.insert(i, _Child(basis, params, key))
     return _pool[:count]
 
 
@@ -634,7 +610,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _solve_pooled(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, processes: int) -> Decomposition:
-    """Solve the slices here and in the pool's first processes - 1 children, forked if missing.
+    """Solve the slices here and in the pool's first processes - 1 children, forked if missing or unlike this call.
 
     The caller takes slices from the front and the children from the back,
     each child holding up to _REGIONS of them (one once no more slices are
@@ -649,20 +625,16 @@ def _solve_pooled(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, pr
     caller's own slices (every slice before it was the caller's too) or an
     interrupt also drops the pool. The result is an ordinary Decomposition.
     """
-    import pickle
     import select
 
-    out, sweep, blob = _unfilled(len(flat), basis), _sweep_basis(basis), pickle.dumps(params)
+    out, sweep = _unfilled(len(flat), basis), _sweep_basis(basis)
     work, starts = _aligned_work(basis.n), range(0, len(flat), BATCH_BLOCKS)
     failed = None  # (pid, exit status) of a child that exited
     with _pool_lock:
         try:
-            # whole pages, so that params that pickle a few bytes longer still fit
-            size = -(-(_slot_layout(basis.n, basis.k)[1] + len(blob)) // 4096) * 4096
-            children = _pool_children(processes - 1, size)
+            children = _pool_children(processes - 1, sweep, params)
             replies, by_fd = select.poll(), {}
             for child in children:
-                child.load(sweep, blob)
                 replies.register(child.done, select.POLLIN)
                 by_fd[child.done] = child
             lo, hi = 0, len(starts)  # the slices not yet handed out

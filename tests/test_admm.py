@@ -31,7 +31,7 @@ from scseg import (
     solve_blocks,
 )
 from scseg import admm
-from scseg.admm import BATCH_BLOCKS, PIXEL_BOUND, group_norm
+from scseg.admm import BATCH_BLOCKS, PIXEL_BOUND
 from scseg.dct import BasisMatrix
 from scseg.image_io import tile
 
@@ -205,16 +205,16 @@ class TestObjective:
         rng = np.random.default_rng(33)
         for n in (2, 5, 8):
             s = rng.normal(0, 3, n * n)
-            assert group_norm(s) == pytest.approx(group_norm_reference(s, n), rel=1e-12)
+            assert admm._group_norms((s * s).reshape(1, n, n))[0] == pytest.approx(group_norm_reference(s, n), rel=1e-12)
 
     def test_group_norm_rejects_non_square(self):
         with pytest.raises(ValueError):
-            group_norm(np.zeros(5))
+            objective(np.zeros(1), np.zeros(5), SolverParams())
 
     @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2)])
     def test_group_norm_rejects_a_non_square_block(self, shape):
         with pytest.raises(ValueError, match=r"block must have shape \(2, 2\) or \(4,\), got \(2, "):
-            group_norm(np.zeros(shape))
+            objective(np.zeros(1), np.zeros(shape), SolverParams())
 
 
 class TestSolve:
@@ -798,26 +798,23 @@ class TestWorkers:
             assert len(forks) == children == len(admm._pool)
 
     def test_sweep_basis_is_made_once_before_any_fork(self, monkeypatch, basis64, regime_stack, serial, cpus, forks):
-        # each call transposes and casts the basis once, before its children are forked, and
-        # copies it into each child's slot: the caller's slices read that one object, and a
-        # child's slices an equal copy in its slot (a child's failed check exits 1, which fails
-        # the call with the error of the caller solving it again)
+        # each call transposes and casts the basis once, before any child is forked: the
+        # caller's slices read that one object, and a child's slices, in every call it serves,
+        # the very object of the call that forked it. A child's list of bases made ends at its
+        # fork, so in every process the last one is the one to read (a child's failed check
+        # exits 1, which fails the call). The third call, with other params, replaces both
+        # children, which then read its basis
         made = []
         real_sweep_basis, real_solve_slice = admm._sweep_basis, admm._solve_slice
-        expected = real_sweep_basis(basis64)
-        parent = os.getpid()
+        short = solve_blocks(regime_stack[:24], basis64, SolverParams(max_iters=7))
 
         def recording(basis):
             made.append((len(forks), real_sweep_basis(basis)))
             return made[-1][1]
 
         def reading(flat, basis, params, work, out):
-            if os.getpid() == parent and basis is not made[-1][1]:
-                raise AssertionError("a slice read a basis of its own")
-            if os.getpid() != parent and not (
-                np.array_equal(basis.atoms_t, expected.atoms_t) and np.array_equal(basis.atoms_t32, expected.atoms_t32)
-            ):
-                raise AssertionError("a child's slice read another basis")
+            if basis is not made[-1][1]:
+                raise AssertionError("a slice read another basis than the one made by its call or its fork's")
             real_solve_slice(flat, basis, params, work, out)
 
         monkeypatch.setattr(admm, "_sweep_basis", recording)
@@ -825,7 +822,8 @@ class TestWorkers:
         for _ in range(2):
             dec = solve_blocks(regime_stack[:24], basis64, SolverParams(workers=3))
             _assert_same(dec, serial.rows(0, 24))
-        assert [forked for forked, _ in made] == [0, 2] and len(forks) == 2
+        _assert_same(solve_blocks(regime_stack[:24], basis64, SolverParams(max_iters=7, workers=3)), short)
+        assert [forked for forked, _ in made] == [0, 2, 2] and len(forks) == 4
         assert made[0][1] is not made[1][1]
 
     def test_forked_result_is_an_ordinary_decomposition(self, basis64, regime_stack, serial, cpus, forks):
@@ -863,7 +861,8 @@ class TestWorkers:
         _assert_matches_reference(decs, refs)
         sweeps = (1, 5, 50, 200)
         _assert_residuals_match_history(blocks, basis8, dataclasses.replace(params, workers=workers), sweeps)
-        assert len(forks) == workers - 1  # the first call's children serve every later one
+        # each history call runs another max_iters than the call before it, so it replaces the children
+        assert len(forks) == (1 + len(sweeps)) * (workers - 1)
 
     def test_divergence_in_a_child_slice(self, monkeypatch, basis64, regime_blocks, cpus, forks):
         # no pixel within PIXEL_BOUND overflows, so the bound is lifted to let one through
@@ -1091,8 +1090,9 @@ class TestSolverPool:
     def test_reused_children_keep_every_bit(self, basis64, regime_stack, cpus, forks):
         # alternating calls at workers 2 and 3 over block sides, atom counts, params and a basis
         # whose atoms are permuted; the letters name the pool's children after each call, in
-        # order: a call that needs a larger slot replaces only the children it uses whose slot
-        # is too small (64/28 > 64/10 > 16/28 > 16/10 > 5/10 in bytes)
+        # order: a call reuses the children it uses that were forked with the same basis and
+        # params (a new but equal basis too), and replaces the ones forked with another basis
+        # or other params
         rng = np.random.default_rng(97)
         basis16 = build_basis(16, 10)
         perm = [3, 0, 9, 5, 1, 8, 2, 7, 4, 6]
@@ -1101,13 +1101,17 @@ class TestSolverPool:
         stacks[64] = regime_stack
         calls = [
             (2, basis64, SolverParams(), "A"),
-            (3, build_basis(16, 28), SolverParams(rho=0.3), "AB"),
-            (2, build_basis(5, 10), SolverParams(max_iters=7), "AB"),
-            (3, basis64, SolverParams(lambda2=7.5), "AC"),
+            (3, build_basis(64, 10), SolverParams(), "AB"),
+            (2, build_basis(16, 28), SolverParams(rho=0.3), "CB"),
+            (3, build_basis(16, 28), SolverParams(rho=0.3), "CD"),
+            (2, build_basis(5, 10), SolverParams(max_iters=7), "ED"),
+            (3, basis64, SolverParams(lambda2=7.5), "FG"),
             # a float32 weight over a float64 penalty: the thresholds divide in float32
-            (2, build_basis(64, 28), SolverParams(lambda1=np.float32(5.0), rho=1.7), "DC"),
-            (3, permuted, SolverParams(), "DC"),
-            (3, build_basis(64, 28), SolverParams(max_iters=7), "DE"),
+            (2, build_basis(64, 28), SolverParams(lambda1=np.float32(5.0), rho=1.7), "HG"),
+            (3, build_basis(64, 28), SolverParams(lambda1=np.float32(5.0), rho=1.7), "HI"),
+            (2, basis16, SolverParams(), "JI"),
+            (3, permuted, SolverParams(), "KL"),
+            (3, build_basis(64, 28), SolverParams(max_iters=7), "MN"),
         ]
         names = {}
         for workers, basis, params, pool in calls:
@@ -1118,6 +1122,40 @@ class TestSolverPool:
             for name, pid in zip(pool, pids, strict=True):
                 assert names.setdefault(name, pid) == pid, (pool, name)
             assert len(set(names.values())) == len(names) == len(forks)
+
+    def test_a_float32_weight_replaces_children_forked_with_an_equal_float(self, basis64, regime_stack, cpus, forks):
+        # 5.0 == np.float32(5.0), but over rho 1.3 the float32 weight's threshold divides in
+        # float32, where 5 / 1.3 rounds to another value: a child kept by an == test would
+        # run the float32 call's slices on the first call's thresholds. Params of equal types
+        # and values keep the children, whether or not two fields share one object
+        decs, shared = [], np.float32(5.0)
+        calls = [(5.0, 2.0, 1), (np.float32(5.0), 2.0, 2), (shared, shared, 3), (np.float32(5.0), np.float32(5.0), 3)]
+        for lambda1, lambda2, forked in calls:
+            params = SolverParams(lambda1=lambda1, lambda2=lambda2, rho=1.3)
+            decs.append(solve_blocks(regime_stack[:16], basis64, dataclasses.replace(params, workers=2)))
+            _assert_same(decs[-1], solve_blocks(regime_stack[:16], basis64, params))
+            assert len(forks) == forked and len(admm._pool) == 1
+        if (np.float32(5.0) / 1.3).dtype == np.float32:  # numpy 2's promotion; numpy 1 divides in float64
+            assert not np.array_equal(decs[0].s, decs[1].s)
+
+    def test_a_call_differing_only_in_workers_forks_nothing(self, basis64, regime_stack, cpus, forks):
+        serial = solve_blocks(regime_stack[:24], basis64)
+        for workers in (3, 2, 3):
+            _assert_same(solve_blocks(regime_stack[:24], basis64, SolverParams(workers=workers)), serial)
+            assert len(forks) == len(admm._pool) == 2
+
+    def test_a_permuted_basis_replaces_the_children(self, cpus, forks):
+        # the same side and atom count, the same atoms in another order
+        basis = build_basis(16, 10)
+        perm = [3, 0, 9, 5, 1, 8, 2, 7, 4, 6]
+        permuted = BasisMatrix(16, 10, basis.atoms[:, perm], tuple(basis.freq_pairs[i] for i in perm))
+        blocks = np.random.default_rng(13).uniform(0, 255, (16, 16, 16))
+        decs = []
+        for forked, b in enumerate((basis, permuted), start=1):
+            decs.append(solve_blocks(blocks, b, SolverParams(workers=2)))
+            _assert_same(decs[-1], solve_blocks(blocks, b))
+            assert len(forks) == forked and len(admm._pool) == 1
+        assert not np.array_equal(decs[0].alpha, decs[1].alpha)
 
     def test_calls_from_threads_take_turns(self, basis64, regime_stack, cpus, forks):
         # the pool is forked before the threads start; then four threads, more than the cores,

@@ -4,6 +4,8 @@ cases are block soft thresholding of a whole vector (Boyd et al. 2011, section
 6.4.2): group_soft along its only axis.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,37 @@ def test_group_factor_of_a_threshold_infinite_in_the_dtype_is_zero(dtype, lam):
         got = group_factor(squares, lam)
     assert got is squares and got.dtype == dtype
     assert (got == 0).all() and not np.signbit(got).any()
+
+
+@pytest.mark.parametrize(
+    "dtype, lam",
+    [(np.float64, np.inf), (np.float32, np.inf), (np.float32, 1e39), (np.float32, np.float64(1e39)),
+     (np.float32, np.float32(np.inf))],
+    ids=["inf-float64", "inf-float32", "1e39-float32", "numpy-1e39-float32", "float32-inf"],
+)
+def test_soft_of_a_threshold_infinite_in_the_dtype_is_zero(dtype, lam):
+    # inf - inf would be NaN, with a RuntimeWarning (and casting 1e39 to float32 warns of overflow)
+    x = np.array([[0.0, 1.0, -4e30], [np.inf, -np.inf, 3e38]], dtype)
+    out = np.full_like(x, 7.0)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = soft(x, lam)
+        assert soft(x, lam, out=out) is out
+    for result in (got, out):
+        assert result.dtype == dtype and result.shape == x.shape
+        assert (result == 0).all() and not np.signbit(result).any()
+
+
+@pytest.mark.parametrize("lam", [float(np.finfo(np.float32).max), 3.4028235e38 * (1 + 2**-26)])
+def test_soft_of_the_largest_float32_thresholds_keeps_its_bits(lam):
+    # float32's largest value, and a larger one that rounds to it in a cast, are finite in
+    # float32: only an infinite x is beyond them
+    x = np.array([0.0, 1.0, -3e38, np.inf, -np.inf], np.float32)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = soft(x, lam)
+    assert got.dtype == np.float32
+    assert got.tolist() == [0.0, 0.0, 0.0, np.inf, -np.inf] and not np.signbit(got[:3]).any()
 
 
 @pytest.mark.parametrize("lam", [float(np.finfo(np.float32).max), 3.4028235e38 * (1 + 2**-26)])
