@@ -240,8 +240,8 @@ def group_factor(squares: np.ndarray, lam: float) -> np.ndarray:
 # row bits depend on its row count (one row even runs as a GEMV) but not on
 # the other rows. A constant, not an option: whatever the image size, it caps
 # the solver's working arrays at the seven float32 BATCH_BLOCKS x n*n rows of
-# the work array (0.875 MB for 64-pixel blocks), besides the call's float64
-# and float32 copies of the k x n*n basis.
+# the work array (0.875 MB for 64-pixel blocks), besides the call's float32
+# copy of the k x n*n basis.
 BATCH_BLOCKS = 8
 
 # Rows of the preallocated work array: the blocks f, the sparse layer s, the
@@ -261,11 +261,13 @@ _WORK_ROWS = 7
 
 @dataclass(frozen=True, eq=False)
 class _SweepBasis:
-    """The basis as the sweep reads it: B' as a C-contiguous float64 (k, n*n) array and its float32 cast.
+    """The basis as the sweep reads it: B' as the transposed view of the float64 atoms and a C-contiguous float32 copy.
 
     solve_blocks makes one per call, and a solver child keeps the one of the
-    call that forked it. alpha @ B' runs 2x faster on C order than on the
-    transpose of the (n*n, k) atoms.
+    call that forked it. The float32 sweep reads the copy, because alpha @ B'
+    runs 2x faster on C order than on the transpose of the (n*n, k) atoms;
+    the float64 products (the records' B alpha once a slice, and the float64
+    sweep) read the view, so no call copies the float64 atoms.
     """
 
     n: int
@@ -275,8 +277,7 @@ class _SweepBasis:
 
 def _sweep_basis(basis: BasisMatrix) -> _SweepBasis:
     """basis as the sweep reads it."""
-    atoms_t = np.ascontiguousarray(basis.atoms.T)
-    return _SweepBasis(basis.n, atoms_t, atoms_t.astype(np.float32))
+    return _SweepBasis(basis.n, basis.atoms.T, np.ascontiguousarray(basis.atoms.T, dtype=np.float32))
 
 
 def _solve_slice(flat: np.ndarray, basis: _SweepBasis, params: SolverParams, work, out: Decomposition) -> None:
@@ -462,9 +463,10 @@ def _serve(regions: np.ndarray, jobs: int, done: int, basis: _SweepBasis, params
 class _Child:
     """A solver child: its pid, the caller's ends of its job and reply pipes, and its shared slot of _REGIONS regions.
 
-    It is forked when made, keeps the basis and params it was given, which
-    `key` names, ignores SIGINT, closes every file descriptor but its ends
-    of the two pipes, and runs _serve until its job pipe reaches EOF; then,
+    It is forked when made and keeps the basis and params it was given,
+    which `atoms` (the bytes of B', made once) and `key` name. It ignores
+    SIGINT, closes every file descriptor but its ends of the two pipes,
+    and runs _serve until its job pipe reaches EOF; then,
     or when a slice raises, it leaves through os._exit (status 0 or 1), so
     it runs none of the caller's cleanup or buffered output. `running` maps
     each region it holds a slice in to the slice's first block.
@@ -474,7 +476,8 @@ class _Child:
         import mmap  # only a call that forks needs it, so importing scseg does not load it
 
         dtype = _region_dtype(basis.n, len(basis.atoms_t))
-        self.key, self.slot, self.running = key, mmap.mmap(-1, _REGIONS * dtype.itemsize), {}
+        self.key, self.atoms = key, basis.atoms_t.tobytes()
+        self.slot, self.running = mmap.mmap(-1, _REGIONS * dtype.itemsize), {}
         self.regions = np.frombuffer(self.slot, dtype, _REGIONS)
         fds = os.pipe()
         try:
@@ -561,22 +564,31 @@ def _pool_children(count: int, basis: _SweepBasis, params: SolverParams) -> list
     with another basis or other params are replaced; children past the
     usable CPUs less one are retired.
     """
-    # B' by its exact bits, and each param but workers by type and value: a float32 weight, whose
-    # thresholds divide in float32, differs from an equal Python float, where == alone would not tell
-    # (the params are positive and finite, so equal values of one type have equal bits)
+    # B' by its exact bits, compared in place with a child's bytes through unsigned-integer views
+    # (a float64 entry is one uint64), and each param but workers by type and value: a float32
+    # weight, whose thresholds divide in float32, differs from an equal Python float, where ==
+    # alone would not tell (the params are positive and finite, so equal values of one type have equal bits)
     atoms_t = basis.atoms_t
-    key = atoms_t.dtype.str, atoms_t.shape, atoms_t.tobytes(), [
+    unit = math.gcd(atoms_t.itemsize, 8)
+    bits = atoms_t.view(np.dtype((f"u{unit}", (atoms_t.itemsize // unit,))))
+    key = atoms_t.dtype.str, atoms_t.shape, [
         (type(value), value) for name, value in vars(params).items() if name != "workers"
     ]
+
+    def kept(child: _Child) -> bool:
+        return child.key == key and np.array_equal(np.frombuffer(child.atoms, bits.dtype).reshape(bits.shape), bits)
+
     for child in [child for child in _pool if os.waitpid(child.pid, os.WNOHANG)[0]]:
         _pool.remove(child)
         child.close()
     while len(_pool) > len(os.sched_getaffinity(0)) - 1:
         _pool[-1].retire()
     for i in range(count):
-        if i < len(_pool) and _pool[i].key != key:
-            _pool[i].retire()
-        if i == len(_pool) or _pool[i].key != key:
+        if i < len(_pool) and kept(_pool[i]):
+            continue
+        if i < len(_pool):
+            _pool[i].retire()  # the child after it moves up to i, and may be one to keep
+        if i == len(_pool) or not kept(_pool[i]):
             _pool.insert(i, _Child(basis, params, key))
     return _pool[:count]
 

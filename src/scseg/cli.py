@@ -70,30 +70,34 @@ def _config(args) -> SegmentationConfig:
 
 
 def cmd_segment(args) -> int:
-    img = load_gray(args.input)
-    seg = next(segment_images([img], args.config))
+    seg = next(segment_images([load_gray(args.input)], args.config))
     if args.verbose:
-        dec = seg.decomposition
-        for i, (origin, block_mask) in enumerate(zip(seg.grid.origins, seg.block_masks)):
-            coefficient, row, column = dec.split_residuals[i].tolist()
-            print(json.dumps({
-                "block": i,
-                "origin": origin,
-                "primal_residual": float(dec.primal_residual[i]),
-                "coefficient_residual": coefficient,
-                "row_residual": row,
-                "column_residual": column,
-                "objective": float(dec.objective[i]),
-                "fg_fraction": float(block_mask.mean()),
-            }))
-    if args.fg_out or args.bg_out:
-        background, foreground, _ = assemble_layers(seg)
-        if args.bg_out:
-            save_gray(background, args.bg_out)
-        if args.fg_out:
-            save_gray(foreground, args.fg_out)
-    save_mask(seg.mask, args.mask_out)
+        _print_records(seg)
+    mask = seg.mask
+    layers = assemble_layers(seg) if args.fg_out or args.bg_out else ()
+    # the image, its blocks and the float64 records go before the writers make their temporaries
+    del seg
+    for layer, path in zip(layers, (args.bg_out, args.fg_out)):
+        if path:
+            save_gray(layer, path)
+    save_mask(mask, args.mask_out)
     return 0
+
+
+def _print_records(seg) -> None:
+    dec = seg.decomposition
+    for i, (origin, block_mask) in enumerate(zip(seg.grid.origins, seg.block_masks)):
+        coefficient, row, column = dec.split_residuals[i].tolist()
+        print(json.dumps({
+            "block": i,
+            "origin": origin,
+            "primal_residual": float(dec.primal_residual[i]),
+            "coefficient_residual": coefficient,
+            "row_residual": row,
+            "column_residual": column,
+            "objective": float(dec.objective[i]),
+            "fg_fraction": float(block_mask.mean()),
+        }))
 
 
 def cmd_evaluate(args) -> int:

@@ -178,8 +178,10 @@ def assemble_layers(seg: SegmentedImage):
     alpha = seg.decomposition.alpha[~fitted, :, None]
     solver_layer = (basis.atoms @ alpha).reshape(-1, basis.n, basis.n)
     filled[~fitted] = np.where(masks[~fitted], solver_layer, filled[~fitted])
+    background = stitch(seg.grid, filled)
+    del filled  # before the foreground is made: the block-layout fill and it need not coexist
     foreground = np.where(seg.mask, np.asarray(seg.image, dtype=np.float64), 0.0)
-    return stitch(seg.grid, filled), foreground, seg.mask
+    return background, foreground, seg.mask
 
 
 def reconstruct_layers(img, cfg: SegmentationConfig = SegmentationConfig()):

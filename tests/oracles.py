@@ -240,7 +240,7 @@ def admm_step(state: SolverState, f: np.ndarray, b: np.ndarray, params) -> Solve
 
 def _residuals(state: SolverState, f: np.ndarray, b: np.ndarray) -> tuple:
     return (
-        float(np.linalg.norm(f - padded_product(state.alpha, np.ascontiguousarray(b.T)) - state.s)),
+        float(np.linalg.norm(f - padded_product(state.alpha, b.T) - state.s)),
         float(np.linalg.norm(state.alpha - state.beta)),
         float(np.linalg.norm(state.s - state.y)),
         float(np.linalg.norm(state.s - state.z)),
@@ -360,7 +360,8 @@ def scaled_solve(f, atoms: np.ndarray, params, steps: int | None = None) -> dict
     "alpha" and "s" are float64 copies of the last sweep's. history holds,
     per sweep, ||f - B alpha - s|| and the split gaps ||alpha - beta||,
     ||s - y||, ||s - z||, each computed in float64 from float64 copies, with
-    f the float64 input and B alpha one 8-row float64 GEMM.
+    f the float64 input and B alpha one 8-row float64 GEMM with the
+    transposed view of the atoms, the product the solver's records take.
     """
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     n = int(round(np.sqrt(f.size)))
@@ -384,7 +385,7 @@ def scaled_solve(f, atoms: np.ndarray, params, steps: int | None = None) -> dict
         y, z = ((t * c).ravel().astype(np.float64) for t, c in ((state.t_row, state.row_factor),
                                                                 (state.t_col, state.col_factor)))
         history.append((
-            float(np.linalg.norm(f - padded_product(alpha, np.ascontiguousarray(atoms.T)) - s)),
+            float(np.linalg.norm(f - padded_product(alpha, atoms.T) - s)),
             float(np.linalg.norm(alpha - state.beta.astype(np.float64))),
             float(np.linalg.norm(s - y)),
             float(np.linalg.norm(s - z)),

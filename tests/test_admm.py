@@ -803,7 +803,7 @@ class TestWorkers:
         # the very object of the call that forked it. A child's list of bases made ends at its
         # fork, so in every process the last one is the one to read (a child's failed check
         # exits 1, which fails the call). The third call, with other params, replaces both
-        # children, which then read its basis
+        # children, which then read its basis. Its float64 B' is a view of the atoms, not a copy
         made = []
         real_sweep_basis, real_solve_slice = admm._sweep_basis, admm._solve_slice
         short = solve_blocks(regime_stack[:24], basis64, SolverParams(max_iters=7))
@@ -825,6 +825,7 @@ class TestWorkers:
         _assert_same(solve_blocks(regime_stack[:24], basis64, SolverParams(max_iters=7, workers=3)), short)
         assert [forked for forked, _ in made] == [0, 2, 2] and len(forks) == 4
         assert made[0][1] is not made[1][1]
+        assert all(np.shares_memory(sweep.atoms_t, basis64.atoms) for _, sweep in made)
 
     def test_forked_result_is_an_ordinary_decomposition(self, basis64, regime_stack, serial, cpus, forks):
         # its arrays are the caller's own, with the children's rows copied in: they own their
@@ -1143,6 +1144,30 @@ class TestSolverPool:
         for workers in (3, 2, 3):
             _assert_same(solve_blocks(regime_stack[:24], basis64, SolverParams(workers=workers)), serial)
             assert len(forks) == len(admm._pool) == 2
+
+    def test_reused_children_cost_no_copy_of_the_basis(self, monkeypatch, basis64, regime_stack, cpus, forks):
+        # a child keeps the bytes of the B' it was forked with, and each later call compares its
+        # own B' with them in place: finding the children, a call that reuses them allocates
+        # nothing as large as B' (320 KiB at n = 64, k = 10), though each brings a new but
+        # equal basis, as segment_images does
+        serial = solve_blocks(regime_stack[:16], basis64)
+        _assert_same(solve_blocks(regime_stack[:16], basis64, SolverParams(workers=2)), serial)
+        peaks, real_pool_children = [], admm._pool_children
+
+        def traced(count, basis, params):
+            tracemalloc.start()
+            try:
+                children = real_pool_children(count, basis, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                return children
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(admm, "_pool_children", traced)
+        for _ in range(3):
+            _assert_same(solve_blocks(regime_stack[:16], build_basis(64, 10), SolverParams(workers=2)), serial)
+        assert len(peaks) == 3 and max(peaks) < basis64.atoms.nbytes, peaks
+        assert len(forks) == len(admm._pool) == 1
 
     def test_a_permuted_basis_replaces_the_children(self, cpus, forks):
         # the same side and atom count, the same atoms in another order

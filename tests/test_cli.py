@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import scseg
-from scseg import SegmentationConfig, SolverParams, SynthSpec, confusion, load_mask, write_dataset
+from scseg import SegmentationConfig, SolverParams, SynthSpec, confusion, gen_block, load_mask, save_gray, write_dataset
 from scseg.cli import build_parser, main
 
 
@@ -99,6 +100,24 @@ def test_solver_process_dying_is_runtime_error(dataset, tmp_path, eight_cpus, mo
     assert "exited with status 5 without a result" in capsys.readouterr().err
     assert not (tmp_path / "m.pbm").exists()
     assert admm._pool == []  # the dead child's call dropped the pool
+
+
+def test_layered_segment_peaks_under_six_pages(tmp_path):
+    # a 512² page of 64 blocks: while the layers are built the call holds the image, its
+    # blocks, the records' float64 s and the two layers, but not the block-layout fill as
+    # well, and the image, blocks and records go before the layers are written
+    side = 512
+    page = np.block([[gen_block(SynthSpec(seed=8 * r + c))[0] for c in range(8)] for r in range(8)])
+    save_gray(page, tmp_path / "page.pgm")
+    argv = ["segment", "--input", str(tmp_path / "page.pgm"), "--workers", "1", "--iters", "5"]
+    argv += [x for name in ("mask-out", "fg-out", "bg-out") for x in (f"--{name}", str(tmp_path / name))]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * side * side * 8, peak / (side * side * 8)
 
 
 def test_segment_huge_threshold_empty_mask(dataset, tmp_path):
