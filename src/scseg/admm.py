@@ -40,7 +40,9 @@ np.empty put it 16 or 48 bytes past one, a 16-block solve of 64-pixel blocks
 took about 10% longer (3.5% at 32 bytes; 2-core x86 host), with the same bits.
 The sweep runs in float32, which halves the bytes of each pass: its
 iterates, the basis and the thresholds are all float32, and the records it
-returns hold float64 copies. solve_blocks refuses any pixel beyond
+returns hold float64 copies. SolverParams checks every threshold, and
+_solve_slice casts each to the sweep's dtype once a slice, so soft and
+group_factor take them as they are. solve_blocks refuses any pixel beyond
 PIXEL_BOUND, so no input within it can overflow float32's range.
 """
 
@@ -189,24 +191,15 @@ def soft(x, lam: float, out: np.ndarray | None = None) -> np.ndarray:
 
     Computed as x - clip(x, -lam, lam), two passes instead of four, into
     `out` when given (it must not overlap x). Every nonzero result has the
-    same bits as the sign form; zeros are +0.0. float32 stays float32, with
-    the threshold cast to it; any other input is computed in float64. A
-    threshold that is infinite in that dtype gives all zeros, an infinite x
-    included. A negative or NaN threshold is a ValueError.
+    same bits as the sign form; zeros are +0.0. The threshold must be a
+    finite scalar in x's dtype (for float64 x a Python float does too), as
+    _solve_slice passes it: SolverParams bounds every threshold, and
+    _solve_slice casts each once a slice. A negative or NaN threshold is a
+    ValueError.
     """
     if not lam >= 0:  # NaN fails the comparison too
         raise ValueError(f"threshold must be nonnegative, got {lam}")
     x = np.asarray(x)
-    x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
-    if lam > _FLOAT32_MAX:
-        with np.errstate(over="ignore"):  # a cast that rounds to inf warns of overflow
-            lam = x.dtype.type(lam)
-        if lam == np.inf:  # where x - clip(x) would be inf - inf = NaN for an infinite x
-            if out is None:
-                return np.zeros_like(x)
-            out.fill(0)
-            return out
-    lam = x.dtype.type(lam)
     clipped = x.clip(-lam, lam, out=out)
     return np.subtract(x, clipped, out=clipped)
 
@@ -216,19 +209,13 @@ def group_factor(squares: np.ndarray, lam: float) -> np.ndarray:
 
     The factors overwrite `squares` in place, in its dtype, and are returned;
     a slice x times its factor is its block soft threshold, and a slice whose
-    norm is at or below lam gets factor zero, so a threshold that is infinite
-    in that dtype gives every slice factor zero. A negative or NaN threshold
-    is a ValueError.
+    norm is at or below lam gets factor zero. The threshold is soft's: a
+    finite scalar already in the dtype of `squares`. A negative or NaN
+    threshold is a ValueError.
     """
     if not lam >= 0:  # NaN fails the comparison too
         raise ValueError(f"threshold must be nonnegative, got {lam}")
-    if lam > _FLOAT32_MAX and (lam == np.inf or squares.dtype == np.float32):
-        # infinite in the dtype, where lam / lam would be NaN; a threshold between float32's
-        # largest value and the first that rounds to inf gives factor zero in the path below too
-        squares.fill(0)
-        return squares
-    lam = squares.dtype.type(lam)
-    if lam == 0:  # also a positive threshold that underflows the dtype
+    if lam == 0:  # also a positive threshold that underflowed the dtype in _solve_slice's cast
         return np.greater(squares, 0, out=squares)
     # lam / lam is exactly 1, so a slice at or below lam gets exactly 0
     norms = np.maximum(np.sqrt(squares, out=squares), lam, out=squares)

@@ -622,6 +622,43 @@ class TestSweep:
                     admm._solve_slice(flat[i : i + BATCH_BLOCKS], sweep_basis, params, work, out.rows(i, i + BATCH_BLOCKS))
                 _assert_same(out, expected)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_each_sweep_calls_soft_twice_and_group_factor_once(self, monkeypatch, regime_blocks, dtype):
+        # the benchmark's tracer counts the shrinkages by wrapping admm.soft by name, so the sweep
+        # calls both helpers by name, each with a threshold _solve_slice has cast to the sweep's
+        # dtype; one 64-pixel block tiles to 16 blocks of 16^2, two slices of 20 sweeps each
+        basis = build_basis(16, 10)
+        blocks = tile(regime_blocks[3], 16).blocks.reshape(16, -1)
+        params = SolverParams(max_iters=20, workers=1)
+        real = {"soft": admm.soft, "group_factor": admm.group_factor}
+        calls = {name: [] for name in real}
+
+        def recorder(name):
+            def record(x, lam, **out):
+                before = x.copy()
+                got = real[name](x, lam, **out)
+                calls[name].append((before, lam, got.copy()))
+                return got
+
+            return record
+
+        def solve():
+            if dtype is np.float32:
+                return solve_blocks(blocks, basis, params)
+            return _solve_in(np.float64, blocks, basis, params)
+
+        for name in real:
+            monkeypatch.setattr(admm, name, recorder(name))
+        recorded = solve()
+        monkeypatch.undo()
+        _assert_same(recorded, solve())
+        assert (len(calls["soft"]), len(calls["group_factor"])) == (2 * 2 * 20, 2 * 20)
+        for name, records in calls.items():
+            for x, lam, got in records:
+                assert x.dtype == dtype and type(lam) is dtype, name
+                again = real[name](x.copy(), lam)
+                assert again.dtype == dtype and np.array_equal(again.view(np.uint8), got.view(np.uint8)), name
+
     @pytest.mark.parametrize("n", [64, 8])
     def test_work_array_starts_on_a_cache_line(self, monkeypatch, n):
         # whatever the heap did before: each solve between allocations of other sizes
