@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -128,6 +129,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
+@functools.cache  # parsing keeps no state in the parser, so main reuses one across calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scseg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,8 +43,9 @@ class SegmentedImage:
 
     image is the image as it was passed in, mask its (h, w) boolean
     foreground mask, grid its BlockGrid and basis the basis its blocks were
-    solved on. block_masks is one (m, n, n) boolean array in grid order, True
-    where a block's sparse layer exceeds cfg.fg_threshold in magnitude, and
+    solved on, which other records of its block size and k share (its atoms
+    are read-only). block_masks is one (m, n, n) boolean array in grid order,
+    True where a block's sparse layer exceeds cfg.fg_threshold in magnitude, and
     decomposition the Decomposition of the same m blocks in the same order
     (row i is block i's); its arrays are views of the arrays its group's
     solve_blocks call returned.
@@ -66,7 +68,7 @@ def segment_images(images, cfg: SegmentationConfig = SegmentationConfig()):
     group is held at a time: at most one image plus fewer than BATCH_BLOCKS
     blocks. Each record is bit-identical to segmenting its image alone.
     """
-    basis = build_basis(cfg.block_size, cfg.k_bases)
+    basis = _shared_basis(cfg.block_size, cfg.k_bases)
     group = []
     for img in images:
         group.append((img, tile(img, cfg.block_size)))
@@ -75,6 +77,14 @@ def segment_images(images, cfg: SegmentationConfig = SegmentationConfig()):
             group = []
     if group:
         yield from _group_records(group, basis, cfg)
+
+
+# typed: a float side such as 16.0 reaches build_basis's integer check instead of the entry of 16
+@lru_cache(maxsize=4, typed=True)
+def _shared_basis(n: int, k: int) -> BasisMatrix:
+    basis = build_basis(n, k)
+    basis.atoms.flags.writeable = False
+    return basis
 
 
 def _group_records(group: list, basis: BasisMatrix, cfg: SegmentationConfig):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import scseg
-from scseg import SegmentationConfig, SolverParams, SynthSpec, confusion, gen_block, load_mask, save_gray, write_dataset
+from scseg import (
+    SegmentationConfig, SolverParams, SynthSpec, confusion, gen_block, load_gray, load_mask, save_gray, write_dataset,
+)
 from scseg.cli import build_parser, main
 
 
@@ -35,6 +37,14 @@ def test_segment_bit_identical_reruns(dataset, tmp_path):
     assert (tmp_path / "a.pbm").read_bytes() == (tmp_path / "b.pbm").read_bytes()
 
 
+def run_python(args, **kwargs):
+    """Run a fresh interpreter on the package under test, wherever it was imported from."""
+    package_root = os.path.dirname(os.path.dirname(scseg.__file__))
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], check=True, env=env, **kwargs)
+
+
 def test_segment_imports_no_scipy(dataset, tmp_path):
     script = (
         "import sys\n"
@@ -43,11 +53,7 @@ def test_segment_imports_no_scipy(dataset, tmp_path):
         f" '--mask-out', {str(tmp_path / 'm.pbm')!r}]) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
-    # run the package under test, wherever it was imported from
-    package_root = os.path.dirname(os.path.dirname(scseg.__file__))
-    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    subprocess.run([sys.executable, "-c", script], check=True, env=env)
+    run_python(["-c", script])
 
 
 @pytest.fixture()
@@ -80,6 +86,63 @@ def test_segment_workers_identical(dataset, tmp_path, eight_cpus, capsys, no_chi
     assert all(set(r) == VERBOSE_FIELDS for r in records)
     assert outputs["1"] == outputs["2"] == outputs["4"]
     assert len(admm._pool) == 1
+
+
+# One process runs segment twice at --workers 2 on each input below, then once at --rho 0.3,
+# and prints, for each call, the first call its solver child served. Dev mode with -W error
+# fails it on any warning, a leaked file among them.
+REUSE_SCRIPT = """
+import json, os, sys
+from scseg import admm
+from scseg.cli import main
+
+os.sched_getaffinity = lambda pid: set(range(8))  # --workers 2 forks a child on any host
+children = []
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    (child,) = admm._pool
+    children.append(child)
+print(json.dumps([children.index(child) for child in children]))
+"""
+
+# name: (input, flags). 16-pixel blocks (16 blocks, two slices), the 61x50 crop (4x4 edge-padded
+# 16-pixel blocks, cropped back), 5-pixel blocks (169 edge-padded blocks, the last slice short)
+# and a non-unit penalty
+REUSE_RUNS = {
+    "b16": ("block", ["--block", "16"]),
+    "crop": ("crop", ["--block", "16"]),
+    "b5": ("block", ["--block", "5"]),
+    "rho": ("block", ["--block", "16", "--rho", "0.3"]),
+}
+
+
+def segment_argv(directory, source, flags, workers, tag):
+    """segment's argv on directory/<source>.pgm, writing <tag>-mask, <tag>-fg and <tag>-bg there."""
+    out = {kind: str(directory / f"{tag}-{kind}") for kind in ("mask", "fg", "bg")}
+    return ["segment", "--input", str(directory / f"{source}.pgm"), *flags, "--workers", workers,
+            "--mask-out", out["mask"], "--fg-out", out["fg"], "--bg-out", out["bg"]]
+
+
+def test_reused_solver_children_write_the_fresh_processes_bytes(tmp_path):
+    # A solver child keeps the basis and params it was forked with: the crop's call reuses the
+    # child of the 16-pixel call before it, and every call with another basis or params (the
+    # 5-pixel blocks, the 16-pixel blocks after them, --rho 0.3) replaces it. Every file must
+    # equal the one a fresh --workers 1 process writes.
+    block = tmp_path / "block.pgm"
+    save_gray(gen_block(SynthSpec(seed=0))[0], block)
+    save_gray(load_gray(block)[:61, :50], tmp_path / "crop.pgm")
+    for name, (source, flags) in REUSE_RUNS.items():
+        run_python(["-X", "dev", "-W", "error", "-m", "scseg.cli", *segment_argv(tmp_path, source, flags, "1", name)])
+    runs = [(name, call) for call in (1, 2) for name in ("b16", "crop", "b5")] + [("rho", 1)]
+    argvs = [segment_argv(tmp_path, *REUSE_RUNS[name], "2", f"{name}-reused{call}") for name, call in runs]
+    served = run_python(["-X", "dev", "-W", "error", "-c", REUSE_SCRIPT, json.dumps(argvs)],
+                        capture_output=True, text=True).stdout
+    assert json.loads(served) == [0, 0, 2, 3, 3, 5, 6]
+    for name, call in runs:
+        for kind in ("mask", "fg", "bg"):
+            reused = (tmp_path / f"{name}-reused{call}-{kind}").read_bytes()
+            assert reused == (tmp_path / f"{name}-{kind}").read_bytes(), (name, call, kind)
+    assert load_mask(tmp_path / "crop-mask").shape == load_gray(tmp_path / "crop-bg").shape == (61, 50)
 
 
 def test_solver_process_dying_is_runtime_error(dataset, tmp_path, eight_cpus, monkeypatch, capsys, no_child_or_fd_left):
@@ -498,10 +561,26 @@ def test_help_reads_the_solver_defaults(monkeypatch, capsys):
 
     monkeypatch.setattr("scseg.cli.SolverParams", Other)
     monkeypatch.setattr("scseg.cli.BATCH_BLOCKS", 5)
-    assert main(["segment", "--help"]) == 0
+    # the parser is built once per process: rebuild it on the patched names, and drop it afterwards
+    build_parser.cache_clear()
+    try:
+        assert main(["segment", "--help"]) == 0
+    finally:
+        build_parser.cache_clear()
     out = " ".join(capsys.readouterr().out.split())
     assert "ADMM penalty parameter (default 2.5)" in out
     assert "solve the 5-block slices (default 3, capped" in out
+
+
+def test_one_parser_serves_every_call(capsys):
+    # a usage error or a flag given in one call leaves nothing behind for the next
+    parser = build_parser()
+    assert main(["segment"]) == 1
+    assert built(REQUIRED["segment"] + ["--rho", "1.5", "--block", "32"]) == segmentation_config(
+        {"rho": 1.5, "block_size": 32})
+    assert built(REQUIRED["segment"]) == SegmentationConfig()
+    assert build_parser() is parser
+    capsys.readouterr()
 
 
 def test_evaluate_names_the_unreadable_entries(tmp_path, capsys):

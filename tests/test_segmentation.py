@@ -22,7 +22,7 @@ from scseg import (
     tile,
 )
 from scseg.image_io import stitch
-from scseg.segmentation import MAX_FIT_CONDITION, assemble_layers
+from scseg.segmentation import MAX_FIT_CONDITION, _shared_basis, assemble_layers
 
 from oracles import dense_fill_background
 
@@ -256,6 +256,63 @@ class TestSegmentImages:
                 np.testing.assert_array_equal(block_mask, alone_mask)
                 np.testing.assert_array_equal(seg.decomposition.s[i], alone.decomposition.s[i])
                 np.testing.assert_array_equal(seg.decomposition.alpha[i], alone.decomposition.alpha[i])
+
+
+def assert_same_records(a, b):
+    """Two SegmentedImages hold the same bits: mask, block masks, every Decomposition field and the basis."""
+    np.testing.assert_array_equal(a.mask, b.mask)
+    np.testing.assert_array_equal(a.block_masks, b.block_masks)
+    for field in dataclasses.fields(a.decomposition):
+        x, y = getattr(a.decomposition, field.name), getattr(b.decomposition, field.name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field.name
+    assert (a.basis.n, a.basis.k, a.basis.freq_pairs) == (b.basis.n, b.basis.k, b.basis.freq_pairs)
+    assert a.basis.atoms.tobytes() == b.basis.atoms.tobytes()
+
+
+class TestSharedBasis:
+    """segment_images builds the basis of a block size and k once, and its records share it."""
+
+    def test_shared_atoms_are_read_only(self):
+        seg = next(segment_images([np.zeros((8, 8))], SegmentationConfig(block_size=8, k_bases=3)))
+        with pytest.raises(ValueError, match="read-only"):
+            seg.basis.atoms[0, 0] = 1.0
+        # the public builder still hands out a basis of its own
+        fresh = build_basis(8, 3)
+        assert fresh is not seg.basis and fresh.atoms.flags.writeable
+        fresh.atoms[0, 0] = 1.0
+
+    def test_calls_with_one_block_size_and_k_share_one_basis(self):
+        cfg = SegmentationConfig(block_size=8, k_bases=3)
+        first = next(segment_images([np.zeros((8, 8))], cfg))
+        second = next(segment_images([np.ones((16, 16))], dataclasses.replace(cfg, fg_threshold=2.0)))
+        assert second.basis is first.basis
+        other = next(segment_images([np.zeros((8, 8))], SegmentationConfig(block_size=8, k_bases=4)))
+        assert other.basis is not first.basis
+
+    def test_numpy_block_size_gives_the_same_records(self):
+        f, _, _ = gen_block(SynthSpec(seed=3))
+        solver = SolverParams(max_iters=20)
+        numpy_side = next(segment_images([f], SegmentationConfig(block_size=np.int64(16), solver=solver)))
+        int_side = next(segment_images([f], SegmentationConfig(block_size=16, solver=solver)))
+        assert_same_records(numpy_side, int_side)
+
+    def test_a_float_size_does_not_hit_the_entry_of_its_integer(self):
+        _shared_basis(8, 3)
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            _shared_basis(8, 3.0)
+
+    def test_interleaved_configs_match_each_config_alone(self):
+        # six (block, k) pairs through a memo of four: (5, 10) and (16, 10) come back after eviction
+        f, _, _ = gen_block(SynthSpec(seed=4, k_true=15))
+        sizes = [(16, 10), (5, 10), (16, 10), (16, 28), (8, 3), (32, 10), (64, 10), (5, 10), (16, 10)]
+        solver = SolverParams(max_iters=20)
+        configs = {size: SegmentationConfig(block_size=size[0], k_bases=size[1], solver=solver) for size in sizes}
+        alone = {}
+        for size, cfg in configs.items():
+            _shared_basis.cache_clear()
+            alone[size] = next(segment_images([f], cfg))
+        for size in sizes:
+            assert_same_records(next(segment_images([f], configs[size])), alone[size])
 
 
 class TestFillBackground:
