@@ -10,17 +10,16 @@ solved several at a time as rows of shared arrays, and whole slices of them
 can go to solver children: processes forked by a call that needs them,
 which keep that call's sweep basis and params and serve every later call
 with exactly the same ones until the process ends; a call with any other
-basis or params replaces the children it uses. Each child owns one
-anonymous shared slot of two regions, each with room for one slice. For each
-slice the caller writes the blocks into a free region and one byte to the
-child's job pipe; the child solves the slice into that region's record rows
-and writes the byte back, and the caller copies the rows into its own
-result. A child whose slice raises exits with status 1, and the caller then
-solves the call again itself, which raises the earliest failing slice's
-error. The sweep runs
-in the scaled form of ADMM (Boyd et al. 2011, section 3.1.1) with one
-penalty rho: every dual is stored divided by rho, so rho enters only the
-three shrinkage thresholds.
+basis or params retires them all and forks a new generation. Each child
+owns one anonymous shared slot of two regions, each with room for one
+slice. For each slice the caller writes the blocks into a free region and
+one byte to the child's job pipe; the child solves the slice into that
+region's record rows and writes the byte back, and the caller copies the
+rows into its own result. A child whose slice raises exits with status 1,
+and the caller then solves the call again itself, which raises the
+earliest failing slice's error. The sweep runs in the scaled form of ADMM
+(Boyd et al. 2011, section 3.1.1) with one penalty rho: every dual is
+stored divided by rho, so rho enters only the three shrinkage thresholds.
 A sweep needs two products with the basis, B'W1 and B alpha. Each runs as
 one GEMM of BATCH_BLOCKS rows, zero-padded when a slice is short: the shape
 never changes, so a block's bits do not depend on its row or on the blocks
@@ -409,9 +408,9 @@ def _process_count(workers: int, slices: int) -> int:
     return min(workers, len(os.sched_getaffinity(0)), slices)
 
 
-# The solver children: forked by a call that needs them, each kept until the process ends
-# or a call with another basis or params replaces it. A call hands its slices to the first
-# processes - 1 of them; the lock makes calls from several threads take turns.
+# The solver children, one generation: forked by a call that needs them, kept until the process
+# ends or a call with another basis or params retires them all. A call hands its slices to the
+# first processes - 1 of them; the lock makes calls from several threads take turns.
 _pool: list = []
 _pool_lock = threading.Lock()
 
@@ -451,7 +450,8 @@ class _Child:
     """A solver child: its pid, the caller's ends of its job and reply pipes, and its shared slot of _REGIONS regions.
 
     It is forked when made and keeps the basis and params it was given,
-    which `atoms` (the bytes of B', made once) and `key` name. It ignores
+    which `atoms` (the bytes of B', one copy shared by the pool's
+    generation) and `key` name. It ignores
     SIGINT, closes every file descriptor but its ends of the two pipes,
     and runs _serve until its job pipe reaches EOF; then,
     or when a slice raises, it leaves through os._exit (status 0 or 1), so
@@ -459,11 +459,11 @@ class _Child:
     each region it holds a slice in to the slice's first block.
     """
 
-    def __init__(self, basis: _SweepBasis, params: SolverParams, key: tuple):
+    def __init__(self, basis: _SweepBasis, params: SolverParams, key: tuple, atoms: bytes):
         import mmap  # only a call that forks needs it, so importing scseg does not load it
 
         dtype = _region_dtype(basis.n, len(basis.atoms_t))
-        self.key, self.atoms = key, basis.atoms_t.tobytes()
+        self.key, self.atoms = key, atoms
         self.slot, self.running = mmap.mmap(-1, _REGIONS * dtype.itemsize), {}
         self.regions = np.frombuffer(self.slot, dtype, _REGIONS)
         fds = os.pipe()
@@ -546,13 +546,14 @@ class _Child:
 def _pool_children(count: int, basis: _SweepBasis, params: SolverParams) -> list:
     """The pool's first `count` children, each forked with this basis and these params (workers aside).
 
-    Children that have exited since the last call (killed while idle) are
-    reaped and dropped, children missing are forked and children forked
-    with another basis or other params are replaced; children past the
-    usable CPUs less one are retired.
+    The pool is one generation: every child was forked with the same basis
+    and params. A call with another basis or other params retires the whole
+    pool first. Children that have exited since the last call (killed while
+    idle) are reaped and dropped, children past the usable CPUs less one are
+    retired, and children missing are forked.
     """
-    # B' by its exact bits, compared in place with a child's bytes through unsigned-integer views
-    # (a float64 entry is one uint64), and each param but workers by type and value: a float32
+    # B' by its exact bits, compared in place with the generation's bytes through unsigned-integer
+    # views (a float64 entry is one uint64), and each param but workers by type and value: a float32
     # weight, whose thresholds divide in float32, differs from an equal Python float, where ==
     # alone would not tell (the params are positive and finite, so equal values of one type have equal bits)
     atoms_t = basis.atoms_t
@@ -561,22 +562,17 @@ def _pool_children(count: int, basis: _SweepBasis, params: SolverParams) -> list
     key = atoms_t.dtype.str, atoms_t.shape, [
         (type(value), value) for name, value in vars(params).items() if name != "workers"
     ]
-
-    def kept(child: _Child) -> bool:
-        return child.key == key and np.array_equal(np.frombuffer(child.atoms, bits.dtype).reshape(bits.shape), bits)
-
+    if _pool and (_pool[0].key != key
+                  or not np.array_equal(np.frombuffer(_pool[0].atoms, bits.dtype).reshape(bits.shape), bits)):
+        _shutdown_pool()
     for child in [child for child in _pool if os.waitpid(child.pid, os.WNOHANG)[0]]:
         _pool.remove(child)
         child.close()
     while len(_pool) > len(os.sched_getaffinity(0)) - 1:
         _pool[-1].retire()
-    for i in range(count):
-        if i < len(_pool) and kept(_pool[i]):
-            continue
-        if i < len(_pool):
-            _pool[i].retire()  # the child after it moves up to i, and may be one to keep
-        if i == len(_pool) or not kept(_pool[i]):
-            _pool.insert(i, _Child(basis, params, key))
+    atoms = _pool[0].atoms if _pool else atoms_t.tobytes()
+    while len(_pool) < count:
+        _pool.append(_Child(basis, params, key, atoms))
     return _pool[:count]
 
 

@@ -1128,9 +1128,9 @@ class TestSolverPool:
     def test_reused_children_keep_every_bit(self, basis64, regime_stack, cpus, forks):
         # alternating calls at workers 2 and 3 over block sides, atom counts, params and a basis
         # whose atoms are permuted; the letters name the pool's children after each call, in
-        # order: a call reuses the children it uses that were forked with the same basis and
-        # params (a new but equal basis too), and replaces the ones forked with another basis
-        # or other params
+        # order: a call with the same basis and params (a new but equal basis too) reuses the
+        # pool and forks only the children it lacks, and a call with another basis or other
+        # params retires the whole pool, idle children too, and forks a new one
         rng = np.random.default_rng(97)
         basis16 = build_basis(16, 10)
         perm = [3, 0, 9, 5, 1, 8, 2, 7, 4, 6]
@@ -1140,14 +1140,14 @@ class TestSolverPool:
         calls = [
             (2, basis64, SolverParams(), "A"),
             (3, build_basis(64, 10), SolverParams(), "AB"),
-            (2, build_basis(16, 28), SolverParams(rho=0.3), "CB"),
+            (2, build_basis(16, 28), SolverParams(rho=0.3), "C"),
             (3, build_basis(16, 28), SolverParams(rho=0.3), "CD"),
-            (2, build_basis(5, 10), SolverParams(max_iters=7), "ED"),
+            (2, build_basis(5, 10), SolverParams(max_iters=7), "E"),
             (3, basis64, SolverParams(lambda2=7.5), "FG"),
             # a float32 weight over a float64 penalty: the thresholds divide in float32
-            (2, build_basis(64, 28), SolverParams(lambda1=np.float32(5.0), rho=1.7), "HG"),
+            (2, build_basis(64, 28), SolverParams(lambda1=np.float32(5.0), rho=1.7), "H"),
             (3, build_basis(64, 28), SolverParams(lambda1=np.float32(5.0), rho=1.7), "HI"),
-            (2, basis16, SolverParams(), "JI"),
+            (2, basis16, SolverParams(), "J"),
             (3, permuted, SolverParams(), "KL"),
             (3, build_basis(64, 28), SolverParams(max_iters=7), "MN"),
         ]
@@ -1276,7 +1276,7 @@ class TestSolverPool:
         check()
         first = [child.pid for child in admm._pool]
         solve_blocks(rng.uniform(0, 255, (24, 256)), build_basis(16, 10), SolverParams(workers=3))
-        assert [child.pid in first for child in admm._pool] == [False, False, True]  # two replaced
+        assert [child.pid in first for child in admm._pool] == [False, False]  # all three retired, two forked
         check()
 
     def test_a_pipe_opened_before_the_first_call_reaches_eof(self, basis64, regime_stack, cpus):

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
+import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +13,8 @@ import pytest
 
 import scseg
 from scseg import (
-    SegmentationConfig, SolverParams, SynthSpec, confusion, gen_block, load_gray, load_mask, save_gray, write_dataset,
+    SegmentationConfig, SolverParams, SynthSpec, admm, confusion, gen_block, load_gray, load_mask, save_gray,
+    write_dataset,
 )
 from scseg.cli import build_parser, main
 
@@ -72,8 +76,6 @@ def test_segment_workers_identical(dataset, tmp_path, eight_cpus, capsys, no_chi
     # 16-pixel blocks: 16 blocks, two slices, so a second process runs: one solver child,
     # forked by the first --workers 2 call and reused by the --workers 4 one;
     # --verbose prints every block's diagnostics, half of them solved by the child
-    from scseg import admm
-
     base = ["segment", "--input", str(dataset / "block_0002.pgm"), "--block", "16", "--verbose"]
     outputs = {}
     for w in ("1", "2", "4"):
@@ -88,22 +90,33 @@ def test_segment_workers_identical(dataset, tmp_path, eight_cpus, capsys, no_chi
     assert len(admm._pool) == 1
 
 
-# One process runs segment twice at --workers 2 on each input below, then once at --rho 0.3,
-# and prints, for each call, the first call its solver child served. Dev mode with -W error
-# fails it on any warning, a leaked file among them.
-REUSE_SCRIPT = """
-import json, os, sys
+# Runs in one process each (argv, stdout path) pair of the JSON list sys.argv[1], as main() with its
+# stdout written to that file, with OpenBLAS held to sys.argv[2] threads ("default": the library's
+# count), and prints the solver children's pids after each call. Run in dev mode with -W error, it
+# fails on any warning, a leaked file or a fork while threads are running among them.
+CLI_SCRIPT = """
+import contextlib, json, os, sys
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+os.environ.update({} if sys.argv[2] == "default" else {"OPENBLAS_NUM_THREADS": sys.argv[2]})  # before numpy loads
 from scseg import admm
 from scseg.cli import main
 
-os.sched_getaffinity = lambda pid: set(range(8))  # --workers 2 forks a child on any host
-children = []
-for argv in json.loads(sys.argv[1]):
-    assert main(argv) == 0, argv
-    (child,) = admm._pool
-    children.append(child)
-print(json.dumps([children.index(child) for child in children]))
+os.sched_getaffinity = lambda pid: set(range(8))  # --workers N forks N - 1 children on any host
+pools = []
+for argv, stdout in json.loads(sys.argv[1]):
+    with open(stdout, "w") as out, contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    pools.append([child.pid for child in admm._pool])
+print(json.dumps(pools))
 """
+
+
+def run_cli(runs, threads="default"):
+    """Run CLI_SCRIPT on (argv, stdout path) pairs in one fresh dev-mode interpreter; returns its pids per call."""
+    done = run_python(["-X", "dev", "-W", "error", "-c", CLI_SCRIPT, json.dumps(runs), threads],
+                      capture_output=True, text=True)
+    return json.loads(done.stdout)
+
 
 # name: (input, flags). 16-pixel blocks (16 blocks, two slices), the 61x50 crop (4x4 edge-padded
 # 16-pixel blocks, cropped back), 5-pixel blocks (169 edge-padded blocks, the last slice short)
@@ -124,6 +137,7 @@ def segment_argv(directory, source, flags, workers, tag):
 
 
 def test_reused_solver_children_write_the_fresh_processes_bytes(tmp_path):
+    # One process runs segment twice at --workers 2 on each input, then once at --rho 0.3.
     # A solver child keeps the basis and params it was forked with: the crop's call reuses the
     # child of the 16-pixel call before it, and every call with another basis or params (the
     # 5-pixel blocks, the 16-pixel blocks after them, --rho 0.3) replaces it. Every file must
@@ -135,9 +149,9 @@ def test_reused_solver_children_write_the_fresh_processes_bytes(tmp_path):
         run_python(["-X", "dev", "-W", "error", "-m", "scseg.cli", *segment_argv(tmp_path, source, flags, "1", name)])
     runs = [(name, call) for call in (1, 2) for name in ("b16", "crop", "b5")] + [("rho", 1)]
     argvs = [segment_argv(tmp_path, *REUSE_RUNS[name], "2", f"{name}-reused{call}") for name, call in runs]
-    served = run_python(["-X", "dev", "-W", "error", "-c", REUSE_SCRIPT, json.dumps(argvs)],
-                        capture_output=True, text=True).stdout
-    assert json.loads(served) == [0, 0, 2, 3, 3, 5, 6]
+    children = [child for (child,) in run_cli([(argv, os.devnull) for argv in argvs])]
+    # for each call, the first call its solver child served
+    assert [children.index(child) for child in children] == [0, 0, 2, 3, 3, 5, 6]
     for name, call in runs:
         for kind in ("mask", "fg", "bg"):
             reused = (tmp_path / f"{name}-reused{call}-{kind}").read_bytes()
@@ -145,9 +159,94 @@ def test_reused_solver_children_write_the_fresh_processes_bytes(tmp_path):
     assert load_mask(tmp_path / "crop-mask").shape == load_gray(tmp_path / "crop-bg").shape == (61, 50)
 
 
-def test_solver_process_dying_is_runtime_error(dataset, tmp_path, eight_cpus, monkeypatch, capsys, no_child_or_fd_left):
-    from scseg import admm
+# name: (input, flags, runs). A run is (OpenBLAS threads, --workers): threads None runs the command
+# in this process; "1" and "default" run it in one fresh dev-mode interpreter each, with OpenBLAS
+# held to one thread or left at its default count. Every run of a row must write the same bytes:
+# each output file, and the --verbose records or the printed summary. The inputs are a 9-image
+# synth dataset ("manifest": evaluate), its first 64x64 image, and the pages of the digest file.
+MATRIX = {
+    "evaluate-rerun": ("manifest", [], [(None, 1), (None, 1)]),
+    # 16-pixel blocks: each image is two 8-block slices and one solver call, so at --workers 2
+    # every image's call after the first runs on the child the first call forked
+    "evaluate-b16": ("manifest", ["--block", "16"], [("default", 1), ("default", 2)]),
+    # 8-pixel blocks: 64 blocks in 8 slices; --workers 3 forks two children, whose records are
+    # joined in order
+    "b8": ("block_0000", ["--block", "8", "--verbose"], [("default", 1), ("default", 3)]),
+    "b16-blas": ("block_0000", ["--block", "16", "--verbose"], [("1", 1), ("default", 1)]),
+    # 28 atoms: the background fill's stacked products run at 7 vertical and 7 horizontal frequencies
+    "k28": ("block_0000", ["--block", "16", "--k", "28"], [(t, w) for w in (1, 2) for t in ("1", "default")]),
+    **{f"{page}-b{block}": (page, ["--block", str(block)], [("default", 1), ("default", 2)])
+       for page in ("page", "crop") for block in (64, 16, 5)},
+}
 
+# sha256 of the page rows' files, and the numpy version they were made with
+DIGESTS = pathlib.Path(__file__).parent / "data" / "output_digests.json"
+
+
+@pytest.fixture(scope="module")
+def matrix(tmp_path_factory):
+    """The directory of every MATRIX run's files, and the solver children after each run in a fresh interpreter."""
+    directory = tmp_path_factory.mktemp("matrix")
+    write_dataset(directory, 9, SynthSpec())
+    # 3x3 blocks whose backgrounds are outside the solver's model (15 atoms against its 10), and
+    # a 181x150 crop, which no block side divides; every side makes two slices or more of each
+    page = np.block([[gen_block(SynthSpec(seed=3 * r + c, k_true=15))[0] for c in range(3)] for r in range(3)])
+    save_gray(page, directory / "page.pgm")
+    save_gray(page[:181, :150], directory / "crop.pgm")
+    by_threads = {}
+    for name, (source, flags, runs) in MATRIX.items():
+        for i, (threads, workers) in enumerate(runs):
+            tag = f"{name}.{i}"  # the run's files are <tag>-<kind>
+            argv = segment_argv(directory, source, flags, str(workers), tag) if source != "manifest" else [
+                "evaluate", "--manifest", str(directory / "manifest.tsv"), *flags, "--workers", str(workers),
+                "--report", str(directory / f"{tag}-report")]
+            by_threads.setdefault(threads, []).append((tag, (argv, str(directory / f"{tag}-stdout"))))
+    for _, (argv, stdout) in by_threads.pop(None):
+        with open(stdout, "w") as out, contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+    children = {}
+    for threads, tagged in by_threads.items():
+        pools = run_cli([run for _, run in tagged], threads)
+        children.update((tag, len(pool)) for (tag, _), pool in zip(tagged, pools, strict=True))
+    return directory, children
+
+
+@pytest.mark.parametrize("name", MATRIX)
+def test_every_run_writes_the_same_bytes(name, matrix):
+    source, flags, runs = MATRIX[name]
+    directory, children = matrix
+    outputs = [{path.name.rsplit("-", 1)[1]: path.read_bytes() for path in directory.glob(f"{name}.{i}-*")}
+               for i in range(len(runs))]
+    for i, (_, workers) in enumerate(runs):
+        if workers > 1:  # the run's slices went to a generation of workers - 1 children
+            assert children[f"{name}.{i}"] == workers - 1
+    assert set(outputs[0]) == ({"report", "stdout"} if source == "manifest" else {"mask", "fg", "bg", "stdout"})
+    for run, output in zip(runs[1:], outputs[1:]):
+        for kind, first in outputs[0].items():
+            assert output[kind] == first, (run, kind)
+    if "--verbose" in flags:  # one JSON object per block
+        records = [json.loads(line) for line in outputs[0]["stdout"].splitlines()]
+        assert len(records) == (64 // int(flags[flags.index("--block") + 1])) ** 2
+
+
+def test_outputs_match_the_recorded_digests(matrix):
+    # compared only under the numpy the digests were made with: each numpy release bundles its
+    # own BLAS, whose dispatch can move bits. Without the file, this writes it and fails.
+    directory, _ = matrix
+    tags = {f"{name} --workers {workers}": f"{name}.{i}" for name, (source, _, runs) in MATRIX.items()
+            if source in ("page", "crop") for i, (_, workers) in enumerate(runs)}
+    digests = {key: {kind: hashlib.sha256((directory / f"{tag}-{kind}").read_bytes()).hexdigest()
+                     for kind in ("mask", "fg", "bg")} for key, tag in tags.items()}
+    if not DIGESTS.exists():
+        DIGESTS.write_text(json.dumps({"numpy": np.__version__, "digests": digests}, indent=2) + "\n")
+        pytest.fail(f"wrote {DIGESTS} anew")
+    recorded = json.loads(DIGESTS.read_text())
+    if recorded["numpy"] != np.__version__:
+        pytest.skip(f"digests made with numpy {recorded['numpy']}, this is numpy {np.__version__}")
+    assert digests == recorded["digests"]
+
+
+def test_solver_process_dying_is_runtime_error(dataset, tmp_path, eight_cpus, monkeypatch, capsys, no_child_or_fd_left):
     parent = os.getpid()
     solve_slice = admm._solve_slice
 
