@@ -10,10 +10,10 @@ solved several at a time as rows of shared arrays, and whole slices of them
 can go to solver children: processes forked by a call that needs them,
 which keep that call's sweep basis and params and serve every later call
 with exactly the same ones until the process ends; a call with any other
-basis or params retires them all and forks a new generation. Each child
-owns one anonymous shared slot of two regions, each with room for one
-slice. For each slice the caller writes the blocks into a free region and
-one byte to the child's job pipe; the child solves the slice into that
+basis or params kills them all and forks a new generation. Each child owns
+one anonymous shared slot of two regions, each with room for one slice.
+For each slice the caller writes the blocks into a free region and one
+byte to the child's job pipe; the child solves the slice into that
 region's record rows and writes the byte back, and the caller copies the
 rows into its own result. A child whose slice raises exits with status 1,
 and the caller then solves the call again itself, which raises the
@@ -409,7 +409,7 @@ def _process_count(workers: int, slices: int) -> int:
 
 
 # The solver children, one generation: forked by a call that needs them, kept until the process
-# ends or a call with another basis or params retires them all. A call hands its slices to the
+# ends or a call with another basis or params ends them all. A call hands its slices to the
 # first processes - 1 of them; the lock makes calls from several threads take turns.
 _pool: list = []
 _pool_lock = threading.Lock()
@@ -453,10 +453,11 @@ class _Child:
     which `atoms` (the bytes of B', one copy shared by the pool's
     generation) and `key` name. It ignores
     SIGINT, closes every file descriptor but its ends of the two pipes,
-    and runs _serve until its job pipe reaches EOF; then,
-    or when a slice raises, it leaves through os._exit (status 0 or 1), so
-    it runs none of the caller's cleanup or buffered output. `running` maps
-    each region it holds a slice in to the slice's first block.
+    and runs _serve until _end_pool kills it, or until its job pipe reaches
+    EOF because the caller's process died; then, or when a slice raises,
+    it leaves through os._exit (status 0 or 1), so it runs none of the
+    caller's cleanup or buffered output. `running` maps each region it
+    holds a slice in to the slice's first block.
     """
 
     def __init__(self, basis: _SweepBasis, params: SolverParams, key: tuple, atoms: bytes):
@@ -493,7 +494,6 @@ class _Child:
                 os._exit(status)
         os.close(jobs)
         os.close(done)
-        self.open = True
 
     def send(self, start: int, flat: np.ndarray) -> None:
         """Write the slice of flat from block `start` into a free region, and queue the child's job on it."""
@@ -524,33 +524,28 @@ class _Child:
         return None
 
     def close(self) -> None:
-        """Close the caller's ends of the pipes; an idle child then exits."""
-        if self.open:
-            self.open = False
-            os.close(self.jobs)
-            os.close(self.done)
+        """Close the caller's ends of the pipes."""
+        os.close(self.jobs)
+        os.close(self.done)
 
-    def retire(self) -> None:
-        """Close the pipes and reap the child, which exits on the EOF."""
-        self.close()
-        self.reap()
-
-    def reap(self) -> int:
-        """Wait for the child to exit, then drop it from the pool; returns its exit status."""
-        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+    def reap(self, wait: bool = True) -> int | None:
+        """Wait for the child to exit, drop it from the pool and return its exit status; wait=False returns None if it runs."""
+        pid, status = os.waitpid(self.pid, 0 if wait else os.WNOHANG)
+        if not pid:
+            return None
         _pool.remove(self)  # only once reaped, so an interrupted wait leaves it to be killed and reaped
         self.close()
-        return status
+        return os.waitstatus_to_exitcode(status)
 
 
 def _pool_children(count: int, basis: _SweepBasis, params: SolverParams) -> list:
     """The pool's first `count` children, each forked with this basis and these params (workers aside).
 
     The pool is one generation: every child was forked with the same basis
-    and params. A call with another basis or other params retires the whole
+    and params. A call with another basis or other params ends the whole
     pool first. Children that have exited since the last call (killed while
     idle) are reaped and dropped, children past the usable CPUs less one are
-    retired, and children missing are forked.
+    ended, and children missing are forked.
     """
     # B' by its exact bits, compared in place with the generation's bytes through unsigned-integer
     # views (a float64 entry is one uint64), and each param but workers by type and value: a float32
@@ -564,31 +559,27 @@ def _pool_children(count: int, basis: _SweepBasis, params: SolverParams) -> list
     ]
     if _pool and (_pool[0].key != key
                   or not np.array_equal(np.frombuffer(_pool[0].atoms, bits.dtype).reshape(bits.shape), bits)):
-        _shutdown_pool()
-    for child in [child for child in _pool if os.waitpid(child.pid, os.WNOHANG)[0]]:
-        _pool.remove(child)
-        child.close()
-    while len(_pool) > len(os.sched_getaffinity(0)) - 1:
-        _pool[-1].retire()
+        _end_pool()
+    for child in list(_pool):
+        child.reap(wait=False)
+    _end_pool(len(os.sched_getaffinity(0)) - 1)
     atoms = _pool[0].atoms if _pool else atoms_t.tobytes()
     while len(_pool) < count:
         _pool.append(_Child(basis, params, key, atoms))
     return _pool[:count]
 
 
-def _kill_pool() -> None:
-    """SIGKILL every child and reap it: a failed or interrupted call drops the pool, children mid-slice too."""
+def _end_pool(keep: int = 0) -> None:
+    """SIGKILL and reap every child past the first `keep`, the last first: the one way the pool ends a child.
+
+    Between calls a child is idle in os.read, and a failed or interrupted call may leave one mid-slice;
+    killing it loses nothing either way, as its slot is an anonymous mapping and it runs no cleanup.
+    """
     import signal
 
-    while _pool:
+    while len(_pool) > keep:
         os.kill(_pool[-1].pid, signal.SIGKILL)
         _pool[-1].reap()
-
-
-def _shutdown_pool() -> None:
-    """Retire every child; runs at exit."""
-    while _pool:
-        _pool[-1].retire()
 
 
 def _forget_pool() -> None:
@@ -599,7 +590,7 @@ def _forget_pool() -> None:
     _pool, _pool_lock = [], threading.Lock()
 
 
-atexit.register(_shutdown_pool)
+atexit.register(_end_pool)
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
@@ -612,13 +603,13 @@ def _solve_pooled(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, pr
     left to hand out than there are processes), until they meet. Between
     its own slices the caller copies out the rows of the slices the children
     report solved, and sends them more. A child that exits instead (status 1
-    if its slice raised) fails the call: the caller kills and reaps every
-    child, drops the pool and solves the whole call again in-process. A
+    if its slice raised) fails the call: _end_pool kills and reaps every
+    child, and the caller solves the whole call again in-process. A
     slice's sweep gives the same bits in every process, so this raises the
     earliest failing slice's error, as one process would; if it completes,
     the call fails naming the child's exit status. An error in one of the
     caller's own slices (every slice before it was the caller's too) or an
-    interrupt also drops the pool. The result is an ordinary Decomposition.
+    interrupt also ends the pool. The result is an ordinary Decomposition.
     """
     import select
 
@@ -649,10 +640,10 @@ def _solve_pooled(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, pr
                     status = by_fd[fd].receive(out)
                     if status is not None:
                         failed = by_fd[fd].pid, status
-                        _kill_pool()
+                        _end_pool()
                         break
         except BaseException:
-            _kill_pool()
+            _end_pool()
             raise
     if failed:
         _solve_run(flat, sweep, params, out)

@@ -784,7 +784,7 @@ def forks(monkeypatch):
     return calls
 
 
-def _index_slices(monkeypatch, fail=(), exits=None):
+def _index_slices(monkeypatch, fail=(), exits=None, slices=3):
     """Replace the slice solver by one that writes each block's first pixel as its objective.
 
     Blocks are filled with their index. A slice whose first block is in
@@ -806,14 +806,14 @@ def _index_slices(monkeypatch, fail=(), exits=None):
         out.objective[:] = flat[:, 0]
 
     monkeypatch.setattr(admm, "_solve_slice", fake)
-    return [np.full(64, float(i)) for i in range(3 * BATCH_BLOCKS)]
+    return [np.full(64, float(i)) for i in range(slices * BATCH_BLOCKS)]
 
 
 @pytest.mark.usefixtures("no_child_or_fd_left")
 class TestWorkers:
     """solve_blocks with params.workers > 1: slices solved here and in solver children kept across calls.
 
-    Each test starts with no children; after it, and a pool shutdown, no
+    Each test starts with no children; after it, and a pool teardown, no
     child process and no file descriptor it opened may be left.
     """
 
@@ -952,6 +952,38 @@ class TestWorkers:
         assert admm._pool == []
         _assert_no_children()
 
+    def test_a_job_sent_to_an_exited_child_is_dropped(self, monkeypatch, cpus):
+        # the child replies for its first slice (56) and exits 3 on its second (48); the caller
+        # waits for that reply in its first slice, and its next job write waits for the child to
+        # exit, so it meets a pipe with no reader: the caller drops the job and reads the EOF
+        blocks = _index_slices(monkeypatch, exits={6 * BATCH_BLOCKS: 3}, slices=8)
+        parent, index_slice, real_write = os.getpid(), admm._solve_slice, os.write
+        jobs, broken = [], []
+
+        def fake(flat, basis, params, work, out):
+            if os.getpid() == parent and admm._pool and flat[0][0] == 0:
+                assert select.select([admm._pool[0].done], [], [], 60)[0]
+            index_slice(flat, basis, params, work, out)
+
+        def write(fd, data):
+            if os.getpid() == parent and admm._pool and fd == admm._pool[0].jobs:
+                jobs.append(data)
+                if len(jobs) == 3:
+                    os.waitid(os.P_PID, admm._pool[0].pid, os.WEXITED | os.WNOWAIT)
+            try:
+                return real_write(fd, data)
+            except BrokenPipeError:
+                broken.append(len(jobs))
+                raise
+
+        monkeypatch.setattr(admm, "_solve_slice", fake)
+        monkeypatch.setattr(os, "write", write)
+        with pytest.raises(RuntimeError, match="exited with status 3 without a result"):
+            solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
+        assert len(jobs) == 3 and broken == [3]
+        assert admm._pool == []
+        _assert_no_children()
+
     def test_run_failing_only_in_its_child_names_exit_status_1(self, monkeypatch, cpus):
         # the child's slice raises and the child exits 1; solved again in the caller, the call completes
         blocks = _index_slices(monkeypatch)
@@ -969,7 +1001,7 @@ class TestWorkers:
         _assert_no_children()
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_error_that_cannot_be_pickled_reaches_the_caller(self, monkeypatch, cpus, forks, workers):
+    def test_error_raised_in_every_process_reaches_the_caller_unchanged(self, monkeypatch, cpus, forks, workers):
         # slice 8's run raises an error holding a lambda in every process: the caller raises it itself
         blocks = _index_slices(monkeypatch)
         index_slice = admm._solve_slice
@@ -1011,7 +1043,7 @@ class TestWorkers:
 
     def test_interrupted_reap_leaves_the_child_in_the_pool(self, monkeypatch, cpus, forks):
         # an interrupt, then a second one in the wait for the killed child: the child stays in
-        # the pool, and the next shutdown reaps it, so no zombie is left
+        # the pool, and the next teardown reaps it, so no zombie is left
         blocks = _index_slices(monkeypatch)
         real_read, real_waitpid, parent = os.read, os.waitpid, os.getpid()
 
@@ -1029,7 +1061,7 @@ class TestWorkers:
         with pytest.raises(KeyboardInterrupt):
             solve_blocks(blocks, build_basis(8, 3), SolverParams(workers=2))
         assert len(admm._pool) == len(forks) == 1  # killed, not yet reaped
-        admm._shutdown_pool()
+        admm._end_pool()
         _assert_no_children()
 
     def test_child_killed_before_reporting_names_its_exit_status(self, monkeypatch, cpus):
@@ -1130,7 +1162,7 @@ class TestSolverPool:
         # whose atoms are permuted; the letters name the pool's children after each call, in
         # order: a call with the same basis and params (a new but equal basis too) reuses the
         # pool and forks only the children it lacks, and a call with another basis or other
-        # params retires the whole pool, idle children too, and forks a new one
+        # params ends the whole pool, idle children too, and forks a new one
         rng = np.random.default_rng(97)
         basis16 = build_basis(16, 10)
         perm = [3, 0, 9, 5, 1, 8, 2, 7, 4, 6]
@@ -1256,13 +1288,13 @@ class TestSolverPool:
         solve_blocks(blocks, basis, SolverParams(workers=4))
         first = [child.pid for child in admm._pool]
         assert len(first) == 3
-        cpus(2)  # the next call retires the children past the one that 2 usable CPUs leave
+        cpus(2)  # the next call ends the children past the one that 2 usable CPUs leave
         solve_blocks(blocks, basis, SolverParams(workers=4))
         assert [child.pid for child in admm._pool] == first[:1] and len(forks) == 3
 
     def test_no_child_holds_a_siblings_pipe(self, cpus):
         # a child forked after its siblings inherits the caller's ends of their pipes and closes
-        # them, so that closing the caller's ends reaches every child as EOF
+        # them, so that the caller's death reaches every child as EOF
         def check():
             for child in admm._pool:
                 held = {_pipe(fd, child.pid) for fd in os.listdir(f"/proc/{child.pid}/fd")}
@@ -1276,7 +1308,7 @@ class TestSolverPool:
         check()
         first = [child.pid for child in admm._pool]
         solve_blocks(rng.uniform(0, 255, (24, 256)), build_basis(16, 10), SolverParams(workers=3))
-        assert [child.pid in first for child in admm._pool] == [False, False]  # all three retired, two forked
+        assert [child.pid in first for child in admm._pool] == [False, False]  # all three ended, two forked
         check()
 
     def test_a_pipe_opened_before_the_first_call_reaches_eof(self, basis64, regime_stack, cpus):
@@ -1328,7 +1360,7 @@ class TestSolverPool:
                 # its own call forks its own child, and gives the same bits
                 _assert_same(solve_blocks(regime_stack[:16], basis64, params), serial)
                 assert len(admm._pool) == 1 and admm._pool[0].pid != pool[0].pid
-                admm._shutdown_pool()
+                admm._end_pool()
                 status = 0
             finally:
                 os._exit(status)
@@ -1342,8 +1374,8 @@ class TestSolverPool:
 
     @pytest.mark.parametrize("how, returncode", [("normal", 0), ("exception", 1), ("sigkill", -signal.SIGKILL)])
     def test_children_end_with_their_process(self, how, returncode):
-        # normally and on an uncaught exception the exit hook closes the pipes and reaps the
-        # children; after SIGKILL each child reads EOF and exits, and is reaped by init
+        # normally and on an uncaught exception the exit hook kills and reaps the children;
+        # after SIGKILL each child reads EOF and exits, and is reaped by init
         package_root = os.path.dirname(os.path.dirname(admm.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run([sys.executable, "-c", LIFECYCLE_SCRIPT, how], capture_output=True, text=True,
