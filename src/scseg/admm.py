@@ -6,20 +6,22 @@ minimizes ||a||_1 + lambda1 ||s||_1 + lambda2 * (sum of row norms of s +
 sum of column norms of s) subject to the exact decomposition, using one
 splitting variable per penalty term and dual ascent on the constraints.
 Every step acts per pixel, per row or per column of one block, so blocks are
-solved several at a time as rows of shared arrays, and whole slices of them
-can go to solver children: processes forked by a call that needs them,
-which keep that call's sweep basis and params and serve every later call
-with exactly the same ones until the process ends; a call with any other
-basis or params kills them all and forks a new generation. Each child owns
-one anonymous shared slot of two regions, each with room for one slice.
-For each slice the caller writes the blocks into a free region and one
-byte to the child's job pipe; the child solves the slice into that
-region's record rows and writes the byte back, and the caller copies the
-rows into its own result. A child whose slice raises exits with status 1,
-and the caller then solves the call again itself, which raises the
-earliest failing slice's error. The sweep runs in the scaled form of ADMM
-(Boyd et al. 2011, section 3.1.1) with one penalty rho: every dual is
-stored divided by rho, so rho enters only the three shrinkage thresholds.
+solved several at a time as rows of shared arrays. Every call runs one loop
+over these slices: the caller solves them from the front, and solver
+children, none at one process, from the back. The children are processes
+forked by a call that needs them, which keep that call's sweep basis and
+params and serve every later call with exactly the same ones until the
+process ends; a call with any other basis or params kills them all and
+forks a new generation. Each child owns one anonymous shared slot of two
+regions, each with room for one slice. For each slice the caller writes the
+blocks into a free region and one byte to the child's job pipe; the child
+solves the slice into that region's record rows and writes the byte back,
+and the caller copies the rows into its own result. A child whose slice
+raises exits with status 1, and the caller then runs the loop again with
+no children, which raises the earliest failing slice's error. The sweep
+runs in the scaled form of ADMM (Boyd et al. 2011, section 3.1.1) with one
+penalty rho: every dual is stored divided by rho, so rho enters only the
+three shrinkage thresholds.
 A sweep needs two products with the basis, B'W1 and B alpha. Each runs as
 one GEMM of BATCH_BLOCKS rows, zero-padded when a slice is short: the shape
 never changes, so a block's bits do not depend on its row or on the blocks
@@ -50,6 +52,7 @@ from __future__ import annotations
 import atexit
 import math
 import os
+import select
 import sys
 import threading
 from dataclasses import dataclass, fields
@@ -240,7 +243,7 @@ BATCH_BLOCKS = 8
 # y in f's row, dead once W1 += f - B alpha, and z in W1's row, dead once
 # W1 -= s, for the split residuals. After them rows 2 to 5 (z to U) are dead,
 # and the records use them as two float64 BATCH_BLOCKS x n*n scratch arrays.
-# _solve_run starts the array on a 64-byte boundary (see _aligned_work); the
+# solve_blocks starts the array on a 64-byte boundary (see _aligned_work); the
 # rows then stay aligned for every even block side.
 _WORK_ROWS = 7
 
@@ -385,15 +388,6 @@ def _aligned_work(n: int) -> np.ndarray:
     raw = np.empty(size + 64, np.uint8)
     start = -raw.ctypes.data % 64
     return raw[start : start + size].view(np.float32).reshape(shape)
-
-
-def _solve_run(flat: np.ndarray, basis: _SweepBasis, params: SolverParams, out: Decomposition) -> Decomposition:
-    """Solve the blocks one BATCH_BLOCKS slice after another on one work array, into out's rows; returns out."""
-    work = _aligned_work(basis.n)
-    for start in range(0, len(flat), BATCH_BLOCKS):
-        stop = start + BATCH_BLOCKS
-        _solve_slice(flat[start:stop], basis, params, work, out.rows(start, stop))
-    return out
 
 
 def _process_count(workers: int, slices: int) -> int:
@@ -595,60 +589,40 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _solve_pooled(flat: np.ndarray, basis: BasisMatrix, params: SolverParams, processes: int) -> Decomposition:
-    """Solve the slices here and in the pool's first processes - 1 children, forked if missing or unlike this call.
+def _solve_slices(flat, sweep: _SweepBasis, params: SolverParams, work, out: Decomposition, children) -> tuple | None:
+    """Solve flat's slices here, on `work`, and in `children` (none at one process), into out's rows.
 
     The caller takes slices from the front and the children from the back,
     each child holding up to _REGIONS of them (one once no more slices are
     left to hand out than there are processes), until they meet. Between
     its own slices the caller copies out the rows of the slices the children
-    report solved, and sends them more. A child that exits instead (status 1
-    if its slice raised) fails the call: _end_pool kills and reaps every
-    child, and the caller solves the whole call again in-process. A
-    slice's sweep gives the same bits in every process, so this raises the
-    earliest failing slice's error, as one process would; if it completes,
-    the call fails naming the child's exit status. An error in one of the
-    caller's own slices (every slice before it was the caller's too) or an
-    interrupt also ends the pool. The result is an ordinary Decomposition.
+    report solved, and sends them more; it waits for a reply only when it
+    has no slice left and a child holds one. Returns None once every slice
+    is solved, or at once the (pid, exit status) of a child that exited.
     """
-    import select
-
-    out, sweep = _unfilled(len(flat), basis), _sweep_basis(basis)
-    work, starts = _aligned_work(basis.n), range(0, len(flat), BATCH_BLOCKS)
-    failed = None  # (pid, exit status) of a child that exited
-    with _pool_lock:
-        try:
-            children = _pool_children(processes - 1, sweep, params)
-            replies, by_fd = select.poll(), {}
-            for child in children:
-                replies.register(child.done, select.POLLIN)
-                by_fd[child.done] = child
-            lo, hi = 0, len(starts)  # the slices not yet handed out
-            while not failed:
-                for child in children:
-                    while lo < hi and len(child.running) < (_REGIONS if hi - lo > processes else 1):
-                        hi -= 1
-                        child.send(starts[hi], flat)
-                if lo < hi:
-                    own = starts[lo]
-                    lo += 1
-                    _solve_slice(flat[own : own + BATCH_BLOCKS], sweep, params, work, out.rows(own, own + BATCH_BLOCKS))
-                elif not any(child.running for child in children):
-                    break
-                # with no slice left for the caller it waits: every child still holds one then
-                for fd, _ in replies.poll(0 if lo < hi else None):
-                    status = by_fd[fd].receive(out)
-                    if status is not None:
-                        failed = by_fd[fd].pid, status
-                        _end_pool()
-                        break
-        except BaseException:
-            _end_pool()
-            raise
-    if failed:
-        _solve_run(flat, sweep, params, out)
-        raise RuntimeError(f"solver process {failed[0]} exited with status {failed[1]} without a result")
-    return out
+    starts, processes = range(0, len(flat), BATCH_BLOCKS), len(children) + 1
+    replies, by_fd = select.poll(), {child.done: child for child in children}
+    for fd in by_fd:
+        replies.register(fd, select.POLLIN)
+    lo, hi = 0, len(starts)  # the slices not yet handed out
+    while True:
+        for child in children:
+            while lo < hi and len(child.running) < (_REGIONS if hi - lo > processes else 1):
+                hi -= 1
+                child.send(starts[hi], flat)
+        if lo < hi:
+            own = starts[lo]
+            lo += 1
+            _solve_slice(flat[own : own + BATCH_BLOCKS], sweep, params, work, out.rows(own, own + BATCH_BLOCKS))
+            timeout = 0
+        elif any(child.running for child in children):
+            timeout = None
+        else:
+            return None
+        for fd, _ in replies.poll(timeout):
+            status = by_fd[fd].receive(out)
+            if status is not None:
+                return by_fd[fd].pid, status
 
 
 def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams = SolverParams()) -> Decomposition:
@@ -663,8 +637,14 @@ def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams = SolverParams
     blocks share its sweep, and one block alone pays for a full 8-row
     product. With params.workers > 1 on Linux, the slices are shared out
     among up to that many processes (no more than the usable CPUs or the
-    slices): this one and solver children kept across calls, with the same
-    results.
+    slices): this one and the pool's solver children, with the same
+    results; at one process the pool is left alone. A child that exits
+    instead (status 1 if its slice raised) fails the call: _end_pool kills
+    and reaps every child, and the call is solved again here with no
+    children, which raises the earliest failing slice's error (a slice gives
+    the same bits in every process); if it completes, a RuntimeError names
+    the child's exit status. An error in one of the caller's own slices, or
+    an interrupt, while children take part also ends the pool.
     Raises DivergenceError, before any sweep, if any pixel is non-finite or
     beyond PIXEL_BOUND in magnitude, and if alpha, s or a row or column sum
     of squares goes non-finite.
@@ -676,7 +656,19 @@ def solve_blocks(blocks, basis: BasisMatrix, params: SolverParams = SolverParams
             f"input block contains non-finite values or a pixel beyond PIXEL_BOUND = {PIXEL_BOUND:.6g}"
         )
     processes = _process_count(params.workers, -(-len(flat) // BATCH_BLOCKS))
+    out, sweep, work = _unfilled(len(flat), basis), _sweep_basis(basis), _aligned_work(basis.n)
+    failed = None  # (pid, exit status) of a child that exited
     if processes > 1:
-        return _solve_pooled(flat, basis, params, processes)
-    out = _unfilled(len(flat), basis)
-    return _solve_run(flat, _sweep_basis(basis), params, out)
+        with _pool_lock:
+            try:
+                failed = _solve_slices(flat, sweep, params, work, out, _pool_children(processes - 1, sweep, params))
+            except BaseException:
+                _end_pool()
+                raise
+            if not failed:
+                return out
+            _end_pool()
+    _solve_slices(flat, sweep, params, work, out, [])
+    if failed:
+        raise RuntimeError(f"solver process {failed[0]} exited with status {failed[1]} without a result")
+    return out

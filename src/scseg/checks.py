@@ -25,9 +25,15 @@ def require_counts(obj, **minimums) -> None:
 
 
 def require_real(name: str, value) -> None:
-    """Raise ValueError naming `name` unless value is a real number: Python or numpy, not bool."""
+    """Raise ValueError naming `name` unless value is a real number (Python or numpy, not bool) within float64's range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        beyond = abs(float(value)) == np.inf and abs(value) < np.inf  # a numpy longdouble past float64 reads inf
+    except OverflowError:  # a Python int or Fraction past float64, such as 10**400
+        beyond = True
+    if beyond:
+        raise ValueError(f"{name} must be within float64's range, got {value!r}")
 
 
 def block_stack(name: str, a, n: int, dtype=np.float64, one: bool = False) -> np.ndarray:

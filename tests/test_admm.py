@@ -114,6 +114,8 @@ class TestParams:
             {"rho": 5e-324},
             # lambda2/rho = 1e39 is finite in float64 but beyond float32, the sweep's dtype
             {"rho": 1e-37, "lambda2": 100.0},
+            # Python ints beyond float64's range
+            {"lambda1": 10**400}, {"rho": 10**400},
         ],
     )
     def test_validation(self, bad):
@@ -1109,6 +1111,31 @@ class TestWorkers:
         _assert_no_children()  # the first child is killed and reaped
         assert sorted(os.listdir("/proc/self/fd")) == fds  # no file descriptor is left open
 
+    @pytest.mark.parametrize("workers, count", [(1, 0), (1, 1), (1, 3 * BATCH_BLOCKS), (2, BATCH_BLOCKS)])
+    def test_a_one_process_call_never_waits_without_a_timeout(
+        self, monkeypatch, basis64, regime_stack, regime_refs, cpus, forks, workers, count
+    ):
+        # with no child to reply, a wait with no timeout would never return: the caller polls
+        # with timeout 0 between its own slices, and returns after the last
+        real_poll = select.poll
+
+        class Poll:
+            def __init__(self):
+                self.real = real_poll()
+
+            def register(self, fd, events):
+                self.real.register(fd, events)
+
+            def poll(self, timeout=None):
+                if timeout is None:
+                    raise AssertionError("a call with no child waited without a timeout")
+                return self.real.poll(timeout)
+
+        monkeypatch.setattr(select, "poll", Poll)
+        dec = solve_blocks(regime_stack[:count], basis64, SolverParams(workers=workers))
+        _assert_matches_reference(dec, regime_refs[:count])
+        assert forks == [] and admm._pool == []
+
     def test_process_count_clamp(self, monkeypatch, cpus):
         cpus(2)
         assert admm._process_count(100000, 50) == 2
@@ -1278,6 +1305,23 @@ class TestSolverPool:
         for count, dec in results:
             _assert_same(dec, serial.rows(0, count))
         assert len(forks) == len(admm._pool) == 2
+
+    def test_a_one_process_call_leaves_the_pool_alone(self, basis8, cpus, forks):
+        # another basis or other params would replace the children at workers > 1; a call of
+        # one process runs the slice loop with no children, and forks and ends nothing
+        blocks = np.random.default_rng(7).uniform(0, 255, (2 * BATCH_BLOCKS, 64))
+        solve_blocks(blocks, basis8, SolverParams(workers=2))
+        pids = [child.pid for child in admm._pool]
+        assert len(forks) == len(pids) == 1
+        calls = [
+            (build_basis(8, 5), SolverParams(), len(blocks)),
+            (basis8, SolverParams(max_iters=7), len(blocks)),
+            (build_basis(8, 5), SolverParams(max_iters=7, workers=2), BATCH_BLOCKS),  # one slice: one process
+        ]
+        for basis, params, count in calls:
+            dec = solve_blocks(blocks[:count], basis, params)
+            _assert_matches_reference(dec, [scaled_solve(f, basis.atoms, params) for f in blocks[:count]])
+            assert len(forks) == 1 and [child.pid for child in admm._pool] == pids
 
     def test_pool_never_exceeds_the_usable_cpus_less_one(self, cpus, forks):
         blocks, basis = np.random.default_rng(5).uniform(0, 255, (32, 64)), build_basis(8, 3)

@@ -172,6 +172,24 @@ def test_real_fields_take_real_numbers_only(make, name, value):
         make(**{name: value})
 
 
+# finite reals beyond float64's range, refused before anything converts them to float
+BEYOND_FLOAT64 = {"int": 10**400, "negative-int": -(10**400), "fraction": Fraction(10**400, 3)}
+if np.finfo(np.longdouble).maxexp > 1024:  # where longdouble is wider than float64
+    BEYOND_FLOAT64["longdouble"] = np.longdouble(2) ** 1100
+
+
+@pytest.mark.parametrize("value", BEYOND_FLOAT64.values(), ids=list(BEYOND_FLOAT64))
+@pytest.mark.parametrize(
+    "make, name",
+    [(SolverParams, "lambda1"), (SolverParams, "lambda2"), (SolverParams, "rho"),
+     (SegmentationConfig, "fg_threshold"), (SynthSpec, "alpha_range"), (SynthSpec, "stroke_amplitude"),
+     (SynthSpec, "max_fg_fraction")],
+)
+def test_real_fields_refuse_values_beyond_float64(make, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be within float64's range, got "):
+        make(**{name: value})
+
+
 def test_real_fields_take_python_and_numpy_reals():
     params = SolverParams(lambda1=np.float32(5.0), lambda2=2, rho=Fraction(1, 2))
     assert SegmentationConfig(fg_threshold=np.float64(0.5), solver=params).solver.rho == 0.5

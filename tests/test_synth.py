@@ -89,6 +89,10 @@ def test_spec_validation():
         SynthSpec(k_true=0)
     with pytest.raises(ValueError):
         SynthSpec(max_fg_fraction=1.5)
+    with pytest.raises(ValueError):
+        SynthSpec(alpha_range=10**400)
+    with pytest.raises(ValueError):
+        SynthSpec(stroke_amplitude=10**400)
 
 
 @pytest.mark.parametrize(
