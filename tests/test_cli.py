@@ -175,11 +175,11 @@ MATRIX = {
     "b16-blas": ("block_0000", ["--block", "16", "--verbose"], [("1", 1), ("default", 1)]),
     # 28 atoms: the background fill's stacked products run at 7 vertical and 7 horizontal frequencies
     "k28": ("block_0000", ["--block", "16", "--k", "28"], [(t, w) for w in (1, 2) for t in ("1", "default")]),
-    **{f"{page}-b{block}": (page, ["--block", str(block)], [("default", 1), ("default", 2)])
+    **{f"{page}-b{block}": (page, ["--block", str(block), "--verbose"], [("default", 1), ("default", 2)])
        for page in ("page", "crop") for block in (64, 16, 5)},
 }
 
-# sha256 of the page rows' files, and the numpy version they were made with
+# sha256 of the page rows' files and --verbose records, and the numpy version they were made with
 DIGESTS = pathlib.Path(__file__).parent / "data" / "output_digests.json"
 
 
@@ -224,9 +224,11 @@ def test_every_run_writes_the_same_bytes(name, matrix):
     for run, output in zip(runs[1:], outputs[1:]):
         for kind, first in outputs[0].items():
             assert output[kind] == first, (run, kind)
-    if "--verbose" in flags:  # one JSON object per block
+    if "--verbose" in flags:  # one JSON object per block, edge blocks included
         records = [json.loads(line) for line in outputs[0]["stdout"].splitlines()]
-        assert len(records) == (64 // int(flags[flags.index("--block") + 1])) ** 2
+        block = int(flags[flags.index("--block") + 1])
+        height, width = load_gray(directory / f"{source}.pgm").shape
+        assert len(records) == -(-height // block) * -(-width // block)
 
 
 def test_outputs_match_the_recorded_digests(matrix):
@@ -236,7 +238,7 @@ def test_outputs_match_the_recorded_digests(matrix):
     tags = {f"{name} --workers {workers}": f"{name}.{i}" for name, (source, _, runs) in MATRIX.items()
             if source in ("page", "crop") for i, (_, workers) in enumerate(runs)}
     digests = {key: {kind: hashlib.sha256((directory / f"{tag}-{kind}").read_bytes()).hexdigest()
-                     for kind in ("mask", "fg", "bg")} for key, tag in tags.items()}
+                     for kind in ("mask", "fg", "bg", "stdout")} for key, tag in tags.items()}
     if not DIGESTS.exists():
         DIGESTS.write_text(json.dumps({"numpy": np.__version__, "digests": digests}, indent=2) + "\n")
         pytest.fail(f"wrote {DIGESTS} anew")
