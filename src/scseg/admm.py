@@ -22,20 +22,20 @@ no children, which raises the earliest failing slice's error. The sweep
 runs in the scaled form of ADMM (Boyd et al. 2011, section 3.1.1) with one
 penalty rho: every dual is stored divided by rho, so rho enters only the
 three shrinkage thresholds.
-A sweep needs two products with the basis, B'W1 and B alpha. Each runs as
-one GEMM of BATCH_BLOCKS rows, zero-padded when a slice is short: the shape
-never changes, so a block's bits do not depend on its row or on the blocks
-beside it. Each sweep is one fixed list of numpy calls: the two GEMMs, two
-einsums, soft twice, group_factor once, and plain ufuncs. Every call writes
-into arrays made once per slice (the work rows and their (m, n, n) views,
-the length-k iterates and temporaries, both B'W1 products, and one (2, m, n)
-array of sums of squares), so no array is made per sweep. Given s, the row
-and column groups are independent: their sums of squares share that array,
-so one group_factor call and one max reduce serve both. The list makes 18
-passes over the pixel rows: seven for the sparse layer (one a multiply by
-1/3), and for each group one fused sum of squares, one broadcast multiply by
-its factors and three (rows) or four (columns) plain passes. The divergence
-check adds none: it reads alpha and the largest sum of squares.
+A sweep needs two products with the basis, B'W1 and B alpha. Each runs as one
+GEMM of BATCH_BLOCKS rows, zero-padded when a slice is short: the shape never
+changes, so a block's bits do not depend on its row or on the blocks beside
+it. Each sweep is one fixed list of numpy calls: the two GEMMs, two einsums,
+soft twice, group_factor once, and plain ufuncs. Every call writes into arrays
+made once per slice (the work rows and their (m, n, n) views, the length-k
+iterates and temporaries, both B'W1 products, and one (2, m, n) array of sums
+of squares), so no array is made per sweep. Given s, the row and column groups
+are independent: their duals are one (2, m, n*n) pair of work rows and their
+copies another, so three calls on the pair, one group_factor call and one max
+reduce serve both. The list makes 18 passes over the pixel rows: seven for the
+sparse layer (one a multiply by 1/3), a fused sum of squares and a broadcast
+multiply by the factors per group, two per call on the pair and one for U. The
+divergence check adds none: it reads alpha and the largest sum of squares.
 The work array those passes run over starts on a 64-byte cache line: where
 np.empty put it 16 or 48 bytes past one, a 16-block solve of 64-pixel blocks
 took about 10% longer (3.5% at 32 bytes; 2-core x86 host), with the same bits.
@@ -125,9 +125,8 @@ class Decomposition:
     objective are computed from float64 copies too, against the float64 blocks.
     primal_residual is ||f - B a - s|| / ||f|| (0 for an all-zero block);
     split_residuals are the absolute norms of the coefficient-copy, row-copy
-    and column-copy gaps ||a - beta||, ||s - y||, ||s - z||. The sweep keeps
-    no copy of y or z: the last one forms them from its shrinkage inputs and
-    factors in work rows that are dead by then. Every block runs from the
+    and column-copy gaps ||a - beta||, ||s - y||, ||s - z||, read from the
+    work rows where every sweep leaves y and z. Every block runs from the
     zero state, so the residuals after k sweeps are the ones a solve with
     max_iters=k returns.
     objective is the decomposition objective at that last iterate (a, s),
@@ -167,12 +166,15 @@ def objective(alpha, s, params: SolverParams):
     """Decomposition objective ||alpha||_1 + lambda1 ||s||_1 + lambda2 * group term, of each block.
 
     One block's (k,) alpha and (n, n) or (n*n,) s give a float; an (m, k)
-    alpha and an (m, n, n) s give the m blocks' values as an array.
+    alpha and an (m, n, n) or (m, n*n) s give the m blocks' values as an
+    array. Any other input is a ValueError naming alpha or s.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim == 1:
         return float(objective(alpha[None], block_stack("block", s, math.isqrt(np.size(s)), one=True), params)[0])
-    s = np.asarray(s, dtype=np.float64)
+    if alpha.ndim != 2:
+        raise ValueError(f"alpha must have shape (k,) or (m, k), got {alpha.shape}")
+    s = block_stack("s", s, None, m=len(alpha))
     return _objective(alpha, s, params, np.empty_like(s))
 
 
@@ -184,8 +186,8 @@ def _objective(alpha: np.ndarray, s: np.ndarray, params: SolverParams, scratch: 
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """The l2 norm of each row of a 2-D array: the root of the row's dot product, as np.linalg.norm takes it."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+    """The l2 norm of each last-axis row of x: the root of the row's dot product, as np.linalg.norm takes it."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
 def soft(x, lam: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -230,21 +232,19 @@ def group_factor(squares: np.ndarray, lam: float) -> np.ndarray:
 # the other rows. A constant, not an option: whatever the image size, it caps
 # the solver's working arrays at the seven float32 BATCH_BLOCKS x n*n rows of
 # the work array (0.875 MB for 64-pixel blocks), besides the call's float32
-# copy of the k x n*n basis.
+# copy of the k x n*n basis (160 KiB at n = 64 and k = 10).
 BATCH_BLOCKS = 8
 
 # Rows of the preallocated work array: the blocks f, the sparse layer s, the
-# scaled duals W1 = w1/rho, V1 = v1/rho and V2 = v2/rho, U = (y - V1) +
-# (z - V2), and scratch. Each group step forms T = s + V in V's row, y = c T
-# in U's row (columns: in scratch), then V = T - y and U's share y - V in
-# place. No other pixel-sized array is made in a slice (the group norms and
+# scaled duals W1 = w1/rho, V1 = v1/rho and V2 = v2/rho, and the group copies y
+# and z; (V1, V2) and (y, z) are each one (2, m, n*n) pair. A sweep forms
+# U = (y - V1) + (z - V2) in y's row, which frees z's row for B alpha and
+# scratch. No other pixel-sized array is made in a slice (the group norms and
 # factors are one value a row or column), so for 64-pixel blocks the float32
-# sweep works in 0.875 MB, under half of a 2 MB L2 cache. The last sweep keeps
-# y in f's row, dead once W1 += f - B alpha, and z in W1's row, dead once
-# W1 -= s, for the split residuals. After them rows 2 to 5 (z to U) are dead,
-# and the records use them as two float64 BATCH_BLOCKS x n*n scratch arrays.
-# solve_blocks starts the array on a 64-byte boundary (see _aligned_work); the
-# rows then stay aligned for every even block side.
+# sweep works in 0.875 MB, under half of a 2 MB L2 cache. After the last sweep
+# rows 0 to 3 are dead, and the records use them as two float64 BATCH_BLOCKS x
+# n*n scratch arrays. solve_blocks starts the array on a 64-byte boundary (see
+# _aligned_work); the rows then stay aligned for every even block side.
 _WORK_ROWS = 7
 
 
@@ -284,23 +284,22 @@ def _solve_slice(flat: np.ndarray, basis: _SweepBasis, params: SolverParams, wor
     point of the sweep. Each sweep is the textbook one (coefficients, their
     l1 copy, the sparse layer, the row and column group copies, then dual
     ascent on the fresh gaps) divided through by rho, with each dual update
-    folded into the step that produces its gap.
-    The last sweep also keeps the group copies y and z, in dead work rows,
-    for the split residuals.
+    folded into the step that produces its gap. Every sweep, the first and
+    the last, runs the same calls, and leaves the group copies y and z in
+    their rows, where the split residuals read them.
     """
     # B'x of every row x runs as one GEMM B' X', transposed back: at 8 x 4096
     # by 4096 x 10 this layout takes about 25 us where X B takes about 30 us
     # (2-core x86 host, OpenBLAS, one thread).
-    m, dtype = len(flat), work.dtype.type
+    m, k, dtype = len(flat), len(basis.atoms_t), work.dtype.type
     atoms_t = basis.atoms_t32 if dtype is np.float32 else basis.atoms_t
-    k, last = len(atoms_t), params.max_iters
     work[:, m:] = 0.0
     rows = work[:, :m]
     rows[0] = flat
-    rows[1:6] = 0.0  # s, W1, V1, V2 and U start at zero
-    f, s, w1, v1, v2, u, tmp = rows
-    cube = (m, basis.n, basis.n)
-    f3, w13, v13, v23, u3, tmp3 = (row.reshape(cube) for row in (f, w1, v1, v2, u, tmp))
+    rows[1:] = 0.0  # s, W1, V1, V2, y and z start at zero
+    (f, s, w1), duals, copies = rows[:3], rows[3:5], rows[5:]  # (V1, V2) and (y, z): (2, m, n*n) pairs
+    u, tmp = copies  # U forms in y's row, and z's row is then scratch
+    (v13, v23), (y3, z3) = (pair.reshape(2, m, basis.n, basis.n) for pair in (duals, copies))
     w1_t, smooth = work[2].T, work[6]  # W1 and B alpha of all BATCH_BLOCKS rows, for the GEMMs
     coef_lam, sparse_lam, group_lam = (dtype(lam / params.rho) for lam in (1.0, params.lambda1, params.lambda2))
     two, third = dtype(2.0), dtype(1.0 / 3.0)
@@ -312,12 +311,11 @@ def _solve_slice(flat: np.ndarray, basis: _SweepBasis, params: SolverParams, wor
     g, g_prev = ((product, product.T) for product in np.empty((2, k, BATCH_BLOCKS), dtype))
     # every row's (0) and every column's (1) sum of squares, then group_factor's factors in place
     squares = np.empty((2, m, basis.n), dtype)
-    row_squares, col_squares = squares
-    row_factor, col_factor = row_squares[:, :, None], col_squares[:, None, :]
+    row_factor, col_factor = squares[0, :, :, None], squares[1, :, None, :]
     # from zero W1 this start gives sweep 1 its B'f
     np.negative(np.matmul(atoms_t, work[0].T, out=g[0]), out=g[0])
 
-    for it in range(1, last + 1):
+    for it in range(1, params.max_iters + 1):
         # B'B = I, so alpha = (B'W1 - W2 + beta + B'(f - s)) / 2; the last W1
         # update added f - B alpha - s, so B'(f - s) is g - g_prev + alpha_prev.
         g_prev, g = g, g_prev
@@ -328,52 +326,45 @@ def _solve_slice(flat: np.ndarray, basis: _SweepBasis, params: SolverParams, wor
         soft(np.add(alpha, w2, out=t1), coef_lam, out=beta)
         w2 += np.subtract(alpha, beta, out=t1)
 
-        # q = W1 + f - B alpha in W1, s = soft(q + U, lambda1/rho) / 3, and the dual step W1 = q - s
+        # U = (y - V1) + (z - V2) in y's row (zero in sweep 1), q = W1 + f - B alpha in W1,
+        # s = soft(q + U, lambda1/rho) / 3, and the dual step W1 = q - s
+        copies -= duals
+        np.add(u, tmp, out=u)
         np.matmul(alpha, atoms_t, out=smooth)
         w1 += np.subtract(f, tmp, out=tmp)
         np.add(w1, u, out=s)
         np.multiply(soft(s, sparse_lam, out=tmp), third, out=s)
         w1 -= s
 
-        # Given s the two groups are independent. T = s + V in V's row (the old V is dead once
-        # T is formed), for the rows (V1) and the columns (V2); one group_factor call turns both
-        # groups' sums of squares into their factors c, and the divergence check reads the
-        # largest sum. y = c T goes to U's row (U is dead since s), the dual step V += s - y
-        # is then V = T - y, and U's share is y - V; columns the same, with z in tmp. The last
-        # sweep puts y in f's row and z in W1's, which the records read.
-        y3, z3 = (f3, w13) if it == last else (u3, tmp3)
-        np.add(v1, s, out=v1)
-        np.add(v2, s, out=v2)
-        np.einsum("ijk,ijk->ij", v13, v13, out=row_squares)
-        np.einsum("ijk,ijk->ik", v23, v23, out=col_squares)
+        # Given s the two groups are independent: T = s + V in V's rows, one group_factor call
+        # turns both groups' sums of squares into their factors c (the divergence check reads the
+        # largest), the copies c T go to their rows, and the dual step V += s - c T is V = T - c T.
+        duals += s
+        np.einsum("ijk,ijk->ij", v13, v13, out=squares[0])
+        np.einsum("ijk,ijk->ik", v23, v23, out=squares[1])
         peak = squares.max()
         group_factor(squares, group_lam)
-        v13 -= np.multiply(v13, row_factor, out=y3)
-        np.subtract(y3, v13, out=u3)
-        v23 -= np.multiply(v23, col_factor, out=z3)
-        u3 += np.subtract(z3, v23, out=tmp3)
+        np.multiply(v13, row_factor, out=y3)
+        np.multiply(v23, col_factor, out=z3)
+        duals -= copies
 
         if not (np.isfinite(alpha, out=finite).all() and math.isfinite(peak)):
             # only the raise path looks at the pixel iterates: a finite sweep overflowed a sum
-            if np.isfinite(alpha).all() and np.isfinite(rows[1:6]).all():
+            if np.isfinite(alpha).all() and np.isfinite(rows[1:]).all():
                 raise DivergenceError(f"row or column sum of squares overflowed float32 at iteration {it}")
             raise DivergenceError(f"non-finite iterate at iteration {it}")
 
-    y_row, z_row = f, w1  # where the last sweep left y and z
-    # the records in float64, in the dead rows 2 to 5 seen as two float64 BATCH_BLOCKS x n*n
-    # arrays: the split gaps in the second while z is still in row 2, then the objective's |s|
-    # and s * s in the first and B alpha in the second. B alpha is again one BATCH_BLOCKS-row
-    # GEMM, and f the input itself
-    scratch = work[2:6].reshape(-1).view(np.float64)[: 2 * work[0].size].reshape(2, *work[0].shape)
+    # the records in float64, once s is copied out, in the dead rows 0 to 3 (0 and 1 of float64 work)
+    # as two float64 BATCH_BLOCKS x n*n arrays: the split gaps in both, then |s| and s * s in the
+    # first and B alpha, again one BATCH_BLOCKS-row GEMM, in the second; f is the input itself
+    scratch = work[:4].reshape(-1).view(np.float64)[: 2 * work[0].size].reshape(2, *work[0].shape)
     alpha = alpha.astype(np.float64)
     out.alpha[:] = alpha[:m]
-    out.s[:] = s.reshape(cube)
+    out.s[:] = s.reshape(m, basis.n, basis.n)
     s = out.s.reshape(m, -1)
-    gap = scratch[1, :m]
     out.split_residuals[:, 0] = _row_norms(out.alpha - beta[:m])
-    out.split_residuals[:, 1] = _row_norms(np.subtract(s, y_row, out=gap))
-    out.split_residuals[:, 2] = _row_norms(np.subtract(s, z_row, out=gap))
-    out.objective[:] = _objective(out.alpha, out.s, params, scratch[0, :m].reshape(cube))
+    out.split_residuals[:, 1:] = _row_norms(np.subtract(s, copies, out=scratch[:, :m])).T
+    out.objective[:] = _objective(out.alpha, out.s, params, scratch[0, :m].reshape(out.s.shape))
     smooth = np.matmul(alpha, basis.atoms_t, out=scratch[1])
     gap = np.subtract(flat, smooth[:m], out=smooth[:m])
     gap -= s
@@ -408,9 +399,10 @@ def _process_count(workers: int, slices: int) -> int:
 _pool: list = []
 _pool_lock = threading.Lock()
 
-# Slices a child holds at once, each in a region of its slot: it starts on the second as
-# soon as it has solved the first, while the caller, busy with a slice of its own, has yet
-# to copy the first out and send the next.
+# Slices a child holds at once, each in a region of its slot (for 8 blocks of 64 pixels, 256
+# KiB of blocks and about 257 KiB of records): it starts on the second as soon as it has solved
+# the first, while the caller, busy with a slice of its own, has yet to copy the first out and
+# send the next.
 _REGIONS = 2
 
 
@@ -445,12 +437,13 @@ class _Child:
 
     It is forked when made and keeps the basis and params it was given,
     which `atoms` (the bytes of B', one copy shared by the pool's
-    generation) and `key` name. It ignores
-    SIGINT, closes every file descriptor but its ends of the two pipes,
-    and runs _serve until _end_pool kills it, or until its job pipe reaches
-    EOF because the caller's process died; then, or when a slice raises,
-    it leaves through os._exit (status 0 or 1), so it runs none of the
-    caller's cleanup or buffered output. `running` maps each region it
+    generation: 320 KiB at n = 64 and k = 10) and `key` name, and, as any
+    forked process, the pages its caller held at the fork (copy-on-write).
+    It ignores SIGINT, closes every file descriptor but its ends of the two
+    pipes, and runs _serve until _end_pool kills it, or until its job pipe
+    reaches EOF because the caller's process died; then, or when a slice
+    raises, it leaves through os._exit (status 0 or 1), so it runs none of
+    the caller's cleanup or buffered output. `running` maps each region it
     holds a slice in to the slice's first block.
     """
 
@@ -536,10 +529,11 @@ def _pool_children(count: int, basis: _SweepBasis, params: SolverParams) -> list
     """The pool's first `count` children, each forked with this basis and these params (workers aside).
 
     The pool is one generation: every child was forked with the same basis
-    and params. A call with another basis or other params ends the whole
-    pool first. Children that have exited since the last call (killed while
-    idle) are reaped and dropped, children past the usable CPUs less one are
-    ended, and children missing are forked.
+    and params. A call with another basis (a new basis of the same bits is
+    the same) or other params ends the whole pool first. Children that have
+    exited since the last call (killed while idle) are reaped and dropped,
+    children past the usable CPUs less one are ended, and children missing
+    are forked.
     """
     # B' by its exact bits, compared in place with the generation's bytes through unsigned-integer
     # views (a float64 entry is one uint64), and each param but workers by type and value: a float32

@@ -218,6 +218,39 @@ class TestObjective:
         with pytest.raises(ValueError, match=r"block must have shape \(2, 2\) or \(4,\), got \(2, "):
             objective(np.zeros(1), np.zeros(shape), SolverParams())
 
+    @pytest.mark.parametrize(
+        "alpha, s, message",
+        [
+            # as many blocks as alpha has rows, of one square side, whole or flat
+            ((1, 3), (3, 4, 4), r"s must have shape \(1, 4, 4\) or \(1, 16\), got \(3, 4, 4\)$"),
+            ((2, 3), (2, 4, 5), r"s must have shape \(2, 5, 5\) or \(2, 25\), got \(2, 4, 5\)$"),
+            ((2, 3), (2, 15), r"s must have shape \(2, 3, 3\) or \(2, 9\), got \(2, 15\)$"),
+            ((0, 3), (1, 16), r"s must have shape \(0, 4, 4\) or \(0, 16\), got \(1, 16\)$"),
+            ((2, 3), (2, 2, 2, 2), r"s must have shape \(2, n, n\) or \(2, n\*n\), got \(2, 2, 2, 2\)$"),
+            ((2, 3), (), r"s must have shape \(2, n, n\) or \(2, n\*n\), got \(\)$"),
+            ((2, 2, 3), (2, 4, 4), r"alpha must have shape \(k,\) or \(m, k\), got \(2, 2, 3\)$"),
+            ((), (4,), r"alpha must have shape \(k,\) or \(m, k\), got \(\)$"),
+        ],
+        ids=["count", "side", "flat-side", "empty-count", "4-d", "0-d", "3-d-alpha", "0-d-alpha"],
+    )
+    def test_stacked_form_refuses_what_is_not_a_block_stack(self, alpha, s, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            objective(np.zeros(alpha), np.ones(s), SolverParams())
+
+    def test_stacked_form_refuses_ragged_blocks(self):
+        with pytest.raises(ValueError, match=r"^s must have shape \(2, n, n\) or \(2, n\*n\): "):
+            objective(np.zeros((2, 3)), [[1.0, 2.0], [1.0]], SolverParams())
+
+    def test_stacked_form_takes_flat_blocks(self):
+        rng = np.random.default_rng(5)
+        alpha, s = rng.normal(0, 5, (3, 4)), rng.normal(0, 5, (3, 5, 5))
+        params = SolverParams(lambda1=3.0, lambda2=0.5)
+        values = objective(alpha, s, params)
+        assert values.shape == (3,)
+        assert objective(alpha, s.reshape(3, 25), params).tobytes() == values.tobytes()
+        for empty in ((0, 5, 5), (0, 25)):
+            assert objective(np.zeros((0, 4)), np.zeros(empty), params).shape == (0,)
+
 
 class TestSolve:
     def test_zero_block(self, basis8):
@@ -565,8 +598,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
     def test_sweep_allocates_no_pixel_sized_array(self, basis64, regime_blocks, params):
-        # neither the sweeps nor the records: the last sweep keeps y and z in dead work rows,
-        # and the basis is transposed and cast once per solve_blocks call, not per slice
+        # neither the sweeps nor the records: every sweep keeps y and z in their work rows, the
+        # records' float64 scratch is the dead rows 0 to 3, and the basis is transposed and cast
+        # once per solve_blocks call, not per slice
         sweep_basis = admm._sweep_basis(basis64)
         work = np.empty((admm._WORK_ROWS, BATCH_BLOCKS, basis64.n**2), np.float32)
         flat = np.reshape(regime_blocks[:8], (8, -1))
@@ -578,29 +612,32 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         # below one BATCH_BLOCKS x n*n row; the largest is the 64 KB buffer numpy casts the
-        # float32 y and z through for the float64 split gaps
+        # float32 pair of y and z through for the float64 split gaps
         assert peak < work[0].nbytes, peak
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [64, 16])
     def test_records_on_a_reused_work_array(self, regime_blocks, dtype, n):
-        # the records are formed in work rows the last sweep leaves dead; a slice after another
-        # on the same work array, of other blocks or of one block after eight, gets the records
-        # a fresh one gives
+        # each sweep starts by forming U from the copies y and z the sweep before left in rows 5
+        # and 6, which the slice zeroes before sweep 1, and the records use rows 0 to 3 as
+        # scratch once the last sweep is done. A slice after another on the same work array, of
+        # other blocks or of one block after eight, gets the records a fresh NaN-filled one
+        # gives, also when its first sweep is its last
         basis = build_basis(n, 10)
         flat = np.concatenate([tile(f, n).blocks for f in regime_blocks[:17]])[:17].reshape(17, -1)
-        params = SolverParams(max_iters=10)
         shape = (admm._WORK_ROWS, BATCH_BLOCKS, n * n)
         sweep_basis = admm._sweep_basis(basis)
-        for first, second in ((flat[:8], flat[8:16]), (flat[:8], flat[16:])):
-            work = np.empty(shape, dtype)
-            admm._solve_slice(first, sweep_basis, params, work, admm._unfilled(len(first), basis))
-            reused = admm._unfilled(len(second), basis)
-            admm._solve_slice(second, sweep_basis, params, work, reused)
-            fresh = admm._unfilled(len(second), basis)
-            admm._solve_slice(second, sweep_basis, params, np.full(shape, np.nan, dtype), fresh)
-            _assert_same(reused, fresh)
-            assert np.array_equal(reused.objective, objective(reused.alpha, reused.s, params))
+        for max_iters in (1, 2, 10):
+            params = SolverParams(max_iters=max_iters)
+            for first, second in ((flat[:8], flat[8:16]), (flat[:8], flat[16:])):
+                work = np.empty(shape, dtype)
+                admm._solve_slice(first, sweep_basis, params, work, admm._unfilled(len(first), basis))
+                reused = admm._unfilled(len(second), basis)
+                admm._solve_slice(second, sweep_basis, params, work, reused)
+                fresh = admm._unfilled(len(second), basis)
+                admm._solve_slice(second, sweep_basis, params, np.full(shape, np.nan, dtype), fresh)
+                _assert_same(reused, fresh)
+                assert np.array_equal(reused.objective, objective(reused.alpha, reused.s, params)), max_iters
 
     @pytest.mark.parametrize("params", [SolverParams(), NON_DEFAULT], ids=["default", "penalties"])
     def test_work_array_alignment_changes_no_bits(self, regime_blocks, params):
