@@ -165,13 +165,13 @@ def _group_norms(squares: np.ndarray) -> np.ndarray:
 def objective(alpha, s, params: SolverParams):
     """Decomposition objective ||alpha||_1 + lambda1 ||s||_1 + lambda2 * group term, of each block.
 
-    One block's (k,) alpha and (n, n) or (n*n,) s give a float; an (m, k)
-    alpha and an (m, n, n) or (m, n*n) s give the m blocks' values as an
-    array. Any other input is a ValueError naming alpha or s.
+    One block's (k,) alpha and (n, n) or (n*n,) s give a float, as the stack
+    [s] of one; an (m, k) alpha and an (m, n, n) or (m, n*n) s give the m
+    blocks' values as an array. Any other input is a ValueError naming alpha or s.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim == 1:
-        return float(objective(alpha[None], block_stack("block", s, math.isqrt(np.size(s)), one=True), params)[0])
+        return float(objective(alpha[None], [s], params)[0])
     if alpha.ndim != 2:
         raise ValueError(f"alpha must have shape (k,) or (m, k), got {alpha.shape}")
     s = block_stack("s", s, None, m=len(alpha))

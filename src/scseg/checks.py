@@ -37,22 +37,21 @@ def require_real(name: str, value) -> None:
         raise ValueError(f"{name} must be within float64's range, got {value!r}")
 
 
-def block_stack(name: str, a, n: int | None, dtype=np.float64, one: bool = False, m: int | None = None) -> np.ndarray:
+def block_stack(name: str, a, n: int | None, dtype=np.float64, m: int | None = None) -> np.ndarray:
     """a as an (m, n, n) dtype array from an (m, n, n) or (m, n*n) stack; a C-contiguous dtype array is not copied.
 
-    With one, from a single (n, n) or (n*n,) block (m = 1). A stack's n or m may
-    be None: its last axis then gives n, and any m passes. Anything else, a ragged
-    sequence or a generator too, is a ValueError naming `name` and the shape expected.
+    n or m may be None: the last axis then gives n, and any m passes. Anything else, a
+    ragged sequence or a generator too, is a ValueError naming `name` and the shape expected.
     """
-    lead, comma = ("", ",") if one else (f"{'m' if m is None else m}, ", "")
+    lead = f"{'m' if m is None else m}, "
     side, area = ("n", "n*n") if n is None else (n, n * n)
-    expected = f"{name} must have shape ({lead}{side}, {side}) or ({lead}{area}{comma})"
+    expected = f"{name} must have shape ({lead}{side}, {side}) or ({lead}{area})"
     try:
         a = np.asarray(a, dtype=dtype)
     except (TypeError, ValueError) as exc:  # ragged blocks, a generator
         raise ValueError(f"{expected}: {exc}") from exc
     if n is None and a.ndim in (2, 3):  # the side the last axis gives
-        return block_stack(name, a, a.shape[-1] if a.ndim == 3 else math.isqrt(a.shape[-1]), dtype, one, m)
-    if (a[None] if one else a).shape[1:] not in ((side, side), (area,)) or m not in (None, len(a)):
+        return block_stack(name, a, a.shape[-1] if a.ndim == 3 else math.isqrt(a.shape[-1]), dtype, m)
+    if a.shape[1:] not in ((side, side), (area,)) or m not in (None, len(a)):
         raise ValueError(f"{expected}, got {a.shape}")
     return a.reshape(-1, n, n)

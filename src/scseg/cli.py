@@ -76,7 +76,7 @@ def cmd_segment(args) -> int:
         _print_records(seg)
     mask = seg.mask
     layers = assemble_layers(seg) if args.fg_out or args.bg_out else ()
-    # the image, its blocks and the float64 records go before the writers make their temporaries
+    # the blocks and the float64 records go before the writers make their temporaries
     del seg
     for layer, path in zip(layers, (args.bg_out, args.fg_out)):
         if path:

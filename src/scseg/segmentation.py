@@ -41,8 +41,8 @@ class SegmentationConfig:
 class SegmentedImage:
     """One image's segmentation, as segment_images yields it.
 
-    image is the image as it was passed in, mask its (h, w) boolean
-    foreground mask, grid its BlockGrid and basis the basis its blocks were
+    mask is the image's (h, w) boolean foreground mask, grid its BlockGrid,
+    whose blocks stitch back to the image, and basis the basis its blocks were
     solved on, which other records of its block size and k share (its atoms
     are read-only). block_masks is one (m, n, n) boolean array in grid order,
     True where a block's sparse layer exceeds cfg.fg_threshold in magnitude, and
@@ -51,7 +51,6 @@ class SegmentedImage:
     solve_blocks call returned.
     """
 
-    image: np.ndarray
     mask: np.ndarray
     grid: BlockGrid
     basis: BasisMatrix
@@ -65,14 +64,14 @@ def segment_images(images, cfg: SegmentationConfig = SegmentationConfig()):
     Consecutive images are grouped until the group holds at least
     BATCH_BLOCKS blocks, and each group's blocks go through one solve_blocks
     call, so images smaller than a batch still fill its sweeps. Only one
-    group is held at a time: at most one image plus fewer than BATCH_BLOCKS
-    blocks. Each record is bit-identical to segmenting its image alone.
+    group is held at a time, as its images' grids, not the images. Each
+    record is bit-identical to segmenting its image alone.
     """
     basis = _shared_basis(cfg.block_size, cfg.k_bases)
     group = []
     for img in images:
-        group.append((img, tile(img, cfg.block_size)))
-        if sum(len(grid.blocks) for _, grid in group) >= BATCH_BLOCKS:
+        group.append(tile(img, cfg.block_size))
+        if sum(len(grid.blocks) for grid in group) >= BATCH_BLOCKS:
             yield from _group_records(group, basis, cfg)
             group = []
     if group:
@@ -89,16 +88,16 @@ def _shared_basis(n: int, k: int) -> BasisMatrix:
 
 def _group_records(group: list, basis: BasisMatrix, cfg: SegmentationConfig):
     # one image's blocks are solved in place; several images' are stacked into one array
-    blocks = [grid.blocks for _, grid in group]
+    blocks = [grid.blocks for grid in group]
     dec = solve_blocks(blocks[0] if len(blocks) == 1 else np.concatenate(blocks), basis, cfg.solver)
     start = 0
-    for img, grid in group:
+    for grid in group:
         rows = dec.rows(start, start + len(grid.blocks))
         start += len(grid.blocks)
         # |s| > t for t >= 0, NaN included, without a float64 |s| the size of s
         block_masks = rows.s > cfg.fg_threshold
         block_masks |= rows.s < -cfg.fg_threshold
-        yield SegmentedImage(img, stitch(grid, block_masks), grid, basis, block_masks, rows)
+        yield SegmentedImage(stitch(grid, block_masks), grid, basis, block_masks, rows)
 
 
 def segment_image(img, cfg: SegmentationConfig = SegmentationConfig()) -> np.ndarray:
@@ -190,7 +189,9 @@ def assemble_layers(seg: SegmentedImage):
     filled[~fitted] = np.where(masks[~fitted], solver_layer, filled[~fitted])
     background = stitch(seg.grid, filled)
     del filled  # before the foreground is made: the block-layout fill and it need not coexist
-    foreground = np.where(seg.mask, np.asarray(seg.image, dtype=np.float64), 0.0)
+    foreground = stitch(seg.grid, seg.grid.blocks)  # the image as float64; a view of the blocks if the grid is one block wide
+    foreground = foreground.copy() if np.may_share_memory(foreground, seg.grid.blocks) else foreground
+    np.copyto(foreground, 0.0, where=~seg.mask)  # +0.0 outside the mask, where a multiply would give -0.0 for x < 0
     return background, foreground, seg.mask
 
 

@@ -215,7 +215,8 @@ class TestObjective:
 
     @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2)])
     def test_group_norm_rejects_a_non_square_block(self, shape):
-        with pytest.raises(ValueError, match=r"block must have shape \(2, 2\) or \(4,\), got \(2, "):
+        # one block's s is checked as the one-block stack [s]
+        with pytest.raises(ValueError, match=r"^s must have shape \(1, .+\) or \(1, .+\), got \(1, 2, "):
             objective(np.zeros(1), np.zeros(shape), SolverParams())
 
     @pytest.mark.parametrize(
@@ -240,6 +241,11 @@ class TestObjective:
     def test_stacked_form_refuses_ragged_blocks(self):
         with pytest.raises(ValueError, match=r"^s must have shape \(2, n, n\) or \(2, n\*n\): "):
             objective(np.zeros((2, 3)), [[1.0, 2.0], [1.0]], SolverParams())
+
+    @pytest.mark.parametrize("s", [[[1.0, 2.0], [1.0]], (x for x in (1.0, 2.0, 3.0, 4.0))], ids=["ragged", "generator"])
+    def test_single_form_refuses_what_is_not_a_block(self, s):
+        with pytest.raises(ValueError, match=r"^s must have shape \(1, n, n\) or \(1, n\*n\): "):
+            objective(np.zeros(3), s, SolverParams())
 
     def test_stacked_form_takes_flat_blocks(self):
         rng = np.random.default_rng(5)
@@ -338,6 +344,44 @@ class TestSolve:
         o_short = objective(short.alpha[0], f - basis8.atoms @ short.alpha[0], params_short)
         o_long = objective(long.alpha[0], f - basis8.atoms @ long.alpha[0], params_long)
         assert abs(o_short - o_long) / o_long < 1e-2
+
+
+def _model_blocks(n):
+    """A default, a k_true = 15 and a diagonal-stroke block of side n; at n = 8 one stroke each, as four do not fit."""
+    base = SynthSpec(n=n) if n == 64 else SynthSpec(n=n, stroke_count=1, max_fg_fraction=0.2)
+    variants = ({}, {"k_true": 15}, {"diagonal_strokes": True})
+    return np.stack([gen_block(dataclasses.replace(base, seed=i, **kw))[0] for i, kw in enumerate(variants)])
+
+
+class TestModelSymmetries:
+    """Relations of the model's minimiser that any exact solver keeps, checked without replaying the sweep.
+
+    The constraint f = B alpha + s is linear and every term of the objective is
+    even and positively homogeneous, and rho enters only as thresholds over rho.
+    So negating f negates alpha and s, and scaling f by a power of two c with
+    rho / c scales them by c, exactly in floating point.
+    """
+
+    @pytest.mark.parametrize("n", [64, 8])
+    def test_negated_blocks_negate_the_solution(self, n):
+        f, basis = _model_blocks(n), build_basis(n, 10)
+        dec, neg = solve_blocks(f, basis), solve_blocks(-f, basis)
+        assert dec.s.any()
+        # by value: soft gives +0.0 for either sign, so the zeros of -s differ in bits
+        assert np.array_equal(neg.alpha, -dec.alpha) and np.array_equal(neg.s, -dec.s)
+        for name in ("objective", "split_residuals", "primal_residual"):
+            assert getattr(neg, name).tobytes() == getattr(dec, name).tobytes(), name
+
+    @pytest.mark.parametrize("n", [64, 8])
+    @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+    def test_scaled_blocks_scale_the_solution(self, n, c):
+        f, basis, params = _model_blocks(n), build_basis(n, 10), SolverParams()
+        dec = solve_blocks(f, basis, params)
+        scaled = solve_blocks(c * f, basis, dataclasses.replace(params, rho=params.rho / c))
+        assert dec.s.any()
+        for name in ("alpha", "s", "objective", "split_residuals"):
+            assert getattr(scaled, name).tobytes() == (c * getattr(dec, name)).tobytes(), name
+        assert scaled.primal_residual.tobytes() == dec.primal_residual.tobytes()
 
 
 def _assert_no_children():

@@ -266,10 +266,10 @@ def test_solver_process_dying_is_runtime_error(dataset, tmp_path, eight_cpus, mo
     assert admm._pool == []  # the dead child's call dropped the pool
 
 
-def test_layered_segment_peaks_under_six_pages(tmp_path):
-    # a 512² page of 64 blocks: while the layers are built the call holds the image, its
-    # blocks, the records' float64 s and the two layers, but not the block-layout fill as
-    # well, and the image, blocks and records go before the layers are written
+def test_layered_segment_peaks_under_five_pages(tmp_path):
+    # a 512² page of 64 blocks: while the layers are built the call holds the blocks, the
+    # records' float64 s and the two layers, but neither the image nor the block-layout fill
+    # as well, and the blocks and records go before the layers are written
     side = 512
     page = np.block([[gen_block(SynthSpec(seed=8 * r + c))[0] for c in range(8)] for r in range(8)])
     save_gray(page, tmp_path / "page.pgm")
@@ -281,7 +281,7 @@ def test_layered_segment_peaks_under_six_pages(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * side * side * 8, peak / (side * side * 8)
+    assert peak < 5 * side * side * 8, peak / (side * side * 8)
 
 
 def test_segment_huge_threshold_empty_mask(dataset, tmp_path):

@@ -147,7 +147,7 @@ class TestEvaluateDataset:
 
         def fake_segment_images(images, cfg):
             for img in images:
-                yield SegmentedImage(img, preds[calls.pop(0)], None, None, (), ())
+                yield SegmentedImage(preds[calls.pop(0)], None, None, (), ())
 
         monkeypatch.setattr(evaluation, "segment_images", fake_segment_images)
         entries = load_manifest(mf)

@@ -699,13 +699,22 @@ class TestReconstructLayers:
         assert sum(m.any() for m in masks) > 2
 
     def test_assemble_layers_reads_the_record(self, cfg):
-        # the record carries its own image, so the layers need nothing else
+        # the record keeps the blocks, not the image: the foreground has the image's bits
+        # under the mask and +0.0 elsewhere, negative pixels included, and a grid one block
+        # wide, whose blocks stitch to a view of them, keeps its blocks unchanged
         smooth, _, _ = gen_block(SynthSpec(seed=43))
         img = np.hstack([stripe_block(), smooth])
-        seg = next(segment_images([img], cfg))
-        assert seg.image is img
-        for got, want in zip(assemble_layers(seg), reconstruct_layers(img, cfg), strict=True):
-            np.testing.assert_array_equal(got, want)
+        for image in (img, img - 128.0, np.tile(img, (2, 1))[:100, :50]):
+            seg = next(segment_images([image], cfg))
+            assert not hasattr(seg, "image")
+            blocks = seg.grid.blocks.copy()
+            layers = assemble_layers(seg)
+            assert layers[1].tobytes() == np.where(seg.mask, image, 0.0).tobytes()
+            assert seg.grid.blocks.tobytes() == blocks.tobytes()
+            for got, want in zip(layers, reconstruct_layers(image, cfg), strict=True):
+                np.testing.assert_array_equal(got, want)
+            if image.min() < 0:
+                assert (image[seg.mask] < 0).any() and (image[~seg.mask] < 0).any()
 
     def test_multiblock_shapes(self):
         img = np.full((65, 130), 128.0)
