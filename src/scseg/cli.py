@@ -71,7 +71,8 @@ def _config(args) -> SegmentationConfig:
 
 
 def cmd_segment(args) -> int:
-    seg = next(segment_images([load_gray(args.input)], args.config))
+    # map holds no reference to the image it yields, so the image goes once it is tiled
+    seg = next(segment_images(map(load_gray, [args.input]), args.config))
     if args.verbose:
         _print_records(seg)
     mask = seg.mask

@@ -274,6 +274,8 @@ def stitch(grid: BlockGrid, per_block) -> np.ndarray:
 
     per_block is an (m, n, n) array or a sequence of the m (n, n) blocks in grid
     order, boolean or gray; the output dtype follows them. Else a ValueError.
+    The result is always a new array, one copy of the blocks' pixels, and
+    shares no memory with per_block.
     """
     m, n = len(grid.blocks), grid.block_size
     expected = f"per_block must be a ({m}, {n}, {n}) array or a sequence of {m} ({n}, {n}) blocks"
@@ -284,4 +286,5 @@ def stitch(grid: BlockGrid, per_block) -> np.ndarray:
     if stack.shape != (m, n, n):
         raise ValueError(f"{expected}, got shape {stack.shape}")
     cols = -(-grid.width // n)
-    return stack.reshape(-1, cols, n, n).swapaxes(1, 2).reshape(-1, cols * n)[: grid.height, : grid.width]
+    # copy() puts the rows of blocks in image order, so the 2-D reshape is a view of it at any grid width
+    return stack.reshape(-1, cols, n, n).swapaxes(1, 2).copy().reshape(-1, cols * n)[: grid.height, : grid.width]

@@ -346,11 +346,11 @@ class TestSolve:
         assert abs(o_short - o_long) / o_long < 1e-2
 
 
-def _model_blocks(n):
-    """A default, a k_true = 15 and a diagonal-stroke block of side n; at n = 8 one stroke each, as four do not fit."""
+def _model_blocks(n, count=3):
+    """count blocks of side n cycling default, k_true = 15 and diagonal strokes; at n = 8 one stroke each, as four do not fit."""
     base = SynthSpec(n=n) if n == 64 else SynthSpec(n=n, stroke_count=1, max_fg_fraction=0.2)
     variants = ({}, {"k_true": 15}, {"diagonal_strokes": True})
-    return np.stack([gen_block(dataclasses.replace(base, seed=i, **kw))[0] for i, kw in enumerate(variants)])
+    return np.stack([gen_block(dataclasses.replace(base, seed=i, **variants[i % 3]))[0] for i in range(count)])
 
 
 class TestModelSymmetries:
@@ -359,7 +359,8 @@ class TestModelSymmetries:
     The constraint f = B alpha + s is linear and every term of the objective is
     even and positively homogeneous, and rho enters only as thresholds over rho.
     So negating f negates alpha and s, and scaling f by a power of two c with
-    rho / c scales them by c, exactly in floating point.
+    rho / c scales them by c, exactly in floating point. Each block's minimiser
+    is its own, so permuting the blocks permutes every field of the solution.
     """
 
     @pytest.mark.parametrize("n", [64, 8])
@@ -382,6 +383,19 @@ class TestModelSymmetries:
         for name in ("alpha", "s", "objective", "split_residuals"):
             assert getattr(scaled, name).tobytes() == (c * getattr(dec, name)).tobytes(), name
         assert scaled.primal_residual.tobytes() == dec.primal_residual.tobytes()
+
+    @pytest.mark.parametrize("n", [64, 8])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_permuted_blocks_permute_the_solution(self, n, workers, cpus, forks):
+        # 18 blocks are three slices, so at two workers a child solves some of the permuted rows
+        f, basis = _model_blocks(n, count=18), build_basis(n, 10)
+        order = np.random.default_rng(26).permutation(len(f))
+        dec = solve_blocks(f, basis)
+        permuted = solve_blocks(f[order], basis, SolverParams(workers=workers))
+        assert dec.s.any() and len(forks) == workers - 1
+        for field in dataclasses.fields(Decomposition):
+            got, want = getattr(permuted, field.name), getattr(dec, field.name)[order]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field.name
 
 
 def _assert_no_children():

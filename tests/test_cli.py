@@ -14,7 +14,7 @@ import pytest
 import scseg
 from scseg import (
     SegmentationConfig, SolverParams, SynthSpec, admm, confusion, gen_block, load_gray, load_mask, save_gray,
-    write_dataset,
+    save_mask, write_dataset,
 )
 from scseg.cli import build_parser, main
 
@@ -266,22 +266,72 @@ def test_solver_process_dying_is_runtime_error(dataset, tmp_path, eight_cpus, mo
     assert admm._pool == []  # the dead child's call dropped the pool
 
 
-def test_layered_segment_peaks_under_five_pages(tmp_path):
-    # a 512² page of 64 blocks: while the layers are built the call holds the blocks, the
-    # records' float64 s and the two layers, but neither the image nor the block-layout fill
-    # as well, and the blocks and records go before the layers are written
-    side = 512
-    page = np.block([[gen_block(SynthSpec(seed=8 * r + c))[0] for c in range(8)] for r in range(8)])
-    save_gray(page, tmp_path / "page.pgm")
-    argv = ["segment", "--input", str(tmp_path / "page.pgm"), "--workers", "1", "--iters", "5"]
-    argv += [x for name in ("mask-out", "fg-out", "bg-out") for x in (f"--{name}", str(tmp_path / name))]
+PAGE = 512 * 512 * 8  # bytes of one float64 512² page
+
+
+def _page(tmp_path, name, blocks=8, seed=0):
+    """Write a page of blocks x blocks default synth blocks and its truth; returns the two file names."""
+    pairs = [[gen_block(SynthSpec(seed=seed + blocks * r + c)) for c in range(blocks)] for r in range(blocks)]
+    save_gray(np.block([[img for img, _, _ in row] for row in pairs]), tmp_path / f"{name}.pgm")
+    save_mask(np.block([[truth for _, truth, _ in row] for row in pairs]), tmp_path / f"{name}.pbm")
+    return f"{name}.pgm", f"{name}.pbm"
+
+
+def _traced_pages(argv):
+    """Run main(argv) under tracemalloc; returns its traced peak in float64 512² pages."""
     tracemalloc.start()
     try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        assert main(argv + ["--workers", "1", "--iters", "5"]) == 0
+        return tracemalloc.get_traced_memory()[1] / PAGE
     finally:
         tracemalloc.stop()
-    assert peak < 5 * side * side * 8, peak / (side * side * 8)
+
+
+def _segment_argv(tmp_path, *outputs):
+    image, _ = _page(tmp_path, "page")
+    return ["segment", "--input", str(tmp_path / image)] + [
+        x for name in outputs for x in (f"--{name}", str(tmp_path / name))]
+
+
+def test_mask_only_segment_peaks_under_three_and_a_quarter_pages(tmp_path):
+    # a 512² page of 64 blocks: the image goes once it is tiled, so the solve holds the
+    # blocks, the records' float64 s and the solver's fixed work arrays
+    pages = _traced_pages(_segment_argv(tmp_path, "mask-out"))
+    assert pages < 3.25, pages
+
+
+def test_layered_segment_peaks_under_five_pages(tmp_path):
+    # a 512² page of 64 blocks: while the layers are built the call holds the blocks, the
+    # records' float64 s and the two layers, and neither the image (dropped once tiled) nor
+    # the block-layout fill as well; the blocks and records go before the layers are written
+    pages = _traced_pages(_segment_argv(tmp_path, "mask-out", "fg-out", "bg-out"))
+    assert pages < 5, pages
+
+
+def _evaluate_pages(tmp_path, pages, method="proposed"):
+    lines = ["\t".join(_page(tmp_path, f"e{i}", blocks, seed=100 * i)) + "\n" for i, blocks in enumerate(pages)]
+    (tmp_path / "m.tsv").write_text("".join(lines), encoding="utf-8")
+    return _traced_pages(["evaluate", "--manifest", str(tmp_path / "m.tsv"), "--method", method,
+                          "--report", str(tmp_path / "report.json")])
+
+
+def test_evaluate_peaks_under_four_pages(tmp_path):
+    # three 512² pages, each a group by itself: each record goes once its mask is scored,
+    # so the next page is loaded and solved while no earlier page's blocks or s are held
+    pages = _evaluate_pages(tmp_path, [8, 8, 8])
+    assert pages < 4, pages
+
+
+def test_evaluate_solves_a_page_apart_from_a_small_image(tmp_path):
+    # a 64² image, then a 512² page: the image is solved by itself, so the page's
+    # blocks are not stacked into a copy with its one block
+    pages = _evaluate_pages(tmp_path, [1, 8])
+    assert pages < 3.25, pages
+
+
+def test_kmeans2_evaluate_peaks_under_three_pages(tmp_path):
+    pages = _evaluate_pages(tmp_path, [8, 8, 8], "kmeans2")
+    assert pages < 3, pages
 
 
 def test_segment_huge_threshold_empty_mask(dataset, tmp_path):

@@ -207,7 +207,8 @@ class TestGroupedEvaluation:
         # Sorted order, blocks per image, and the solver groups of 8+ blocks:
         #   e00-e02 (1 each), e03 missing, e04 mask-shape mismatch, e05 (1),
         #   e06 100x70 (4, padded edges)  -> group of 8
-        #   e07, e08 (1 each), e09 256x256 (16)  -> group of 18
+        #   e07, e08 (1 each)  -> group of 2, solved before e09 256x256 (16), which fills
+        #   a batch and is solved alone on its uncopied blocks  -> 16
         #   e10-e12 (1 each)  -> last group of 3
         import scseg.evaluation as evaluation
         import scseg.segmentation as segmentation
@@ -236,7 +237,7 @@ class TestGroupedEvaluation:
 
         monkeypatch.setattr(segmentation, "solve_blocks", counting_solve_blocks)
         grouped = evaluate_dataset(entries, "proposed", cfg)
-        assert solves == [8, 18, 3]
+        assert solves == [8, 2, 16, 3]
 
         def per_image(images, cfg):
             return (next(segment_images([img], cfg)) for img in images)

@@ -440,6 +440,20 @@ class TestTiling:
         assert out.shape == (64, 65)
         np.testing.assert_array_equal(out, img)
 
+    @pytest.mark.parametrize("shape", [(100, 50), (100, 70)])
+    def test_stitch_returns_a_new_array(self, shape):
+        # one block wide or two: the result shares no memory with the blocks, a write
+        # into it leaves them unchanged, and it holds the image's bits
+        img = np.random.default_rng(9).uniform(0, 255, shape)
+        grid = tile(img, 64)
+        blocks = grid.blocks.copy()
+        for per_block in (grid.blocks, list(grid.blocks)):
+            out = stitch(grid, per_block)
+            assert not np.shares_memory(out, grid.blocks)
+            assert out.tobytes() == img.tobytes()
+            out[...] = -1.0
+            assert grid.blocks.tobytes() == blocks.tobytes()
+
     def test_stitch_length_mismatch(self):
         grid = tile(np.zeros((8, 8)), 4)
         with pytest.raises(ValueError):

@@ -701,7 +701,7 @@ class TestReconstructLayers:
     def test_assemble_layers_reads_the_record(self, cfg):
         # the record keeps the blocks, not the image: the foreground has the image's bits
         # under the mask and +0.0 elsewhere, negative pixels included, and a grid one block
-        # wide, whose blocks stitch to a view of them, keeps its blocks unchanged
+        # wide keeps its blocks unchanged
         smooth, _, _ = gen_block(SynthSpec(seed=43))
         img = np.hstack([stripe_block(), smooth])
         for image in (img, img - 128.0, np.tile(img, (2, 1))[:100, :50]):
@@ -715,6 +715,12 @@ class TestReconstructLayers:
                 np.testing.assert_array_equal(got, want)
             if image.min() < 0:
                 assert (image[seg.mask] < 0).any() and (image[~seg.mask] < 0).any()
+
+    @pytest.mark.parametrize("shape", [(100, 50), (100, 70)])
+    def test_record_mask_is_not_a_view_of_the_block_masks(self, cfg, shape):
+        img = np.tile(np.hstack([stripe_block(), gen_block(SynthSpec(seed=43))[0]]), (2, 1))[: shape[0], : shape[1]]
+        seg = next(segment_images([img], cfg))
+        assert seg.mask.any() and not np.shares_memory(seg.mask, seg.block_masks)
 
     def test_multiblock_shapes(self):
         img = np.full((65, 130), 128.0)
