@@ -120,24 +120,23 @@ class Decomposition:
     """Smooth coefficients and sparse layers of m blocks after max_iters sweeps, with diagnostics.
 
     Each field is a float64 array whose row i is block i's: alpha (m, k), s (m, n, n),
-    primal_residual (m,), split_residuals (m, 3) and objective (m,). alpha and s
-    are copies of the float32 sweep's iterates, and the residuals and the
-    objective are computed from float64 copies too, against the float64 blocks.
+    primal_residual (m,) and split_residuals (m, 3). alpha and s are copies of
+    the float32 sweep's iterates, and the residuals are computed from float64
+    copies too, against the float64 blocks.
     primal_residual is ||f - B a - s|| / ||f|| (0 for an all-zero block);
     split_residuals are the absolute norms of the coefficient-copy, row-copy
     and column-copy gaps ||a - beta||, ||s - y||, ||s - z||, read from the
     work rows where every sweep leaves y and z. Every block runs from the
     zero state, so the residuals after k sweeps are the ones a solve with
-    max_iters=k returns.
-    objective is the decomposition objective at that last iterate (a, s),
-    which need not satisfy f = B a + s, so it can read below the optimum.
+    max_iters=k returns. objective(alpha, s, params) is the decomposition
+    objective at that last iterate, which need not satisfy f = B a + s, so it
+    can read below the optimum.
     """
 
     alpha: np.ndarray
     s: np.ndarray
     primal_residual: np.ndarray
     split_residuals: np.ndarray
-    objective: np.ndarray
 
     def rows(self, start: int, stop: int) -> Decomposition:
         """Blocks start to stop, as views of these arrays."""
@@ -145,21 +144,13 @@ class Decomposition:
 
 
 def _record_shapes(m: int, n: int, k: int) -> tuple:
-    """The shapes of a Decomposition's five fields for m blocks of side n and k atoms, in field order."""
-    return (m, k), (m, n, n), (m,), (m, 3), (m,)
+    """The shapes of a Decomposition's four fields for m blocks of side n and k atoms, in field order."""
+    return (m, k), (m, n, n), (m,), (m, 3)
 
 
 def _unfilled(m: int, basis: BasisMatrix) -> Decomposition:
     """A Decomposition of m blocks whose arrays the solver has yet to fill."""
     return Decomposition(*(np.empty(shape) for shape in _record_shapes(m, basis.n, basis.k)))
-
-
-def _group_norms(squares: np.ndarray) -> np.ndarray:
-    """The group term (sum of row and column l2 norms) of each block of an (m, n, n) float64 stack, from its squares s * s.
-
-    Each norm is np.linalg.norm's, the root of a sum of squares, with the squares formed once for both.
-    """
-    return np.sqrt(squares.sum(axis=2)).sum(axis=1) + np.sqrt(squares.sum(axis=1)).sum(axis=1)
 
 
 def objective(alpha, s, params: SolverParams):
@@ -175,13 +166,10 @@ def objective(alpha, s, params: SolverParams):
     if alpha.ndim != 2:
         raise ValueError(f"alpha must have shape (k,) or (m, k), got {alpha.shape}")
     s = block_stack("s", s, None, m=len(alpha))
-    return _objective(alpha, s, params, np.empty_like(s))
-
-
-def _objective(alpha: np.ndarray, s: np.ndarray, params: SolverParams, scratch: np.ndarray) -> np.ndarray:
-    """objective of an (m, k) alpha and an (m, n, n) float64 s; |s|, then s * s, are formed in scratch, s's shape."""
-    sparse = np.abs(s, out=scratch).sum(axis=(1, 2))
-    groups = _group_norms(np.multiply(s, s, out=scratch))
+    # the group term sums the l2 norm of every row and column, each np.linalg.norm's root of a sum of squares
+    squares = s * s
+    groups = np.sqrt(squares.sum(axis=2)).sum(axis=1) + np.sqrt(squares.sum(axis=1)).sum(axis=1)
+    sparse = np.abs(s).sum(axis=(1, 2))
     return np.abs(alpha).sum(axis=1) + params.lambda1 * sparse + params.lambda2 * groups
 
 
@@ -355,8 +343,8 @@ def _solve_slice(flat: np.ndarray, basis: _SweepBasis, params: SolverParams, wor
             raise DivergenceError(f"non-finite iterate at iteration {it}")
 
     # the records in float64, once s is copied out, in the dead rows 0 to 3 (0 and 1 of float64 work)
-    # as two float64 BATCH_BLOCKS x n*n arrays: the split gaps in both, then |s| and s * s in the
-    # first and B alpha, again one BATCH_BLOCKS-row GEMM, in the second; f is the input itself
+    # as two float64 BATCH_BLOCKS x n*n arrays: the split gaps in both, then B alpha, again one
+    # BATCH_BLOCKS-row GEMM, in the second; f is the input itself
     scratch = work[:4].reshape(-1).view(np.float64)[: 2 * work[0].size].reshape(2, *work[0].shape)
     alpha = alpha.astype(np.float64)
     out.alpha[:] = alpha[:m]
@@ -364,7 +352,6 @@ def _solve_slice(flat: np.ndarray, basis: _SweepBasis, params: SolverParams, wor
     s = out.s.reshape(m, -1)
     out.split_residuals[:, 0] = _row_norms(out.alpha - beta[:m])
     out.split_residuals[:, 1:] = _row_norms(np.subtract(s, copies, out=scratch[:, :m])).T
-    out.objective[:] = _objective(out.alpha, out.s, params, scratch[0, :m].reshape(out.s.shape))
     smooth = np.matmul(alpha, basis.atoms_t, out=scratch[1])
     gap = np.subtract(flat, smooth[:m], out=smooth[:m])
     gap -= s
@@ -407,7 +394,7 @@ _REGIONS = 2
 
 
 def _region_dtype(n: int, k: int) -> np.dtype:
-    """One region of a slot for blocks of side n and k atoms: its block count m, one slice's blocks and the five record fields."""
+    """One region of a slot for blocks of side n and k atoms: its block count m, one slice's blocks and the four record fields."""
     records = zip(fields(Decomposition), _record_shapes(BATCH_BLOCKS, n, k))
     return np.dtype([("m", np.int64), ("blocks", np.float64, (BATCH_BLOCKS, n * n))]
                     + [(f.name, np.float64, shape) for f, shape in records])

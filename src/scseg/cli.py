@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .admm import BATCH_BLOCKS, SolverParams
+from .admm import BATCH_BLOCKS, SolverParams, objective
 from .checks import require_count
 from .evaluation import SEGMENTERS, evaluate_dataset, load_manifest
 from .image_io import PnmError, atomic_write_bytes, load_gray, save_gray, save_mask
@@ -74,7 +74,7 @@ def cmd_segment(args) -> int:
     # map holds no reference to the image it yields, so the image goes once it is tiled
     seg = next(segment_images(map(load_gray, [args.input]), args.config))
     if args.verbose:
-        _print_records(seg)
+        _print_records(seg, args.config.solver)
     mask = seg.mask
     layers = assemble_layers(seg) if args.fg_out or args.bg_out else ()
     # the blocks and the float64 records go before the writers make their temporaries
@@ -86,8 +86,9 @@ def cmd_segment(args) -> int:
     return 0
 
 
-def _print_records(seg) -> None:
+def _print_records(seg, params: SolverParams) -> None:
     dec = seg.decomposition
+    objectives = objective(dec.alpha, dec.s, params)
     for i, (origin, block_mask) in enumerate(zip(seg.grid.origins, seg.block_masks)):
         coefficient, row, column = dec.split_residuals[i].tolist()
         print(json.dumps({
@@ -97,7 +98,7 @@ def _print_records(seg) -> None:
             "coefficient_residual": coefficient,
             "row_residual": row,
             "column_residual": column,
-            "objective": float(dec.objective[i]),
+            "objective": float(objectives[i]),
             "fg_fraction": float(block_mask.mean()),
         }))
 

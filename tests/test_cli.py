@@ -386,15 +386,16 @@ def test_verbose_more_iterations_lower_residual(dataset, tmp_path, capsys):
 
 
 def test_verbose_record_is_the_solver_state(dataset, tmp_path, capsys):
-    from scseg import SegmentationConfig, load_gray, segment_images
+    from scseg import SegmentationConfig, load_gray, objective, segment_images
 
     img = load_gray(dataset / "block_0001.pgm")
     assert main(["segment", "--input", str(dataset / "block_0001.pgm"), "--block", "32",
                  "--mask-out", str(tmp_path / "m.pbm"), "--verbose"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    seg = next(segment_images([img], SegmentationConfig(block_size=32)))
+    config = SegmentationConfig(block_size=32)
+    seg = next(segment_images([img], config))
     dec = seg.decomposition
-    assert len(records) == len(dec.objective) == 4
+    assert len(records) == len(dec.alpha) == 4
     blocks = zip(records, seg.grid.origins, seg.block_masks)
     for i, (record, origin, block_mask) in enumerate(blocks):
         assert record == {
@@ -404,7 +405,8 @@ def test_verbose_record_is_the_solver_state(dataset, tmp_path, capsys):
             "coefficient_residual": dec.split_residuals[i, 0],
             "row_residual": dec.split_residuals[i, 1],
             "column_residual": dec.split_residuals[i, 2],
-            "objective": dec.objective[i],
+            # one block alone: the same bits as the stack of the image's blocks that --verbose takes
+            "objective": objective(dec.alpha[i], dec.s[i], config.solver),
             "fg_fraction": block_mask.mean(),
         }
     assert any(0 < r["fg_fraction"] < 1 for r in records)

@@ -14,6 +14,8 @@ from scseg import (
     build_basis,
     fill_background,
     gen_block,
+    load_gray,
+    objective,
     reconstruct_layers,
     segment_image,
     segment_images,
@@ -94,7 +96,7 @@ class TestSegmentBlock:
     def test_zero_block_empty_mask(self, cfg):
         mask, dec = segment_alone(np.zeros((64, 64)), cfg)
         assert not mask.any()
-        assert dec.objective[0] == 0.0
+        assert objective(dec.alpha, dec.s, cfg.solver)[0] == 0.0
 
     def test_mask_invariant_to_constant_shift(self, cfg):
         f, _, _ = gen_block(SynthSpec(alpha_range=80.0, seed=7))
@@ -231,6 +233,34 @@ class TestSegmentImage:
         fn = (~mask & truth).sum()
         f1 = 2 * tp / (2 * tp + fp + fn)
         assert f1 >= 0.9
+
+
+class TestColourInput:
+    """A PPM is reduced to BT.601 luma, so strokes whose colour differs from the background only in hue are lost."""
+
+    @staticmethod
+    def page(tmp_path, stroke):
+        """A 128x128 P6 page of flat gray (76, 76, 76), luma 76, with horizontal strokes of colour `stroke`."""
+        rgb = np.full((128, 128, 3), 76, np.uint8)
+        strokes = np.zeros((128, 128), bool)
+        for row in (10, 40, 75, 110):
+            strokes[row : row + 2, 12:116] = True
+        rgb[strokes] = stroke
+        path = tmp_path / "page.ppm"
+        path.write_bytes(b"P6\n128 128\n255\n" + rgb.tobytes())
+        return load_gray(path), strokes
+
+    def test_isoluminant_red_strokes_are_invisible(self, tmp_path, cfg):
+        # red (255, 0, 0) has luma 76.245, a quarter of a gray level above the background
+        img, strokes = self.page(tmp_path, (255, 0, 0))
+        assert np.abs(img[strokes] - 76.245).max() < 1e-9
+        assert not segment_image(img, cfg).any()
+
+    def test_blue_strokes_are_found(self, tmp_path, cfg):
+        # blue (0, 0, 255) has luma 29.07, far below the background's 76
+        img, strokes = self.page(tmp_path, (0, 0, 255))
+        assert np.abs(img[strokes] - 29.07).max() < 1e-9
+        np.testing.assert_array_equal(segment_image(img, cfg), strokes)
 
 
 class TestSegmentBlocks:
