@@ -129,7 +129,7 @@ class Decomposition:
     work rows where every sweep leaves y and z. Every block runs from the
     zero state, so the residuals after k sweeps are the ones a solve with
     max_iters=k returns. objective(alpha, s, params) is the decomposition
-    objective at that last iterate, which need not satisfy f = B a + s, so it
+    objective at the last iterate, which need not satisfy f = B a + s, so it
     can read below the optimum.
     """
 

