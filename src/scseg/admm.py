@@ -582,7 +582,8 @@ def _solve_slices(flat, sweep: _SweepBasis, params: SolverParams, work, out: Dec
     is solved, or at once the (pid, exit status) of a child that exited.
     """
     starts, processes = range(0, len(flat), BATCH_BLOCKS), len(children) + 1
-    replies, by_fd = select.poll(), {child.done: child for child in children}
+    # only children need a poll; Windows has no select.poll
+    replies, by_fd = select.poll() if children else None, {child.done: child for child in children}
     for fd in by_fd:
         replies.register(fd, select.POLLIN)
     lo, hi = 0, len(starts)  # the slices not yet handed out
@@ -600,7 +601,7 @@ def _solve_slices(flat, sweep: _SweepBasis, params: SolverParams, work, out: Dec
             timeout = None
         else:
             return None
-        for fd, _ in replies.poll(timeout):
+        for fd, _ in replies.poll(timeout) if children else ():
             status = by_fd[fd].receive(out)
             if status is not None:
                 return by_fd[fd].pid, status

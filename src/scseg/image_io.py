@@ -43,50 +43,57 @@ class TruncatedDataError(PnmError):
 # Token grammar shared by headers and ASCII payloads: whitespace and '#'
 # comments (running to the end of the line) separate tokens.
 _SEPARATORS = re.compile(rb"(?:\s|#[^\n\r]*)+")
+# One header token: any separators before it, then everything up to the next separator.
+_HEADER_TOKEN = re.compile(rb"(?:" + _SEPARATORS.pattern + rb")?([^\s#]*)")
 
 
-class _Header:
-    """Token reader over a PNM header; tracks the payload offset for binary files."""
+def _read_header(path, magics: tuple, names: tuple) -> tuple:
+    """Read the file at path; returns (buf, magic, pos, values).
 
-    def __init__(self, buf: bytes, pos: int):
-        self.buf = buf
-        self.pos = pos
-
-    def next_int(self, what: str) -> int:
-        buf = self.buf
-        sep = _SEPARATORS.match(buf, self.pos)
-        i = sep.end() if sep else self.pos
-        sep = _SEPARATORS.search(buf, i)
-        j = sep.start() if sep else len(buf)
-        if j == i:
+    The magic must be one of `magics`. values are the header's positive
+    integers, one per name in `names`, and pos is the offset just past the last.
+    """
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    magic = buf[:2]
+    if magic not in magics:
+        if magic in (b"P1", b"P4"):
+            raise UnsupportedFormatError(f"{magic.decode()} is a bitmap; use load_mask")
+        raise UnsupportedFormatError(f"unsupported magic {magic!r}")
+    pos, values = 2, []
+    for what in names:
+        token = _HEADER_TOKEN.match(buf, pos)
+        digits, pos = token[1], token.end()
+        if not digits:
             raise MalformedHeaderError(f"missing {what} in header")
-        self.pos = j
         # ASCII digits only: int() would also take a sign or underscores
-        if not buf[i:j].isdigit():
-            raise MalformedHeaderError(f"bad {what}: {buf[i:j]!r}")
-        value = int(buf[i:j])
-        if value <= 0:
-            raise MalformedHeaderError(f"{what} must be positive, got {value}")
-        return value
-
-    def start_payload(self) -> int:
-        # Binary payload begins after exactly one whitespace byte.
-        if self.pos >= len(self.buf) or not self.buf[self.pos : self.pos + 1].isspace():
-            raise MalformedHeaderError("missing separator before binary payload")
-        return self.pos + 1
+        if not digits.isdigit():
+            raise MalformedHeaderError(f"bad {what}: {digits!r}")
+        values.append(int(digits))
+        if values[-1] <= 0:
+            raise MalformedHeaderError(f"{what} must be positive, got {values[-1]}")
+    return buf, magic, pos, values
 
 
-def _ascii_samples(buf: bytes, count: int, maxval: int, what: str) -> np.ndarray:
+def _binary_payload(buf: bytes, pos: int, count: int) -> np.ndarray:
+    """The `count` bytes after the one whitespace byte at pos that ends a binary header, as uint8."""
+    if not buf[pos : pos + 1].isspace():
+        raise MalformedHeaderError("missing separator before binary payload")
+    payload = buf[pos + 1 : pos + 1 + count]
+    if len(payload) < count:
+        raise TruncatedDataError(f"payload has {len(payload)} bytes, expected {count}")
+    return np.frombuffer(payload, dtype=np.uint8)
+
+
+def _ascii_samples(buf: bytes, count: int) -> np.ndarray:
     tokens = [t for t in _SEPARATORS.split(buf) if t]
     if len(tokens) < count:
-        raise TruncatedDataError(f"expected {count} {what} samples, found {len(tokens)}")
+        raise TruncatedDataError(f"expected {count} pixel samples, found {len(tokens)}")
     # tokens are never empty, so the join is all digits only if every token is
     if not b"".join(tokens[:count]).isdigit():
-        raise PnmError(f"non-integer {what} sample")
-    values = np.array([int(t) for t in tokens[:count]], dtype=np.int64)
-    if values.max() > maxval:
-        raise PnmError(f"{what} sample outside [0, {maxval}]")
-    return values
+        raise PnmError("non-integer pixel sample")
+    # 256 is past every maxval, and caps a sample int64 cannot hold
+    return np.array([min(int(t), 256) for t in tokens[:count]], dtype=np.int64)
 
 
 def _to_luma(rgb: np.ndarray) -> np.ndarray:
@@ -100,32 +107,16 @@ def load_gray(path) -> np.ndarray:
     UnsupportedFormatError), and PPM input is converted to one luma plane.
     Returns a float array of shape (height, width) with values in [0, 255].
     """
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    magic = buf[:2]
-    if magic in (b"P1", b"P4"):
-        raise UnsupportedFormatError(f"{magic.decode()} is a bitmap; use load_mask")
-    if magic not in (b"P2", b"P3", b"P5", b"P6"):
-        raise UnsupportedFormatError(f"unsupported magic {magic!r}")
-    header = _Header(buf, 2)
-    width = header.next_int("width")
-    height = header.next_int("height")
-    maxval = header.next_int("maxval")
+    buf, magic, pos, (width, height, maxval) = _read_header(
+        path, (b"P2", b"P3", b"P5", b"P6"), ("width", "height", "maxval")
+    )
     if maxval > 255:
         raise UnsupportedFormatError(f"only maxval up to 255 is supported, got {maxval}")
     channels = 3 if magic in (b"P3", b"P6") else 1
     count = width * height * channels
-
-    if magic in (b"P2", b"P3"):
-        values = _ascii_samples(buf[header.pos :], count, maxval, "pixel")
-    else:
-        start = header.start_payload()
-        payload = buf[start : start + count]
-        if len(payload) < count:
-            raise TruncatedDataError(f"payload has {len(payload)} bytes, expected {count}")
-        values = np.frombuffer(payload, dtype=np.uint8)
-        if values.max() > maxval:
-            raise PnmError(f"pixel sample outside [0, {maxval}]")
+    values = _ascii_samples(buf[pos:], count) if magic in (b"P2", b"P3") else _binary_payload(buf, pos, count)
+    if values.max() > maxval:
+        raise PnmError(f"pixel sample outside [0, {maxval}]")
 
     # in place, no extra copy; v * 255 is exact, so each sample is rounded once
     # (and maxval 255 keeps every bit)
@@ -139,18 +130,10 @@ def load_gray(path) -> np.ndarray:
 
 def load_mask(path) -> np.ndarray:
     """Load a PBM (P1/P4) file as a boolean mask; bit 1 (black) maps to True."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    magic = buf[:2]
-    if magic not in (b"P1", b"P4"):
-        raise UnsupportedFormatError(f"unsupported magic {magic!r}")
-    header = _Header(buf, 2)
-    width = header.next_int("width")
-    height = header.next_int("height")
-
+    buf, magic, pos, (width, height) = _read_header(path, (b"P1", b"P4"), ("width", "height"))
     if magic == b"P1":
         # Digits need no separators between them, so drop the separators.
-        chars = np.frombuffer(_SEPARATORS.sub(b"", buf[header.pos :]), dtype=np.uint8)
+        chars = np.frombuffer(_SEPARATORS.sub(b"", buf[pos:]), dtype=np.uint8)
         bad = np.flatnonzero((chars != ord("0")) & (chars != ord("1")))
         if bad.size:
             raise PnmError(f"unexpected character {chr(chars[bad[0]])!r} in P1 payload")
@@ -158,13 +141,8 @@ def load_mask(path) -> np.ndarray:
             raise TruncatedDataError(f"expected {width * height} bits, found {chars.size}")
         return (chars[: width * height] == ord("1")).reshape(height, width)
 
-    start = header.start_payload()
     row_bytes = (width + 7) // 8
-    need = height * row_bytes
-    payload = buf[start : start + need]
-    if len(payload) < need:
-        raise TruncatedDataError(f"payload has {len(payload)} bytes, expected {need}")
-    rows = np.frombuffer(payload, dtype=np.uint8).reshape(height, row_bytes)
+    rows = _binary_payload(buf, pos, height * row_bytes).reshape(height, row_bytes)
     return np.unpackbits(rows, axis=1)[:, :width].astype(bool)
 
 

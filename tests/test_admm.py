@@ -387,7 +387,8 @@ class TestModelSymmetries:
     even and positively homogeneous, and rho enters only as thresholds over rho.
     So negating f negates alpha and s, and scaling f by a power of two c with
     rho / c scales them by c, exactly in floating point. Each block's minimiser
-    is its own, so permuting the blocks permutes every field of the solution.
+    is its own, so permuting the blocks permutes every field of the solution,
+    and a block solved alone gives its row among others.
     """
 
     @staticmethod
@@ -475,6 +476,17 @@ class TestModelSymmetries:
     @given(exact=_exact_cases(), j=st.integers(-6, 6))
     def test_power_of_two_scaling_is_exact_for_any_weights(self, exact, j):
         self.scaled(*exact, 2.0**j)
+
+    @settings(deadline=None, max_examples=100)
+    @given(exact=_exact_cases(), data=st.data())
+    def test_a_block_alone_is_its_row_among_others(self, exact, data):
+        f, basis, params = exact
+        i = data.draw(st.integers(0, len(f) - 1), label="i")
+        among, alone = solve_blocks(f, basis, params).rows(i, i + 1), solve_blocks(f[i : i + 1], basis, params)
+        for field in dataclasses.fields(Decomposition):
+            got, want = getattr(among, field.name), getattr(alone, field.name)
+            assert got.dtype == want.dtype and got.shape == want.shape, field.name
+            assert got.tobytes() == want.tobytes(), field.name
 
 
 def _assert_no_children():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import select
 import subprocess
 import sys
 import tracemalloc
@@ -13,8 +14,8 @@ import pytest
 
 import scseg
 from scseg import (
-    SegmentationConfig, SolverParams, SynthSpec, admm, confusion, gen_block, load_gray, load_mask, save_gray,
-    save_mask, write_dataset,
+    Decomposition, SegmentationConfig, SolverParams, SynthSpec, admm, build_basis, confusion, gen_block, load_gray,
+    load_mask, save_gray, save_mask, solve_blocks, write_dataset,
 )
 from scseg.cli import build_parser, main
 
@@ -89,6 +90,23 @@ def test_segment_workers_identical(dataset, tmp_path, eight_cpus, capsys, no_chi
     assert outputs["1"] == outputs["2"] == outputs["4"]
     assert len(admm._pool) == 1
 
+
+
+def test_off_linux_the_caller_solves_every_slice(dataset, tmp_path, eight_cpus, monkeypatch, no_child_or_fd_left):
+    # Windows has neither select.poll nor os.fork: at any --workers, every call solves its slices itself
+    blocks, basis = np.stack([gen_block(SynthSpec(seed=i))[0] for i in range(17)]), build_basis(64, 10)
+    want = solve_blocks(blocks, basis)
+    argv = ["segment", "--input", str(dataset / "block_0002.pgm"), "--block", "16", "--mask-out"]
+    assert main(argv + [str(tmp_path / "linux.pbm")]) == 0
+    monkeypatch.delattr(select, "poll")
+    monkeypatch.setattr(sys, "platform", "win32")
+    for workers in (1, 2):
+        got = solve_blocks(blocks, basis, SolverParams(workers=workers))
+        for field in dataclasses.fields(Decomposition):
+            assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes(), (workers, field.name)
+    assert main(argv + [str(tmp_path / "win32.pbm"), "--workers", "2"]) == 0
+    assert (tmp_path / "win32.pbm").read_bytes() == (tmp_path / "linux.pbm").read_bytes()
+    assert admm._pool == []
 
 # Runs in one process each (argv, stdout path) pair of the JSON list sys.argv[1], as main() with its
 # stdout written to that file, with OpenBLAS held to sys.argv[2] threads ("default": the library's

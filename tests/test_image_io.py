@@ -166,6 +166,11 @@ class TestLoadGray:
         with pytest.raises(PnmError):
             load_gray(p)
 
+    def test_sample_beyond_int64_is_out_of_range(self, tmp_path):
+        p = write(tmp_path / "a.pgm", b"P2\n2 1\n255\n7 99999999999999999999\n")
+        with pytest.raises(PnmError, match=r"pixel sample outside \[0, 255\]"):
+            load_gray(p)
+
 
 class TestMasks:
     def test_save_all_false_payload(self, tmp_path):
@@ -266,6 +271,46 @@ class TestMasks:
         p = write(tmp_path / "m.pbm", b"P5\n1 1\n255\n\x00")
         with pytest.raises(UnsupportedFormatError):
             load_mask(p)
+
+
+_WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+# a comment may hold digits, a magic or '#', and ends at a line break
+_COMMENT = st.builds(
+    lambda body, end: b"#" + b"".join(body) + end,
+    st.lists(st.sampled_from([b"0", b"7", b"255", b"P5", b"P1", b"#", b" ", b"\t", b"\x0c", b"x"]), max_size=6),
+    st.sampled_from([b"\n", b"\r", b"\r\n"]),
+)
+_HEADER_SEPARATOR = st.lists(st.one_of(_WHITESPACE, _COMMENT), min_size=1, max_size=4).map(b"".join)
+
+
+class TestHeaderSeparators:
+    @settings(deadline=None)
+    @given(
+        magic=st.sampled_from([b"P1", b"P2", b"P3", b"P4", b"P5", b"P6"]),
+        h=st.integers(1, 5),
+        w=st.integers(1, 12),
+        maxval=st.sampled_from([1, 9, 13, 32, 255]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_any_separators_decode_as_plain_newlines(self, scratch_dir, magic, h, w, maxval, seed, data):
+        # whitespace and comments between header tokens change nothing; a binary payload follows the
+        # last token after exactly one whitespace byte, and may itself start with a whitespace value
+        rng = np.random.default_rng(seed)
+        bitmap, binary = magic in (b"P1", b"P4"), magic in (b"P4", b"P5", b"P6")
+        tokens = [magic, b"%d" % w, b"%d" % h] + ([] if bitmap else [b"%d" % maxval])
+        if magic == b"P4":
+            payload = rng.integers(0, 256, h * ((w + 7) // 8), dtype=np.uint8).tobytes()
+        else:
+            samples = rng.integers(0, 2 if bitmap else maxval + 1, h * w * (3 if magic in (b"P3", b"P6") else 1))
+            payload = bytes(samples.astype(np.uint8)) if binary else b" ".join(b"%d" % v for v in samples)
+        seps = [data.draw(_HEADER_SEPARATOR) for _ in tokens[1:]]
+        seps.append(data.draw(_WHITESPACE if binary else _HEADER_SEPARATOR))
+        load = load_mask if bitmap else load_gray
+        plain = load(write(scratch_dir / "plain.pnm", b"\n".join(tokens) + b"\n" + payload))
+        spaced = load(write(scratch_dir / "spaced.pnm", b"".join(t + s for t, s in zip(tokens, seps)) + payload))
+        assert spaced.dtype == plain.dtype and spaced.shape == plain.shape == (h, w)
+        assert spaced.tobytes() == plain.tobytes()
 
 
 class TestGrayWriter:
