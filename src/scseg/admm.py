@@ -55,7 +55,7 @@ import os
 import select
 import sys
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -91,8 +91,9 @@ class SolverParams:
     minimiser; 1/rho, lambda1/rho and lambda2/rho are the sweep's float32
     thresholds, so none may exceed float32's largest value. Every
     block runs exactly max_iters sweeps from the zero state. workers caps
-    the processes solve_blocks may use; it changes no result. Both counts
-    must be integers (Python or numpy, not bool).
+    the processes solve_blocks may use; it changes no result. The counts must be
+    integers and the weights real (Python or numpy, not bool); each field is kept
+    as a Python int or float, so params that compare equal solve alike.
     """
 
     lambda1: float = 100.0
@@ -104,12 +105,13 @@ class SolverParams:
     def __post_init__(self):
         require_counts(self, max_iters=1, workers=1)
         for name in ("lambda1", "lambda2", "rho"):
-            require_real(name, getattr(self, name))
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            value = require_real(name, getattr(self, name))
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, value)
         # the largest shrinkage threshold, held in float32 by the sweep; Python floats
         # overflow to inf without a warning, and inf fails the comparison too
-        if not float(max(1.0, self.lambda1, self.lambda2)) / float(self.rho) <= _FLOAT32_MAX:
+        if not max(1.0, self.lambda1, self.lambda2) / self.rho <= _FLOAT32_MAX:
             raise ValueError(
                 f"rho {self.rho} is too small: 1/rho, lambda1/rho or lambda2/rho exceeds float32's {_FLOAT32_MAX:.4g}"
             )
@@ -523,15 +525,12 @@ def _pool_children(count: int, basis: _SweepBasis, params: SolverParams) -> list
     are forked.
     """
     # B' by its exact bits, compared in place with the generation's bytes through unsigned-integer
-    # views (a float64 entry is one uint64), and each param but workers by type and value: a float32
-    # weight, whose thresholds divide in float32, differs from an equal Python float, where ==
-    # alone would not tell (the params are positive and finite, so equal values of one type have equal bits)
+    # views (a float64 entry is one uint64), and the params but workers by value: SolverParams
+    # keeps each field as a Python int or float, so equal params give the sweep equal thresholds
     atoms_t = basis.atoms_t
     unit = math.gcd(atoms_t.itemsize, 8)
     bits = atoms_t.view(np.dtype((f"u{unit}", (atoms_t.itemsize // unit,))))
-    key = atoms_t.dtype.str, atoms_t.shape, [
-        (type(value), value) for name, value in vars(params).items() if name != "workers"
-    ]
+    key = atoms_t.dtype.str, atoms_t.shape, replace(params, workers=1)
     if _pool and (_pool[0].key != key
                   or not np.array_equal(np.frombuffer(_pool[0].atoms, bits.dtype).reshape(bits.shape), bits)):
         _end_pool()

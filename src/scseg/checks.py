@@ -8,33 +8,41 @@ import numbers
 import numpy as np
 
 
-def require_count(name: str, value, low: int | None) -> None:
-    """Raise ValueError naming `name` if value is not an integer or is below low.
+def require_count(name: str, value, low: int | None) -> int:
+    """value as a Python int, so no size computed from a numpy integer overflows its width.
 
-    Python and numpy integers pass, bool does not; a low of None checks the type only.
+    ValueError naming `name` if value is not an integer (Python or numpy, not bool) or
+    is below low; a low of None checks the type only.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def require_counts(obj, **minimums) -> None:
-    """require_count on each named field of obj, in order; the first bad one raises."""
+    """require_count on each named field of frozen obj, in order, storing its int; the first bad one raises."""
     for name, low in minimums.items():
-        require_count(name, getattr(obj, name), low)
+        object.__setattr__(obj, name, require_count(name, getattr(obj, name), low))
 
 
-def require_real(name: str, value) -> None:
-    """Raise ValueError naming `name` unless value is a real number (Python or numpy, not bool) within float64's range."""
+def require_real(name: str, value) -> float:
+    """value as a Python float, so a numpy float32 or longdouble or a Fraction gives the equal Python float's bits.
+
+    ValueError naming `name` unless value is a real number (Python or numpy, not bool) within float64's range.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        beyond = abs(float(value)) == np.inf and abs(value) < np.inf  # a numpy longdouble past float64 reads inf
+        real = float(value)
+        beyond = abs(real) == np.inf and abs(value) < np.inf  # a numpy longdouble past float64 reads inf
     except OverflowError:  # a Python int or Fraction past float64, such as 10**400
         beyond = True
     if beyond:
         raise ValueError(f"{name} must be within float64's range, got {value!r}")
+    return real
 
 
 def block_stack(name: str, a, n: int | None, dtype=np.float64, m: int | None = None) -> np.ndarray:

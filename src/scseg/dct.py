@@ -30,8 +30,7 @@ def zigzag_order(n: int, k: int) -> list:
     alternate direction, so u + v is non-decreasing along the output. n and k
     must be integers (Python or numpy, not bool), else ValueError.
     """
-    require_count("n", n, 1)
-    require_count("k", k, None)
+    n, k = require_count("n", n, 1), require_count("k", k, None)
     if not 1 <= k <= n * n:
         raise ValueError(f"k must be in [1, {n * n}], got {k}")
     order = []
@@ -59,14 +58,18 @@ def _cosines(freqs, n: int) -> np.ndarray:
 def dct_vectors(freqs, n: int) -> np.ndarray:
     """Orthonormal 1-D DCT-II vectors c(u) cos(pi u (2r+1) / 2n), one column per u in freqs: (n, len(freqs)).
 
-    Atom (u, v) is the outer product of the vectors of u and v (dct_atom
+    Atom (u, v) is the outer product of the vectors of u and v (_atoms
     multiplies the two scales first, so its bits differ from that product's).
     """
     return _scales(freqs, n) * _cosines(freqs, n)
 
 
 def _atoms(pairs, n: int) -> np.ndarray:
-    """The atoms of the (u, v) frequency pairs as the columns of an (n*n, len(pairs)) array; see dct_atom."""
+    """The atoms of the (u, v) frequency pairs as the columns of an (n*n, len(pairs)) array.
+
+    Atom (u, v) is c(u) c(v) times the outer product of the cosines of u and v, flattened
+    row-major; the product of the cosines is rounded first.
+    """
     u, v = np.array(pairs).reshape(-1, 2).T
     freqs = range(max(u.max(), v.max()) + 1)
     scales, cosines = _scales(freqs, n), _cosines(freqs, n).T
@@ -75,20 +78,8 @@ def _atoms(pairs, n: int) -> np.ndarray:
     return np.ascontiguousarray(atoms.reshape(len(u), n * n).T)
 
 
-def dct_atom(u: int, v: int, n: int) -> np.ndarray:
-    """Orthonormal DCT-II atom for vertical frequency u and horizontal frequency v.
-
-    Entry at grid position (r, c) is c(u) c(v) cos(pi u (2r+1) / 2n)
-    cos(pi v (2c+1) / 2n) with c(0) = sqrt(1/n) and c(.) = sqrt(2/n)
-    otherwise; the n-by-n grid is flattened row-major. The product of the
-    two cosines is rounded first, then multiplied by c(u) c(v).
-    """
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"frequency ({u}, {v}) out of range for n={n}")
-    return _atoms([(u, v)], n)[:, 0]
-
-
 def build_basis(n: int, k: int) -> BasisMatrix:
-    """Stack the first k zig-zag atoms into an (n*n, k) orthonormal matrix."""
+    """Stack the first k zig-zag atoms into an (n*n, k) orthonormal matrix; n and k as zigzag_order takes them."""
     pairs = zigzag_order(n, k)
-    return BasisMatrix(n=n, k=k, atoms=_atoms(pairs, n), freq_pairs=tuple(pairs))
+    n = int(n)  # zigzag_order has checked it
+    return BasisMatrix(n=n, k=len(pairs), atoms=_atoms(pairs, n), freq_pairs=tuple(pairs))

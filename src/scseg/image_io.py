@@ -232,9 +232,10 @@ class BlockGrid:
 def tile(img: np.ndarray, n: int) -> BlockGrid:
     """Split an image into n-by-n blocks, edge-padding partial blocks.
 
-    n must be an integer (Python or numpy, not bool) of at least 2, else ValueError.
+    n must be an integer (Python or numpy, not bool) of at least 2, else ValueError;
+    the grid computes with it as a Python int and keeps that as its block_size.
     """
-    require_count("block size", n, 2)
+    n = require_count("block size", n, 2)
     img = _image_2d("image", img, np.float64)
     height, width = img.shape
     rows, cols = -(-height // n), -(-width // n)

@@ -30,7 +30,7 @@ class SegmentationConfig:
 
     def __post_init__(self):
         require_counts(self, block_size=2, k_bases=None)
-        require_real("fg_threshold", self.fg_threshold)
+        object.__setattr__(self, "fg_threshold", require_real("fg_threshold", self.fg_threshold))
         if not 0 <= self.fg_threshold < np.inf:
             raise ValueError(f"fg_threshold must be >= 0 and finite, got {self.fg_threshold}")
         if not 1 <= self.k_bases <= self.block_size**2:
@@ -89,8 +89,7 @@ def segment_images(images, cfg: SegmentationConfig = SegmentationConfig()):
         yield from _group_records(group, basis, cfg)
 
 
-# typed: a float side such as 16.0 reaches build_basis's integer check instead of the entry of 16
-@lru_cache(maxsize=4, typed=True)
+@lru_cache(maxsize=4)
 def _shared_basis(n: int, k: int) -> BasisMatrix:
     basis = build_basis(n, k)
     basis.atoms.flags.writeable = False

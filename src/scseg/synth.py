@@ -36,7 +36,7 @@ class SynthSpec:
         if not 1 <= self.k_true <= self.n**2:
             raise ValueError(f"k_true must be in [1, {self.n**2}], got {self.k_true}")
         for name in ("alpha_range", "stroke_amplitude", "max_fg_fraction"):
-            require_real(name, getattr(self, name))
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
         for name in ("alpha_range", "stroke_amplitude"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
@@ -113,7 +113,7 @@ def write_dataset(out_dir, count: int, spec: SynthSpec):
     always produces identical files. A count that is not an integer (Python or
     numpy, not bool) or is negative raises ValueError before anything is written.
     """
-    require_count("count", count, 0)
+    count = require_count("count", count, 0)
     os.makedirs(out_dir, exist_ok=True)
     lines = ["# image\tmask\tlabel"]
     basis = build_basis(spec.n, spec.k_true)  # the same for every block: only the seed varies

@@ -11,6 +11,8 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -578,6 +580,14 @@ class TestSolveBlocks:
         refs = [scaled_solve(f, basis.atoms, params) for f in blocks]
         _assert_matches_reference(solve_blocks(blocks, basis, params), refs)
         _assert_residuals_match_history(blocks, basis, params, (1, params.max_iters))
+
+    def test_a_numpy_int16_side_solves_as_its_int(self):
+        # 200 * 200 overflows int16: build_basis keeps the side and k as Python ints
+        block = np.random.default_rng(3).uniform(0, 255, (1, 200, 200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = solve_blocks(block, build_basis(np.int16(200), 3))
+        _assert_same(dec, solve_blocks(block, build_basis(200, 3)))
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -1299,23 +1309,12 @@ class TestWorkers:
     def test_a_one_process_call_never_waits_without_a_timeout(
         self, monkeypatch, basis64, regime_stack, regime_refs, cpus, forks, workers, count
     ):
-        # with no child to reply, a wait with no timeout would never return: the caller polls
-        # with timeout 0 between its own slices, and returns after the last
-        real_poll = select.poll
+        # with no child to reply, a wait would never return: a call that solves every slice
+        # itself makes no poll, so it has nothing to wait on
+        def poll():
+            raise AssertionError("a call with no child made a poll")
 
-        class Poll:
-            def __init__(self):
-                self.real = real_poll()
-
-            def register(self, fd, events):
-                self.real.register(fd, events)
-
-            def poll(self, timeout=None):
-                if timeout is None:
-                    raise AssertionError("a call with no child waited without a timeout")
-                return self.real.poll(timeout)
-
-        monkeypatch.setattr(select, "poll", Poll)
+        monkeypatch.setattr(select, "poll", poll)
         dec = solve_blocks(regime_stack[:count], basis64, SolverParams(workers=workers))
         _assert_matches_reference(dec, regime_refs[:count])
         assert forks == [] and admm._pool == []
@@ -1387,7 +1386,6 @@ class TestSolverPool:
             (3, build_basis(16, 28), SolverParams(rho=0.3), "CD"),
             (2, build_basis(5, 10), SolverParams(max_iters=7), "E"),
             (3, basis64, SolverParams(lambda2=7.5), "FG"),
-            # a float32 weight over a float64 penalty: the thresholds divide in float32
             (2, build_basis(64, 28), SolverParams(lambda1=np.float32(5.0), rho=1.7), "H"),
             (3, build_basis(64, 28), SolverParams(lambda1=np.float32(5.0), rho=1.7), "HI"),
             (2, basis16, SolverParams(), "J"),
@@ -1404,20 +1402,19 @@ class TestSolverPool:
                 assert names.setdefault(name, pid) == pid, (pool, name)
             assert len(set(names.values())) == len(names) == len(forks)
 
-    def test_a_float32_weight_replaces_children_forked_with_an_equal_float(self, basis64, regime_stack, cpus, forks):
-        # 5.0 == np.float32(5.0), but over rho 1.3 the float32 weight's threshold divides in
-        # float32, where 5 / 1.3 rounds to another value: a child kept by an == test would
-        # run the float32 call's slices on the first call's thresholds. Params of equal types
-        # and values keep the children, whether or not two fields share one object
-        decs, shared = [], np.float32(5.0)
-        calls = [(5.0, 2.0, 1), (np.float32(5.0), 2.0, 2), (shared, shared, 3), (np.float32(5.0), np.float32(5.0), 3)]
-        for lambda1, lambda2, forked in calls:
-            params = SolverParams(lambda1=lambda1, lambda2=lambda2, rho=1.3)
-            decs.append(solve_blocks(regime_stack[:16], basis64, dataclasses.replace(params, workers=2)))
-            _assert_same(decs[-1], solve_blocks(regime_stack[:16], basis64, params))
-            assert len(forks) == forked and len(admm._pool) == 1
-        if (np.float32(5.0) / 1.3).dtype == np.float32:  # numpy 2's promotion; numpy 1 divides in float64
-            assert not np.array_equal(decs[0].s, decs[1].s)
+    def test_a_weight_equal_to_a_float_solves_as_it_and_keeps_its_children(self, basis64, regime_stack, cpus, forks):
+        # over rho 1.3, 5 / 1.3 rounds to other bits in float32 than in float64: SolverParams
+        # keeps each weight as the equal Python float, so weights of another type give the
+        # float's bytes, and the child forked for the float serves them all
+        floats = SolverParams(lambda1=5.0, lambda2=2.0, rho=1.3)
+        first = solve_blocks(regime_stack[:16], basis64, dataclasses.replace(floats, workers=2))
+        _assert_same(solve_blocks(regime_stack[:16], basis64, floats), first)
+        for kind in (np.float32, np.float16, np.longdouble, Fraction):
+            params = SolverParams(lambda1=kind(5), lambda2=kind(2), rho=1.3)
+            assert params == floats and type(params.lambda1) is type(params.lambda2) is float, kind
+            _assert_same(solve_blocks(regime_stack[:16], basis64, dataclasses.replace(params, workers=2)), first)
+            _assert_same(solve_blocks(regime_stack[:16], basis64, params), first)
+            assert len(forks) == len(admm._pool) == 1, kind
 
     def test_a_call_differing_only_in_workers_forks_nothing(self, basis64, regime_stack, cpus, forks):
         serial = solve_blocks(regime_stack[:24], basis64)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scseg import build_basis
-from scseg.dct import dct_atom, dct_vectors, zigzag_order
+from scseg.dct import dct_vectors, zigzag_order
 
 # First ten pairs of the zig-zag walk, enumerated by hand.
 FIRST_TEN = [(0, 0), (0, 1), (1, 0), (2, 0), (1, 1), (0, 2), (0, 3), (1, 2), (2, 1), (3, 0)]
@@ -50,38 +50,42 @@ def test_sizes_accept_numpy_integers():
     np.testing.assert_array_equal(basis.atoms, build_basis(8, 3).atoms)
 
 
+def _atom(u, v, n):
+    """The column of atom (u, v) in the whole basis build_basis(n, n*n)."""
+    basis = build_basis(n, n * n)
+    return basis.atoms[:, basis.freq_pairs.index((u, v))]
+
+
 def test_atom_dc_is_constant():
-    np.testing.assert_allclose(dct_atom(0, 0, 4), np.full(16, 0.25))
+    np.testing.assert_allclose(_atom(0, 0, 4), np.full(16, 0.25))
 
 
 def test_atom_unit_norm():
     rng = np.random.default_rng(2)
     for _ in range(20):
         n = int(rng.integers(2, 17))
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        assert np.linalg.norm(dct_atom(u, v, n)) == pytest.approx(1.0, abs=1e-12)
+        atoms = build_basis(n, n * n).atoms
+        np.testing.assert_allclose(np.linalg.norm(atoms, axis=0), 1.0, rtol=0, atol=1e-12)
 
 
 def test_atom_vertical_frequency_layout():
     # varies down the rows, constant along each row, flattened row-major
-    np.testing.assert_allclose(dct_atom(1, 0, 2), [0.5, 0.5, -0.5, -0.5], atol=1e-15)
+    np.testing.assert_allclose(_atom(1, 0, 2), [0.5, 0.5, -0.5, -0.5], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 5, 16, 64])
 def test_atom_bits_are_one_frequency_at_a_time(n):
     # the solver's bits depend on the atoms': each is the outer product of two cosines
-    # computed one frequency at a time, times the product of their two scales, and
-    # build_basis's columns are those atoms
+    # computed one frequency at a time, times the product of their two scales (the first
+    # 256 atoms at n = 64, whose whole basis would take 128 MiB)
     grid = np.arange(n)
-    basis = build_basis(n, min(n * n, 40))
-    for j, (u, v) in enumerate(basis.freq_pairs):
+    basis = build_basis(n, min(n * n, 256))
+    for (u, v), atom in zip(basis.freq_pairs, basis.atoms.T):
         cu = np.sqrt(1.0 / n) if u == 0 else np.sqrt(2.0 / n)
         cv = np.sqrt(1.0 / n) if v == 0 else np.sqrt(2.0 / n)
         rows = np.cos(np.pi * u * (2 * grid + 1) / (2 * n))
         cols = np.cos(np.pi * v * (2 * grid + 1) / (2 * n))
-        np.testing.assert_array_equal(dct_atom(u, v, n), (cu * cv) * np.outer(rows, cols).ravel())
-        np.testing.assert_array_equal(basis.atoms[:, j], dct_atom(u, v, n))
+        np.testing.assert_array_equal(atom, (cu * cv) * np.outer(rows, cols).ravel())
 
 
 @pytest.mark.parametrize("n", [2, 7, 64])
@@ -89,14 +93,9 @@ def test_vectors_are_the_atoms_factors(n):
     vectors = dct_vectors(range(n), n)
     assert vectors.shape == (n, n)
     np.testing.assert_allclose(vectors.T @ vectors, np.eye(n), atol=1e-12)
-    for u, v in zigzag_order(n, min(n * n, 12)):
-        np.testing.assert_allclose(np.outer(vectors[:, u], vectors[:, v]).ravel(), dct_atom(u, v, n), rtol=0, atol=1e-15)
-
-
-@pytest.mark.parametrize("u,v", [(-1, 0), (0, 8), (8, 0)])
-def test_atom_out_of_range(u, v):
-    with pytest.raises(ValueError):
-        dct_atom(u, v, 8)
+    basis = build_basis(n, min(n * n, 256))
+    for (u, v), atom in zip(basis.freq_pairs, basis.atoms.T):
+        np.testing.assert_allclose(np.outer(vectors[:, u], vectors[:, v]).ravel(), atom, rtol=0, atol=1e-15)
 
 
 def test_basis_orthonormal():

@@ -1,5 +1,6 @@
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +459,13 @@ class TestTiling:
 
     def test_block_size_accepts_numpy_integers(self):
         assert tile(np.zeros((4, 4)), np.int64(2)).block_size == 2
+
+    def test_a_numpy_int16_block_size_does_not_overflow(self):
+        # the 40000 rows pass int16's range: tile computes with the block size as a Python int
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = tile(np.zeros((40000, 3)), np.int16(200))
+        assert len(grid.blocks) == 200 and type(grid.block_size) is int
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_zero_length_side_rejected(self, shape):

@@ -2,6 +2,7 @@ import dataclasses
 import re
 from fractions import Fraction
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,13 @@ class TestSegmentBlock:
         cfg = SegmentationConfig(block_size=np.int64(8), k_bases=np.int32(3))
         assert not segment_image(img, cfg).any()
 
+    def test_a_numpy_int16_block_size_takes_its_whole_range_of_k(self):
+        # 200 * 200 overflows int16, which refused every k_bases before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = SegmentationConfig(block_size=np.int16(200), k_bases=30000)
+        assert (cfg.block_size, cfg.k_bases) == (200, 30000)
+
     def test_fields_are_frozen(self):
         # assigned, a negative threshold would skip __post_init__ and mark every pixel foreground
         cfg = SegmentationConfig()
@@ -196,6 +204,29 @@ def test_real_fields_take_python_and_numpy_reals():
     params = SolverParams(lambda1=np.float32(5.0), lambda2=2, rho=Fraction(1, 2))
     assert SegmentationConfig(fg_threshold=np.float64(0.5), solver=params).solver.rho == 0.5
     assert SynthSpec(alpha_range=np.int64(50), stroke_amplitude=80, max_fg_fraction=Fraction(1, 5)).stroke_count == 4
+
+
+def test_numpy_and_fraction_fields_are_kept_as_python_numbers():
+    # each config keeps the value it checked, so configs that compare equal solve alike
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solver = SolverParams(lambda1=np.float32(5), lambda2=np.longdouble(2), rho=Fraction(1, 2),
+                              max_iters=np.int8(20), workers=np.uint64(2))
+        configs = [
+            solver,
+            SegmentationConfig(block_size=np.int16(16), k_bases=np.uint8(10), solver=solver,
+                               fg_threshold=np.float16(1.5)),
+            SynthSpec(n=np.int8(16), k_true=np.int64(3), alpha_range=np.float32(50), stroke_count=np.int16(2),
+                      stroke_amplitude=Fraction(90), max_fg_fraction=np.float64(0.2), seed=np.uint16(7)),
+        ]
+        basis = build_basis(np.int16(16), np.int8(3))
+    for cfg in configs:
+        # the annotations are strings: the modules import annotations from __future__
+        numbers = [field for field in dataclasses.fields(cfg) if field.type in ("int", "float")]
+        assert len(numbers) >= 3
+        for field in numbers:
+            assert type(getattr(cfg, field.name)).__name__ == field.type, (type(cfg).__name__, field.name)
+    assert type(basis.n) is type(basis.k) is int
 
 
 # Two records built from equal inputs: equal arrays, distinct objects.
@@ -343,11 +374,6 @@ class TestSharedBasis:
         numpy_side = next(segment_images([f], SegmentationConfig(block_size=np.int64(16), solver=solver)))
         int_side = next(segment_images([f], SegmentationConfig(block_size=16, solver=solver)))
         assert_same_records(numpy_side, int_side)
-
-    def test_a_float_size_does_not_hit_the_entry_of_its_integer(self):
-        _shared_basis(8, 3)
-        with pytest.raises(ValueError, match="^k must be an integer"):
-            _shared_basis(8, 3.0)
 
     def test_interleaved_configs_match_each_config_alone(self):
         # six (block, k) pairs through a memo of four: (5, 10) and (16, 10) come back after eviction

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -111,6 +112,14 @@ def test_counts_accept_numpy_integers():
         np.testing.assert_array_equal(got, want)
 
 
+def test_a_numpy_int8_side_does_not_overflow():
+    # 100 ** 2 overflows int8: the spec checks and keeps its counts as Python ints
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = SynthSpec(n=np.int8(100), k_true=5)
+    assert spec == SynthSpec(n=100, k_true=5)
+
+
 class TestWriteDataset:
     def test_files_and_manifest(self, tmp_path):
         manifest = write_dataset(tmp_path / "d", 4, SynthSpec(seed=1))
@@ -174,3 +183,15 @@ class TestWriteDataset:
 
     def test_numpy_integer_count(self, tmp_path):
         assert len(load_manifest(write_dataset(tmp_path / "d", np.int64(2), SynthSpec()))) == 2
+
+    def test_a_numpy_int16_seed_near_its_top_writes_every_block(self, tmp_path):
+        # seed + i passes int16's largest value at the third block: the spec keeps a Python int
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            manifest = write_dataset(tmp_path / "a", 3, SynthSpec(seed=np.int16(32766)))
+        write_dataset(tmp_path / "b", 3, SynthSpec(seed=32766))
+        assert len(load_manifest(manifest)) == 3
+        names = sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
